@@ -63,35 +63,28 @@
  * telemetry recorder (obs/timeseries.hh, --ts-window) disarmed and
  * armed at ~100 windows. Every study and sweep runs disarmed, where
  * the feature costs one always-false compare per event in the
- * DomainGroup hot loop; the leg guards that path against the plain
+ * event-queue hot loop; the leg guards that path against the plain
  * sweep measurement with the same noise-bounded margin as the
  * tracing leg (the 2% design budget is recorded in the JSON), and
  * records the armed overhead informationally.
  *
- * A PDES leg (DESIGN.md §12) times ADM and FLO52 on 32 processors
- * at --run-threads 1/2/4, recording events/sec plus the partition's
- * structure diagnostics (domains, merge windows, cross-domain
- * mailbox posts, the per-domain peak-pending split) — the honest
- * per-run cost of the event-domain decomposition, which within one
- * machine is merge-serialized because the model's software
- * crossings have zero lookahead. The leg then measures where the
- * decomposition's thread pool does pay off: an ensemble of
- * independent partitioned replicas fanned out on 1 vs 4 workers.
- * The guard fails the run (exit 3) when ADM's ensemble scaling
- * drops below 1.5x — the simulator's own parallelization overhead
- * (pool spawn, cache sharing) eating the speedup, the exact
- * taxonomy the paper applies to Cedar itself. Like every wall-time
- * guard it compares medians and is enforced only at --repeat >= 3 —
- * and additionally only when the host exposes at least four
- * hardware threads: on a 1- or 2-core host a 4-worker pool
- * physically cannot reach 1.5x, so the scaling is recorded but not
- * judged (host_threads in the JSON says which happened).
+ * An ensemble leg runs 8 independent ADM 32p replicas through
+ * core::runSweep on 1 vs 4 workers — where the simulator's own
+ * parallelism lives (a single run is one sequential event queue).
+ * The guard fails the run (exit 3) when the scaling drops below
+ * 1.5x — the simulator's own parallelization overhead (pool spawn,
+ * cache sharing) eating the speedup, the exact taxonomy the paper
+ * applies to Cedar itself. Like every wall-time guard it compares
+ * medians and is enforced only at --repeat >= 3 — and additionally
+ * only when the host exposes at least four hardware threads: on a
+ * 1- or 2-core host a 4-worker pool physically cannot reach 1.5x,
+ * so the scaling is recorded but not judged (host_threads in the
+ * JSON says which happened).
  */
 
 #include <algorithm>
 #include <chrono>
 #include <fstream>
-#include <iterator>
 #include <iostream>
 #include <sstream>
 #include <string>
@@ -193,7 +186,7 @@ constexpr unsigned guard_min_samples = 3;
  * (obs/timeseries.hh) disarmed (--ts-window 0, the default every
  * study and sweep runs with) and armed at ~100 windows. The design
  * budget for the disarmed path is 2% — it costs one always-false
- * compare per event in the DomainGroup hot loop — but wall-clock
+ * compare per event in the event-queue hot loop — but wall-clock
  * medians on shared hosts wander more than that, so like the tracing
  * leg the enforced bound is the noise-bounded tracing_guard_pct and
  * the 2% design target is recorded in the JSON for trend reading.
@@ -424,116 +417,62 @@ timeAllocs(const core::RunOptions &opts, unsigned repeat)
     return a;
 }
 
-/** The PDES leg: partition overhead per run, ensemble scaling. */
-struct PdesPerf
+/** The ensemble leg: independent replicas through core::runSweep. */
+struct EnsemblePerf
 {
-    std::string app;
+    std::string app = "ADM";
     unsigned procs = 32;
     unsigned repeat = 0;
-    bool guarded = false; //!< this entry enforces ensemble scaling
-
-    /** One --run-threads setting of the same machine point. */
-    struct DomainPoint
-    {
-        unsigned runThreads = 0;
-        double wallSec = 0;       //!< median
-        std::uint64_t events = 0; //!< identical at every setting
-        unsigned domains = 0;
-        std::uint64_t mergeWindows = 0;
-        std::uint64_t crossPosts = 0;
-        std::uint64_t peakDomainSum = 0;
-        std::uint64_t peakDomainMax = 0;
-    };
-    std::vector<DomainPoint> points;
-
-    /** Independent partitioned replicas on a 1- vs 4-worker pool. */
     unsigned replicas = 8;
-    double ensembleWall1 = 0;           //!< median, 1 worker
-    double ensembleWall4 = 0;           //!< median, 4 workers
-    std::uint64_t ensembleEvents = 0;   //!< total across replicas
+    double wall1 = 0;         //!< median, 1 worker
+    double wall4 = 0;         //!< median, 4 workers
+    std::uint64_t events = 0; //!< total across replicas
 
     double
     scaling() const
     {
-        return ensembleWall4 > 0 ? ensembleWall1 / ensembleWall4
-                                 : 0.0;
+        return wall4 > 0 ? wall1 / wall4 : 0.0;
     }
 };
 
-/** ADM's ensemble must keep at least this 4-worker/1-worker wall
- *  ratio (ideal: 4x; the margin absorbs pool spawn and memory-bus
- *  sharing — the simulator's own parallelization overhead). */
-constexpr double pdes_guard_min_scaling = 1.5;
+/** The ensemble must keep at least this 4-worker/1-worker wall ratio
+ *  (ideal: 4x; the margin absorbs pool spawn and memory-bus sharing
+ *  — the simulator's own parallelization overhead). */
+constexpr double ensemble_guard_min_scaling = 1.5;
 
 /** Hardware threads below which the scaling guard is vacuous. */
-constexpr unsigned pdes_guard_min_host_threads = 4;
+constexpr unsigned ensemble_guard_min_host_threads = 4;
 
 bool
-pdesGuardArmed(unsigned repeat)
+ensembleGuardArmed(unsigned repeat)
 {
     return repeat >= guard_min_samples &&
-           core::defaultJobs() >= pdes_guard_min_host_threads;
+           core::defaultJobs() >= ensemble_guard_min_host_threads;
 }
 
-PdesPerf
-timePdes(const std::string &name, const core::RunOptions &opts,
-         unsigned repeat, bool guarded)
+EnsemblePerf
+timeEnsemble(const core::RunOptions &opts, unsigned repeat)
 {
-    PdesPerf p;
-    p.app = name;
-    p.repeat = std::max(repeat, 3u);
-    p.guarded = guarded;
-    const auto app = apps::perfectAppByName(name);
-    const auto cfg = hw::CedarConfig::withProcs(p.procs);
-
-    const unsigned settings[] = {1, 2, 4};
-    std::vector<std::vector<double>> walls(std::size(settings));
-    p.points.resize(std::size(settings));
-    for (unsigned r = 0; r < p.repeat; ++r) {
-        for (std::size_t i = 0; i < std::size(settings); ++i) {
-            core::RunOptions o = opts;
-            o.runThreads = settings[i];
-            const auto t0 = Clock::now();
-            const auto res = core::runExperiment(app, cfg, o);
-            walls[i].push_back(secondsSince(t0));
-            if (r == 0) {
-                auto &pt = p.points[i];
-                pt.runThreads = settings[i];
-                pt.events = res.eventsExecuted;
-                pt.domains = res.domainCount;
-                pt.mergeWindows = res.pdesWindows;
-                pt.crossPosts = res.crossDomainPosts;
-                pt.peakDomainSum = res.peakPendingDomainSum;
-                pt.peakDomainMax = res.peakPendingDomainMax;
-            }
-        }
-    }
-    for (std::size_t i = 0; i < std::size(settings); ++i)
-        p.points[i].wallSec = median(std::move(walls[i]));
-
-    // Ensemble: the same partitioned point as independent replicas.
-    // Results are deterministic and identical per replica (tests
-    // enforce it); only the fan-out wall time is at stake here.
-    core::RunOptions o = opts;
-    o.runThreads = 4;
-    const std::vector<hw::CedarConfig> replicas(p.replicas, cfg);
+    EnsemblePerf e;
+    e.repeat = std::max(repeat, 3u);
+    const auto app = apps::perfectAppByName(e.app);
+    const std::vector<hw::CedarConfig> replicas(
+        e.replicas, hw::CedarConfig::withProcs(e.procs));
     std::vector<double> w1, w4;
-    for (unsigned r = 0; r < p.repeat; ++r) {
+    for (unsigned r = 0; r < e.repeat; ++r) {
         auto t0 = Clock::now();
-        const auto rs = core::runSweep(app, o, replicas, 1);
+        const auto rs = core::runSweep(app, opts, replicas, 1);
         w1.push_back(secondsSince(t0));
-        if (r == 0) {
-            p.ensembleEvents = 0;
+        if (r == 0)
             for (const auto &res : rs)
-                p.ensembleEvents += res.eventsExecuted;
-        }
+                e.events += res.eventsExecuted;
         t0 = Clock::now();
-        core::runSweep(app, o, replicas, 4);
+        core::runSweep(app, opts, replicas, 4);
         w4.push_back(secondsSince(t0));
     }
-    p.ensembleWall1 = median(std::move(w1));
-    p.ensembleWall4 = median(std::move(w4));
-    return p;
+    e.wall1 = median(std::move(w1));
+    e.wall4 = median(std::move(w4));
+    return e;
 }
 
 AppPerf
@@ -574,16 +513,17 @@ void
 writeJson(std::ostream &os, const std::vector<AppPerf> &apps,
           const TracingPerf &tracing,
           const std::vector<FastPathPerf> &fastpath,
-          const AllocPerf &allocs, const std::vector<PdesPerf> &pdes,
+          const AllocPerf &allocs, const EnsemblePerf &ensemble,
           const TimeSeriesPerf &timeseries, unsigned jobs,
           double scale, unsigned repeat, double total_wall)
 {
     tools::JsonWriter j(os);
     j.beginObject();
     // v2 added the "allocs" section, v3 the "pdes" section, v4 the
-    // "timeseries" section; readers of earlier sections are
-    // unaffected, and bench_delta tolerates their absence.
-    j.field("schema", "cedar-bench-sweep-v4");
+    // "timeseries" section, and v5 replaced "pdes" with "ensemble";
+    // readers of other sections are unaffected, and bench_delta
+    // tolerates any section's absence.
+    j.field("schema", "cedar-bench-sweep-v5");
     j.field("jobs", jobs == 0 ? core::defaultJobs() : jobs);
     j.field("scale", scale);
     j.field("repeat", repeat);
@@ -679,48 +619,28 @@ writeJson(std::ostream &os, const std::vector<AppPerf> &apps,
             allocs.warmAllocsPerEvent() <= alloc_guard_max_per_event);
     j.endObject();
 
-    j.key("pdes").beginArray();
-    for (const auto &p : pdes) {
+    j.key("ensemble").beginArray();
+    {
+        const EnsemblePerf &e = ensemble;
         j.beginObject();
-        j.field("app", p.app);
-        j.field("procs", p.procs);
-        j.field("repeat", p.repeat);
-        j.key("run_threads").beginArray();
-        for (const auto &pt : p.points) {
-            j.beginObject();
-            j.field("run_threads", pt.runThreads);
-            j.field("wall_s", pt.wallSec);
-            j.field("events", pt.events);
-            j.field("events_per_sec",
-                    pt.wallSec > 0
-                        ? static_cast<double>(pt.events) / pt.wallSec
-                        : 0.0);
-            j.field("domains", pt.domains);
-            j.field("merge_windows", pt.mergeWindows);
-            j.field("cross_domain_posts", pt.crossPosts);
-            j.field("peak_pending_domain_sum", pt.peakDomainSum);
-            j.field("peak_pending_domain_max", pt.peakDomainMax);
-            j.endObject();
-        }
-        j.endArray();
-        j.field("ensemble_replicas", p.replicas);
-        j.field("ensemble_wall_1worker_s", p.ensembleWall1);
-        j.field("ensemble_wall_4worker_s", p.ensembleWall4);
-        j.field("ensemble_events", p.ensembleEvents);
-        j.field("ensemble_events_per_sec_4worker",
-                p.ensembleWall4 > 0
-                    ? static_cast<double>(p.ensembleEvents) /
-                          p.ensembleWall4
-                    : 0.0);
-        j.field("ensemble_scaling", p.scaling());
+        j.field("app", e.app);
+        j.field("procs", e.procs);
+        j.field("repeat", e.repeat);
+        j.field("replicas", e.replicas);
+        j.field("wall_1worker_s", e.wall1);
+        j.field("wall_4worker_s", e.wall4);
+        j.field("events", e.events);
+        j.field("events_per_sec_4worker",
+                e.wall4 > 0 ? static_cast<double>(e.events) / e.wall4
+                            : 0.0);
+        j.field("scaling", e.scaling());
         j.field("host_threads", core::defaultJobs());
-        j.field("guarded", p.guarded);
-        j.field("guard_min_scaling", pdes_guard_min_scaling);
+        j.field("guard_min_scaling", ensemble_guard_min_scaling);
         j.field("guard_min_host_threads",
-                pdes_guard_min_host_threads);
-        j.field("guard_enforced", p.guarded && pdesGuardArmed(repeat));
-        j.field("guard_ok", !p.guarded || !pdesGuardArmed(repeat) ||
-                                p.scaling() >= pdes_guard_min_scaling);
+                ensemble_guard_min_host_threads);
+        j.field("guard_enforced", ensembleGuardArmed(repeat));
+        j.field("guard_ok", !ensembleGuardArmed(repeat) ||
+                                e.scaling() >= ensemble_guard_min_scaling);
         j.endObject();
     }
     j.endArray();
@@ -892,32 +812,17 @@ main(int argc, char **argv)
                   << static_cast<std::uint64_t>(
                          allocs.warmEventsPerSec())
                   << " ev/s warm)\n";
-        std::vector<PdesPerf> pdes;
-        pdes.push_back(timePdes("ADM", opts, repeat, true));
-        pdes.push_back(timePdes("FLO52", opts, repeat, false));
-        for (const auto &p : pdes) {
-            std::cout << "pdes (" << p.app << " " << p.procs
-                      << "p):";
-            for (const auto &pt : p.points)
-                std::cout << "  [rt" << pt.runThreads << " "
-                          << static_cast<std::uint64_t>(
-                                 pt.wallSec > 0
-                                     ? pt.events / pt.wallSec
-                                     : 0)
-                          << " ev/s, " << pt.domains << " dom, "
-                          << pt.mergeWindows << " win, "
-                          << pt.crossPosts << " xpost]";
-            std::cout << "  ensemble x" << p.replicas << ": "
-                      << p.ensembleWall1 << " s -> "
-                      << p.ensembleWall4 << " s (" << p.scaling()
-                      << "x)\n";
-        }
+        const EnsemblePerf ensemble = timeEnsemble(opts, repeat);
+        std::cout << "ensemble (" << ensemble.replicas << "x "
+                  << ensemble.app << " " << ensemble.procs << "p): "
+                  << ensemble.wall1 << " s -> " << ensemble.wall4
+                  << " s (" << ensemble.scaling() << "x)\n";
         const double total = secondsSince(t0);
 
         std::ofstream f(out);
         if (!f)
             throw std::runtime_error("cannot write " + out);
-        writeJson(f, perfs, tracing, fastpath, allocs, pdes,
+        writeJson(f, perfs, tracing, fastpath, allocs, ensemble,
                   timeseries, jobs, scale, repeat, total);
         std::cout << "wrote " << out << " (" << total
                   << " s total)\n";
@@ -952,19 +857,14 @@ main(int argc, char **argv)
                       << fast_path_guard_min_speedup << "x)\n";
             return 3;
         }
-        if (pdesGuardArmed(repeat)) {
-            for (const auto &p : pdes) {
-                if (!p.guarded ||
-                    p.scaling() >= pdes_guard_min_scaling)
-                    continue;
-                std::cerr << "error: PDES ensemble of " << p.replicas
-                          << " partitioned " << p.app << " "
-                          << p.procs
-                          << "p replicas scales only " << p.scaling()
-                          << "x from 1 to 4 workers (guard: "
-                          << pdes_guard_min_scaling << "x)\n";
-                return 3;
-            }
+        if (ensembleGuardArmed(repeat) &&
+            ensemble.scaling() < ensemble_guard_min_scaling) {
+            std::cerr << "error: ensemble of " << ensemble.replicas
+                      << " " << ensemble.app << " " << ensemble.procs
+                      << "p replicas scales only " << ensemble.scaling()
+                      << "x from 1 to 4 workers (guard: "
+                      << ensemble_guard_min_scaling << "x)\n";
+            return 3;
         }
         // Exact and deterministic, so enforced at any --repeat.
         if (allocs.warmAllocsPerEvent() > alloc_guard_max_per_event) {

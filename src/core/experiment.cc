@@ -15,8 +15,8 @@ namespace
 {
 
 /** Cumulative machine counters for the time-series recorder: the
- *  per-class server totals plus the fast-path/PDES/event counters
- *  (read-only — safe inside the DomainGroup sampling hook). */
+ *  per-class server totals plus the fast-path and event counters
+ *  (read-only — safe inside the event queue's sampling hook). */
 obs::TimeSeriesSnapshot
 snapshotCounters(hw::Machine &m, sim::Tick boundary)
 {
@@ -25,7 +25,6 @@ snapshotCounters(hw::Machine &m, sim::Tick boundary)
     s.classes = obs::sampleClassTotals(m);
     s.fastHits = m.net().fastStats().hits();
     s.fastMisses = m.net().fastStats().misses();
-    s.crossPosts = m.eq().crossPosts();
     s.events = m.eq().executed();
     return s;
 }
@@ -52,8 +51,6 @@ validateRunOptions(const RunOptions &opts)
         throw ConfigError(
             "run options: global-memory retries capped at 30 (backoff "
             "doubles per attempt)");
-    if (opts.runThreads == 0)
-        throw ConfigError("run options: run-threads must be >= 1");
 }
 
 RunResult
@@ -69,11 +66,9 @@ runExperiment(const apps::AppModel &app, const hw::CedarConfig &base,
     cfg.costs.gm_retry_backoff = opts.gmRetryBackoff;
     cfg.costs.gm_max_retries = opts.gmMaxRetries;
 
-    hw::Machine m(cfg, opts.runThreads);
+    hw::Machine m(cfg);
     m.trace().setEnabled(opts.collectTrace);
     m.net().setFastPath(opts.fastPath);
-    m.eq().setLookahead(opts.pdesLookahead);
-    m.eq().setWindow(opts.pdesWindow);
 
     // A scoped recorder subscribes the timeline to the machine's bus
     // for exactly this run; without it the tracer's wants() gates
@@ -83,7 +78,7 @@ runExperiment(const apps::AppModel &app, const hw::CedarConfig &base,
         timeline = std::make_unique<obs::TimelineRecorder>(m.telemetry());
 
     // The time-series recorder subscribes to spans only and samples
-    // the per-class/fast-path/PDES counters through the DomainGroup
+    // the per-class/fast-path counters through the event queue's
     // boundary hook — resource_wait stays with the MetricsHub alone,
     // so the analytic fast path keeps its sole-subscriber guarantee
     // and the hit-rate series is meaningful. With tsWindow == 0 the
@@ -146,11 +141,6 @@ runExperiment(const apps::AppModel &app, const hw::CedarConfig &base,
     r.metrics = obs::collectMetrics(m, r.ct);
     r.eventsExecuted = m.eq().executed();
     r.peakPending = m.eq().peakPending();
-    r.domainCount = m.eq().numDomains();
-    r.pdesWindows = m.eq().windows();
-    r.crossDomainPosts = m.eq().crossPosts();
-    r.peakPendingDomainSum = m.eq().domainPeakSum();
-    r.peakPendingDomainMax = m.eq().domainPeakMax();
     r.fastPathHits = m.net().fastStats().hits();
     r.fastPathMisses = m.net().fastStats().misses();
     r.fastPathPatterns = m.net().fastPatterns();

@@ -80,27 +80,9 @@ struct RunResult
 
     /** DES-kernel load: events executed and peak pending events.
      *  Deterministic per run; the bench harness divides events by
-     *  host wall time to get events/sec. peakPending is the
-     *  machine-wide peak of the *concurrent* pending population —
-     *  identical at any domain partition, because the domain group
-     *  executes the same event order (see sim/domain.hh). */
+     *  host wall time to get events/sec. */
     std::uint64_t eventsExecuted = 0;
     std::uint64_t peakPending = 0;
-
-    /** PDES structure diagnostics (DESIGN.md §12). These describe
-     *  the event-domain partition rather than the simulated machine,
-     *  so they are the only fields allowed to differ between
-     *  --run-threads 1 (one domain) and >= 2 (per-cluster domains);
-     *  every physical field, metric and timeline stays
-     *  bit-identical. Exporters exclude them for that reason. */
-    unsigned domainCount = 1;           //!< event domains in the run
-    std::uint64_t pdesWindows = 0;      //!< merge windows executed
-    std::uint64_t crossDomainPosts = 0; //!< mailbox posts between domains
-    /** Sum of per-domain peak pending populations (>= peakPending:
-     *  domain peaks need not be simultaneous). */
-    std::uint64_t peakPendingDomainSum = 0;
-    /** Largest single-domain peak (<= peakPending). */
-    std::uint64_t peakPendingDomainMax = 0;
 
     /** Analytic fast-path engagement (informational — every other
      *  field is bit-identical whether these are 0 or millions). */
@@ -167,39 +149,13 @@ struct RunOptions
     bool fastPath = true;
 
     /**
-     * Event-domain decomposition (`--run-threads N`): 1 keeps the
-     * legacy single global queue; >= 2 partitions events into one
-     * domain per cluster plus a machine domain, advanced by an
-     * exact-merge domain group (sim/domain.hh). Results are
-     * bit-identical at any setting — the knob changes the kernel's
-     * structure and diagnostics, and sizes the scheduler pool that
-     * fans out independent runs. Deliberately *not* part of the
-     * scenario format or core::canonicalHash: it cannot change a
-     * result, so cached studies stay valid across settings.
-     */
-    unsigned runThreads = 1;
-
-    /**
-     * Strict conservative-lookahead bound in ticks (0 disarms).
-     * When armed, any cross-domain post landing closer than this to
-     * the current time throws sim::CausalityError. The shipped
-     * model's software crossings are zero-latency, so any positive
-     * bound trips — the CI negative test proves the check is live.
-     */
-    sim::Tick pdesLookahead = 0;
-
-    /** Cap on each merge window's span in ticks (0 = unbounded).
-     *  Any value yields identical results; tests sweep it. */
-    sim::Tick pdesWindow = 0;
-
-    /**
      * Time-series sampling window in ticks (`--ts-window N`); 0 (the
-     * default) disables the recorder entirely. Like runThreads this
-     * is deliberately *not* part of the scenario format or
-     * core::canonicalHash: it cannot change a published result —
-     * every RunResult field except `timeseries` is bit-identical
-     * whether the recorder is on or off — so cached studies stay
-     * valid across settings.
+     * default) disables the recorder entirely. It is deliberately
+     * *not* part of the scenario format or core::canonicalHash: it
+     * cannot change a published result — every RunResult field
+     * except `timeseries` is bit-identical whether the recorder is
+     * on or off — so cached studies stay valid across settings. A
+     * run may span at most obs::max_ts_windows windows.
      */
     sim::Tick tsWindow = 0;
 

@@ -66,13 +66,6 @@ class Ce
     int localIndex() const { return local_; }
     sim::Tick now() const { return eq_.now(); }
 
-    /** The event domain this CE's events execute in (its cluster's
-     *  domain under a PDES partition; the single global queue
-     *  otherwise). Wake-ups targeting this CE from runtime/OS code
-     *  running elsewhere must schedule here, so cross-domain
-     *  mailbox traffic is attributed to the receiving cluster. */
-    sim::EventQueue &domain() { return eq_; }
-
     /** True when the CE is doing or awaiting work (statfx sense). */
     bool
     active() const

@@ -3,7 +3,7 @@
 namespace cedar::hw
 {
 
-Cluster::Cluster(sim::EventDomain &eq, net::Network &net,
+Cluster::Cluster(sim::EventQueue &eq, net::Network &net,
                  os::Accounting &acct, hpm::Trace &trace,
                  const CostModel &costs, sim::ClusterId id, unsigned n_ces)
     : id_(id), bus_(eq, costs)

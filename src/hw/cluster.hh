@@ -15,7 +15,7 @@
 
 #include "hw/ce.hh"
 #include "hw/concurrency_bus.hh"
-#include "sim/domain.hh"
+#include "sim/event_queue.hh"
 #include "sim/types.hh"
 
 namespace cedar::hw
@@ -25,10 +25,7 @@ namespace cedar::hw
 class Cluster
 {
   public:
-    /** @param eq the event domain owning this cluster's CE and bus
-     *  events (the machine's single queue, or its per-cluster
-     *  domain under a PDES partition — see sim/domain.hh). */
-    Cluster(sim::EventDomain &eq, net::Network &net,
+    Cluster(sim::EventQueue &eq, net::Network &net,
             os::Accounting &acct, hpm::Trace &trace,
             const CostModel &costs, sim::ClusterId id, unsigned n_ces);
 

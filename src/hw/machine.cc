@@ -14,27 +14,18 @@ Machine::validated(const CedarConfig &cfg)
     return cfg;
 }
 
-Machine::Machine(const CedarConfig &cfg, unsigned run_threads)
-    : cfg_(validated(cfg)),
-      // One domain keeps the legacy single queue; otherwise one per
-      // cluster plus the machine domain. The thread count beyond 2
-      // does not change the partition — it sizes the scheduler pool
-      // that fans out *independent* groups — so any >= 2 setting
-      // produces an identical structure (and identical results at
-      // every setting, by the group's exact-merge construction).
-      eq_(run_threads <= 1 ? 1 : cfg_.nClusters + 1), rng_(cfg.seed),
+Machine::Machine(const CedarConfig &cfg)
+    : cfg_(validated(cfg)), rng_(cfg.seed),
       hub_(bus_), tracer_(bus_),
       gmem_(mem::AddressMap(cfg.nModules, cfg.groupSize)),
       net_(cfg.nClusters, cfg.cesPerCluster, gmem_),
       acct_(cfg.nClusters, cfg.cesPerCluster),
-      statfx_(eq_.domain(0), bus_, cfg.nClusters,
-              cfg.costs.statfx_period)
+      statfx_(eq_, bus_, cfg.nClusters, cfg.costs.statfx_period)
 {
     for (unsigned c = 0; c < cfg.nClusters; ++c) {
         clusters_.push_back(std::make_unique<Cluster>(
-            clusterDomain(static_cast<sim::ClusterId>(c)), net_,
-            acct_, trace_, cfg_.costs, static_cast<sim::ClusterId>(c),
-            cfg.cesPerCluster));
+            eq_, net_, acct_, trace_, cfg_.costs,
+            static_cast<sim::ClusterId>(c), cfg.cesPerCluster));
         auto &cl = *clusters_.back();
         cl.bus().setTracer(&tracer_, static_cast<int>(c));
         for (unsigned p = 0; p < cfg.cesPerCluster; ++p) {
@@ -55,12 +46,6 @@ Machine::Machine(const CedarConfig &cfg, unsigned run_threads)
 }
 
 Machine::~Machine() = default;
-
-sim::Tick
-Machine::networkLookahead() const
-{
-    return net::Network::hop_latency;
-}
 
 Ce &
 Machine::ce(sim::CeId id)

@@ -22,7 +22,7 @@
 #include "obs/telemetry.hh"
 #include "obs/tracer.hh"
 #include "os/accounting.hh"
-#include "sim/domain.hh"
+#include "sim/event_queue.hh"
 #include "sim/random.hh"
 #include "sim/types.hh"
 
@@ -38,19 +38,7 @@ namespace cedar::hw
 class Machine
 {
   public:
-    /**
-     * Build the machine.
-     *
-     * @param run_threads Event-domain decomposition: <= 1 keeps the
-     *        legacy single global queue; >= 2 partitions events into
-     *        one domain per cluster plus a machine domain (network,
-     *        GM, OS daemons, fault injector, statfx) advanced by the
-     *        group's exact merge. The executed event order — and so
-     *        every result — is bit-identical at any setting; only
-     *        the group's structural diagnostics (domain count, peak
-     *        split, window/mailbox counters) reflect the choice.
-     */
-    explicit Machine(const CedarConfig &cfg, unsigned run_threads = 1);
+    explicit Machine(const CedarConfig &cfg);
     ~Machine();
 
     Machine(const Machine &) = delete;
@@ -59,30 +47,8 @@ class Machine
     const CedarConfig &config() const { return cfg_; }
     const CostModel &costs() const { return cfg_.costs; }
 
-    /** The machine's event domains (single-queue-compatible). */
-    sim::DomainGroup &eq() { return eq_; }
-
-    /** Domain 0: network/GM returns, OS, injector, statfx. */
-    sim::EventDomain &machineDomain() { return eq_.domain(0); }
-
-    /** The event domain owning cluster @p c's CEs and bus. */
-    sim::EventDomain &
-    clusterDomain(sim::ClusterId c)
-    {
-        return eq_.numDomains() == 1
-                   ? eq_.domain(0)
-                   : eq_.domain(1 + static_cast<unsigned>(c));
-    }
-
-    /**
-     * Minimum modeled latency of a *hardware* cluster crossing: the
-     * first network hop into stage 1. The guaranteed-lookahead seed
-     * for conservative windows — but note the runtime's software
-     * shortcuts (loop-lock hand-off, spin wake-ups) cross clusters
-     * at zero delta, so the machine-wide honest lookahead is 0 (see
-     * DESIGN.md §12).
-     */
-    sim::Tick networkLookahead() const;
+    /** The machine's single global event queue. */
+    sim::EventQueue &eq() { return eq_; }
     sim::RandomGen &rng() { return rng_; }
     mem::GlobalMemory &gmem() { return gmem_; }
     const mem::GlobalMemory &gmem() const { return gmem_; }
@@ -136,7 +102,7 @@ class Machine
     static const CedarConfig &validated(const CedarConfig &cfg);
 
     CedarConfig cfg_;
-    sim::DomainGroup eq_;
+    sim::EventQueue eq_;
     sim::RandomGen rng_;
     /** Telemetry first: the hub subscribes and the tracer publishes
      *  before any producer (memory, network, CEs) is wired to it. */

@@ -246,8 +246,6 @@ counterTracks(tools::JsonWriter &j, const TimeSeries &ts, double us)
         counter(j, "fastpath_hit_rate", t,
                 bursts > 0 ? static_cast<double>(w.fastHits) / bursts
                            : 0.0);
-        counter(j, "cross_domain_posts", t,
-                static_cast<double>(w.crossPosts));
         counter(j, "events_per_ktick", t,
                 1000.0 * static_cast<double>(w.events) / width);
     }

@@ -72,8 +72,8 @@ struct SpanTraceMeta
  * and module slice back to the CE. With meta.timeseries set, pid 5
  * carries one counter track per windowed series — per-class queue
  * depth and utilization, per-TimeCat CE occupancy, the fast-path
- * hit rate and the PDES cross-domain post rate — sampled once per
- * window at its opening edge.
+ * hit rate and the event rate — sampled once per window at its
+ * opening edge.
  *
  * @throws sim::SimError when meta.clock_hz is not positive.
  */

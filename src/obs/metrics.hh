@@ -103,7 +103,7 @@ struct MetricsReport
     /**
      * Machine-readable export (schema "cedar-metrics-v1"). When
      * @p ts is non-null and non-empty the document carries a
-     * "timeseries" section (schema "cedar-timeseries-v1", see
+     * "timeseries" section (schema "cedar-timeseries-v2", see
      * obs/timeseries.hh); a null/empty series leaves the output
      * byte-identical to the historical format.
      */

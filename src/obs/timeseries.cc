@@ -1,6 +1,7 @@
 #include "obs/timeseries.hh"
 
 #include <algorithm>
+#include <string>
 
 #include "bench_json.hh"
 #include "hw/machine.hh"
@@ -50,11 +51,25 @@ TimeSeriesRecorder::TimeSeriesRecorder(TelemetryBus &bus, sim::Tick window)
 
 TimeSeriesRecorder::~TimeSeriesRecorder() { bus_.unsubscribe(this); }
 
+void
+TimeSeriesRecorder::checkWindowCount(std::uint64_t windows) const
+{
+    if (windows > max_ts_windows)
+        throw sim::ConfigError(
+            "time series: the run spans more than " +
+            std::to_string(max_ts_windows) + " windows of " +
+            std::to_string(window_) + " ticks; raise --ts-window");
+}
+
 TimeSeriesRecorder::SpanAccum &
 TimeSeriesRecorder::accumAt(std::size_t idx)
 {
-    if (idx >= accum_.size())
+    if (idx >= accum_.size()) {
+        // A span is often published at its start with its whole
+        // duration, so it can reach windows no boundary has opened.
+        checkWindowCount(idx);
         accum_.resize(idx + 1);
+    }
     return accum_[idx];
 }
 
@@ -90,6 +105,9 @@ TimeSeriesRecorder::onTelemetry(const TelemetryEvent &e)
 void
 TimeSeriesRecorder::onBoundary(const TimeSeriesSnapshot &s)
 {
+    // Boundary k opens window k, so a run that passes it needs at
+    // least k windows (exactly k when it ends on the boundary).
+    checkWindowCount(s.boundary / window_);
     snaps_.push_back(s);
 }
 
@@ -105,8 +123,9 @@ TimeSeriesRecorder::finalize(sim::Tick ct,
         return ts;
     // ceil(ct / W) windows; a run ending exactly on a boundary folds
     // its final events into the last window (see header contract).
-    const std::size_t n = static_cast<std::size_t>(
-        ct / window_ + (ct % window_ != 0 ? 1 : 0));
+    const std::uint64_t windows = ct / window_ + (ct % window_ != 0);
+    checkWindowCount(windows);
+    const auto n = static_cast<std::size_t>(windows);
 
     // Cumulative counters at each window's closing edge. Boundary
     // k*W only fires when an event at or past it executes, so any
@@ -154,7 +173,6 @@ TimeSeriesRecorder::finalize(sim::Tick ct,
         }
         w.fastHits = hi.fastHits - lo.fastHits;
         w.fastMisses = hi.fastMisses - lo.fastMisses;
-        w.crossPosts = hi.crossPosts - lo.crossPosts;
         w.events = hi.events - lo.events;
         if (i < accum_.size()) {
             w.catTicks = accum_[i].cat;
@@ -172,7 +190,7 @@ void
 writeTimeSeriesJson(tools::JsonWriter &j, const TimeSeries &ts)
 {
     j.beginObject();
-    j.field("schema", "cedar-timeseries-v1");
+    j.field("schema", "cedar-timeseries-v2");
     j.field("window_ticks", static_cast<std::uint64_t>(ts.window));
     j.field("num_ces", ts.numCes);
 
@@ -194,7 +212,6 @@ writeTimeSeriesJson(tools::JsonWriter &j, const TimeSeries &ts)
         j.field("events", w.events);
         j.field("fast_hits", w.fastHits);
         j.field("fast_misses", w.fastMisses);
-        j.field("cross_posts", w.crossPosts);
 
         j.key("class_requests").beginArray();
         for (const auto v : w.classes.requests)

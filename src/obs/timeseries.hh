@@ -1,10 +1,10 @@
 /**
  * @file
- * Windowed time-series telemetry (schema "cedar-timeseries-v1").
+ * Windowed time-series telemetry (schema "cedar-timeseries-v2").
  *
  * End-of-run aggregates hide the *phases* of a run: burst backlog
- * drains, convoy formation at one memory module, fast-path warm-up,
- * PDES merge stalls. This layer slices simulated time into
+ * drains, convoy formation at one memory module, fast-path warm-up.
+ * This layer slices simulated time into
  * fixed-width windows (RunOptions::tsWindow / `--ts-window`) and
  * records, per window:
  *
@@ -13,14 +13,14 @@
  *    machine's ServerStats at exact window boundaries;
  *  - per-TimeCat occupancy and per-CE busy ticks, accumulated from
  *    the telemetry bus's span stream (overlap-split across windows);
- *  - analytic fast-path hits/misses, PDES cross-domain posts and
- *    executed events, as boundary-to-boundary deltas.
+ *  - analytic fast-path hits/misses and executed events, as
+ *    boundary-to-boundary deltas.
  *
  * The split matters: the recorder subscribes to *spans only*. A
  * resource_wait or flow subscription would disengage the analytic
  * fast path (net::Network::fastEligible's sole-subscriber gate), so
  * the per-class series comes from the boundary poll instead — the
- * DomainGroup sampling hook (sim/domain.hh) fires a read-only
+ * event queue's sampling hook (sim/event_queue.hh) fires a read-only
  * callback each time simulated time crosses a k*window tick, and
  * core::runExperiment wires it to snapshotCounters(). With the
  * recorder off nothing subscribes and the hook stays disarmed, so
@@ -31,6 +31,11 @@
  * (inclusive, so events at exactly CT are counted). Wait/busy deltas
  * attribute to the window in which the server *recorded* them;
  * spans are split exactly across every window they overlap.
+ *
+ * A run may span at most max_ts_windows windows: one snapshot and one
+ * window are allocated per boundary, so a window far narrower than
+ * the run (a 1-tick window on a 1e8-tick run) would otherwise grow
+ * without bound. Past the cap the recorder throws sim::ConfigError.
  */
 
 #ifndef CEDAR_OBS_TIMESERIES_HH
@@ -61,6 +66,9 @@ namespace cedar::obs
 inline constexpr std::size_t num_time_cats =
     static_cast<std::size_t>(os::TimeCat::NUM);
 
+/** Most windows one run may record (see the file comment). */
+inline constexpr std::size_t max_ts_windows = 65536;
+
 /** Per-resource-class totals (cumulative or per-window deltas). */
 struct ClassTotals
 {
@@ -81,7 +89,6 @@ struct TimeSeriesSnapshot
     ClassTotals classes;
     std::uint64_t fastHits = 0;
     std::uint64_t fastMisses = 0;
-    std::uint64_t crossPosts = 0;
     std::uint64_t events = 0; //!< DES events executed
 };
 
@@ -101,7 +108,6 @@ struct TimeSeriesWindow
 
     std::uint64_t fastHits = 0;
     std::uint64_t fastMisses = 0;
-    std::uint64_t crossPosts = 0;
     std::uint64_t events = 0;
 
     sim::Tick width() const { return end - start; }
@@ -118,7 +124,7 @@ struct TimeSeries
 };
 
 /**
- * Emit @p ts as one "cedar-timeseries-v1" JSON object (the value
+ * Emit @p ts as one "cedar-timeseries-v2" JSON object (the value
  * only — the caller supplies the surrounding key, e.g. the
  * "timeseries" section of a cedar-metrics-v1 document).
  */
@@ -127,7 +133,7 @@ void writeTimeSeriesJson(tools::JsonWriter &j, const TimeSeries &ts);
 /**
  * The recording sink. Subscribes to span events for the scope of a
  * run (TimelineRecorder-style RAII) and absorbs boundary snapshots
- * from the DomainGroup sampling hook; finalize() folds both into
+ * from the event queue's sampling hook; finalize() folds both into
  * the per-window delta series.
  */
 class TimeSeriesRecorder : public TelemetrySink
@@ -143,7 +149,8 @@ class TimeSeriesRecorder : public TelemetrySink
     void onTelemetry(const TelemetryEvent &e) override;
 
     /** Record the cumulative counters at boundary @p s.boundary
-     *  (boundaries arrive in ascending k*window order). */
+     *  (boundaries arrive in ascending k*window order).
+     *  @throws sim::ConfigError past max_ts_windows windows. */
     void onBoundary(const TimeSeriesSnapshot &s);
 
     /**
@@ -151,6 +158,9 @@ class TimeSeriesRecorder : public TelemetrySink
      * (cumulative counters after the run) for the last partial
      * window and any trailing boundary the event stream never
      * reached. @p num_ces sizes every window's ceBusy vector.
+     *
+     * @throws sim::ConfigError when @p ct spans more than
+     *         max_ts_windows windows.
      */
     TimeSeries finalize(sim::Tick ct, const TimeSeriesSnapshot &final_snap,
                         unsigned num_ces);
@@ -165,6 +175,9 @@ class TimeSeriesRecorder : public TelemetrySink
 
     SpanAccum &accumAt(std::size_t idx);
     void addSpan(const TelemetryEvent &e);
+
+    /** Throw when a run needs @p windows windows, past the cap. */
+    void checkWindowCount(std::uint64_t windows) const;
 
     TelemetryBus &bus_;
     sim::Tick window_;

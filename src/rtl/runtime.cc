@@ -512,12 +512,8 @@ Runtime::releaseIndexLock(const LoopPtr &loop)
     }
     auto [ce, k] = std::move(loop->lockWaiters.front());
     loop->lockWaiters.pop_front();
-    // Hand-off: the lock stays busy; the waiter resumes now. The
-    // wake-up is scheduled on the *waiter's* event domain — under a
-    // PDES partition this is the canonical zero-delta cross-cluster
-    // mailbox post (and the reason the machine's honest conservative
-    // lookahead is 0; see DESIGN.md §12).
-    ce->domain().scheduleIn(0, [ce = ce, k = std::move(k)] {
+    // Hand-off: the lock stays busy; the waiter resumes now.
+    m_.eq().scheduleIn(0, [ce = ce, k = std::move(k)] {
         ce->endWaitUser(UserAct::iter_pickup);
         k();
     });
@@ -805,9 +801,9 @@ Runtime::execBody(hw::Ce &ce, const LoopPtr &loop, std::uint64_t iter_key,
         const sim::Tick start_at =
             serializer->serve(m_.now(), serial_region) - serial_region;
         ce.beginWait();
-        ce.domain().schedule(start_at,
-                             [this, &ce, loop, serial_region, act,
-                              k = std::move(k)]() mutable {
+        m_.eq().schedule(start_at,
+                         [this, &ce, loop, serial_region, act,
+                          k = std::move(k)]() mutable {
             ce.endWaitUser(act);
             ce.compute(std::max<sim::Tick>(serial_region, 1), act,
                        [this, &ce, loop, k = std::move(k)] {

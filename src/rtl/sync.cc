@@ -24,7 +24,7 @@ SyncCell::wait(hw::Ce &ce, Pred pred, os::UserAct act, sim::Cont k)
         // round trip before it notices.
         ce.beginWait();
         const sim::Tick poll = m_.costs().spin_wake_latency / 2 + 1;
-        ce.domain().scheduleIn(poll, [&ce, act, k = std::move(k)] {
+        m_.eq().scheduleIn(poll, [&ce, act, k = std::move(k)] {
             ce.endWaitUser(act);
             k();
         });
@@ -62,10 +62,7 @@ SyncCell::wake(std::size_t stagger, Waiter w)
     const sim::Tick base = m_.costs().spin_wake_latency;
     const sim::Tick delay = base / 2 + 1 +
                             (static_cast<sim::Tick>(stagger) * 7) % base;
-    // Wake on the sleeper's own event domain: a cross-domain mailbox
-    // post whenever the notifier executed on another cluster.
-    auto &dom = w.ce->domain();
-    dom.scheduleIn(delay, [this, w = std::move(w)]() mutable {
+    m_.eq().scheduleIn(delay, [this, w = std::move(w)]() mutable {
         // The value may have changed again while the waiter was
         // waking; re-check, as a real poll loop would.
         if (w.pred(value())) {

@@ -51,23 +51,6 @@ class ScheduleError : public SimError
     }
 };
 
-/**
- * A cross-domain event posted closer than the declared conservative
- * lookahead (see sim/domain.hh). Only raised when a strict lookahead
- * bound is armed: the shipped model contains zero-latency software
- * crossings (lock hand-offs, spin wake-ups), so its honest bound is
- * zero and the check is a verification tool, not a steady-state
- * guard.
- */
-class CausalityError : public SimError
-{
-  public:
-    explicit CausalityError(const std::string &what)
-        : SimError("causality: " + what)
-    {
-    }
-};
-
 /** Malformed fault-injection specification. */
 class FaultSpecError : public SimError
 {

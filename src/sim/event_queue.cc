@@ -4,8 +4,6 @@
 #include <limits>
 #include <utility>
 
-#include "sim/domain.hh"
-
 namespace cedar::sim
 {
 
@@ -30,10 +28,6 @@ EventQueue::allocSlot(Cont fn)
 void
 EventQueue::schedule(Tick when, Cont fn)
 {
-    if (group_) {
-        group_->post(*this, when, std::move(fn));
-        return;
-    }
     if (when < _now)
         throw ScheduleError("scheduling into the past");
     const std::uint32_t slot = allocSlot(std::move(fn));
@@ -42,31 +36,14 @@ EventQueue::schedule(Tick when, Cont fn)
         peakPending_ = events_.size();
 }
 
-void
-EventQueue::attach(DomainGroup *group, std::uint32_t index)
-{
-    assert(group && !group_ && events_.empty());
-    group_ = group;
-    domainIndex_ = index;
-    nowPtr_ = group->nowPtr();
-}
-
-void
-EventQueue::requireStandalone(const char *op) const
-{
-    if (group_)
-        throw ScheduleError(
-            std::string(op) +
-            ": queue is an attached event domain; drive it through "
-            "its DomainGroup");
-}
-
 Cont
 EventQueue::popNext()
 {
     const Node node = events_.popMin();
     assert(node.when >= _now);
     _now = node.when;
+    if (node.when >= sampleNext_)
+        crossBoundary(node.when);
     ++executed_;
     Cont fn = std::move(slots_[node.slot]);
     freeSlots_.push_back(node.slot);
@@ -76,7 +53,6 @@ EventQueue::popNext()
 bool
 EventQueue::run(std::uint64_t limit)
 {
-    requireStandalone("run");
     std::uint64_t n = 0;
     while (!events_.empty()) {
         if (n >= limit)
@@ -90,7 +66,6 @@ EventQueue::run(std::uint64_t limit)
 bool
 EventQueue::runUntil(Tick until, std::uint64_t limit)
 {
-    requireStandalone("runUntil");
     std::uint64_t n = 0;
     while (!events_.empty() && events_.min().when <= until) {
         if (n >= limit)
@@ -112,7 +87,6 @@ EventQueue::runUntil(Tick until, std::uint64_t limit)
 void
 EventQueue::reset()
 {
-    requireStandalone("reset");
     events_.clear();
     slots_.clear();
     freeSlots_.clear();
@@ -120,6 +94,41 @@ EventQueue::reset()
     nextSeq_ = 0;
     executed_ = 0;
     peakPending_ = 0;
+    sampleNext_ = sampleWindow_ ? sampleWindow_ : max_tick;
+}
+
+void
+EventQueue::crossBoundary(Tick when)
+{
+    // One hook invocation per crossed boundary, even when one event
+    // jumps several windows ahead: the recorder sees identical
+    // cumulative counters at the skipped boundaries, which is the
+    // truth (nothing executed in between).
+    while (sampleNext_ <= when) {
+        if (sampleHook_)
+            sampleHook_(sampleNext_);
+        const Tick next = satAdd(sampleNext_, sampleWindow_);
+        if (next == sampleNext_) { // saturated at max_tick
+            sampleNext_ = max_tick;
+            break;
+        }
+        sampleNext_ = next;
+    }
+}
+
+void
+EventQueue::setSampleHook(Tick window, std::function<void(Tick)> hook)
+{
+    sampleWindow_ = window;
+    if (window == 0) {
+        sampleHook_ = {};
+        sampleNext_ = max_tick;
+        return;
+    }
+    sampleHook_ = std::move(hook);
+    // Boundaries stay aligned to absolute simulated time: the next
+    // one is the first multiple of the window strictly after now().
+    sampleNext_ = satAdd(_now - _now % window, window);
 }
 
 } // namespace cedar::sim

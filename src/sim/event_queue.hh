@@ -5,30 +5,14 @@
  * A global-ordered event queue drives the whole machine model.
  * Events are arbitrary callbacks scheduled at absolute ticks; ties
  * are broken by insertion order so simulations are fully
- * deterministic for a given seed.
- *
- * An EventQueue runs in one of two modes:
- *
- *  - *Standalone* (the default): the queue owns simulated time and
- *    its own sequence counter, exactly the single-queue kernel the
- *    repo has always had.
- *
- *  - *Attached*: the queue is one event domain of a sim::DomainGroup
- *    (see sim/domain.hh). Time and the tie-break sequence counter
- *    live in the group, which executes the domains' events as an
- *    exact K-way merge; the domain keeps only its own heap, slot
- *    pool and local diagnostics. Components holding an EventQueue
- *    reference (a cluster's CEs, the concurrency bus, statfx) are
- *    oblivious to the mode — schedule()/scheduleIn()/now() behave
- *    identically, which is what makes the domain decomposition a
- *    pure refactor: the executed event order is bit-identical by
- *    construction.
+ * deterministic for a given seed. One queue drives one machine.
  */
 
 #ifndef CEDAR_SIM_EVENT_QUEUE_HH
 #define CEDAR_SIM_EVENT_QUEUE_HH
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "sim/cont.hh"
@@ -38,8 +22,6 @@
 
 namespace cedar::sim
 {
-
-class DomainGroup;
 
 /**
  * The event queue: a 4-ary indexed min-heap of (tick, seq) keys.
@@ -52,9 +34,8 @@ class DomainGroup;
  * behaviour). Freed slots are recycled through a free list, so the
  * pool's size is bounded by the peak pending-event population.
  *
- * The queue owns simulated time (or, attached to a DomainGroup,
- * reads the group's time). Model components never advance time
- * themselves; they schedule continuations and return.
+ * The queue owns simulated time. Model components never advance
+ * time themselves; they schedule continuations and return.
  */
 class EventQueue
 {
@@ -64,17 +45,11 @@ class EventQueue
     EventQueue(const EventQueue &) = delete;
     EventQueue &operator=(const EventQueue &) = delete;
 
-    /** Current simulated time (the group's time when attached). */
-    Tick now() const { return *nowPtr_; }
+    /** Current simulated time. */
+    Tick now() const { return _now; }
 
     /**
      * Schedule a callback at an absolute tick.
-     *
-     * When attached, the callback lands in this domain's heap with a
-     * group-wide sequence number; a post issued while *another*
-     * domain's event is executing is a cross-domain mailbox post,
-     * counted and (optionally) checked against the group's declared
-     * lookahead.
      *
      * @param when Absolute tick; must be >= now().
      * @param fn Callback to run at that tick.
@@ -96,21 +71,16 @@ class EventQueue
         schedule(base + delta, std::move(fn));
     }
 
-    /** True when no events remain (in this domain, when attached). */
+    /** True when no events remain. */
     bool empty() const { return events_.empty(); }
 
-    /** Number of pending events (in this domain, when attached). */
+    /** Number of pending events. */
     std::size_t pending() const { return events_.size(); }
 
-    /**
-     * High-water mark of pending() over the queue's lifetime. For an
-     * attached domain this is the *per-domain* peak; the machine-wide
-     * concurrent peak lives on the DomainGroup, which tracks the
-     * global pending trajectory across all domains.
-     */
+    /** High-water mark of pending() over the queue's lifetime. */
     std::size_t peakPending() const { return peakPending_; }
 
-    /** Events executed so far (from this domain, when attached). */
+    /** Events executed so far. */
     std::uint64_t executed() const { return executed_; }
 
     /**
@@ -137,8 +107,7 @@ class EventQueue
 
     /**
      * Run events until the queue drains or @p limit events have
-     * executed. Standalone queues only: an attached domain is driven
-     * by its group's merge loop.
+     * executed.
      *
      * @return true if the queue drained, false if the limit hit.
      */
@@ -158,12 +127,27 @@ class EventQueue
      */
     bool runUntil(Tick until, std::uint64_t limit = ~std::uint64_t(0));
 
-    /** Reset time and drop all pending events (standalone only). */
+    /** Reset time and drop all pending events. A sampling hook
+     *  stays armed, realigned to the first boundary after tick 0. */
     void reset();
 
-  private:
-    friend class DomainGroup;
+    /**
+     * Arm the window-boundary sampling hook: @p hook fires once per
+     * crossed boundary tick k * @p window (k >= 1, ascending), just
+     * before the first event at or past the boundary executes — so
+     * at hook time every counter reflects exactly the events that
+     * ran strictly before the boundary. A time jump across several
+     * windows fires the hook once per skipped boundary. @p window 0
+     * disarms (the default): the only residual cost is a single
+     * always-false compare per event, which is what keeps disabled
+     * runs bit-identical.
+     *
+     * The hook must not schedule events or mutate simulation state —
+     * it is a read-only observation point (obs::TimeSeriesRecorder).
+     */
+    void setSampleHook(Tick window, std::function<void(Tick)> hook);
 
+  private:
     /** Heap node: ordering key + slot index of the callback. */
     struct Node
     {
@@ -190,11 +174,9 @@ class EventQueue
     /** Pop the minimum node, advance time, return its callback. */
     Cont popNext();
 
-    /** Throw unless this queue is standalone (group-driven APIs). */
-    void requireStandalone(const char *op) const;
-
-    /** Bind this queue to @p group as domain @p index. */
-    void attach(DomainGroup *group, std::uint32_t index);
+    /** Cold path of the sampling hook: fire it for every boundary
+     *  at or before @p when and advance the next-boundary tick. */
+    void crossBoundary(Tick when);
 
     DaryHeap<Node, NodeLess> events_;
     std::vector<Cont> slots_;            //!< callback pool
@@ -204,11 +186,11 @@ class EventQueue
     std::uint64_t executed_ = 0;
     std::size_t peakPending_ = 0;
 
-    /** Owning group + domain index; null when standalone. */
-    DomainGroup *group_ = nullptr;
-    std::uint32_t domainIndex_ = 0;
-    /** Points at the group's clock when attached, else at _now. */
-    const Tick *nowPtr_ = &_now;
+    /** Next sampling boundary (max_tick = disarmed: one predictable
+     *  never-taken compare per event). */
+    Tick sampleNext_ = max_tick;
+    Tick sampleWindow_ = 0;
+    std::function<void(Tick)> sampleHook_;
 };
 
 } // namespace cedar::sim

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <limits>
 #include <vector>
 
@@ -18,6 +19,7 @@
 #include "sim/random.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
+#include "sim/watchdog.hh"
 
 namespace
 {
@@ -330,6 +332,133 @@ TEST(EventQueue, ResetClearsStateAndTime)
     EXPECT_EQ(eq.now(), 0u);
     EXPECT_TRUE(eq.empty());
     EXPECT_EQ(eq.executed(), 0u);
+}
+
+TEST(EventQueue, WatchdogFiresOnZeroDeltaPingPong)
+{
+    // Two actors hand a zero-delta event back and forth forever:
+    // simulated time freezes while events keep executing — the
+    // livelock the watchdog exists for (the runtime's loop-lock
+    // hand-off has exactly this shape).
+    EventQueue eq;
+    std::function<void(int)> bounce = [&](int to) {
+        eq.scheduleIn(0, [&bounce, to] { bounce(1 - to); });
+    };
+    eq.schedule(100, [&] { bounce(0); });
+    Watchdog wd(10'000);
+    bool fired = false;
+    for (int slice = 0; slice < 64 && !fired; ++slice) {
+        eq.run(1'000);
+        fired = wd.observe(eq.now(), eq.executed());
+    }
+    EXPECT_TRUE(fired);
+    EXPECT_EQ(eq.now(), 100u);
+    EXPECT_GE(eq.executed(), 10'000u);
+}
+
+// ----- the window-boundary sampling hook -----
+
+/** Boundary ticks the hook saw, with the executed count at each. */
+struct HookLog
+{
+    std::vector<Tick> boundaries;
+    std::vector<std::uint64_t> executedAt;
+
+    std::function<void(Tick)>
+    hook(const EventQueue &eq)
+    {
+        return [this, &eq](Tick b) {
+            boundaries.push_back(b);
+            executedAt.push_back(eq.executed());
+        };
+    }
+};
+
+TEST(EventQueue, SampleHookFiresBeforeFirstEventAtOrPastBoundary)
+{
+    EventQueue eq;
+    HookLog log;
+    std::vector<Tick> ran;
+    eq.setSampleHook(10, log.hook(eq));
+    for (Tick t : {3, 7, 10, 15})
+        eq.schedule(t, [&ran, &eq] { ran.push_back(eq.now()); });
+    eq.run();
+    // Boundary 10 fires once, before the event at tick 10, with the
+    // counters reflecting only the two earlier events; boundary 20 is
+    // never reached.
+    EXPECT_EQ(log.boundaries, std::vector<Tick>{10});
+    EXPECT_EQ(log.executedAt, std::vector<std::uint64_t>{2});
+    EXPECT_EQ(ran, (std::vector<Tick>{3, 7, 10, 15}));
+}
+
+TEST(EventQueue, SampleHookJumpFiresOncePerSkippedBoundary)
+{
+    EventQueue eq;
+    HookLog log;
+    eq.setSampleHook(10, log.hook(eq));
+    eq.schedule(5, [] {});
+    eq.schedule(47, [] {});
+    eq.run();
+    EXPECT_EQ(log.boundaries, (std::vector<Tick>{10, 20, 30, 40}));
+    EXPECT_EQ(log.executedAt,
+              (std::vector<std::uint64_t>{1, 1, 1, 1}));
+}
+
+TEST(EventQueue, SampleHookWindowZeroNeverFires)
+{
+    EventQueue eq;
+    int calls = 0;
+    eq.setSampleHook(0, [&calls](Tick) { ++calls; });
+    for (Tick t : {Tick{0}, Tick{1'000'000}, max_tick})
+        eq.schedule(t, [] {});
+    eq.run();
+    EXPECT_EQ(calls, 0);
+
+    // Disarming an armed hook with window 0 silences it as well.
+    eq.reset();
+    eq.setSampleHook(10, [&calls](Tick) { ++calls; });
+    eq.setSampleHook(0, [&calls](Tick) { ++calls; });
+    eq.schedule(100, [] {});
+    eq.run();
+    EXPECT_EQ(calls, 0);
+}
+
+TEST(EventQueue, SampleHookSaturatesNearMaxTick)
+{
+    // The second boundary 2W would wrap past max_tick; it saturates
+    // instead, so no spurious early boundary fires and the crossing
+    // loop terminates even on an event at max_tick itself.
+    EventQueue eq;
+    HookLog log;
+    const Tick w = max_tick - 5;
+    eq.setSampleHook(w, log.hook(eq));
+    eq.schedule(10, [] {});
+    eq.schedule(max_tick - 1, [] {});
+    eq.run();
+    EXPECT_EQ(log.boundaries, std::vector<Tick>{w});
+
+    eq.schedule(max_tick, [] {});
+    eq.run();
+    EXPECT_EQ(log.boundaries, (std::vector<Tick>{w, max_tick}));
+    EXPECT_EQ(eq.now(), max_tick);
+}
+
+TEST(EventQueue, SampleHookResetRealignsNextBoundary)
+{
+    EventQueue eq;
+    HookLog log;
+    eq.setSampleHook(10, log.hook(eq));
+    eq.schedule(35, [] {});
+    eq.run();
+    EXPECT_EQ(log.boundaries, (std::vector<Tick>{10, 20, 30}));
+
+    // After reset time restarts at 0: the next boundary is 10 again,
+    // not 40.
+    eq.reset();
+    log.boundaries.clear();
+    eq.schedule(12, [] {});
+    eq.run();
+    EXPECT_EQ(log.boundaries, std::vector<Tick>{10});
 }
 
 TEST(Random, DeterministicForSameSeed)

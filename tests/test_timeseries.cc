@@ -9,7 +9,7 @@
  *    every published field (the sampling hook is read-only and the
  *    recorder subscribes to spans only), at all five paper points;
  *  - the per-window series *conserves*: per-class deltas, fast-path
- *    and PDES deltas, span occupancy and event counts sum exactly to
+ *    deltas, span occupancy and event counts sum exactly to
  *    the end-of-run totals, and windows tile [0, CT] with aligned
  *    boundaries;
  *  - Histogram::merge/fromBuckets round-trip the serialized wait
@@ -20,6 +20,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <chrono>
 #include <cstdint>
 #include <sstream>
 #include <string>
@@ -154,7 +155,6 @@ TEST(TimeSeriesRecorder, RecorderOffRunsBitIdenticalAtPaperPoints)
         EXPECT_EQ(off.globalWords, on.globalWords) << procs;
         EXPECT_EQ(off.fastPathHits, on.fastPathHits) << procs;
         EXPECT_EQ(off.fastPathMisses, on.fastPathMisses) << procs;
-        EXPECT_EQ(off.crossDomainPosts, on.crossDomainPosts) << procs;
         EXPECT_EQ(off.seqFaults, on.seqFaults) << procs;
         EXPECT_EQ(off.concFaults, on.concFaults) << procs;
         EXPECT_DOUBLE_EQ(off.machineConcurrency,
@@ -198,14 +198,12 @@ TEST(TimeSeries, DeltasSumToRunTotals)
     const auto &ts = r.timeseries;
     ASSERT_FALSE(ts.empty());
 
-    std::uint64_t events = 0, fastHits = 0, fastMisses = 0,
-                  crossPosts = 0;
+    std::uint64_t events = 0, fastHits = 0, fastMisses = 0;
     obs::ClassTotals classes;
     for (const auto &w : ts.windows) {
         events += w.events;
         fastHits += w.fastHits;
         fastMisses += w.fastMisses;
-        crossPosts += w.crossPosts;
         for (std::size_t c = 0; c < obs::num_resource_classes; ++c) {
             classes.requests[c] += w.classes.requests[c];
             classes.waitTicks[c] += w.classes.waitTicks[c];
@@ -215,7 +213,6 @@ TEST(TimeSeries, DeltasSumToRunTotals)
     EXPECT_EQ(events, r.eventsExecuted);
     EXPECT_EQ(fastHits, r.fastPathHits);
     EXPECT_EQ(fastMisses, r.fastPathMisses);
-    EXPECT_EQ(crossPosts, r.crossDomainPosts);
 
     // Per-class sums must equal the end-of-run metrics document
     // (collected by the identical server walk).
@@ -273,6 +270,54 @@ TEST(TimeSeries, SpanOccupancyConservesAgainstTimeline)
 }
 
 // ------------------------------------------------------------------
+// Window-count cap
+// ------------------------------------------------------------------
+
+/**
+ * A window far narrower than the run used to allocate one snapshot
+ * and one window per boundary without limit (a 1-tick window on a
+ * 1%-scale ADM run took ~1 GB). The recorder now refuses the run as
+ * soon as it passes max_ts_windows windows — a typed error, fast.
+ */
+TEST(TimeSeries, TinyWindowOnLongRunThrowsConfigErrorFast)
+{
+    core::RunOptions opts;
+    opts.scale = 0.01;
+    opts.tsWindow = 1;
+    const auto t0 = std::chrono::steady_clock::now();
+    EXPECT_THROW(core::runExperiment(apps::perfectAppByName("ADM"), 1,
+                                     opts),
+                 sim::ConfigError);
+    const std::chrono::duration<double> took =
+        std::chrono::steady_clock::now() - t0;
+#ifdef NDEBUG
+    // Optimized builds only: debug and sanitizer builds run the
+    // per-boundary counter walk many times slower.
+    EXPECT_LT(took.count(), 1.0);
+#endif
+    (void)took;
+}
+
+TEST(TimeSeries, WindowCapIsInclusive)
+{
+    obs::TelemetryBus bus;
+    constexpr Tick cap = obs::max_ts_windows;
+
+    // Exactly max_ts_windows windows is allowed, on both paths.
+    obs::TimeSeriesRecorder ok(bus, 1);
+    obs::TimeSeriesSnapshot s;
+    s.boundary = cap;
+    ok.onBoundary(s);
+    EXPECT_EQ(ok.finalize(cap, s, 1).windows.size(), cap);
+
+    // One boundary (or one completion tick) more is not.
+    obs::TimeSeriesRecorder over(bus, 1);
+    s.boundary = cap + 1;
+    EXPECT_THROW(over.onBoundary(s), sim::ConfigError);
+    EXPECT_THROW(over.finalize(cap + 1, s, 1), sim::ConfigError);
+}
+
+// ------------------------------------------------------------------
 // JSON export compatibility
 // ------------------------------------------------------------------
 
@@ -291,7 +336,7 @@ TEST(TimeSeries, MetricsJsonUnchangedUnlessSeriesPresent)
 
     on.metrics.writeJson(withSeries, &on.timeseries);
     EXPECT_NE(plain.str(), withSeries.str());
-    EXPECT_NE(withSeries.str().find("cedar-timeseries-v1"),
+    EXPECT_NE(withSeries.str().find("cedar-timeseries-v2"),
               std::string::npos);
     EXPECT_NE(withSeries.str().find("class_queue_depth"),
               std::string::npos);

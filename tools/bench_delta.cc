@@ -188,43 +188,26 @@ main(int argc, char **argv)
             std::cout << "\n";
         }
 
-        // The pdes section arrived with schema v3; baselines and new
-        // runs from before it simply skip this block.
-        if (newDoc.has("pdes")) {
-            std::cout << "pdes legs:\n";
-            for (const auto &leg : newDoc.at("pdes").asArray()) {
-                const std::string app = leg.at("app").asString();
-                const double procs = leg.at("procs").asNumber();
-                std::cout << "  " << app << " " << procs << "p:";
-                for (const auto &pt :
-                     leg.at("run_threads").asArray())
-                    std::cout
-                        << "  [rt"
-                        << pt.at("run_threads").asNumber() << " "
-                        << evs(pt.at("events_per_sec").asNumber())
-                        << " ev/s]";
-                std::cout << "  ensemble x"
-                          << leg.at("ensemble_replicas").asNumber()
-                          << " scaling "
-                          << ratio(
-                                 leg.at("ensemble_scaling").asNumber())
-                          << (leg.at("guard_enforced").asBool()
-                                  ? " (guarded)"
-                                  : " (informational)");
-                if (oldDoc.has("pdes"))
-                    for (const auto &old :
-                         oldDoc.at("pdes").asArray())
-                        if (old.at("app").asString() == app &&
-                            old.at("procs").asNumber() == procs) {
-                            const double was =
-                                old.at("ensemble_scaling").asNumber();
-                            if (was > 0)
-                                std::cout
-                                    << ", baseline scaling "
-                                    << ratio(was);
-                        }
-                std::cout << "\n";
-            }
+        // The ensemble section arrived with schema v5 (replacing
+        // v3's "pdes" legs); either document may lack it.
+        for (const auto &leg : section(newDoc, "ensemble")) {
+            const std::string app = leg.at("app").asString();
+            const double procs = leg.at("procs").asNumber();
+            std::cout << "ensemble leg:\n  "
+                      << leg.at("replicas").asNumber() << "x " << app
+                      << " " << procs << "p: "
+                      << evs(leg.at("events_per_sec_4worker").asNumber())
+                      << " ev/s on 4 workers, scaling "
+                      << ratio(leg.at("scaling").asNumber())
+                      << (leg.at("guard_enforced").asBool()
+                              ? " (guarded)"
+                              : " (informational)");
+            for (const auto &old : section(oldDoc, "ensemble"))
+                if (old.at("app").asString() == app &&
+                    old.at("procs").asNumber() == procs)
+                    std::cout << ", baseline scaling "
+                              << ratio(old.at("scaling").asNumber());
+            std::cout << "\n";
         }
 
         // The timeseries section arrived with schema v4; a committed

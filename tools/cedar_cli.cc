@@ -117,15 +117,9 @@ usage()
            "                     [--inject SPEC]... [--gm-timeout N]\n"
            "                     [--gm-retries N] [--gm-backoff N]\n"
            "                     [--watchdog-events N]\n"
-           "                     [--run-threads N] (event domains:\n"
-           "                     1 = single queue; >= 2 = per-cluster\n"
-           "                     PDES partition; results identical)\n"
-           "                     [--pdes-lookahead N] (strict\n"
-           "                     causality check, 0 = off)\n"
-           "                     [--pdes-window N] (merge-window\n"
-           "                     tick cap, 0 = unbounded)\n"
            "                     [--ts-window N] (time-series sampling\n"
-           "                     window in ticks, 0 = off; results are\n"
+           "                     window in ticks, 0 = off; at most\n"
+           "                     65536 windows per run; results are\n"
            "                     bit-identical either way)\n"
            "  cedar_cli run-file <workload.txt> <procs> [flags]\n"
            "  cedar_cli run      --scenario <file.scn> [run flags]\n"
@@ -267,13 +261,6 @@ parseFlags(const std::vector<std::string> &args, std::size_t from,
                 static_cast<unsigned>(parseCount(a, value()));
         } else if (a == "--gm-backoff") {
             f.opts.gmRetryBackoff = parseCount(a, value());
-        } else if (a == "--run-threads") {
-            f.opts.runThreads =
-                static_cast<unsigned>(parseCount(a, value()));
-        } else if (a == "--pdes-lookahead") {
-            f.opts.pdesLookahead = parseCount(a, value());
-        } else if (a == "--pdes-window") {
-            f.opts.pdesWindow = parseCount(a, value());
         } else if (a == "--ts-window") {
             f.opts.tsWindow = parseCount(a, value());
         } else if (a == "--baseline") {
