@@ -36,7 +36,10 @@
  * show up in the committed events/sec trajectory. With a timeline subscriber the
  * analytic fast path also disengages (it requires the MetricsHub to
  * be the sole resource_wait listener), so the enabled overhead
- * honestly includes losing that path.
+ * honestly includes losing that path. The leg then times exporting
+ * the last enabled run's timeline as a span trace
+ * (obs::writeSpanTrace) into a sink that only counts bytes, so the
+ * export cost is recorded without the disk's.
  *
  * A fast-path leg times FLO52 and ADM on 8 processors with the
  * analytic fast path on and off (`--no-fast-path` in the CLI). The
@@ -95,6 +98,7 @@
 #include "core/experiment.hh"
 #include "core/parallel.hh"
 #include "harness.hh"
+#include "obs/chrome_trace.hh"
 #include "sim/event_queue.hh"
 
 using namespace cedar;
@@ -148,6 +152,8 @@ struct TracingPerf
     double enabledWallSec = 0;  //!< TimelineRecorder subscribed
     std::uint64_t events = 0;   //!< DES events (identical both legs)
     std::uint64_t timelineEvents = 0; //!< spans + flows captured
+    double exportSec = 0;          //!< writeSpanTrace of one timeline
+    std::uint64_t exportBytes = 0; //!< the span trace's size
     /** Plain sweep wall for the same app/procs this invocation, or 0
      *  when the sweep didn't cover it (--apps filter). */
     double sweepWallSec = 0;
@@ -262,6 +268,32 @@ timeTimeSeries(const core::RunOptions &opts, unsigned repeat)
     return t;
 }
 
+/** Discards what it is given and counts the bytes. */
+class CountingSink : public std::streambuf
+{
+  public:
+    std::uint64_t bytes() const { return bytes_; }
+
+  protected:
+    std::streamsize
+    xsputn(const char *, std::streamsize n) override
+    {
+        bytes_ += static_cast<std::uint64_t>(n);
+        return n;
+    }
+
+    int_type
+    overflow(int_type ch) override
+    {
+        if (!traits_type::eq_int_type(ch, traits_type::eof()))
+            ++bytes_;
+        return traits_type::not_eof(ch);
+    }
+
+  private:
+    std::uint64_t bytes_ = 0;
+};
+
 TracingPerf
 timeTracing(const core::RunOptions &opts, unsigned repeat)
 {
@@ -274,6 +306,7 @@ timeTracing(const core::RunOptions &opts, unsigned repeat)
     const auto app = apps::perfectAppByName(t.app);
     const auto cfg = hw::CedarConfig::withProcs(t.procs);
     std::vector<double> disabled, enabled;
+    std::vector<obs::TelemetryEvent> timeline;
     for (unsigned r = 0; r < t.repeat; ++r) {
         core::RunOptions o = opts;
         o.collectTimeline = false;
@@ -287,9 +320,21 @@ timeTracing(const core::RunOptions &opts, unsigned repeat)
         res = core::runExperiment(app, cfg, o);
         enabled.push_back(secondsSince(t0));
         t.timelineEvents = res.timeline.size();
+        if (r + 1 == t.repeat) // hold one timeline, not two
+            timeline = std::move(res.timeline);
     }
     t.disabledWallSec = median(std::move(disabled));
     t.enabledWallSec = median(std::move(enabled));
+
+    obs::SpanTraceMeta meta;
+    meta.clock_hz = cfg.clockHz;
+    meta.ces_per_cluster = cfg.cesPerCluster;
+    CountingSink sink;
+    std::ostream os(&sink);
+    const auto t0 = Clock::now();
+    obs::writeSpanTrace(os, timeline, meta);
+    t.exportSec = secondsSince(t0);
+    t.exportBytes = sink.bytes();
     return t;
 }
 
@@ -520,10 +565,11 @@ writeJson(std::ostream &os, const std::vector<AppPerf> &apps,
     tools::JsonWriter j(os);
     j.beginObject();
     // v2 added the "allocs" section, v3 the "pdes" section, v4 the
-    // "timeseries" section, and v5 replaced "pdes" with "ensemble";
-    // readers of other sections are unaffected, and bench_delta
-    // tolerates any section's absence.
-    j.field("schema", "cedar-bench-sweep-v5");
+    // "timeseries" section, v5 replaced "pdes" with "ensemble", and
+    // v6 added the tracing leg's export_s/export_bytes; readers of
+    // other fields are unaffected, and bench_delta tolerates any
+    // section's or field's absence.
+    j.field("schema", "cedar-bench-sweep-v6");
     j.field("jobs", jobs == 0 ? core::defaultJobs() : jobs);
     j.field("scale", scale);
     j.field("repeat", repeat);
@@ -563,6 +609,8 @@ writeJson(std::ostream &os, const std::vector<AppPerf> &apps,
     j.field("enabled_wall_s", tracing.enabledWallSec);
     j.field("events", tracing.events);
     j.field("timeline_events", tracing.timelineEvents);
+    j.field("export_s", tracing.exportSec);
+    j.field("export_bytes", tracing.exportBytes);
     j.field("sweep_wall_s", tracing.sweepWallSec);
     j.field("disabled_overhead_pct", tracing.disabledOverheadPct());
     j.field("enabled_overhead_pct", tracing.enabledOverheadPct());
@@ -775,7 +823,9 @@ main(int argc, char **argv)
                   << tracing.disabledWallSec << " s, enabled "
                   << tracing.enabledWallSec << " s (+"
                   << tracing.enabledOverheadPct() << "%, "
-                  << tracing.timelineEvents << " timeline events)\n";
+                  << tracing.timelineEvents << " timeline events); "
+                  << "span-trace export " << tracing.exportSec << " s, "
+                  << tracing.exportBytes << " bytes\n";
 
         TimeSeriesPerf timeseries = timeTimeSeries(opts, repeat);
         for (const auto &p : perfs) {

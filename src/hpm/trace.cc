@@ -1,6 +1,7 @@
 #include "hpm/trace.hh"
 
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <ostream>
 #include <stdexcept>
@@ -64,7 +65,22 @@ Trace::writeFile(const std::string &path) const
     std::ofstream f(path, std::ios::binary);
     if (!f)
         throw std::runtime_error("Trace::writeFile: cannot open " + path);
-    write(f);
+    try {
+        write(f);
+        // close() flushes the final buffer: a write error in it shows
+        // only after that, and the destructor would drop it unchecked.
+        f.close();
+        if (!f)
+            throw std::runtime_error("Trace::writeFile: write failed: " +
+                                     path);
+    } catch (...) {
+        // Remove the partial file, but never a device named as the
+        // destination (/dev/null, /dev/full).
+        std::error_code ec;
+        if (std::filesystem::is_regular_file(path, ec))
+            std::filesystem::remove(path, ec);
+        throw;
+    }
 }
 
 std::vector<Record>

@@ -1,8 +1,10 @@
 #include "obs/chrome_trace.hh"
 
+#include <array>
+#include <filesystem>
 #include <fstream>
 #include <ostream>
-#include <set>
+#include <string_view>
 
 #include "bench_json.hh"
 #include "obs/timeseries.hh"
@@ -57,6 +59,48 @@ shapeOf(hpm::EventId id)
     }
 }
 
+/** Delete a half-written output, but never a device such as
+ *  /dev/null that the caller named as the destination. */
+void
+removeRegularFile(const std::string &path)
+{
+    std::error_code ec;
+    if (std::filesystem::is_regular_file(path, ec))
+        std::filesystem::remove(path, ec);
+}
+
+/** The track ids one layer needs, as a seen flag per id: discovery
+ *  is one flag store per event, and forEach() visits ascending. */
+class TrackSet
+{
+  public:
+    void
+    insert(std::int32_t id)
+    {
+        if (id < 0)
+            throw sim::SimError("trace: negative track id " +
+                                std::to_string(id));
+        const auto i = static_cast<std::size_t>(id);
+        if (i >= seen_.size())
+            seen_.resize(i + 1, false);
+        seen_[i] = true;
+    }
+
+    bool empty() const { return seen_.empty(); }
+
+    template <typename F>
+    void
+    forEach(F &&f) const
+    {
+        for (std::size_t i = 0; i < seen_.size(); ++i)
+            if (seen_[i])
+                f(static_cast<unsigned>(i));
+    }
+
+  private:
+    std::vector<bool> seen_;
+};
+
 /** Track label for @p ce: topology-aware when the cluster geometry
  *  is known, the historical flat label otherwise. */
 std::string
@@ -69,7 +113,7 @@ ceLabel(unsigned ce, unsigned ces_per_cluster)
 }
 
 void
-processMeta(tools::JsonWriter &j, unsigned pid, const std::string &name)
+processMeta(tools::JsonWriter &j, unsigned pid, std::string_view name)
 {
     j.beginObject();
     j.field("name", "process_name");
@@ -81,7 +125,7 @@ processMeta(tools::JsonWriter &j, unsigned pid, const std::string &name)
 
 void
 threadMeta(tools::JsonWriter &j, unsigned pid, unsigned tid,
-           const std::string &name)
+           std::string_view name)
 {
     j.beginObject();
     j.field("name", "thread_name");
@@ -107,12 +151,13 @@ writeChromeTrace(std::ostream &os, const std::vector<hpm::Record> &recs,
     j.key("traceEvents").beginArray();
 
     // Metadata: name the process and one thread (track) per CE.
-    std::set<std::uint16_t> ces;
+    TrackSet ces;
     for (const auto &r : recs)
         ces.insert(r.ce);
     processMeta(j, 0, "cedar");
-    for (const auto ce : ces)
+    ces.forEach([&](unsigned ce) {
         threadMeta(j, 0, ce, ceLabel(ce, ces_per_cluster));
+    });
 
     for (const auto &r : recs) {
         const auto shape = shapeOf(r.id());
@@ -121,7 +166,7 @@ writeChromeTrace(std::ostream &os, const std::vector<hpm::Record> &recs,
         j.beginObject();
         j.field("name", shape.name);
         j.field("cat", shape.cat);
-        j.field("ph", std::string(1, shape.ph));
+        j.field("ph", std::string_view(&shape.ph, 1));
         j.field("ts", static_cast<double>(r.when) * us_per_tick);
         j.field("pid", 0);
         j.field("tid", static_cast<unsigned>(r.ce));
@@ -179,7 +224,7 @@ flowPoint(tools::JsonWriter &j, char ph, std::uint32_t id, double ts,
     j.beginObject();
     j.field("name", "gm_request");
     j.field("cat", "gm");
-    j.field("ph", std::string(1, ph));
+    j.field("ph", std::string_view(&ph, 1));
     j.field("id", id);
     j.field("ts", ts);
     j.field("pid", pid);
@@ -199,7 +244,7 @@ constexpr unsigned pid_telemetry = 5; //!< windowed counter tracks
 
 /** One 'C' counter sample (each name is its own counter track). */
 void
-counter(tools::JsonWriter &j, const std::string &name, double ts,
+counter(tools::JsonWriter &j, std::string_view name, double ts,
         double value)
 {
     j.beginObject();
@@ -218,6 +263,17 @@ counter(tools::JsonWriter &j, const std::string &name, double ts,
 void
 counterTracks(tools::JsonWriter &j, const TimeSeries &ts, double us)
 {
+    std::array<std::string, num_resource_classes> queueName, utilName;
+    for (std::size_t c = 0; c < num_resource_classes; ++c) {
+        const char *cls = toString(static_cast<ResourceClass>(c));
+        queueName[c] = std::string("queue_depth.") + cls;
+        utilName[c] = std::string("utilization.") + cls;
+    }
+    std::array<std::string, num_time_cats> catName;
+    for (std::size_t c = 0; c < num_time_cats; ++c)
+        catName[c] = std::string("ces_in.") +
+                     os::toString(static_cast<os::TimeCat>(c));
+
     for (const auto &w : ts.windows) {
         const double t = static_cast<double>(w.start) * us;
         const double width = static_cast<double>(w.width());
@@ -226,21 +282,17 @@ counterTracks(tools::JsonWriter &j, const TimeSeries &ts, double us)
         for (std::size_t c = 0; c < num_resource_classes; ++c) {
             const auto cls = static_cast<ResourceClass>(c);
             if (isQueueingClass(cls))
-                counter(j, std::string("queue_depth.") + toString(cls),
-                        t,
+                counter(j, queueName[c], t,
                         static_cast<double>(w.classes.waitTicks[c]) /
                             width);
             if (w.classes.resources[c] > 0)
-                counter(j, std::string("utilization.") + toString(cls),
-                        t,
+                counter(j, utilName[c], t,
                         static_cast<double>(w.classes.busyTicks[c]) /
                             (width * w.classes.resources[c]));
         }
         for (std::size_t c = 0; c < num_time_cats; ++c)
-            counter(j,
-                    std::string("ces_in.") +
-                        os::toString(static_cast<os::TimeCat>(c)),
-                    t, static_cast<double>(w.catTicks[c]) / width);
+            counter(j, catName[c], t,
+                    static_cast<double>(w.catTicks[c]) / width);
         const double bursts =
             static_cast<double>(w.fastHits + w.fastMisses);
         counter(j, "fastpath_hit_rate", t,
@@ -263,7 +315,7 @@ writeSpanTrace(std::ostream &os,
     const double us = 1e6 / meta.clock_hz;
 
     // Discover the tracks each layer needs.
-    std::set<std::int32_t> ces, modules, s1Ports, s2Ports, retPorts;
+    TrackSet ces, modules, s1Ports, s2Ports, retPorts;
     for (const auto &e : events) {
         if (e.kind == EventKind::span) {
             ces.insert(e.ce);
@@ -284,34 +336,22 @@ writeSpanTrace(std::ostream &os,
     j.key("traceEvents").beginArray();
 
     processMeta(j, pid_ces, "CEs");
-    for (const auto ce : ces)
-        threadMeta(j, pid_ces, static_cast<unsigned>(ce),
-                   ceLabel(static_cast<unsigned>(ce),
-                           meta.ces_per_cluster));
-    if (!modules.empty()) {
-        processMeta(j, pid_gm, "global memory");
-        for (const auto m : modules)
-            threadMeta(j, pid_gm, static_cast<unsigned>(m),
-                       "GM module " + std::to_string(m));
-    }
-    if (!s1Ports.empty()) {
-        processMeta(j, pid_stage1, "network stage 1");
-        for (const auto p : s1Ports)
-            threadMeta(j, pid_stage1, static_cast<unsigned>(p),
-                       "stage1 port " + std::to_string(p));
-    }
-    if (!s2Ports.empty()) {
-        processMeta(j, pid_stage2, "network stage 2");
-        for (const auto p : s2Ports)
-            threadMeta(j, pid_stage2, static_cast<unsigned>(p),
-                       "stage2 port " + std::to_string(p));
-    }
-    if (!retPorts.empty()) {
-        processMeta(j, pid_return, "network return");
-        for (const auto p : retPorts)
-            threadMeta(j, pid_return, static_cast<unsigned>(p),
-                       "return port " + std::to_string(p));
-    }
+    ces.forEach([&](unsigned ce) {
+        threadMeta(j, pid_ces, ce, ceLabel(ce, meta.ces_per_cluster));
+    });
+    auto layer = [&](const TrackSet &tracks, unsigned pid,
+                     const char *process, const char *track) {
+        if (tracks.empty())
+            return;
+        processMeta(j, pid, process);
+        tracks.forEach([&](unsigned id) {
+            threadMeta(j, pid, id, track + std::to_string(id));
+        });
+    };
+    layer(modules, pid_gm, "global memory", "GM module ");
+    layer(s1Ports, pid_stage1, "network stage 1", "stage1 port ");
+    layer(s2Ports, pid_stage2, "network stage 2", "stage2 port ");
+    layer(retPorts, pid_return, "network return", "return port ");
     const bool haveSeries =
         meta.timeseries != nullptr && !meta.timeseries->empty();
     if (haveSeries)
@@ -391,9 +431,18 @@ convertTraceFile(const std::string &chpm_path,
     std::ofstream f(json_path);
     if (!f)
         throw sim::SimError("chrome trace: cannot write " + json_path);
-    writeChromeTrace(f, recs, clock_hz);
-    if (!f)
-        throw sim::SimError("chrome trace: write failed: " + json_path);
+    try {
+        writeChromeTrace(f, recs, clock_hz);
+        // close() flushes the final buffer: a write error in it shows
+        // only after that, and the destructor would drop it unchecked.
+        f.close();
+        if (!f)
+            throw sim::SimError("chrome trace: write failed: " +
+                                json_path);
+    } catch (...) {
+        removeRegularFile(json_path);
+        throw;
+    }
 }
 
 } // namespace cedar::obs

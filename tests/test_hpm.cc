@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 
@@ -79,6 +80,18 @@ TEST(Trace, FileRoundTrip)
         EXPECT_EQ(back[i].arg, static_cast<std::uint32_t>(i));
     }
     std::remove(path.c_str());
+}
+
+TEST(Trace, WriteFileReportsAFailedFinalFlush)
+{
+    // One record fits in the file buffer, so the only failing write
+    // is the flush when the file closes.
+    if (!std::filesystem::exists("/dev/full"))
+        GTEST_SKIP() << "needs /dev/full";
+    hpm::Trace t;
+    t.post(100, 0, EventId::serial_enter, 1);
+    EXPECT_THROW(t.writeFile("/dev/full"), std::runtime_error);
+    EXPECT_TRUE(std::filesystem::exists("/dev/full")); // never removed
 }
 
 TEST(Trace, ReadMissingFileThrows)

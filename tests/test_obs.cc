@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 
@@ -16,6 +17,7 @@
 #include "obs/chrome_trace.hh"
 #include "obs/metrics.hh"
 #include "obs/resource.hh"
+#include "obs/timeseries.hh"
 #include "sim/error.hh"
 
 namespace
@@ -295,6 +297,130 @@ TEST(ChromeTrace, ConvertsAnOffloadedTraceFile)
 
     std::remove(chpm.c_str());
     std::remove(json.c_str());
+}
+
+TEST(ChromeTrace, ConvertReportsAFailedFinalFlush)
+{
+    // Two records fit in the file buffer, so the only failing write
+    // is the flush when the output closes.
+    if (!std::filesystem::exists("/dev/full"))
+        GTEST_SKIP() << "needs /dev/full";
+    const std::string chpm = ::testing::TempDir() + "/obs_full.chpm";
+    hpm::Trace t;
+    t.post(100, 0, hpm::EventId::serial_enter, 1);
+    t.post(900, 0, hpm::EventId::serial_exit, 1);
+    t.writeFile(chpm);
+
+    EXPECT_THROW(obs::convertTraceFile(chpm, "/dev/full"), sim::SimError);
+    EXPECT_TRUE(std::filesystem::exists("/dev/full")); // never removed
+    std::remove(chpm.c_str());
+}
+
+// ----- span-trace export -----
+
+/** A hand-built timeline touching every layout branch of
+ *  writeSpanTrace: every TimeCat and FlowStage, an overlay span,
+ *  tracks first seen in descending order, kinds the exporter skips,
+ *  and ticks whose microsecond form needs 17 digits (tick 3 is
+ *  0.15000000000000002 us at the default clock). */
+std::vector<obs::TelemetryEvent>
+goldenTimeline()
+{
+    using obs::EventKind;
+    using obs::FlowStage;
+    using os::TimeCat;
+    auto span = [](sim::Tick when, sim::Tick dur, std::int32_t ce,
+                   TimeCat cat, auto act, std::uint8_t flags = 0) {
+        return obs::TelemetryEvent{
+            .when = when, .dur = dur, .kind = EventKind::span,
+            .cat = cat, .act = static_cast<std::uint8_t>(act),
+            .flags = flags, .ce = ce};
+    };
+    auto flow = [](sim::Tick when, sim::Tick dur, std::uint32_t id,
+                   FlowStage st, std::int32_t ce, std::int32_t res) {
+        return obs::TelemetryEvent{
+            .when = when, .dur = dur, .id = id, .kind = EventKind::flow,
+            .act = static_cast<std::uint8_t>(st), .ce = ce, .res = res};
+    };
+    return {
+        span(3, 4, 5, TimeCat::user, os::UserAct::iter_exec),
+        span(0, 7, 0, TimeCat::user, os::UserAct::serial),
+        span(7, 23, 1, TimeCat::system, os::OsAct::ctx),
+        span(12, 1, 0, TimeCat::system, os::OsAct::cpi,
+             obs::TelemetryEvent::flag_overlay),
+        span(24, 6, 2, TimeCat::interrupt, os::OsAct::ast),
+        span(28, 1234567, 6, TimeCat::kspin, 0),
+        span(33, 1, 3, TimeCat::idle, 0),
+        flow(29, 0, 1, FlowStage::issue, 6, -1),
+        flow(38, 6, 1, FlowStage::stage1, 6, 3),
+        flow(123456789, 7, 1, FlowStage::stage2, 6, 9),
+        flow(123456799, 3, 1, FlowStage::module, 6, 17),
+        flow(123456823, 6, 1, FlowStage::ret, 6, 4),
+        flow(123456829, 0, 1, FlowStage::complete, 6, -1),
+        {.when = 40, .kind = EventKind::ce_state, .flags = 1, .ce = 4},
+        flow(41, 0, 2, FlowStage::issue, 1, -1),
+        flow(47, 6, 2, FlowStage::stage1, 1, 0),
+        flow(59, 7, 2, FlowStage::stage2, 1, 2),
+        flow(77, 3, 2, FlowStage::module, 1, 5),
+        flow(99, 6, 2, FlowStage::ret, 1, 1),
+        flow(103, 0, 2, FlowStage::complete, 1, -1),
+        {.when = 50, .id = 3, .kind = EventKind::sample, .ce = 0},
+        {.when = 60, .dur = 2, .kind = EventKind::resource_wait, .res = 7},
+    };
+}
+
+/** Two windows with odd ratios (17-digit counter values) and one
+ *  resource class without resources (no utilization track). */
+obs::TimeSeries
+goldenSeries()
+{
+    obs::TimeSeries ts;
+    ts.window = 3000;
+    ts.numCes = 8;
+    for (sim::Tick start : {sim::Tick(0), sim::Tick(3000)}) {
+        obs::TimeSeriesWindow w;
+        w.start = start;
+        w.end = start + (start == 0 ? 3000 : 1234);
+        for (std::size_t c = 0; c + 1 < obs::num_resource_classes; ++c) {
+            w.classes.resources[c] = static_cast<std::uint32_t>(2 + c);
+            w.classes.requests[c] = 10 * c + start / 1000;
+            w.classes.waitTicks[c] = 7 * c + start / 3 + 1;
+            w.classes.busyTicks[c] = 11 * c + start / 7 + 3;
+        }
+        for (std::size_t c = 0; c < obs::num_time_cats; ++c)
+            w.catTicks[c] = 997 * c + start;
+        w.fastHits = start == 0 ? 0 : 5;
+        w.fastMisses = start == 0 ? 0 : 7;
+        w.events = 1234 + start;
+        ts.windows.push_back(w);
+    }
+    return ts;
+}
+
+TEST(SpanTrace, GoldenDocumentForFixedTimeline)
+{
+    const obs::TimeSeries ts = goldenSeries();
+    obs::SpanTraceMeta meta;
+    meta.ces_per_cluster = 4;
+    meta.timeseries = &ts;
+    std::ostringstream ss;
+    obs::writeSpanTrace(ss, goldenTimeline(), meta);
+
+    std::ifstream f(CEDAR_GOLDEN_DIR "/span_trace.json",
+                    std::ios::binary);
+    ASSERT_TRUE(f.good());
+    std::stringstream golden;
+    golden << f.rdbuf();
+    EXPECT_EQ(ss.str(), golden.str());
+    EXPECT_NE(golden.str().find("\"ts\": 0.15000000000000002"),
+              std::string::npos);
+}
+
+TEST(SpanTrace, RejectsNegativeTrackIds)
+{
+    std::ostringstream os;
+    const obs::TelemetryEvent span{.kind = obs::EventKind::span, .ce = -1};
+    EXPECT_THROW(obs::writeSpanTrace(os, {span}), sim::SimError);
 }
 
 } // namespace

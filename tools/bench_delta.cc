@@ -9,9 +9,10 @@
  *   bench_delta OLD.json NEW.json
  *
  * prints, per app/procs configuration, the events/sec ratio of NEW
- * over OLD, and for every fast-path leg in NEW the fast/slow wall
- * split plus the ratio against OLD's committed sweep throughput of
- * the same configuration.
+ * over OLD, for every fast-path leg in NEW the fast/slow wall split
+ * plus the ratio against OLD's committed sweep throughput of the
+ * same configuration, and the tracing leg's span-trace export time
+ * against OLD's.
  *
  * The report is informational (exit 0 even when slower — the
  * committed file is typically measured at a different scale on a
@@ -185,6 +186,27 @@ main(int argc, char **argv)
                 std::cout << ", committed baseline " << evs(base)
                           << " ev/s (" << ratio(fast / base)
                           << " of baseline)";
+            std::cout << "\n";
+        }
+
+        // The tracing leg's export fields arrived with schema v6;
+        // older documents carry the leg without them.
+        if (newDoc.has("tracing")) {
+            const JsonValue &leg = newDoc.at("tracing");
+            std::cout << "tracing leg:\n  " << leg.at("app").asString()
+                      << " " << leg.at("procs").asNumber()
+                      << "p: timeline on +"
+                      << leg.at("enabled_overhead_pct").asNumber() << "%";
+            if (leg.has("export_s"))
+                std::cout << ", span-trace export "
+                          << leg.at("export_s").asNumber() << " s for "
+                          << evs(leg.at("export_bytes").asNumber())
+                          << " B";
+            if (oldDoc.has("tracing") &&
+                oldDoc.at("tracing").has("export_s"))
+                std::cout << ", baseline export "
+                          << oldDoc.at("tracing").at("export_s").asNumber()
+                          << " s";
             std::cout << "\n";
         }
 

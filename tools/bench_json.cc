@@ -1,58 +1,168 @@
 #include "bench_json.hh"
 
-#include <array>
+#include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
+#include <cstring>
 
 namespace cedar::tools
 {
 
+namespace
+{
+
+/** Append the quoted, escaped form of @p s through @p put, which
+ *  takes (const char *, std::size_t); clean runs go out whole. */
+template <typename Put>
+void
+escapeInto(std::string_view s, Put &&put)
+{
+    static constexpr char hex[] = "0123456789abcdef";
+    put("\"", 1);
+    std::size_t run = 0; // start of the pending unescaped run
+    for (std::size_t i = 0; i < s.size(); ++i) {
+        const auto c = static_cast<unsigned char>(s[i]);
+        if (c >= 0x20 && c != '"' && c != '\\')
+            continue;
+        put(s.data() + run, i - run);
+        run = i + 1;
+        switch (c) {
+          case '"': put("\\\"", 2); break;
+          case '\\': put("\\\\", 2); break;
+          case '\n': put("\\n", 2); break;
+          case '\r': put("\\r", 2); break;
+          case '\t': put("\\t", 2); break;
+          default: {
+            const char esc[6] = {'\\', 'u', '0', '0', hex[c >> 4],
+                                 hex[c & 0xf]};
+            put(esc, sizeof(esc));
+          }
+        }
+    }
+    put(s.data() + run, s.size() - run);
+    put("\"", 1);
+}
+
+/** Room for any number() text ("-1.2345678901234567e-308"). */
+constexpr std::size_t number_chars = 32;
+
+/** Write JsonWriter::number(v) into @p out; returns its length. */
+std::size_t
+formatNumber(double v, char *out)
+{
+    if (!std::isfinite(v)) {
+        std::memcpy(out, "null", 4); // JSON has no inf/nan
+        return 4;
+    }
+    char *const last = out + number_chars;
+    // No text with fewer significant digits than the shortest
+    // round-trip form parses back to v, so start at that count
+    // (digits before the exponent of the shortest scientific form).
+    auto r = std::to_chars(out, last, v, std::chars_format::scientific);
+    int prec = 0;
+    for (const char *p = out; p != r.ptr && *p != 'e'; ++p)
+        prec += *p >= '0' && *p <= '9';
+    // %.{prec}g can still miss (rounding to nearest need not land in
+    // an asymmetric round-trip interval): verify, step up on a miss.
+    for (;; ++prec) {
+        r = std::to_chars(out, last, v, std::chars_format::general, prec);
+        double back = 0;
+        std::from_chars(out, r.ptr, back);
+        if (back == v || prec >= 17)
+            break;
+    }
+    return static_cast<std::size_t>(r.ptr - out);
+}
+
+/** Indentation source: two spaces per nesting level. */
+constexpr std::string_view spaces =
+    "                                                                "
+    "                                                                ";
+
+} // namespace
+
 std::string
-JsonWriter::quoted(const std::string &s)
+JsonWriter::quoted(std::string_view s)
 {
     std::string out;
     out.reserve(s.size() + 2);
-    out += '"';
-    for (const char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\r': out += "\\r"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                std::array<char, 8> buf{};
-                std::snprintf(buf.data(), buf.size(), "\\u%04x",
-                              static_cast<unsigned>(c));
-                out += buf.data();
-            } else {
-                out += c;
-            }
-        }
-    }
-    out += '"';
+    escapeInto(s, [&](const char *p, std::size_t n) { out.append(p, n); });
     return out;
 }
 
 std::string
 JsonWriter::number(double v)
 {
-    if (!std::isfinite(v))
-        return "null"; // JSON has no inf/nan
-    // Shortest precision that round-trips: try increasing digit
-    // counts until parsing back gives the same value.
-    std::array<char, 40> buf{};
-    for (int prec = 1; prec <= 17; ++prec) {
-        std::snprintf(buf.data(), buf.size(), "%.*g", prec, v);
-        double back = 0;
-        std::sscanf(buf.data(), "%lf", &back);
-        if (back == v)
-            break;
+    char buf[number_chars];
+    return std::string(buf, formatNumber(v, buf));
+}
+
+JsonWriter::~JsonWriter()
+{
+    try {
+        flush();
+    } catch (...) {
+        // Only a stream with exceptions() enabled throws here, after
+        // setstate() has recorded the failure in its badbit; a
+        // destructor must not throw.
     }
-    return buf.data();
+}
+
+void
+JsonWriter::toStream(const char *p, std::size_t n)
+{
+    std::streambuf *sb = os_.rdbuf();
+    const auto sn = static_cast<std::streamsize>(n);
+    if (sb == nullptr || sb->sputn(p, sn) != sn)
+        os_.setstate(std::ios::badbit);
+}
+
+void
+JsonWriter::flush()
+{
+    const std::size_t n = len_;
+    len_ = 0;
+    if (n > 0)
+        toStream(chunk_.data(), n);
+}
+
+void
+JsonWriter::put(const char *p, std::size_t n)
+{
+    if (n > chunk_.size() - len_) {
+        flush();
+        if (n > chunk_.size())
+            return toStream(p, n); // too big to stage
+    }
+    std::memcpy(chunk_.data() + len_, p, n);
+    len_ += n;
+}
+
+void
+JsonWriter::put(char c)
+{
+    if (len_ == chunk_.size())
+        flush();
+    chunk_[len_++] = c;
+}
+
+void
+JsonWriter::putQuoted(std::string_view s)
+{
+    escapeInto(s, [this](const char *p, std::size_t n) { put(p, n); });
+}
+
+void
+JsonWriter::newline()
+{
+    put('\n');
+    for (std::size_t n = 2 * stack_.size(); n > 0;) {
+        const std::size_t k = std::min(n, spaces.size());
+        put(spaces.data(), k);
+        n -= k;
+    }
 }
 
 void
@@ -64,18 +174,17 @@ JsonWriter::separator()
     }
     if (!stack_.empty()) {
         if (!firstInCtx_)
-            os_ << ',';
-        os_ << '\n';
-        indent();
+            put(',');
+        newline();
     }
     firstInCtx_ = false;
 }
 
 void
-JsonWriter::indent()
+JsonWriter::closeValue()
 {
-    for (std::size_t i = 0; i < stack_.size(); ++i)
-        os_ << "  ";
+    if (stack_.empty())
+        flush(); // the root value is complete
 }
 
 JsonWriter &
@@ -84,7 +193,7 @@ JsonWriter::beginObject()
     separator();
     stack_.push_back(Ctx::object);
     firstInCtx_ = true;
-    os_ << '{';
+    put('{');
     return *this;
 }
 
@@ -92,14 +201,13 @@ JsonWriter &
 JsonWriter::endObject()
 {
     stack_.pop_back();
-    if (!firstInCtx_) {
-        os_ << '\n';
-        indent();
-    }
+    if (!firstInCtx_)
+        newline();
     firstInCtx_ = false;
-    os_ << '}';
+    put('}');
     if (stack_.empty())
-        os_ << '\n';
+        put('\n');
+    closeValue();
     return *this;
 }
 
@@ -109,7 +217,7 @@ JsonWriter::beginArray()
     separator();
     stack_.push_back(Ctx::array);
     firstInCtx_ = true;
-    os_ << '[';
+    put('[');
     return *this;
 }
 
@@ -117,43 +225,40 @@ JsonWriter &
 JsonWriter::endArray()
 {
     stack_.pop_back();
-    if (!firstInCtx_) {
-        os_ << '\n';
-        indent();
-    }
+    if (!firstInCtx_)
+        newline();
     firstInCtx_ = false;
-    os_ << ']';
+    put(']');
+    closeValue();
     return *this;
 }
 
 JsonWriter &
-JsonWriter::key(const std::string &k)
+JsonWriter::key(std::string_view k)
 {
     separator();
-    os_ << quoted(k) << ": ";
+    putQuoted(k);
+    put(": ", 2);
     pendingKey_ = true;
     return *this;
 }
 
 JsonWriter &
-JsonWriter::value(const std::string &v)
+JsonWriter::value(std::string_view v)
 {
     separator();
-    os_ << quoted(v);
+    putQuoted(v);
+    closeValue();
     return *this;
-}
-
-JsonWriter &
-JsonWriter::value(const char *v)
-{
-    return value(std::string(v));
 }
 
 JsonWriter &
 JsonWriter::value(double v)
 {
     separator();
-    os_ << number(v);
+    char buf[number_chars];
+    put(buf, formatNumber(v, buf));
+    closeValue();
     return *this;
 }
 
@@ -161,7 +266,10 @@ JsonWriter &
 JsonWriter::value(std::uint64_t v)
 {
     separator();
-    os_ << v;
+    char buf[24];
+    put(buf, static_cast<std::size_t>(
+                 std::to_chars(buf, buf + sizeof(buf), v).ptr - buf));
+    closeValue();
     return *this;
 }
 
@@ -169,7 +277,10 @@ JsonWriter &
 JsonWriter::value(std::int64_t v)
 {
     separator();
-    os_ << v;
+    char buf[24];
+    put(buf, static_cast<std::size_t>(
+                 std::to_chars(buf, buf + sizeof(buf), v).ptr - buf));
+    closeValue();
     return *this;
 }
 
@@ -177,7 +288,8 @@ JsonWriter &
 JsonWriter::value(bool v)
 {
     separator();
-    os_ << (v ? "true" : "false");
+    put(v ? std::string_view("true") : std::string_view("false"));
+    closeValue();
     return *this;
 }
 

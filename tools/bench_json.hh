@@ -1,39 +1,53 @@
 /**
  * @file
- * A tiny dependency-free JSON emitter and reader for benchmark
- * artifacts.
+ * A tiny dependency-free JSON emitter and reader.
  *
- * The perf-regression harness (bench/sweep_perf) writes
- * BENCH_sweep.json so every PR leaves a machine-readable performance
- * trajectory behind, and the delta reporter (tools/bench_delta)
- * reads two of those files back to compare trajectories. The writer
- * covers exactly what the harness needs: nested objects/arrays,
- * string/number/bool scalars, correct string escaping, and
- * round-trippable numbers (shortest representation that parses back
- * exactly). Commas and key/value ordering are handled by a context
- * stack, so call sites read like the document. The reader is a
- * strict recursive-descent parser over the same subset (full RFC
- * 8259 minus \\u surrogate pairs, which the emitter never produces).
+ * The writer emits every JSON artifact in the tree: metrics, reports,
+ * scenario and study summaries, Chrome/Perfetto traces (hundreds of
+ * MB for a span trace, so it is built for throughput), and the
+ * BENCH_sweep.json trajectory that the delta reporter
+ * (tools/bench_delta) reads back through the reader. It covers
+ * nested objects/arrays, string/number/bool scalars, correct string
+ * escaping, and round-trippable numbers (see number()). Commas and
+ * key/value ordering are handled by a context stack, so call sites
+ * read like the document. The reader is a strict recursive-descent
+ * parser over the same subset (full RFC 8259 minus \\u surrogate
+ * pairs, which the emitter never produces).
  */
 
 #ifndef CEDAR_TOOLS_BENCH_JSON_HH
 #define CEDAR_TOOLS_BENCH_JSON_HH
 
+#include <array>
 #include <cstdint>
 #include <ostream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 namespace cedar::tools
 {
 
-/** Streaming JSON writer with automatic comma/indent management. */
+/**
+ * Streaming JSON writer with automatic comma/indent management.
+ *
+ * Output is staged in a small fixed chunk and handed to the stream's
+ * buffer with one sputn() per chunk, never through ostream
+ * formatting. Flush contract: every byte of a document is in the
+ * stream once its root value closes (the closing brace of the root
+ * object/array, or a scalar emitted at the top level), so callers
+ * may append to the stream or read an ostringstream's str() while
+ * the writer is still alive. The destructor flushes whatever an
+ * unfinished document left staged. A short write sets badbit on the
+ * stream.
+ */
 class JsonWriter
 {
   public:
     explicit JsonWriter(std::ostream &os) : os_(os) {}
+    ~JsonWriter();
 
     JsonWriter(const JsonWriter &) = delete;
     JsonWriter &operator=(const JsonWriter &) = delete;
@@ -44,10 +58,10 @@ class JsonWriter
     JsonWriter &endArray();
 
     /** Emit an object key; the next emitted value belongs to it. */
-    JsonWriter &key(const std::string &k);
+    JsonWriter &key(std::string_view k);
 
-    JsonWriter &value(const std::string &v);
-    JsonWriter &value(const char *v);
+    JsonWriter &value(std::string_view v);
+    JsonWriter &value(const char *v) { return value(std::string_view(v)); }
     JsonWriter &value(double v);
     JsonWriter &value(std::uint64_t v);
     JsonWriter &value(std::int64_t v);
@@ -58,28 +72,42 @@ class JsonWriter
     /** key() + value() in one call. */
     template <typename T>
     JsonWriter &
-    field(const std::string &k, const T &v)
+    field(std::string_view k, const T &v)
     {
         key(k);
         return value(v);
     }
 
-    /** Escape + quote a string per RFC 8259. */
-    static std::string quoted(const std::string &s);
+    /** Escape + quote a string per RFC 8259 (control characters
+     *  without a short escape become \\u00xx). */
+    static std::string quoted(std::string_view s);
 
-    /** Shortest decimal form of @p v that round-trips exactly. */
+    /**
+     * The text of `printf("%.*g", p, v)` for the smallest precision
+     * p in 1..17 whose text parses back to exactly @p v (p = 17 when
+     * none does); "null" for inf/nan, which JSON cannot express.
+     */
     static std::string number(double v);
 
   private:
     enum class Ctx { array, object };
 
     void separator();
-    void indent();
+    void newline();
+    void closeValue();
+    void flush();
+    void toStream(const char *p, std::size_t n);
+    void put(const char *p, std::size_t n);
+    void put(std::string_view s) { put(s.data(), s.size()); }
+    void put(char c);
+    void putQuoted(std::string_view s);
 
     std::ostream &os_;
     std::vector<Ctx> stack_;
     bool firstInCtx_ = true;
     bool pendingKey_ = false;
+    std::size_t len_ = 0; //!< bytes staged in chunk_
+    std::array<char, 4096> chunk_;
 };
 
 /** Malformed input handed to JsonValue::parse. */
