@@ -11,7 +11,6 @@
  *     no matter how much aggregate bandwidth exists.
  */
 
-#include <algorithm>
 #include <iostream>
 
 #include "core/table.hh"
@@ -33,32 +32,18 @@ streamSlowdown(unsigned n_ces, unsigned words)
     mem::GlobalMemory gmem(map);
     net::Network net(4, 8, gmem);
 
-    Tick unloaded = 0;
-    {
-        // Reference: a single CE on an idle machine.
-        mem::GlobalMemory g2(map);
-        net::Network n2(4, 8, g2);
-        Tick issue = 0, done = 0;
-        for (const auto &c : map.chunkify(0, words)) {
-            done = std::max(done, n2.chunkAccess(issue, 0, 0, c).complete);
-            issue += c.len;
-        }
-        unloaded = done;
-    }
+    // Reference: a single CE on an idle machine.
+    mem::GlobalMemory g2(map);
+    net::Network n2(4, 8, g2);
+    const Tick unloaded = n2.burst(0, 0, 0, 0, words).complete;
 
     double total = 0;
     for (unsigned i = 0; i < n_ces; ++i) {
-        const int cluster = static_cast<int>(i / 8);
-        const int ce = static_cast<int>(i % 8);
-        Tick issue = 0, done = 0;
         const sim::Addr base = static_cast<sim::Addr>(i) * words;
-        for (const auto &c : map.chunkify(base, words)) {
-            done = std::max(done,
-                            net.chunkAccess(issue, cluster, ce, c)
-                                .complete);
-            issue += c.len;
-        }
-        total += static_cast<double>(done);
+        total += static_cast<double>(
+            net.burst(0, static_cast<int>(i / 8), static_cast<int>(i % 8),
+                      base, words)
+                .complete);
     }
     return total / n_ces / static_cast<double>(unloaded);
 }

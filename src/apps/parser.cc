@@ -89,6 +89,8 @@ loopCommon(const Args &a, LoopSpec l)
     l.computePerIter = a.num("compute", 1000, true);
     l.words = static_cast<unsigned>(a.num("words", 0));
     l.burstLen = static_cast<unsigned>(a.num("burst", 64));
+    if (l.burstLen == 0)
+        throw ParseError(a.line, "burst= must be positive");
     l.jitterFrac = a.real("jitter", 0.15);
     l.haloWords = static_cast<unsigned>(a.num("halo", 0));
     l.sharedPages = static_cast<unsigned>(a.num("shared", 0));

@@ -36,12 +36,12 @@ Machine::Machine(const CedarConfig &cfg)
     xylem_ = std::make_unique<os::Xylem>(*this);
 
     // Every queueing wait in the machine reaches the MetricsHub (and
-    // any other subscriber) through the tracer. The network also
-    // learns which hub that is, so its analytic fast path can prove
-    // "sole resource_wait subscriber" and deliver waits in batch.
+    // any other subscriber) through the tracer. The tracer also
+    // learns which hub that is, so it can prove "sole resource_wait
+    // subscriber" and take waits in batch — the analytic fast path's
+    // replay among them.
     net_.setTracer(&tracer_);
     gmem_.setTracer(&tracer_);
-    net_.setMetricsHub(&hub_);
     tracer_.setMetricsHub(&hub_);
 }
 

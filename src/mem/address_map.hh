@@ -80,15 +80,22 @@ class AddressMap
     forEachChunk(sim::Addr addr, unsigned len, Fn &&f) const
     {
         while (len > 0) {
-            const unsigned off =
-                groupMask_ != 0
-                    ? static_cast<unsigned>(addr & groupMask_)
-                    : static_cast<unsigned>(addr % groupSize_);
-            const unsigned take = std::min(len, groupSize_ - off);
+            const unsigned take = chunkLen(addr, len);
             f(Chunk{addr, take});
             addr += take;
             len -= take;
         }
+    }
+
+    /** Length of the first chunk of [addr, addr+len): the words up
+     *  to the next group_size-aligned address, at most @p len. */
+    unsigned
+    chunkLen(sim::Addr addr, unsigned len) const
+    {
+        const unsigned off = groupMask_ != 0
+                                 ? static_cast<unsigned>(addr & groupMask_)
+                                 : static_cast<unsigned>(addr % groupSize_);
+        return std::min(len, groupSize_ - off);
     }
 
   private:

@@ -61,16 +61,17 @@ GlobalMemory::effect(unsigned m, sim::Tick arrival, sim::Tick base) const
 
 void
 GlobalMemory::noteServe(unsigned m, sim::Tick arrival, sim::Tick start,
-                        sim::Tick service, sim::Tick done,
-                        std::uint32_t flow)
+                        sim::Tick done, std::uint32_t flow) const
 {
+    if (tracer_ == nullptr)
+        return;
     // The published wait is exactly what ServerStats recorded for
     // this serve: max(arrival, not_before, free_at) - arrival.
     tracer_->resourceWait(obs::ResourceClass::memory_module,
                           static_cast<std::int32_t>(m), arrival,
                           start - arrival);
     tracer_->flowStage(flow, obs::FlowStage::module, done,
-                       static_cast<std::int32_t>(m), service);
+                       static_cast<std::int32_t>(m), done - start);
 }
 
 MemAccessResult
@@ -81,21 +82,15 @@ GlobalMemory::accessChunk(sim::Tick arrival, const Chunk &chunk,
     MemAccessResult res{0, 0};
     for (unsigned i = 0; i < chunk.len; ++i) {
         const unsigned m = map_.module(chunk.addr + i);
-        const ServiceEffect ef = effect(m, arrival, word_service);
-        if (ef.dead) {
+        const WordServe w = serveWord(m, arrival, word_service);
+        if (w.dead) {
             res.complete = sim::max_tick;
             continue;
         }
-        sim::FifoServer &srv = modules_[m];
-        const sim::Tick before = srv.freeAt();
-        const sim::Tick done =
-            srv.serve(arrival, ef.service, ef.notBefore);
-        if (tracer_)
-            noteServe(m, arrival, done - ef.service, ef.service, done,
-                      flow);
-        res.complete = std::max(res.complete, done);
-        if (before > arrival)
-            res.wait += before - arrival;
+        noteServe(m, arrival, w.start, w.done, flow);
+        res.complete = std::max(res.complete, w.done);
+        if (w.freeBefore > arrival)
+            res.wait += w.freeBefore - arrival;
     }
     return res;
 }
@@ -106,20 +101,15 @@ GlobalMemory::rmw(sim::Tick arrival, sim::Addr addr,
                   std::uint32_t flow)
 {
     const unsigned m = map_.module(addr);
-    const ServiceEffect ef = effect(m, arrival, rmw_service);
-    if (ef.dead) {
+    const WordServe w = serveWord(m, arrival, rmw_service);
+    if (w.dead) {
         // The module never answers: no service, and crucially no
         // mutation, so a retried/abandoned RMW cannot double-apply.
         if (old_out)
             *old_out = ~0ULL;
         return MemAccessResult{sim::max_tick, 0};
     }
-
-    sim::FifoServer &srv = modules_[m];
-    const sim::Tick before = srv.freeAt();
-    const sim::Tick done = srv.serve(arrival, ef.service, ef.notBefore);
-    if (tracer_)
-        noteServe(m, arrival, done - ef.service, ef.service, done, flow);
+    noteServe(m, arrival, w.start, w.done, flow);
 
     std::uint64_t &cell = words_[addr];
     if (old_out)
@@ -127,8 +117,8 @@ GlobalMemory::rmw(sim::Tick arrival, sim::Addr addr,
     cell = f(cell);
 
     MemAccessResult res;
-    res.complete = done;
-    res.wait = before > arrival ? before - arrival : 0;
+    res.complete = w.done;
+    res.wait = w.freeBefore > arrival ? w.freeBefore - arrival : 0;
     return res;
 }
 

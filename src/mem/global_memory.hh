@@ -75,6 +75,42 @@ class GlobalMemory
     /** Attach the telemetry tracer (module waits, flow milestones). */
     void setTracer(obs::Tracer *t) { tracer_ = t; }
 
+    /** One module request reserved by serveWord. */
+    struct WordServe
+    {
+        sim::Tick freeBefore; //!< the module's horizon before it
+        sim::Tick start;      //!< service start (stuck floor included)
+        sim::Tick done;       //!< completion tick
+        bool dead;            //!< the module never serves: no reservation
+    };
+
+    /**
+     * Reserve one request of @p base service ticks arriving at
+     * module @p m at @p arrival, under the module's fault plan. The
+     * one module serve every access path shares: accessChunk, rmw
+     * and the network's reservation chain (net::reserveAccess).
+     * Publishes nothing (see noteServe).
+     */
+    WordServe
+    serveWord(unsigned m, sim::Tick arrival, sim::Tick base)
+    {
+        const ServiceEffect ef = faults_.empty()
+                                     ? ServiceEffect{base, 0, false}
+                                     : effect(m, arrival, base);
+        if (ef.dead)
+            return WordServe{0, 0, sim::max_tick, true};
+        sim::FifoServer &srv = modules_[m];
+        const sim::Tick before = srv.freeAt();
+        const sim::Tick done =
+            srv.serve(arrival, ef.service, ef.notBefore);
+        return WordServe{before, done - ef.service, done, false};
+    }
+
+    /** Publish one served request's queueing wait and flow milestone
+     *  through the attached tracer (a no-op without one). */
+    void noteServe(unsigned m, sim::Tick arrival, sim::Tick start,
+                   sim::Tick done, std::uint32_t flow) const;
+
     /**
      * Access a chunk (all words within one module group): each
      * touched module serves one word. A non-zero @p flow tags the
@@ -163,11 +199,6 @@ class GlobalMemory
 
     ServiceEffect effect(unsigned m, sim::Tick arrival,
                          sim::Tick base) const;
-
-    /** Publish one served request's queueing wait + flow milestone. */
-    void noteServe(unsigned m, sim::Tick arrival, sim::Tick start,
-                   sim::Tick service, sim::Tick done,
-                   std::uint32_t flow);
 
     obs::Tracer *tracer_ = nullptr;
     AddressMap map_;

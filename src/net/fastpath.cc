@@ -48,227 +48,106 @@ refOf(std::size_t i, unsigned groups)
             static_cast<std::uint32_t>(i - 3 * groups - 1)};
 }
 
+/**
+ * reserveAccess policy for makeShape's idle probe: the shape's
+ * reservation chain on scratch servers (an empty machine) at start
+ * 0, noting per server its first request arrival and, per stage1
+ * port, its rigidity floor.
+ */
+struct IdleProbe
+{
+    explicit IdleProbe(const mem::AddressMap &map)
+        : groups(map.numGroups()), gmem(map), ports(3 * groups + 1),
+          firstArrival(3 * groups + 1 + map.numModules(), sim::max_tick),
+          floor(groups, 0), servedWords(groups, 0)
+    {
+    }
+
+    sim::FifoServer &
+    server(FastBank bank, unsigned idx)
+    {
+        return ports[flatIndex({bank, idx}, groups)];
+    }
+
+    mem::GlobalMemory &memory() { return gmem; }
+
+    void
+    served(FastBank bank, unsigned idx, sim::Tick arrival, sim::Tick,
+           sim::Tick start, sim::Tick done)
+    {
+        sim::Tick &first = firstArrival[flatIndex({bank, idx}, groups)];
+        first = std::min(first, arrival);
+        // Stage1 arrivals are CE issue times, fixed by the chunk
+        // sequence alone, so the horizon-bound condition "offset +
+        // served-so-far >= arrival" resolves per port to a static
+        // minimum offset.
+        if (bank == FastBank::stage1) {
+            if (arrival > servedWords[idx] &&
+                arrival - servedWords[idx] > floor[idx])
+                floor[idx] = arrival - servedWords[idx];
+            servedWords[idx] += done - start;
+        }
+    }
+
+    unsigned groups;
+    mem::GlobalMemory gmem;             //!< scratch modules
+    std::vector<sim::FifoServer> ports; //!< scratch ports, flat index
+    /** Per flat index; sim::max_tick: the shape never touches it. */
+    std::vector<sim::Tick> firstArrival;
+    std::vector<sim::Tick> floor;       //!< per group (stage1)
+    std::vector<sim::Tick> servedWords; //!< per group (stage1)
+};
+
 } // namespace
 
 /**
- * Replay the exact slow-path serve sequence of one access shape on
- * scratch servers at start = 0, optionally pre-loading each touched
- * server's free horizon with its relative offset, and condense the
- * outcome. The arithmetic here must mirror
- * Network::forwardPath/returnPath, GlobalMemory::accessChunk/rmw and
- * the burst chunk loop statement for statement — the bit-identity
- * tests hold it to that. Extraction follows sh.servers — the shape's
- * canonical gather order, the same order @p offsets is keyed in.
- */
-BurstPattern
-BurstPatternCache::build(const ShapeInfo &sh,
-                         const std::vector<sim::Tick> *offsets,
-                         std::vector<sim::Tick> *first_arrival) const
-{
-    constexpr sim::Tick hop = Network::hop_latency;
-    const unsigned groups = map_.numGroups();
-    const unsigned mods = map_.numModules();
-
-    std::vector<sim::FifoServer> scratch(3 * groups + 1 + mods);
-
-    if (offsets != nullptr)
-        for (std::size_t j = 0; j < sh.servers.size(); ++j)
-            scratch[flatIndex(sh.servers[j], groups)].applyBatch(
-                0, 0, 0, (*offsets)[j]);
-
-    if (first_arrival != nullptr)
-        first_arrival->assign(scratch.size(), sim::max_tick);
-
-    BurstPattern p;
-
-    auto addWait = [&p](obs::ResourceClass cls, sim::Tick wait) {
-        for (auto &w : p.waits) {
-            if (w.cls == cls && w.wait == wait) {
-                ++w.count;
-                return;
-            }
-        }
-        p.waits.push_back(PatternWaits{cls, wait, 1});
-    };
-
-    auto serveAt = [&](std::size_t si, obs::ResourceClass cls,
-                       sim::Tick arrival, sim::Tick service) {
-        if (first_arrival != nullptr &&
-            arrival < (*first_arrival)[si])
-            (*first_arrival)[si] = arrival;
-        auto &s = scratch[si];
-        const sim::Tick free = s.freeAt();
-        addWait(cls, free > arrival ? free - arrival : 0);
-        return s.serve(arrival, service);
-    };
-
-    // A canonical address with the same home module reproduces the
-    // chunk/group/module sequence of every address in the shape
-    // class: chunk boundaries depend on addr % group_size and
-    // routing on addr % n_modules, and group_size divides n_modules.
-    const sim::Addr addr0 = sh.firstModule;
-    sim::Tick complete = 0;
-
-    if (sh.isRmw) {
-        const unsigned g = map_.group(addr0);
-        const sim::Tick t1 =
-            serveAt(g, obs::ResourceClass::stage1_port, hop, 1);
-        const sim::Tick t2 = serveAt(
-            groups + g, obs::ResourceClass::stage2_port, t1 + hop, 1);
-        const sim::Tick done = serveAt(
-            3 * groups + 1 + sh.firstModule,
-            obs::ResourceClass::memory_module, t2 + hop,
-            mem::GlobalMemory::rmw_service);
-        const sim::Tick t3 =
-            serveAt(2 * groups + g, obs::ResourceClass::return_a_port,
-                    done + hop, 1);
-        const sim::Tick t4 = serveAt(
-            3 * groups, obs::ResourceClass::return_b_port, t3 + hop, 1);
-        complete = t4 + hop;
-        p.lastLen = 1;
-    } else {
-        unsigned issued = 0;
-        map_.forEachChunk(addr0, sh.words, [&](const mem::Chunk &chunk) {
-            // The CE issues the stream pipelined at one word/cycle.
-            const sim::Tick issue = issued;
-            const unsigned g = map_.group(chunk.addr);
-            const sim::Tick t1 = serveAt(
-                g, obs::ResourceClass::stage1_port, issue + hop,
-                chunk.len);
-            const sim::Tick t2 =
-                serveAt(groups + g, obs::ResourceClass::stage2_port,
-                        t1 + hop, chunk.len);
-            const sim::Tick arrival = t2 + hop;
-            sim::Tick memdone = 0;
-            for (unsigned i = 0; i < chunk.len; ++i) {
-                const unsigned m = map_.module(chunk.addr + i);
-                memdone = std::max(
-                    memdone,
-                    serveAt(3 * groups + 1 + m,
-                            obs::ResourceClass::memory_module, arrival,
-                            mem::GlobalMemory::word_service));
-            }
-            const sim::Tick t3 =
-                serveAt(2 * groups + g,
-                        obs::ResourceClass::return_a_port, memdone + hop,
-                        chunk.len);
-            const sim::Tick t4 =
-                serveAt(3 * groups, obs::ResourceClass::return_b_port,
-                        t3 + hop, chunk.len);
-            complete = std::max(complete, t4 + hop);
-            issued += chunk.len;
-            p.lastLen = chunk.len;
-        });
-    }
-
-    p.relComplete = complete;
-    for (const ServerRef &r : sh.servers) {
-        const auto &s = scratch[flatIndex(r, groups)];
-        const auto &st = s.stats();
-        PatternServer e;
-        e.bank = r.bank;
-        e.idx = r.idx;
-        e.requests = static_cast<std::uint32_t>(st.requests());
-        e.waitSum = st.waitTicks();
-        e.busySum = st.busyTicks();
-        e.freeAt = s.freeAt();
-        p.servers.push_back(e);
-    }
-    return p;
-}
-
-/**
- * Derive a shape's touched-server set by walking its address
- * sequence. Which servers see traffic depends only on the addresses
- * — never on contention — so the set (and its canonical ascending
- * order) is valid for every offset vector.
+ * Derive a shape from its idle probe. Which servers see traffic
+ * depends only on the addresses — never on contention — so the
+ * probe's touched set (in canonical flat-index order) is valid for
+ * every offset vector; its first arrivals are the canonicalization
+ * thresholds (ShapeInfo::firstArrival) and its stage1 floors the
+ * family rigidity floors (ShapeInfo::stage1Floor). One scratch
+ * chain per *shape* (a handful per app), amortised over the
+ * millions of lookups it serves.
  */
 ShapeInfo
 BurstPatternCache::makeShape(unsigned first_module, unsigned words,
                              bool is_rmw) const
 {
-    const unsigned groups = map_.numGroups();
+    // A canonical address with the same home module reproduces the
+    // chunk/group/module sequence of every address in the shape
+    // class: chunk boundaries depend on addr % group_size and
+    // routing on addr % n_modules, and group_size divides n_modules.
+    IdleProbe probe(map_);
+    reserveAccess(probe, 0, first_module, words,
+                  is_rmw ? Access::rmw : Access::burst);
 
+    const unsigned groups = map_.numGroups();
     ShapeInfo sh;
     sh.firstModule = first_module;
     sh.words = words;
     sh.isRmw = is_rmw;
-
-    std::vector<char> touched(3 * groups + 1 + map_.numModules(), 0);
-
-    const sim::Addr addr0 = first_module;
-    if (is_rmw) {
-        const unsigned g = map_.group(addr0);
-        touched[g] = 1;
-        touched[groups + g] = 1;
-        touched[3 * groups + 1 + first_module] = 1;
-        touched[2 * groups + g] = 1;
-        touched[3 * groups] = 1;
-    } else {
-        map_.forEachChunk(addr0, words, [&](const mem::Chunk &chunk) {
-            const unsigned g = map_.group(chunk.addr);
-            touched[g] = 1;
-            touched[groups + g] = 1;
-            for (unsigned i = 0; i < chunk.len; ++i)
-                touched[3 * groups + 1 + map_.module(chunk.addr + i)] = 1;
-            touched[2 * groups + g] = 1;
-            touched[3 * groups] = 1;
-        });
-    }
-
-    for (std::size_t i = 0; i < touched.size(); ++i)
-        if (touched[i])
-            sh.servers.push_back(refOf(i, groups));
-
-    // Bank ranges (servers are emitted in flat-index order, so each
-    // bank is contiguous) and group/module ranks — the coordinates
-    // the recording loop uses to map a serve back to its position in
-    // the canonical gather order.
     sh.groupRank.assign(groups, 0);
     sh.moduleRank.assign(map_.numModules(), 0);
-    for (std::size_t j = 0; j < sh.servers.size(); ++j) {
-        const auto b = static_cast<unsigned>(sh.servers[j].bank);
+    for (std::size_t i = 0; i < probe.firstArrival.size(); ++i) {
+        if (probe.firstArrival[i] == sim::max_tick)
+            continue;
+        const ServerRef r = refOf(i, groups);
+        // Banks are contiguous in flat-index order; the group/module
+        // ranks map a serve back to its position in that order.
+        const auto b = static_cast<unsigned>(r.bank);
         if (sh.bankCount[b] == 0)
-            sh.bankBegin[b] = static_cast<std::uint32_t>(j);
+            sh.bankBegin[b] = static_cast<std::uint32_t>(sh.servers.size());
         const std::uint32_t rank = sh.bankCount[b]++;
-        if (sh.servers[j].bank == FastBank::stage1)
-            sh.groupRank[sh.servers[j].idx] = rank;
-        else if (sh.servers[j].bank == FastBank::module)
-            sh.moduleRank[sh.servers[j].idx] = rank;
+        if (r.bank == FastBank::stage1)
+            sh.groupRank[r.idx] = rank;
+        else if (r.bank == FastBank::module)
+            sh.moduleRank[r.idx] = rank;
+        sh.servers.push_back(r);
+        sh.firstArrival.push_back(probe.firstArrival[i]);
+        sh.stage1Floor.push_back(
+            r.bank == FastBank::stage1 ? probe.floor[r.idx] : 0);
     }
-
-    // Stage1 rigidity floors: arrivals there are CE issue times,
-    // fixed by the chunk sequence alone, so the horizon-bound
-    // condition "offset + served-so-far >= arrival" resolves per
-    // server to a static minimum offset.
-    sh.stage1Floor.assign(sh.servers.size(), 0);
-    if (!is_rmw) {
-        std::vector<sim::Tick> cum(groups, 0);
-        unsigned issued = 0;
-        map_.forEachChunk(addr0, words, [&](const mem::Chunk &chunk) {
-            const unsigned g = map_.group(chunk.addr);
-            const sim::Tick arr = issued + Network::hop_latency;
-            sim::Tick &floor =
-                sh.stage1Floor[sh.bankBegin[static_cast<unsigned>(
-                                   FastBank::stage1)] +
-                               sh.groupRank[g]];
-            if (arr > cum[g] && arr - cum[g] > floor)
-                floor = arr - cum[g];
-            cum[g] += chunk.len;
-            issued += chunk.len;
-        });
-    }
-
-    // Idle probe: replay the shape once against an empty machine to
-    // learn each touched server's earliest possible request arrival
-    // — the canonicalization threshold (see ShapeInfo::firstArrival).
-    // One extra scratch replay per *shape* (a handful per app),
-    // amortised over the millions of lookups it collapses.
-    std::vector<sim::Tick> fa;
-    build(sh, nullptr, &fa);
-    sh.firstArrival.reserve(sh.servers.size());
-    for (const ServerRef &r : sh.servers)
-        sh.firstArrival.push_back(fa[flatIndex(r, groups)]);
     return sh;
 }
 

@@ -30,10 +30,10 @@
  * records per touched server the request/wait/busy sums and relative
  * free horizon, plus the aggregated per-class queueing waits the
  * telemetry layer would have published. The pattern is *recorded off
- * the live slow-path run* the missing access takes anyway (a stats
- * snapshot/diff around it, Network::slowBurstEligible) — by the
- * translation invariance above, those deltas are exactly what a
- * scratch replay at start = 0 pre-loaded with the offsets would
+ * the live slow-path run* the missing access takes anyway: the one
+ * reservation chain (net::reserveAccess) captures every serve of it
+ * — by the translation invariance above, those sums are exactly what
+ * a scratch replay at start = 0 pre-loaded with the offsets would
  * produce, at almost no extra cost. Replaying a learned pattern is
  * O(touched servers) instead of O(words), and leaves server
  * statistics, the MetricsHub and the returned timing bit-identical
@@ -256,8 +256,8 @@ struct ShapeInfo
     std::vector<sim::Tick> stage1Floor;
 
     /** Rank of a group / module among the shape's touched ones —
-     *  maps the slow loop's (bank, group/module) coordinates to the
-     *  bank-relative position in @p servers while recording. */
+     *  maps a recorded serve's (bank, group/module) coordinates to
+     *  the bank-relative position in @p servers. */
     std::vector<std::uint32_t> groupRank;
     std::vector<std::uint32_t> moduleRank;
 
@@ -483,15 +483,10 @@ class BurstPatternCache
     }
 
   private:
+    /** A shape from its idle probe: the reservation chain replayed
+     *  once on an empty scratch machine (net::reserveAccess). */
     ShapeInfo makeShape(unsigned first_module, unsigned words,
                         bool is_rmw) const;
-    /** Scratch replay of a shape at start = 0 — still the source of
-     *  the per-shape idle probe (ShapeInfo::firstArrival); live
-     *  patterns are recorded from real slow-path runs instead. */
-    BurstPattern build(const ShapeInfo &sh,
-                       const std::vector<sim::Tick> *offsets,
-                       std::vector<sim::Tick> *first_arrival =
-                           nullptr) const;
 
     static std::uint64_t
     sightingKey(const ShapeInfo &sh, const std::vector<sim::Tick> &offsets)

@@ -62,6 +62,16 @@ bankOfClass(obs::ResourceClass cls)
     }
 }
 
+/** The flow milestone a port bank's serve stands for (returnA has
+ *  none: the return path clears at returnB). */
+obs::FlowStage
+flowStageOf(FastBank bank)
+{
+    return bank == FastBank::stage1   ? obs::FlowStage::stage1
+           : bank == FastBank::stage2 ? obs::FlowStage::stage2
+                                      : obs::FlowStage::ret;
+}
+
 } // namespace
 
 Network::Network(unsigned n_clusters, unsigned ces_per_cluster,
@@ -87,73 +97,197 @@ Network::Network(unsigned n_clusters, unsigned ces_per_cluster,
     }
 }
 
-void
-Network::noteWait(obs::ResourceClass cls, std::int32_t res,
-                  sim::Tick arrival, sim::Tick free_at)
+std::int32_t
+Network::portIndex(FastBank bank, unsigned group, sim::ClusterId cluster,
+                   int ce_port) const
 {
-    if (tracer_)
-        tracer_->resourceWait(cls, res, arrival,
-                              free_at > arrival ? free_at - arrival : 0);
+    const auto c = static_cast<unsigned>(cluster);
+    switch (bank) {
+    case FastBank::stage1:
+        return static_cast<std::int32_t>(
+            c * static_cast<unsigned>(stage2In_.size()) + group);
+    case FastBank::stage2:
+    case FastBank::returnA:
+        return static_cast<std::int32_t>(group * nClusters_ + c);
+    case FastBank::returnB:
+    default:
+        return static_cast<std::int32_t>(
+            c * cesPerCluster_ + static_cast<unsigned>(ce_port));
+    }
 }
 
-sim::Tick
-Network::forwardPath(sim::Tick when, sim::ClusterId cluster, unsigned group,
-                     unsigned len, std::uint32_t flow)
+/** What every live reserveAccess policy resolves the same way: the
+ *  issuing CE's ports and the machine's modules. */
+struct Network::LiveServers
 {
-    // Latency compositions saturate instead of wrapping; a saturated
-    // arrival makes serve() throw its overflow error, which is the
-    // behaviour the reservation layer already defines at the ceiling.
-    const auto groups = static_cast<unsigned>(stage2In_.size());
-    auto &p1 = stage1_[cluster].port(group);
-    const sim::Tick a1 = sim::satAdd(when, hop_latency);
-    noteWait(obs::ResourceClass::stage1_port,
-             static_cast<std::int32_t>(cluster * groups + group), a1,
-             p1.freeAt());
-    const sim::Tick t1 = p1.serve(a1, len);
-    if (tracer_)
-        tracer_->flowStage(
-            flow, obs::FlowStage::stage1, t1,
-            static_cast<std::int32_t>(cluster * groups + group), len);
+    Network &net;
+    sim::ClusterId cluster;
+    int cePort;
 
-    auto &p2 = stage2In_[group].port(cluster);
-    const sim::Tick a2 = sim::satAdd(t1, hop_latency);
-    noteWait(obs::ResourceClass::stage2_port,
-             static_cast<std::int32_t>(group * nClusters_ + cluster),
-             a2, p2.freeAt());
-    const sim::Tick t2 = p2.serve(a2, len);
-    if (tracer_)
-        tracer_->flowStage(
-            flow, obs::FlowStage::stage2, t2,
-            static_cast<std::int32_t>(group * nClusters_ + cluster), len);
-    return t2;
-}
+    sim::FifoServer &
+    server(FastBank bank, unsigned idx)
+    {
+        return net.fastServer(bank, idx, cluster, cePort);
+    }
 
-sim::Tick
-Network::returnPath(sim::Tick when, sim::ClusterId cluster, int ce_port,
-                    unsigned group, unsigned len, std::uint32_t flow)
+    mem::GlobalMemory &memory() { return net.gmem_; }
+};
+
+/** reserveAccess policy for every access the fast path may not
+ *  touch: each serve published through the tracer (module serves
+ *  through the memory's own) with its flow milestones. */
+struct Network::Live : LiveServers
 {
-    auto &pa = returnA_[group].port(cluster);
-    const sim::Tick a3 = sim::satAdd(when, hop_latency);
-    noteWait(obs::ResourceClass::return_a_port,
-             static_cast<std::int32_t>(group * nClusters_ + cluster),
-             a3, pa.freeAt());
-    const sim::Tick t3 = pa.serve(a3, len);
+    std::uint32_t flow;
 
-    auto &pb = returnB_[cluster].port(ce_port);
-    const sim::Tick a4 = sim::satAdd(t3, hop_latency);
-    noteWait(obs::ResourceClass::return_b_port,
-             static_cast<std::int32_t>(cluster * cesPerCluster_ +
-                                       static_cast<unsigned>(ce_port)),
-             a4, pb.freeAt());
-    const sim::Tick t4 = pb.serve(a4, len);
-    if (tracer_)
-        tracer_->flowStage(
-            flow, obs::FlowStage::ret, t4,
-            static_cast<std::int32_t>(cluster * cesPerCluster_ +
-                                      static_cast<unsigned>(ce_port)),
-            len);
-    return sim::satAdd(t4, hop_latency);
-}
+    void
+    served(FastBank bank, unsigned idx, sim::Tick arrival, sim::Tick,
+           sim::Tick start, sim::Tick done)
+    {
+        if (bank == FastBank::module) {
+            net.gmem_.noteServe(idx, arrival, start, done, flow);
+            return;
+        }
+        obs::Tracer *t = net.tracer_;
+        if (t == nullptr)
+            return;
+        const std::int32_t res = net.portIndex(bank, idx, cluster, cePort);
+        t->resourceWait(classOfBank(bank), res, arrival, start - arrival);
+        if (bank != FastBank::returnA)
+            t->flowStage(flow, flowStageOf(bank), done, res, done - start);
+    }
+};
+
+/**
+ * reserveAccess policy for a fast-path miss. fastEligible() held:
+ * flow == 0 (every flow milestone would be a no-op) and the
+ * telemetry route is either "publish nothing" (no tracer) or "the
+ * MetricsHub absorbs every resource_wait", resolved once per access.
+ * When the miss earned a recording, each serve is also captured: per
+ * touched server its request/wait/busy sums and horizon, the
+ * per-serve waits, and the family validity constants (§10.2) — for a
+ * shift-keyed bank the worst arrival-minus-horizon over its serves,
+ * for a passive bank the worst canonical offset minus first arrival
+ * over its servers. c_b <= 0 leaves the bank a one-sided slack;
+ * c_b > 0 restricts it to its exact recorded shift (see
+ * ParamPattern::cmin).
+ */
+struct Network::Recorder : LiveServers
+{
+    sim::Tick start;
+    const FastMissCtx &miss;
+    std::array<std::int64_t, fast_bank_count> cmin;
+
+    Recorder(Network &n, sim::ClusterId c, int ce_port, sim::Tick s,
+             const FastMissCtx &m)
+        : LiveServers{n, c, ce_port}, start(s), miss(m)
+    {
+        cmin.fill(std::numeric_limits<std::int64_t>::min());
+        if (!miss.record)
+            return;
+        net.waitScratch_.clear();
+        net.recScratch_.clear();
+        for (const ServerRef &r : miss.sh->servers)
+            net.recScratch_.push_back(PatternServer{r.bank, r.idx, 0, 0, 0, 0});
+    }
+
+    void
+    served(FastBank bank, unsigned idx, sim::Tick arrival,
+           sim::Tick free_before, sim::Tick s, sim::Tick done)
+    {
+        const obs::ResourceClass cls = classOfBank(bank);
+        const sim::Tick wait = s - arrival;
+        if (net.tracer_ != nullptr)
+            net.tracer_->resourceWaitBatch(cls, wait, 1);
+        if (!miss.record)
+            return;
+        net.waitScratch_.emplace_back(cls, wait);
+
+        const ShapeInfo &sh = *miss.sh;
+        const auto b = static_cast<unsigned>(bank);
+        const std::size_t j =
+            sh.bankBegin[b] + (bank == FastBank::module    ? sh.moduleRank[idx]
+                               : bank == FastBank::returnB ? 0
+                                                           : sh.groupRank[idx]);
+        PatternServer &e = net.recScratch_[j];
+        if (miss.paramRecord) {
+            std::int64_t c = std::numeric_limits<std::int64_t>::min();
+            if ((miss.paramMask >> b) & 1u)
+                c = static_cast<std::int64_t>(arrival) -
+                    static_cast<std::int64_t>(free_before);
+            else if (e.requests == 0)
+                c = static_cast<std::int64_t>(net.offsetScratch_[j]) -
+                    static_cast<std::int64_t>(arrival - start);
+            cmin[b] = std::max(cmin[b], c);
+        }
+        ++e.requests;
+        e.waitSum += wait;
+        e.busySum += done - s;
+        // Every touched server serves at an arrival past start, so
+        // its horizon sits beyond it.
+        e.freeAt = done - start;
+    }
+
+    /**
+     * Second sighting: file the recorded run @p r. The sums captured
+     * are, by the fast path's translation invariance, exactly what a
+     * scratch replay at start = 0 would compute — without paying
+     * that second full serve sequence. A family variant subsumes the
+     * exact pattern when the store keeps it (score = number of
+     * exact-shift-only banks; a full family only trades up toward
+     * fully general variants); otherwise fall back to the exact
+     * vector if it earned recording itself.
+     */
+    void
+    file(const Reservation &r)
+    {
+        ShapeInfo &sh = *miss.sh;
+        bool storeAsParam = false;
+        std::uint8_t non_rigid = 0;
+        if (miss.paramRecord) {
+            for (unsigned b = 0; b < fast_bank_count; ++b)
+                if (sh.bankCount[b] != 0 && cmin[b] > 0)
+                    ++non_rigid;
+            storeAsParam = net.cache_.wouldAcceptParam(
+                sh, net.paramScratch_, non_rigid);
+        }
+        if (storeAsParam) {
+            ParamPattern pp;
+            pp.pat = pattern(r);
+            pp.mask = miss.paramMask;
+            pp.nonRigid = non_rigid;
+            pp.base = net.paramBase_;
+            pp.cmin = cmin;
+            net.cache_.storeParam(sh, net.paramScratch_, std::move(pp));
+        } else if (miss.exactRecord) {
+            net.cache_.store(sh, net.offsetScratch_, pattern(r));
+        }
+    }
+
+    /** The captured run as a BurstPattern, its per-serve waits
+     *  condensed by (class, value). The list order is irrelevant for
+     *  bit-identity: histogram bucket counts and per-class wait sums
+     *  are commutative. */
+    BurstPattern
+    pattern(const Reservation &r)
+    {
+        BurstPattern p;
+        p.relComplete = r.complete - start;
+        p.lastLen = r.lastLen;
+        p.servers = net.recScratch_;
+        auto &waits = net.waitScratch_;
+        std::sort(waits.begin(), waits.end());
+        for (std::size_t i = 0; i < waits.size();) {
+            std::size_t k = i + 1;
+            while (k < waits.size() && waits[k] == waits[i])
+                ++k;
+            p.waits.push_back(
+                PatternWaits{waits[i].first, waits[i].second, k - i});
+            i = k;
+        }
+        return p;
+    }
+};
 
 XferResult
 Network::chunkAccess(sim::Tick when, sim::ClusterId cluster, int ce_port,
@@ -161,22 +295,10 @@ Network::chunkAccess(sim::Tick when, sim::ClusterId cluster, int ce_port,
 {
     checkCluster(cluster, nClusters_);
     assert(chunk.len >= 1 && chunk.len <= gmem_.map().groupSize());
-
-    const unsigned group = gmem_.map().group(chunk.addr);
-    const sim::Tick t2 = forwardPath(when, cluster, group, chunk.len, flow);
-    const auto mem =
-        gmem_.accessChunk(sim::satAdd(t2, hop_latency), chunk, flow);
-
-    XferResult res;
-    res.unloaded = unloadedLatency(chunk.len, false);
-    if (mem.complete == sim::max_tick) {
-        // A dead module never responds; there is no return traffic.
-        res.complete = sim::max_tick;
-        return res;
-    }
-    res.complete = returnPath(mem.complete, cluster, ce_port, group,
-                              chunk.len, flow);
-    return res;
+    Live live{{*this, cluster, ce_port}, flow};
+    const Reservation r =
+        reserveAccess(live, when, chunk.addr, chunk.len, Access::chunk);
+    return XferResult{r.complete, unloadedLatency(chunk.len)};
 }
 
 XferResult
@@ -184,263 +306,58 @@ Network::burst(sim::Tick start, sim::ClusterId cluster, int ce_port,
                sim::Addr addr, unsigned words, std::uint32_t flow)
 {
     checkCluster(cluster, nClusters_);
-
-    if (fastEligible(flow)) {
-        FastMissCtx miss;
-        sim::Tick rel = 0;
-        unsigned last = 0;
-        if (fastReplay(start, cluster, ce_port, gmem_.map().module(addr),
-                       words, /*is_rmw=*/false, miss, rel, last)) {
-            ++fastStats_.fastBursts;
-            XferResult out;
-            out.complete = start + rel;
-            out.unloaded = words + unloadedLatency(last, false);
-            return out;
-        }
-        ++fastStats_.slowBursts;
-        return slowBurstEligible(start, cluster, ce_port, addr, words,
-                                 miss);
-    }
-    ++fastStats_.slowBursts;
-
-    sim::Tick issue = start;
-    sim::Tick complete = start;
-    sim::Tick unloaded_last = 0;
-    unsigned issued = 0;
-    gmem_.map().forEachChunk(addr, words, [&](const mem::Chunk &chunk) {
-        const auto res = chunkAccess(issue, cluster, ce_port, chunk, flow);
-        complete = std::max(complete, res.complete);
-        unloaded_last = res.unloaded;
-        issued += chunk.len;
-        // The CE issues the stream pipelined at one word per cycle.
-        issue = sim::satAdd(start, issued);
-    });
-
-    XferResult res;
-    res.complete = complete;
-    // Zero-contention duration of the same stream: pipeline fill of
-    // all but the last chunk, plus the last chunk's full latency.
-    res.unloaded = (issue - start) + unloaded_last;
-    return res;
+    if (words == 0)
+        throw sim::SimError("network: a burst needs at least one word");
+    const Reservation r =
+        reserve(start, cluster, ce_port, addr, words, Access::burst, flow);
+    // Zero-contention duration of the same stream: the pipelined
+    // issue of every word plus the last chunk's full latency.
+    return XferResult{r.complete, words + unloadedLatency(r.lastLen)};
 }
 
 XferResult
-Network::slowBurstEligible(sim::Tick start, sim::ClusterId cluster,
-                           int ce_port, sim::Addr addr, unsigned words,
-                           const FastMissCtx &miss)
+Network::rmw(sim::Tick when, sim::ClusterId cluster, int ce_port,
+             sim::Addr addr, const sim::RmwFn &f, std::uint32_t flow)
 {
-    // fastEligible() held for this access: flow == 0 (no milestone
-    // subscriber, so every flowStage call would be a no-op) and the
-    // telemetry route is either "publish nothing" (no tracer) or
-    // "the MetricsHub absorbs every resource_wait" — resolve it to
-    // one pointer instead of re-deciding per serve. The serves below
-    // are chunkAccess/forwardPath/returnPath flattened statement for
-    // statement; the bit-identity tests hold this loop to the
-    // generic one.
-    obs::MetricsHub *hub = tracer_ != nullptr ? hub_ : nullptr;
-    const bool rec = miss.record;
-
-    if (rec) {
-        snapScratch_.clear();
-        waitScratch_.clear();
-        for (const sim::FifoServer *s : *miss.servers) {
-            const auto &st = s->stats();
-            snapScratch_.push_back(
-                {st.requests(), st.waitTicks(), st.busyTicks()});
-        }
-    }
-
-    // Family validity tracking (§10.2): while the recorded run
-    // executes, collect per bank the one-sided constraint constant
-    // c_b — for a shift-keyed bank the worst arrival-minus-horizon
-    // over its serves, for a passive bank the worst canonical offset
-    // minus first-arrival over its servers. c_b <= 0 leaves the bank
-    // a one-sided slack; c_b > 0 restricts it to its exact recorded
-    // shift (see ParamPattern::cmin).
-    const ShapeInfo *shp = miss.sh;
-    const bool recParam = rec && miss.paramRecord;
-    std::array<std::int64_t, fast_bank_count> cmin;
-    if (recParam) {
-        cmin.fill(std::numeric_limits<std::int64_t>::min());
-        seenScratch_.assign(shp->servers.size(), 0);
-    }
-    const auto track = [&](unsigned b, std::size_t j, sim::Tick arrival,
-                           sim::Tick free_at) {
-        if ((miss.paramMask >> b) & 1u) {
-            const std::int64_t c = static_cast<std::int64_t>(arrival) -
-                                   static_cast<std::int64_t>(free_at);
-            if (c > cmin[b])
-                cmin[b] = c;
-        } else if (seenScratch_[j] == 0) {
-            seenScratch_[j] = 1;
-            const std::int64_t c =
-                static_cast<std::int64_t>(offsetScratch_[j]) -
-                static_cast<std::int64_t>(arrival - start);
-            if (c > cmin[b])
-                cmin[b] = c;
-        }
-    };
-
-    const mem::AddressMap &map = gmem_.map();
-    Crossbar &s1row = stage1_[cluster];
-    Crossbar &rbrow = returnB_[cluster];
-
-    sim::Tick issue = start;
-    sim::Tick complete = start;
-    unsigned issued = 0;
-    unsigned last_len = 0;
-
-    const auto note = [&](obs::ResourceClass cls, sim::Tick arrival,
-                          sim::Tick free_at) {
-        const sim::Tick w = free_at > arrival ? free_at - arrival : 0;
-        if (hub != nullptr)
-            hub->recordWaits(cls, w, 1);
-        if (rec)
-            waitScratch_.emplace_back(cls, w);
-    };
-
-    map.forEachChunk(addr, words, [&](const mem::Chunk &chunk) {
-        const unsigned group = map.group(chunk.addr);
-        const std::uint32_t grank =
-            recParam ? shp->groupRank[group] : 0;
-
-        auto &p1 = s1row.port(group);
-        const sim::Tick a1 = sim::satAdd(issue, hop_latency);
-        const sim::Tick f1 = p1.freeAt();
-        note(obs::ResourceClass::stage1_port, a1, f1);
-        if (recParam)
-            track(0, shp->bankBegin[0] + grank, a1, f1);
-        const sim::Tick t1 = p1.serve(a1, chunk.len);
-
-        auto &p2 = stage2In_[group].port(cluster);
-        const sim::Tick a2 = sim::satAdd(t1, hop_latency);
-        const sim::Tick f2 = p2.freeAt();
-        note(obs::ResourceClass::stage2_port, a2, f2);
-        if (recParam)
-            track(1, shp->bankBegin[1] + grank, a2, f2);
-        const sim::Tick t2 = p2.serve(a2, chunk.len);
-
-        // No fault plan touches the memory on this path (another
-        // fastEligible condition), so each word's service effect is
-        // exactly word_service with no floor.
-        const sim::Tick marr = sim::satAdd(t2, hop_latency);
-        sim::Tick memdone = 0;
-        for (unsigned i = 0; i < chunk.len; ++i) {
-            const unsigned m = map.module(chunk.addr + i);
-            sim::FifoServer &ms = gmem_.moduleServerMut(m);
-            const sim::Tick fm = ms.freeAt();
-            note(obs::ResourceClass::memory_module, marr, fm);
-            if (recParam)
-                track(4, shp->bankBegin[4] + shp->moduleRank[m], marr,
-                      fm);
-            memdone = std::max(
-                memdone,
-                ms.serve(marr, mem::GlobalMemory::word_service));
-        }
-
-        auto &pa = returnA_[group].port(cluster);
-        const sim::Tick a3 = sim::satAdd(memdone, hop_latency);
-        const sim::Tick f3 = pa.freeAt();
-        note(obs::ResourceClass::return_a_port, a3, f3);
-        if (recParam)
-            track(2, shp->bankBegin[2] + grank, a3, f3);
-        const sim::Tick t3 = pa.serve(a3, chunk.len);
-
-        auto &pb = rbrow.port(ce_port);
-        const sim::Tick a4 = sim::satAdd(t3, hop_latency);
-        const sim::Tick f4 = pb.freeAt();
-        note(obs::ResourceClass::return_b_port, a4, f4);
-        if (recParam)
-            track(3, shp->bankBegin[3], a4, f4);
-        const sim::Tick t4 = pb.serve(a4, chunk.len);
-
-        complete = std::max(complete, sim::satAdd(t4, hop_latency));
-        last_len = chunk.len;
-        issued += chunk.len;
-        // The CE issues the stream pipelined at one word per cycle.
-        issue = sim::satAdd(start, issued);
-    });
-
-    XferResult res;
-    res.complete = complete;
-    res.unloaded = (issue - start) + unloadedLatency(last_len, false);
-
-    // Second sighting: file the run's outcome. The deltas recorded
-    // here are, by the fast path's translation invariance, exactly
-    // what a scratch replay at start = 0 would compute — without
-    // paying that second full serve sequence. A family variant
-    // subsumes the exact pattern when the store keeps it (score =
-    // number of exact-shift-only banks; a full family only trades up
-    // toward fully general variants); otherwise fall back to the
-    // exact vector if it earned recording itself. Skip only the
-    // degenerate saturated case, where "complete - start" is no
-    // longer translation invariant.
-    if (rec && complete != sim::max_tick) {
-        bool storeAsParam = false;
-        std::uint8_t non_rigid = 0;
-        if (recParam) {
-            for (unsigned b = 0; b < fast_bank_count; ++b)
-                if (shp->bankCount[b] != 0 && cmin[b] > 0)
-                    ++non_rigid;
-            storeAsParam = cache_.wouldAcceptParam(*shp, paramScratch_,
-                                                   non_rigid);
-        }
-        if (storeAsParam) {
-            ParamPattern pp;
-            pp.pat = diffPattern(miss, start, complete - start,
-                                 last_len);
-            pp.mask = miss.paramMask;
-            pp.nonRigid = non_rigid;
-            pp.base = paramBase_;
-            pp.cmin = cmin;
-            cache_.storeParam(*miss.sh, paramScratch_, std::move(pp));
-        } else if (miss.exactRecord) {
-            cache_.store(*miss.sh, offsetScratch_,
-                         diffPattern(miss, start, complete - start,
-                                     last_len));
-        }
-    }
-    return res;
+    checkCluster(cluster, nClusters_);
+    const Reservation r =
+        reserve(when, cluster, ce_port, addr, 1, Access::rmw, flow);
+    // The value mutation the module serve stands for, in the same
+    // (synchronous) serialisation order. A dead module never answers
+    // and mutates nothing, so an abandoned RMW cannot double-apply.
+    return XferResult{r.complete, unloadedLatency(1, true),
+                      r.dead ? ~0ULL : gmem_.forceRmw(addr, f)};
 }
 
-BurstPattern
-Network::diffPattern(const FastMissCtx &miss, sim::Tick start,
-                     sim::Tick rel_complete, unsigned last_len)
+Reservation
+Network::reserve(sim::Tick start, sim::ClusterId cluster, int ce_port,
+                 sim::Addr addr, unsigned words, Access kind,
+                 std::uint32_t flow)
 {
-    const ShapeInfo &sh = *miss.sh;
-    BurstPattern p;
-    p.relComplete = rel_complete;
-    p.lastLen = last_len;
-    p.servers.reserve(sh.servers.size());
-    for (std::size_t j = 0; j < sh.servers.size(); ++j) {
-        const sim::FifoServer &s = *(*miss.servers)[j];
-        const auto &st = s.stats();
-        PatternServer e;
-        e.bank = sh.servers[j].bank;
-        e.idx = sh.servers[j].idx;
-        e.requests =
-            static_cast<std::uint32_t>(st.requests() - snapScratch_[j][0]);
-        e.waitSum = st.waitTicks() - snapScratch_[j][1];
-        e.busySum = st.busyTicks() - snapScratch_[j][2];
-        // Every touched server served at least once at an arrival
-        // past start, so its horizon sits beyond it.
-        e.freeAt = s.freeAt() - start;
-        p.servers.push_back(e);
+    const bool is_rmw = kind == Access::rmw;
+    if (!fastEligible(flow)) {
+        ++(is_rmw ? fastStats_.slowRmws : fastStats_.slowBursts);
+        Live live{{*this, cluster, ce_port}, flow};
+        return reserveAccess(live, start, addr, words, kind);
     }
 
-    // Condense the captured per-serve waits by (class, value). The
-    // list order is irrelevant for bit-identity: histogram bucket
-    // counts and per-class wait sums are commutative.
-    std::sort(waitScratch_.begin(), waitScratch_.end());
-    for (std::size_t i = 0; i < waitScratch_.size();) {
-        std::size_t k = i + 1;
-        while (k < waitScratch_.size() && waitScratch_[k] == waitScratch_[i])
-            ++k;
-        p.waits.push_back(PatternWaits{waitScratch_[i].first,
-                                       waitScratch_[i].second, k - i});
-        i = k;
+    FastMissCtx miss;
+    Reservation r;
+    sim::Tick rel = 0;
+    if (fastReplay(start, cluster, ce_port, gmem_.map().module(addr),
+                   words, is_rmw, miss, rel, r.lastLen)) {
+        ++(is_rmw ? fastStats_.fastRmws : fastStats_.fastBursts);
+        r.complete = start + rel;
+        return r;
     }
-    return p;
+    ++(is_rmw ? fastStats_.slowRmws : fastStats_.slowBursts);
+    Recorder rec(*this, cluster, ce_port, start, miss);
+    r = reserveAccess(rec, start, addr, words, kind);
+    // Skip only the degenerate saturated case, where
+    // "complete - start" is no longer translation invariant.
+    if (miss.record && r.complete != sim::max_tick)
+        rec.file(r);
+    return r;
 }
 
 bool
@@ -452,18 +369,15 @@ Network::fastEligible(std::uint32_t flow) const
     // fault plan touches the memory — fault windows break the
     // translation invariance — and (d) the telemetry this access
     // would publish is exactly "MetricsHub absorbs every
-    // resource_wait", which recordWaits reproduces in batch. The
+    // resource_wait", which the tracer can then take in batch. The
     // memory must publish through the same tracer; otherwise the
     // slow path's module waits would go elsewhere.
     if (!fastPath_ || flow != 0 || gmem_.hasFaults())
         return false;
     if (gmem_.tracerPtr() != tracer_)
         return false;
-    if (tracer_ == nullptr)
-        return true; // the slow path publishes nothing either
-    return hub_ != nullptr &&
-           tracer_->bus().soleSubscriber(obs::EventKind::resource_wait) ==
-               hub_;
+    // Without a tracer the slow path publishes nothing either.
+    return tracer_ == nullptr || tracer_->waitsBatchable();
 }
 
 sim::FifoServer &
@@ -540,7 +454,6 @@ Network::fastReplay(sim::Tick start, sim::ClusterId cluster, int ce_port,
         // applies. (The pattern exists, so no re-recording.)
         if (p->relComplete > sim::max_tick - start) {
             miss.sh = &sh;
-            miss.servers = &srvs;
             return false;
         }
 
@@ -553,7 +466,7 @@ Network::fastReplay(sim::Tick start, sim::ClusterId cluster, int ce_port,
 
         if (tracer_ != nullptr)
             for (const auto &w : p->waits)
-                hub_->recordWaits(w.cls, w.wait, w.count);
+                tracer_->resourceWaitBatch(w.cls, w.wait, w.count);
 
         rel_complete = p->relComplete;
         last_len = p->lastLen;
@@ -561,7 +474,6 @@ Network::fastReplay(sim::Tick start, sim::ClusterId cluster, int ce_port,
     }
 
     miss.sh = &sh;
-    miss.servers = &srvs;
 
     // Exact miss: try the parametric families (DESIGN.md §10.2).
     // Build the base-subtracted key — a bank whose canonical offsets
@@ -711,7 +623,7 @@ Network::applyParam(const ParamPattern &pp,
         for (const auto &w : pp.pat.waits) {
             const auto b =
                 static_cast<unsigned>(bankOfClass(w.cls));
-            hub_->recordWaits(
+            tracer_->resourceWaitBatch(
                 w.cls,
                 static_cast<sim::Tick>(static_cast<std::int64_t>(w.wait) +
                                        (alpha[b] - beta[b])),
@@ -723,77 +635,8 @@ Network::applyParam(const ParamPattern &pp,
     return true;
 }
 
-XferResult
-Network::rmw(sim::Tick when, sim::ClusterId cluster, int ce_port,
-             sim::Addr addr, const sim::RmwFn &f, std::uint32_t flow)
-{
-    checkCluster(cluster, nClusters_);
-
-    FastMissCtx miss;
-    if (fastEligible(flow)) {
-        sim::Tick rel = 0;
-        unsigned last = 0;
-        if (fastReplay(when, cluster, ce_port, gmem_.map().module(addr),
-                       1, /*is_rmw=*/true, miss, rel, last)) {
-            ++fastStats_.fastRmws;
-            XferResult out;
-            out.complete = when + rel;
-            out.unloaded = unloadedLatency(1, true);
-            // The value mutation the skipped module serve would have
-            // applied, in the same (synchronous) serialisation order.
-            out.oldValue = gmem_.forceRmw(addr, f);
-            return out;
-        }
-        if (miss.record) {
-            snapScratch_.clear();
-            for (const sim::FifoServer *s : *miss.servers) {
-                const auto &st = s->stats();
-                snapScratch_.push_back(
-                    {st.requests(), st.waitTicks(), st.busyTicks()});
-            }
-        }
-    }
-    ++fastStats_.slowRmws;
-
-    const unsigned group = gmem_.map().group(addr);
-    const sim::Tick t2 = forwardPath(when, cluster, group, 1, flow);
-
-    std::uint64_t old = 0;
-    const auto mem =
-        gmem_.rmw(sim::satAdd(t2, hop_latency), addr, f, &old, flow);
-
-    XferResult res;
-    res.unloaded = unloadedLatency(1, true);
-    res.oldValue = old;
-    if (mem.complete == sim::max_tick) {
-        res.complete = sim::max_tick;
-        return res;
-    }
-    res.complete = returnPath(mem.complete, cluster, ce_port, group, 1,
-                              flow);
-
-    // Second sighting: file this run as the offset vector's pattern.
-    // An RMW serves every touched server exactly once, so each
-    // server's wait-sum delta is its one published wait — the
-    // per-serve capture the burst loop needs collapses to the stats
-    // diff itself.
-    if (miss.record && res.complete != sim::max_tick) {
-        waitScratch_.clear();
-        const ShapeInfo &sh = *miss.sh;
-        for (std::size_t j = 0; j < sh.servers.size(); ++j) {
-            const sim::Tick w =
-                (*miss.servers)[j]->stats().waitTicks() -
-                snapScratch_[j][1];
-            waitScratch_.emplace_back(classOfBank(sh.servers[j].bank), w);
-        }
-        cache_.store(*miss.sh, offsetScratch_,
-                     diffPattern(miss, when, res.complete - when, 1));
-    }
-    return res;
-}
-
 sim::Tick
-Network::unloadedLatency(unsigned len, bool is_rmw) const
+Network::unloadedLatency(unsigned len, bool is_rmw)
 {
     // Six hop traversals (CE->s1, s1->s2, s2->mem, mem->rA, rA->rB,
     // rB->CE), one port service per switch stage in each direction,
@@ -807,39 +650,29 @@ void
 Network::stallSwitch(sim::Tick when, unsigned stage, unsigned idx,
                      sim::Tick duration)
 {
-    Crossbar *fwd = nullptr;
-    Crossbar *ret = nullptr;
-    obs::ResourceClass fwd_cls, ret_cls;
-    if (stage == 1 && idx < stage1_.size()) {
-        fwd = &stage1_[idx];
-        ret = &returnB_[idx];
-        fwd_cls = obs::ResourceClass::stage1_port;
-        ret_cls = obs::ResourceClass::return_b_port;
-    } else if (stage == 2 && idx < stage2In_.size()) {
-        fwd = &stage2In_[idx];
-        ret = &returnA_[idx];
-        fwd_cls = obs::ResourceClass::stage2_port;
-        ret_cls = obs::ResourceClass::return_a_port;
-    } else {
+    const bool s1 = stage == 1 && idx < stage1_.size();
+    if (!s1 && !(stage == 2 && idx < stage2In_.size()))
         throw sim::SimError("network: no stage" + std::to_string(stage) +
                             " switch " + std::to_string(idx));
-    }
+    using Side = std::pair<Crossbar *, obs::ResourceClass>;
+    const Side sides[] = {
+        s1 ? Side{&stage1_[idx], obs::ResourceClass::stage1_port}
+           : Side{&stage2In_[idx], obs::ResourceClass::stage2_port},
+        s1 ? Side{&returnB_[idx], obs::ResourceClass::return_b_port}
+           : Side{&returnA_[idx], obs::ResourceClass::return_a_port}};
     // The stall reservations go through serve() and therefore count
     // as requests in ServerStats; publish matching (zero or pile-up)
     // waits so per-class request counts stay consistent.
-    for (unsigned p = 0; p < fwd->numPorts(); ++p) {
-        auto &port = fwd->port(p);
-        noteWait(fwd_cls,
-                 static_cast<std::int32_t>(idx * fwd->numPorts() + p),
-                 when, port.freeAt());
-        port.serve(when, duration);
-    }
-    for (unsigned p = 0; p < ret->numPorts(); ++p) {
-        auto &port = ret->port(p);
-        noteWait(ret_cls,
-                 static_cast<std::int32_t>(idx * ret->numPorts() + p),
-                 when, port.freeAt());
-        port.serve(when, duration);
+    for (const auto &[xb, cls] : sides) {
+        for (unsigned p = 0; p < xb->numPorts(); ++p) {
+            sim::FifoServer &port = xb->port(p);
+            const sim::Tick free = port.freeAt();
+            if (tracer_)
+                tracer_->resourceWait(
+                    cls, static_cast<std::int32_t>(idx * xb->numPorts() + p),
+                    when, free > when ? free - when : 0);
+            port.serve(when, duration);
+        }
     }
 }
 

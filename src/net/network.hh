@@ -21,6 +21,7 @@
 #ifndef CEDAR_NET_NETWORK_HH
 #define CEDAR_NET_NETWORK_HH
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <functional>
@@ -37,7 +38,6 @@
 namespace cedar::obs
 {
 class Tracer;
-class MetricsHub;
 }
 
 namespace cedar::net
@@ -77,12 +77,30 @@ struct PortSite
 struct FastPathStats
 {
     std::uint64_t fastBursts = 0; //!< bursts replayed from a pattern
-    std::uint64_t slowBursts = 0; //!< bursts through the chunk loop
+    std::uint64_t slowBursts = 0; //!< bursts served by reserveAccess
     std::uint64_t fastRmws = 0;   //!< RMWs replayed from a pattern
-    std::uint64_t slowRmws = 0;   //!< RMWs through the serve loop
+    std::uint64_t slowRmws = 0;   //!< RMWs served by reserveAccess
 
     std::uint64_t hits() const { return fastBursts + fastRmws; }
     std::uint64_t misses() const { return slowBursts + slowRmws; }
+};
+
+/** What one global access reserves (reserveAccess). */
+enum class Access : std::uint8_t
+{
+    burst, //!< a pipelined stream, chunk by chunk
+    chunk, //!< one chunk as given (Network::chunkAccess)
+    rmw,   //!< one atomic read-modify-write word
+};
+
+/** What reserveAccess leaves behind. */
+struct Reservation
+{
+    /** When the response reaches the CE; sim::max_tick when a dead
+     *  module swallowed a word. */
+    sim::Tick complete = 0;
+    unsigned lastLen = 0; //!< the last chunk's word count
+    bool dead = false;    //!< some module never served its word
 };
 
 /**
@@ -113,12 +131,6 @@ class Network
     /** Attach the telemetry tracer (queueing waits, flow stages). */
     void setTracer(obs::Tracer *t) { tracer_ = t; }
 
-    /** Attach the hub that receives batched resource_wait updates
-     *  when the fast path replays a pattern. The fast path only
-     *  fires when this hub is provably the bus's sole resource_wait
-     *  subscriber (TelemetryBus::soleSubscriber). */
-    void setMetricsHub(obs::MetricsHub *hub) { hub_ = hub; }
-
     /** Enable/disable the analytic fast path (RunOptions::fastPath,
      *  `cedar_cli --no-fast-path`). Results are bit-identical either
      *  way; the toggle exists for A/B timing and debugging. */
@@ -137,9 +149,12 @@ class Network
      * (chunks issue at one word per cycle). This is the CE's burst
      * entry point; it dispatches to the analytic fast path when the
      * touched servers' queue state matches a learned pattern, and
-     * otherwise reserves chunk by chunk exactly as before.
+     * otherwise reserves chunk by chunk (reserveAccess).
      * complete == sim::max_tick when a dead module swallowed part of
      * the stream.
+     *
+     * @throws sim::SimError when @p cluster is out of range or
+     *         @p words is 0.
      */
     XferResult burst(sim::Tick start, sim::ClusterId cluster, int ce_port,
                      sim::Addr addr, unsigned words,
@@ -163,7 +178,7 @@ class Network
                    std::uint32_t flow = 0);
 
     /** Zero-contention latency of a chunk of @p len words. */
-    sim::Tick unloadedLatency(unsigned len, bool is_rmw = false) const;
+    static sim::Tick unloadedLatency(unsigned len, bool is_rmw = false);
 
     /**
      * Fault injection: block every port of one switch (forward and
@@ -219,7 +234,6 @@ class Network
     unsigned cesPerCluster_;
     mem::GlobalMemory &gmem_;
     obs::Tracer *tracer_ = nullptr;
-    obs::MetricsHub *hub_ = nullptr;
     bool fastPath_ = true;
     BurstPatternCache cache_;
     FastPathStats fastStats_;
@@ -233,30 +247,36 @@ class Network
     /** Return path, stage B: per cluster, output ports per CE. */
     std::vector<Crossbar> returnB_;
 
-    /** Publish one queueing wait: a request arriving at @p arrival
-     *  found its port busy until @p free_at. */
-    void noteWait(obs::ResourceClass cls, std::int32_t res,
-                  sim::Tick arrival, sim::Tick free_at);
+    /** Telemetry resource index of the port fastServer() resolves
+     *  a port @p bank and @p group to. */
+    std::int32_t portIndex(FastBank bank, unsigned group,
+                           sim::ClusterId cluster, int ce_port) const;
 
-    sim::Tick forwardPath(sim::Tick when, sim::ClusterId cluster,
-                          unsigned group, unsigned len,
-                          std::uint32_t flow);
-    sim::Tick returnPath(sim::Tick when, sim::ClusterId cluster,
-                         int ce_port, unsigned group, unsigned len,
-                         std::uint32_t flow);
+    /** reserveAccess policies over the live servers: observed
+     *  through the tracer (Live) or, on a fast-path miss, straight
+     *  into the MetricsHub and optionally recorded as a pattern
+     *  (Recorder). */
+    struct LiveServers;
+    struct Live;
+    struct Recorder;
+
+    /** One burst or RMW: the fast-path replay when eligible and a
+     *  pattern matches, otherwise reserveAccess on the live servers
+     *  (recording the run when the miss earned it). */
+    Reservation reserve(sim::Tick start, sim::ClusterId cluster,
+                        int ce_port, sim::Addr addr, unsigned words,
+                        Access kind, std::uint32_t flow);
 
     // ----- analytic fast path (see net/fastpath.hh) -----
 
-    /** What a fast-path miss leaves behind for the slow path: the
-     *  shape, its resolved touched-server pointers, and whether the
-     *  slow run about to happen should be recorded as this offset
-     *  vector's pattern (second sighting). The canonical offsets
-     *  themselves stay in offsetScratch_. */
+    /** What a fast-path miss leaves behind for the recording: the
+     *  shape and whether the run about to happen should be recorded
+     *  as this offset vector's pattern (second sighting). The
+     *  canonical offsets themselves stay in offsetScratch_. */
     struct FastMissCtx
     {
         ShapeInfo *sh = nullptr;
-        const std::vector<sim::FifoServer *> *servers = nullptr;
-        bool record = false;      //!< snapshot + diff the slow run
+        bool record = false;      //!< capture the run's serves
         bool exactRecord = false; //!< exact vector sighted twice
         bool paramRecord = false; //!< family key sighted twice
         std::uint8_t paramMask = 0; //!< gather-time shift-keyed banks
@@ -278,10 +298,10 @@ class Network
     /** Gather the touched servers' relative free-horizon offsets,
      *  look up the matching pattern, and apply it: batched server
      *  statistics, batched telemetry, and the returned timing are
-     *  bit-identical to the slow path. nullptr means "take the slow
-     *  path" (no pattern yet, store capped, an offset out of range,
-     *  or too close to the tick ceiling); @p miss then carries what
-     *  the slow path needs to record the run as a new pattern. */
+     *  bit-identical to the slow path. Returns false to take the
+     *  slow path (no pattern yet, store capped, an offset out of
+     *  range, or too close to the tick ceiling); @p miss then
+     *  carries what the recording needs. */
     bool fastReplay(sim::Tick start, sim::ClusterId cluster, int ce_port,
                     unsigned first_module, unsigned words, bool is_rmw,
                     FastMissCtx &miss, sim::Tick &rel_complete,
@@ -305,41 +325,105 @@ class Network
                     const std::vector<sim::FifoServer *> &srvs,
                     sim::Tick &rel_complete, unsigned &last_len);
 
-    /**
-     * The slow-path burst chunk loop, specialised for fast-eligible
-     * accesses (flow == 0, telemetry provably "hub absorbs every
-     * resource_wait" or none): identical serves in identical order
-     * with identical published waits, with the per-chunk dispatch
-     * through chunkAccess/forwardPath/returnPath flattened and the
-     * telemetry route resolved once. When @p miss.record is set, the
-     * run's per-server stats deltas and per-serve waits are filed as
-     * the pattern for the canonical offsets in offsetScratch_.
-     */
-    XferResult slowBurstEligible(sim::Tick start, sim::ClusterId cluster,
-                                 int ce_port, sim::Addr addr,
-                                 unsigned words, const FastMissCtx &miss);
-
-    /** Condense a just-executed recorded run into a BurstPattern:
-     *  per-server stats deltas against snapScratch_, plus the
-     *  (class, wait) pairs captured in waitScratch_ aggregated by
-     *  equal value. */
-    BurstPattern diffPattern(const FastMissCtx &miss, sim::Tick start,
-                             sim::Tick rel_complete, unsigned last_len);
-
     /** Reused offset-gather buffer (single-threaded per Machine). */
     std::vector<sim::Tick> offsetScratch_;
     /** Reused per-serve (class, wait) capture for pattern recording. */
     std::vector<std::pair<obs::ResourceClass, sim::Tick>> waitScratch_;
-    /** Reused pre-run stats snapshot for pattern recording: per
-     *  touched server, (requests, waitTicks, busyTicks). */
-    std::vector<std::array<std::uint64_t, 3>> snapScratch_;
+    /** Reused per-server sums for pattern recording, in the shape's
+     *  canonical server order. */
+    std::vector<PatternServer> recScratch_;
     /** Reused family-key buffer (base-subtracted offsets + mask). */
     std::vector<sim::Tick> paramScratch_;
     /** Gather-time per-bank bases of the candidate family key. */
     std::array<sim::Tick, fast_bank_count> paramBase_{};
-    /** Reused per-server first-serve marks while recording. */
-    std::vector<char> seenScratch_;
 };
+
+/**
+ * The reservation chain of one global access, written once. Every
+ * chunk of a burst, the one chunk of Network::chunkAccess, or the
+ * one RMW word (@p kind) reserves stage1 -> stage2 -> each module
+ * word -> returnA -> returnB, the CE issuing the stream pipelined at
+ * one word per cycle from @p start. Latency compositions saturate
+ * instead of wrapping; a saturated arrival makes FifoServer::serve
+ * throw its overflow error, which is the behaviour the reservation
+ * layer defines at the ceiling. A dead module swallows its word: its
+ * chunk has no return traffic and the access never completes.
+ *
+ * The policy @p pol decides where the serves land and who sees them:
+ *  - `sim::FifoServer &server(FastBank bank, unsigned idx)`: the
+ *    stage1/stage2/returnA port of group @p idx, or the issuing CE's
+ *    returnB port (idx 0);
+ *  - `mem::GlobalMemory &memory()`: the modules and their faults;
+ *  - `void served(FastBank bank, unsigned idx, sim::Tick arrival,
+ *    sim::Tick free_before, sim::Tick start, sim::Tick done)`: one
+ *    reservation, in serve order (@p idx as above, or the module).
+ * Three policies exist: the Network's live telemetry and fast-path
+ * recording, and BurstPatternCache::makeShape's idle probe.
+ */
+template <typename Policy>
+Reservation
+reserveAccess(Policy &pol, sim::Tick start, sim::Addr addr,
+              unsigned words, Access kind)
+{
+    constexpr sim::Tick hop = Network::hop_latency;
+    mem::GlobalMemory &gmem = pol.memory();
+    const mem::AddressMap &map = gmem.map();
+    const sim::Tick mem_service = kind == Access::rmw
+                                      ? mem::GlobalMemory::rmw_service
+                                      : mem::GlobalMemory::word_service;
+
+    const auto port = [&pol](FastBank bank, unsigned idx,
+                             sim::Tick arrival, unsigned len) {
+        sim::FifoServer &s = pol.server(bank, idx);
+        const sim::Tick free_before = s.freeAt();
+        const sim::Tick done = s.serve(arrival, len);
+        pol.served(bank, idx, arrival, free_before, done - len, done);
+        return done;
+    };
+
+    Reservation r;
+    r.complete = start;
+    for (unsigned issued = 0; issued < words;) {
+        // A burst splits at module-group boundaries; a chunk or RMW
+        // is reserved as given.
+        const mem::Chunk c{addr + issued,
+                           kind == Access::burst
+                               ? map.chunkLen(addr + issued, words - issued)
+                               : words};
+        const sim::Tick issue = sim::satAdd(start, issued);
+        issued += c.len;
+        r.lastLen = c.len;
+        const unsigned g = map.group(c.addr);
+        const sim::Tick t1 =
+            port(FastBank::stage1, g, sim::satAdd(issue, hop), c.len);
+        const sim::Tick t2 =
+            port(FastBank::stage2, g, sim::satAdd(t1, hop), c.len);
+        const sim::Tick arrival = sim::satAdd(t2, hop);
+        sim::Tick memdone = 0;
+        for (unsigned i = 0; i < c.len; ++i) {
+            const unsigned m = map.module(c.addr + i);
+            const auto w = gmem.serveWord(m, arrival, mem_service);
+            if (w.dead) {
+                r.dead = true;
+                memdone = sim::max_tick;
+                continue;
+            }
+            pol.served(FastBank::module, m, arrival, w.freeBefore,
+                       w.start, w.done);
+            memdone = std::max(memdone, w.done);
+        }
+        if (memdone == sim::max_tick) {
+            r.complete = sim::max_tick; // no response, no return traffic
+            continue;
+        }
+        const sim::Tick t3 =
+            port(FastBank::returnA, g, sim::satAdd(memdone, hop), c.len);
+        const sim::Tick t4 =
+            port(FastBank::returnB, 0, sim::satAdd(t3, hop), c.len);
+        r.complete = std::max(r.complete, sim::satAdd(t4, hop));
+    }
+    return r;
+}
 
 } // namespace cedar::net
 

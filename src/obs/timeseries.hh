@@ -18,7 +18,7 @@
  *
  * The split matters: the recorder subscribes to *spans only*. A
  * resource_wait or flow subscription would disengage the analytic
- * fast path (net::Network::fastEligible's sole-subscriber gate), so
+ * fast path (the sole-subscriber gate, obs::Tracer::waitsBatchable), so
  * the per-class series comes from the boundary poll instead — the
  * event queue's sampling hook (sim/event_queue.hh) fires a read-only
  * callback each time simulated time crosses a k*window tick, and

@@ -40,6 +40,30 @@ class Tracer
      *  the hub's state ends up bit-identical either way. */
     void setMetricsHub(MetricsHub *hub) { hub_ = hub; }
 
+    /**
+     * Is the registered MetricsHub the bus's sole resource_wait
+     * subscriber? Then a wait's time and resource index reach no
+     * one (the hub ignores both), so waits may go to the hub
+     * directly and in batches (resourceWaitBatch). The one owner of
+     * this question: the network's analytic fast path asks it too.
+     */
+    bool
+    waitsBatchable() const
+    {
+        return hub_ != nullptr &&
+               bus_->soleSubscriber(EventKind::resource_wait) == hub_;
+    }
+
+    /** @p count waits of @p wait ticks at class @p cls in one step —
+     *  bit-identical to @p count resourceWait() calls. Only valid
+     *  while waitsBatchable(). */
+    void
+    resourceWaitBatch(ResourceClass cls, sim::Tick wait,
+                      std::uint64_t count)
+    {
+        hub_->recordWaits(cls, wait, count);
+    }
+
     /** True when some sink subscribed to spans — producers may use
      *  this to skip begin-time bookkeeping entirely. */
     bool spansWanted() const
@@ -167,9 +191,8 @@ class Tracer
         // wiring), skip the event build + bus dispatch + virtual
         // call; onTelemetry ignores when/res, so recordWaits'
         // outcome is identical by construction.
-        if (hub_ != nullptr &&
-            bus_->soleSubscriber(EventKind::resource_wait) == hub_) {
-            hub_->recordWaits(cls, wait, 1);
+        if (waitsBatchable()) {
+            resourceWaitBatch(cls, wait, 1);
             return;
         }
         if (!bus_->wants(EventKind::resource_wait))

@@ -7,12 +7,15 @@
  * single published number may change — completion time, event counts,
  * per-resource statistics, the metrics JSON and the telemetry
  * timeline must be bit-identical to the slow path. These tests pin
- * that down at every paper point, on a non-paper geometry, and on a
- * fault-injected run where the fast path must bail out entirely.
+ * that down at every paper point, on a non-paper geometry, on a
+ * fault-injected run where the fast path must bail out entirely, and
+ * on seeded random geometries and traffic at the network level.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -25,6 +28,10 @@
 #include "mem/address_map.hh"
 #include "mem/global_memory.hh"
 #include "net/network.hh"
+#include "obs/telemetry.hh"
+#include "obs/tracer.hh"
+#include "sim/error.hh"
+#include "sim/random.hh"
 #include "sim/types.hh"
 
 namespace
@@ -415,6 +422,19 @@ TEST(FastPathNetwork, DontCareOffsetsCollapseOntoFewPatterns)
     EXPECT_LT(t.fast.fastPatterns(), rounds / 2);
 }
 
+TEST(FastPathNetwork, EmptyBurstThrowsOnBothPaths)
+{
+    // Twice each: a pattern is learned on the second sighting, and
+    // no path may learn one for an empty burst.
+    TwinNets t;
+    for (int rep = 0; rep < 2; ++rep) {
+        EXPECT_THROW(t.fast.burst(0, 0, 0, 0, 0), sim::SimError);
+        EXPECT_THROW(t.slow.burst(0, 0, 0, 0, 0), sim::SimError);
+    }
+    EXPECT_EQ(t.fast.fastPatterns(), 0u);
+    EXPECT_EQ(t.slow.fastPatterns(), 0u);
+}
+
 TEST(FastPathNetwork, DisabledPathReportsOnlyMisses)
 {
     TwinNets t;
@@ -423,6 +443,134 @@ TEST(FastPathNetwork, DisabledPathReportsOnlyMisses)
         t.fast.burst(0, 0, 0, 0, 16);
     EXPECT_EQ(t.fast.fastStats().hits(), 0u);
     EXPECT_EQ(t.fast.fastStats().misses(), 8u);
+}
+
+// ---------------------------------------------------------------
+// Differential test on generated traffic
+// ---------------------------------------------------------------
+
+/** One network over its own memory, bus, MetricsHub and Tracer,
+ *  wired the way hw::Machine wires them. */
+struct WiredNet
+{
+    mem::AddressMap map;
+    obs::TelemetryBus bus;
+    obs::MetricsHub hub{bus};
+    obs::Tracer tracer{bus};
+    mem::GlobalMemory gmem{map};
+    net::Network net;
+
+    WiredNet(const mem::AddressMap &m, unsigned clusters, unsigned ces,
+             bool fast)
+        : map(m), net(clusters, ces, gmem)
+    {
+        net.setTracer(&tracer);
+        gmem.setTracer(&tracer);
+        tracer.setMetricsHub(&hub);
+        net.setFastPath(fast);
+    }
+
+    /** (requests, waitTicks, busyTicks, freeAt) of every port and
+     *  module, in a fixed order. */
+    std::vector<std::array<std::uint64_t, 4>>
+    servers() const
+    {
+        std::vector<std::array<std::uint64_t, 4>> v;
+        const auto add = [&v](const sim::FifoServer &s) {
+            v.push_back({s.stats().requests(), s.stats().waitTicks(),
+                         s.stats().busyTicks(), s.freeAt()});
+        };
+        net.visitPorts(
+            [&add](const net::PortSite &, const sim::FifoServer &s) {
+                add(s);
+            });
+        for (unsigned m = 0; m < map.numModules(); ++m)
+            add(gmem.moduleServer(m));
+        return v;
+    }
+};
+
+TEST(FastPathDifferential, GeneratedTrafficMatchesSlowPath)
+{
+    // Each seed draws a geometry and drives the same closed-loop
+    // traffic through a fast-path network and its slow-path twin:
+    // every CE streams bursts from its own cursor (plus the odd
+    // random burst) and test&sets two hot words, issuing its next
+    // access a think time after the previous one completes. Short
+    // think times form convoys, long ones sparse traffic.
+    const auto inc = [](std::uint64_t v) { return v + 1; };
+    for (const std::uint64_t seed : {11u, 12u, 13u, 14u, 15u, 16u}) {
+        sim::RandomGen rng(seed);
+        static constexpr unsigned group_sizes[] = {1, 2, 3, 4, 8};
+        const unsigned gs = group_sizes[rng.below(5)];
+        const mem::AddressMap map(gs * static_cast<unsigned>(rng.range(1, 8)),
+                                  gs);
+        const auto clusters = static_cast<unsigned>(rng.range(1, 4));
+        const auto ces = static_cast<unsigned>(rng.range(1, 8));
+        WiredNet fast(map, clusters, ces, true);
+        WiredNet slow(map, clusters, ces, false);
+
+        const unsigned n_ces = clusters * ces;
+        const unsigned lens[2] = {static_cast<unsigned>(rng.range(1, 64)),
+                                  static_cast<unsigned>(rng.range(1, 64))};
+        const sim::Addr hot[2] = {(sim::Addr(1) << 40) + rng.below(64),
+                                  (sim::Addr(1) << 40) + rng.below(64)};
+        std::vector<sim::Addr> cursor(n_ces);
+        std::vector<Tick> ready(n_ces, 0);
+        for (unsigned c = 0; c < n_ces; ++c)
+            cursor[c] = c * 4096 + rng.below(64);
+
+        for (unsigned i = 0; i < 3000; ++i) {
+            const bool convoy = (i / 250) % 2 == 0;
+            const auto c = static_cast<unsigned>(
+                std::min_element(ready.begin(), ready.end()) -
+                ready.begin());
+            const Tick now = ready[c];
+            const auto cl = static_cast<sim::ClusterId>(c / ces);
+            const auto port = static_cast<int>(c % ces);
+
+            net::XferResult a, b;
+            if (rng.chance(0.1)) {
+                const sim::Addr w = hot[rng.below(2)];
+                a = fast.net.rmw(now, cl, port, w, inc);
+                b = slow.net.rmw(now, cl, port, w, inc);
+            } else if (rng.chance(0.1)) {
+                const sim::Addr addr = rng.below(1u << 16);
+                const auto words = static_cast<unsigned>(rng.range(1, 64));
+                a = fast.net.burst(now, cl, port, addr, words);
+                b = slow.net.burst(now, cl, port, addr, words);
+            } else {
+                const unsigned words = lens[rng.below(2)];
+                a = fast.net.burst(now, cl, port, cursor[c], words);
+                b = slow.net.burst(now, cl, port, cursor[c], words);
+                cursor[c] += words;
+            }
+            ASSERT_EQ(a.complete, b.complete)
+                << "seed " << seed << " access " << i;
+            ASSERT_EQ(a.unloaded, b.unloaded)
+                << "seed " << seed << " access " << i;
+            ASSERT_EQ(a.oldValue, b.oldValue)
+                << "seed " << seed << " access " << i;
+            ready[c] = a.complete + (convoy ? rng.below(8)
+                                            : rng.range(200, 2000));
+        }
+
+        EXPECT_EQ(fast.servers(), slow.servers()) << "seed " << seed;
+        for (std::size_t k = 0; k < obs::num_resource_classes; ++k) {
+            const auto cls = static_cast<obs::ResourceClass>(k);
+            EXPECT_EQ(fast.hub.classWaitTicks(cls),
+                      slow.hub.classWaitTicks(cls))
+                << "seed " << seed << " class " << k;
+            EXPECT_EQ(fast.hub.classRequests(cls),
+                      slow.hub.classRequests(cls))
+                << "seed " << seed << " class " << k;
+            EXPECT_EQ(fast.hub.hists().of(cls).buckets(),
+                      slow.hub.hists().of(cls).buckets())
+                << "seed " << seed << " class " << k;
+        }
+        EXPECT_GT(fast.net.fastStats().hits(), 0u) << "seed " << seed;
+        EXPECT_EQ(slow.net.fastStats().hits(), 0u) << "seed " << seed;
+    }
 }
 
 } // namespace

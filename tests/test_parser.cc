@@ -126,6 +126,23 @@ TEST(Parser, RegionMustExceedWords)
                  ParseError);
 }
 
+TEST(Parser, ZeroBurstRejected)
+{
+    // A zero burst length must not reach the runtime: it divides by
+    // zero with one word per iteration and issues empty bursts
+    // forever with more.
+    EXPECT_THROW(parseWorkloadString(
+                     "xdoall iters=16 compute=1500 words=1 burst=0\n"),
+                 ParseError);
+    EXPECT_THROW(parseWorkloadString(
+                     "sdoall outer=2 inner=4 compute=9 words=24 burst=0\n"),
+                 ParseError);
+    // 2^32 would truncate to a zero-length burst.
+    EXPECT_THROW(parseWorkloadString("xdoall iters=4 compute=10 words=8 "
+                                     "burst=4294967296\n"),
+                 ParseError);
+}
+
 TEST(Parser, RoundTripThroughFormat)
 {
     const auto app = parseWorkloadString(example);
