@@ -24,19 +24,19 @@
  * sides of a ratio) turns into flaky verdicts.
  *
  * A dedicated tracing leg times one fixed configuration (FLO52 on
- * 8 processors) with the telemetry timeline disabled (no span/flow
- * subscriber — the default, where the tracer's wants() gates keep
- * every publish site on its no-sink fast path) and enabled (a
- * TimelineRecorder subscribed, every span and flow event
+ * 8 processors) with the telemetry timeline disabled (the default,
+ * where the tracer's spansWanted()/flowsWanted() gates keep every
+ * span and flow site on its nothing-attached fast path) and enabled
+ * (RunOptions::collectTimeline, every span and flow record
  * materialized). The harness asserts the disabled path stays within
  * a noise-bounded margin of the plain sweep measurement of the
  * identical configuration (median vs median, enforced only at
  * --repeat >= 3) — the tracer is compiled in unconditionally, so a
  * gate that stops being free shows up here, while cross-PR slowdowns
- * show up in the committed events/sec trajectory. With a timeline subscriber the
- * analytic fast path also disengages (it requires the MetricsHub to
- * be the sole resource_wait listener), so the enabled overhead
- * honestly includes losing that path. The leg then times exporting
+ * show up in the committed events/sec trajectory. With the timeline on
+ * the analytic fast path also disengages (every access carries a
+ * flow id, and the replay skips flow milestones), so the enabled
+ * overhead honestly includes losing that path. The leg then times exporting
  * the last enabled run's timeline as a span trace
  * (obs::writeSpanTrace) into a sink that only counts bytes, so the
  * export cost is recorded without the disk's.
@@ -148,8 +148,8 @@ struct TracingPerf
     std::string app;
     unsigned procs = 8;
     unsigned repeat = 0;
-    double disabledWallSec = 0; //!< no sink: wants() fast path
-    double enabledWallSec = 0;  //!< TimelineRecorder subscribed
+    double disabledWallSec = 0; //!< no timeline: the gates' fast path
+    double enabledWallSec = 0;  //!< collectTimeline on
     std::uint64_t events = 0;   //!< DES events (identical both legs)
     std::uint64_t timelineEvents = 0; //!< spans + flows captured
     double exportSec = 0;          //!< writeSpanTrace of one timeline

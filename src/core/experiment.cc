@@ -66,27 +66,24 @@ runExperiment(const apps::AppModel &app, const hw::CedarConfig &base,
     cfg.costs.gm_retry_backoff = opts.gmRetryBackoff;
     cfg.costs.gm_max_retries = opts.gmMaxRetries;
 
+    // The observers outlive the machine: its tracer points at them.
+    std::vector<obs::TelemetryEvent> timeline;
+    std::unique_ptr<obs::TimeSeriesRecorder> tsRec;
+    if (opts.tsWindow > 0)
+        tsRec = std::make_unique<obs::TimeSeriesRecorder>(opts.tsWindow);
+
     hw::Machine m(cfg);
     m.trace().setEnabled(opts.collectTrace);
     m.net().setFastPath(opts.fastPath);
-
-    // A scoped recorder subscribes the timeline to the machine's bus
-    // for exactly this run; without it the tracer's wants() gates
-    // keep the span/flow publish sites on their no-sink fast path.
-    std::unique_ptr<obs::TimelineRecorder> timeline;
     if (opts.collectTimeline)
-        timeline = std::make_unique<obs::TimelineRecorder>(m.telemetry());
+        m.tracer().setTimeline(&timeline);
 
-    // The time-series recorder subscribes to spans only and samples
-    // the per-class/fast-path counters through the event queue's
-    // boundary hook — resource_wait stays with the MetricsHub alone,
-    // so the analytic fast path keeps its sole-subscriber guarantee
-    // and the hit-rate series is meaningful. With tsWindow == 0 the
-    // hook stays disarmed and nothing here runs.
-    std::unique_ptr<obs::TimeSeriesRecorder> tsRec;
-    if (opts.tsWindow > 0) {
-        tsRec = std::make_unique<obs::TimeSeriesRecorder>(m.telemetry(),
-                                                          opts.tsWindow);
+    // The time-series recorder takes spans from the tracer and
+    // samples the per-class/fast-path counters through the event
+    // queue's boundary hook, which only reads them. With
+    // tsWindow == 0 the hook stays disarmed and nothing here runs.
+    if (tsRec) {
+        m.tracer().setTimeSeries(tsRec.get());
         m.eq().setSampleHook(
             opts.tsWindow, [&m, &rec = *tsRec](sim::Tick boundary) {
                 rec.onBoundary(snapshotCounters(m, boundary));
@@ -147,8 +144,7 @@ runExperiment(const apps::AppModel &app, const hw::CedarConfig &base,
 
     if (opts.collectTrace)
         r.trace = m.trace().records();
-    if (timeline)
-        r.timeline = timeline->take();
+    r.timeline = std::move(timeline);
     if (tsRec) {
         r.timeseries =
             tsRec->finalize(r.ct, snapshotCounters(m, r.ct), m.numCes());

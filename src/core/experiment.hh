@@ -94,8 +94,9 @@ struct RunResult
     /** The cedarhpm trace (empty when tracing disabled). */
     std::vector<hpm::Record> trace;
 
-    /** The telemetry timeline: every span and GM-flow event, in
-     *  publish order (empty unless RunOptions::collectTimeline). */
+    /** The telemetry timeline: every span and GM-flow record, in
+     *  the order the tracer emitted them (empty unless
+     *  RunOptions::collectTimeline). */
     std::vector<obs::TelemetryEvent> timeline;
 
     /** Windowed time series (empty unless RunOptions::tsWindow > 0;

@@ -7,9 +7,9 @@
 #include <array>
 #include <cctype>
 #include <chrono>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <mutex>
 #include <sstream>
@@ -25,6 +25,7 @@ namespace cedar::core
 namespace fs = std::filesystem;
 using sim::ConfigError;
 using sim::SimError;
+using tools::JsonValue;
 using tools::JsonWriter;
 
 std::uint64_t
@@ -143,268 +144,6 @@ writeScenarioSummary(std::ostream &os, const ScenarioSpec &spec,
 
 namespace
 {
-
-// ---------------------------------------------------------------
-// A minimal JSON reader for the engine's own documents (manifest
-// journal records and cache entries). Covers exactly what
-// JsonWriter and the journal emit: objects, arrays, strings with
-// RFC 8259 escapes, numbers, booleans and null.
-// ---------------------------------------------------------------
-
-struct Jv
-{
-    enum class Kind { null, boolean, number, string, array, object };
-    Kind kind = Kind::null;
-    bool b = false;
-    double num = 0;
-    std::string str;
-    std::vector<Jv> arr;
-    std::vector<std::pair<std::string, Jv>> obj;
-
-    const Jv *
-    get(const std::string &k) const
-    {
-        for (const auto &[key, v] : obj)
-            if (key == k)
-                return &v;
-        return nullptr;
-    }
-
-    std::string
-    getStr(const std::string &k) const
-    {
-        const Jv *v = get(k);
-        return v && v->kind == Kind::string ? v->str : std::string();
-    }
-
-    double
-    getNum(const std::string &k) const
-    {
-        const Jv *v = get(k);
-        return v && v->kind == Kind::number ? v->num : 0.0;
-    }
-};
-
-class JsonParser
-{
-  public:
-    explicit JsonParser(const std::string &text) : s_(text) {}
-
-    Jv
-    parse()
-    {
-        ws();
-        Jv v = value();
-        ws();
-        if (i_ != s_.size())
-            fail("trailing garbage");
-        return v;
-    }
-
-  private:
-    [[noreturn]] void
-    fail(const std::string &what) const
-    {
-        throw SimError("json: " + what + " at offset " +
-                       std::to_string(i_));
-    }
-
-    void
-    ws()
-    {
-        while (i_ < s_.size() &&
-               (s_[i_] == ' ' || s_[i_] == '\t' || s_[i_] == '\n' ||
-                s_[i_] == '\r'))
-            ++i_;
-    }
-
-    char
-    peek() const
-    {
-        return i_ < s_.size() ? s_[i_] : '\0';
-    }
-
-    void
-    expect(char c)
-    {
-        if (peek() != c)
-            fail(std::string("expected '") + c + "'");
-        ++i_;
-    }
-
-    bool
-    literal(const char *word)
-    {
-        const std::size_t n = std::strlen(word);
-        if (s_.compare(i_, n, word) != 0)
-            return false;
-        i_ += n;
-        return true;
-    }
-
-    Jv
-    value()
-    {
-        switch (peek()) {
-          case '{': return object();
-          case '[': return array();
-          case '"': {
-            Jv v;
-            v.kind = Jv::Kind::string;
-            v.str = string_();
-            return v;
-          }
-          case 't':
-          case 'f': {
-            Jv v;
-            v.kind = Jv::Kind::boolean;
-            v.b = peek() == 't';
-            if (!literal(v.b ? "true" : "false"))
-                fail("bad literal");
-            return v;
-          }
-          case 'n':
-            if (!literal("null"))
-                fail("bad literal");
-            return Jv{};
-          default: return number();
-        }
-    }
-
-    Jv
-    object()
-    {
-        Jv v;
-        v.kind = Jv::Kind::object;
-        expect('{');
-        ws();
-        if (peek() == '}') {
-            ++i_;
-            return v;
-        }
-        for (;;) {
-            ws();
-            std::string key = string_();
-            ws();
-            expect(':');
-            ws();
-            v.obj.emplace_back(std::move(key), value());
-            ws();
-            if (peek() == ',') {
-                ++i_;
-                continue;
-            }
-            expect('}');
-            return v;
-        }
-    }
-
-    Jv
-    array()
-    {
-        Jv v;
-        v.kind = Jv::Kind::array;
-        expect('[');
-        ws();
-        if (peek() == ']') {
-            ++i_;
-            return v;
-        }
-        for (;;) {
-            ws();
-            v.arr.push_back(value());
-            ws();
-            if (peek() == ',') {
-                ++i_;
-                continue;
-            }
-            expect(']');
-            return v;
-        }
-    }
-
-    std::string
-    string_()
-    {
-        expect('"');
-        std::string out;
-        while (i_ < s_.size() && s_[i_] != '"') {
-            char c = s_[i_++];
-            if (c != '\\') {
-                out += c;
-                continue;
-            }
-            if (i_ >= s_.size())
-                fail("truncated escape");
-            const char e = s_[i_++];
-            switch (e) {
-              case '"': out += '"'; break;
-              case '\\': out += '\\'; break;
-              case '/': out += '/'; break;
-              case 'b': out += '\b'; break;
-              case 'f': out += '\f'; break;
-              case 'n': out += '\n'; break;
-              case 'r': out += '\r'; break;
-              case 't': out += '\t'; break;
-              case 'u': {
-                if (i_ + 4 > s_.size())
-                    fail("truncated \\u escape");
-                unsigned cp = 0;
-                for (int k = 0; k < 4; ++k) {
-                    const char h = s_[i_++];
-                    cp <<= 4;
-                    if (h >= '0' && h <= '9')
-                        cp |= static_cast<unsigned>(h - '0');
-                    else if (h >= 'a' && h <= 'f')
-                        cp |= static_cast<unsigned>(h - 'a' + 10);
-                    else if (h >= 'A' && h <= 'F')
-                        cp |= static_cast<unsigned>(h - 'A' + 10);
-                    else
-                        fail("bad \\u escape");
-                }
-                // The writer only emits \u for control characters,
-                // so a one-byte decode covers everything we read
-                // back; anything wider degrades to '?'.
-                out += cp < 0x80 ? static_cast<char>(cp) : '?';
-                break;
-              }
-              default: fail("bad escape");
-            }
-        }
-        expect('"');
-        return out;
-    }
-
-    Jv
-    number()
-    {
-        const std::size_t start = i_;
-        while (i_ < s_.size() &&
-               (std::isdigit(static_cast<unsigned char>(s_[i_])) ||
-                s_[i_] == '-' || s_[i_] == '+' || s_[i_] == '.' ||
-                s_[i_] == 'e' || s_[i_] == 'E'))
-            ++i_;
-        if (i_ == start)
-            fail("expected a value");
-        Jv v;
-        v.kind = Jv::Kind::number;
-        try {
-            v.num = std::stod(s_.substr(start, i_ - start));
-        } catch (const std::exception &) {
-            fail("bad number");
-        }
-        return v;
-    }
-
-    const std::string &s_;
-    std::size_t i_ = 0;
-};
-
-Jv
-parseJson(const std::string &text)
-{
-    return JsonParser(text).parse();
-}
 
 std::optional<std::string>
 readFile(const std::string &path)
@@ -548,7 +287,9 @@ struct ManifestState
 /**
  * Fold a journal into per-scenario terminal state. A torn final
  * line (the process was killed mid-write, pre-fsync) ends the fold
- * gracefully: everything before it is intact by construction.
+ * gracefully: everything before it is intact by construction. A
+ * record that parses but fails its field checks (a string where a
+ * string belongs, an attempt count in range) is treated the same.
  */
 std::map<std::string, ManifestState>
 readManifest(const std::string &path)
@@ -561,37 +302,50 @@ readManifest(const std::string &path)
     while (std::getline(in, lineText)) {
         if (lineText.empty())
             continue;
-        Jv rec;
+        // Read the whole record before applying it: a torn record, or
+        // one whose fields fail their checks, ends the fold untouched.
+        std::string kind, name, hash, status, error, sumHash, metHash;
+        unsigned attempt = 0;
+        bool artifacts = false;
         try {
-            rec = parseJson(lineText);
-        } catch (const SimError &) {
-            break; // torn tail record
+            const JsonValue rec = JsonValue::parse(lineText);
+            if (rec.kind() != JsonValue::Kind::object || rec.has("schema"))
+                continue;
+            kind = rec.strOr("rec");
+            name = rec.strOr("scenario");
+            hash = rec.strOr("hash");
+            status = rec.strOr("status");
+            error = rec.strOr("error");
+            attempt = static_cast<unsigned>(rec.countOr(
+                "attempt", std::numeric_limits<unsigned>::max()));
+            artifacts = rec.has("artifacts");
+            if (artifacts) {
+                sumHash = rec.at("artifacts").strOr("summary");
+                metHash = rec.at("artifacts").strOr("metrics");
+            }
+        } catch (const tools::JsonParseError &) {
+            break;
         }
-        if (rec.kind != Jv::Kind::object || rec.get("schema"))
-            continue;
-        const std::string kind = rec.getStr("rec");
-        const std::string name = rec.getStr("scenario");
         if (name.empty())
             continue;
         auto &st = out[name];
-        st.attempts = std::max(
-            st.attempts, static_cast<unsigned>(rec.getNum("attempt")));
+        st.attempts = std::max(st.attempts, attempt);
         if (kind == "start") {
             st.last = ManifestState::Last::started;
-            st.hash = rec.getStr("hash");
+            st.hash = hash;
         } else if (kind == "failed") {
             st.last = ManifestState::Last::failed;
-            st.hash = rec.getStr("hash");
-            st.status = rec.getStr("status");
-            st.error = rec.getStr("error");
+            st.hash = hash;
+            st.status = status;
+            st.error = error;
         } else if (kind == "done" || kind == "cached") {
             st.last = ManifestState::Last::done;
-            st.hash = rec.getStr("hash");
-            st.status = rec.getStr("status");
+            st.hash = hash;
+            st.status = status;
             st.error.clear();
-            if (const Jv *a = rec.get("artifacts")) {
-                st.summaryHash = a->getStr("summary");
-                st.metricsHash = a->getStr("metrics");
+            if (artifacts) {
+                st.summaryHash = sumHash;
+                st.metricsHash = metHash;
             }
         }
     }
@@ -627,21 +381,23 @@ probeCache(const std::string &cacheDir, const std::string &hash)
     const auto meta = readFile(dir + "/entry.json");
     if (!meta)
         return std::nullopt;
-    Jv e;
+    // An unreadable entry.json is a miss, never a study error.
+    CacheEntry hit;
     try {
-        e = parseJson(*meta);
-    } catch (const SimError &) {
+        const JsonValue e = JsonValue::parse(*meta);
+        if (e.strOr("schema") != "cedar-cache-v1" || e.strOr("hash") != hash ||
+            !e.has("artifacts"))
+            return std::nullopt;
+        hit.summaryHash = e.at("artifacts").strOr("summary");
+        hit.metricsHash = e.at("artifacts").strOr("metrics");
+        hit.status = e.strOr("status");
+        hit.machine = e.strOr("machine");
+        hit.app = e.strOr("app");
+        hit.seconds = e.numOr("seconds");
+        hit.concurrency = e.numOr("concurrency");
+    } catch (const tools::JsonParseError &) {
         return std::nullopt;
     }
-    if (e.getStr("schema") != "cedar-cache-v1" ||
-        e.getStr("hash") != hash)
-        return std::nullopt;
-    const Jv *arts = e.get("artifacts");
-    if (!arts)
-        return std::nullopt;
-    CacheEntry hit;
-    hit.summaryHash = arts->getStr("summary");
-    hit.metricsHash = arts->getStr("metrics");
     const auto summary = readFile(dir + "/summary.json");
     const auto metrics = readFile(dir + "/metrics.json");
     // A hit must verify against the stored content hashes: a corrupt
@@ -652,11 +408,6 @@ probeCache(const std::string &cacheDir, const std::string &hash)
         return std::nullopt;
     hit.summary = *summary;
     hit.metrics = *metrics;
-    hit.status = e.getStr("status");
-    hit.machine = e.getStr("machine");
-    hit.app = e.getStr("app");
-    hit.seconds = e.getNum("seconds");
-    hit.concurrency = e.getNum("concurrency");
     return hit;
 }
 
@@ -728,18 +479,16 @@ publishedValid(const std::string &outDir, const std::string &name,
 void
 rowMetaFromSummary(StudyRow &row, const std::string &summaryJson)
 {
-    Jv doc;
     try {
-        doc = parseJson(summaryJson);
-    } catch (const SimError &) {
-        return;
-    }
-    row.app = doc.getStr("app");
-    if (const Jv *m = doc.get("machine"))
-        row.machine = m->getStr("label");
-    if (const Jv *r = doc.get("run")) {
-        row.seconds = r->getNum("seconds");
-        row.concurrency = r->getNum("concurrency");
+        const JsonValue doc = JsonValue::parse(summaryJson);
+        row.app = doc.strOr("app");
+        if (doc.has("machine"))
+            row.machine = doc.at("machine").strOr("label");
+        if (doc.has("run")) {
+            row.seconds = doc.at("run").numOr("seconds");
+            row.concurrency = doc.at("run").numOr("concurrency");
+        }
+    } catch (const tools::JsonParseError &) {
     }
 }
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <ostream>
 #include <sstream>
@@ -45,24 +46,6 @@ parseDoc(const std::string &path, const std::string &text)
     }
 }
 
-double
-numOr(const JsonValue &obj, const std::string &key, double dflt = 0)
-{
-    return obj.has(key) ? obj.at(key).asNumber() : dflt;
-}
-
-std::string
-strOr(const JsonValue &obj, const std::string &key)
-{
-    return obj.has(key) ? obj.at(key).asString() : std::string();
-}
-
-std::uint64_t
-u64(double v)
-{
-    return v <= 0 ? 0 : static_cast<std::uint64_t>(v);
-}
-
 /** Merge one scenario's two artifacts into the in-memory record. */
 SummaryScenario
 loadScenario(const std::string &dir, const std::string &name,
@@ -72,60 +55,70 @@ loadScenario(const std::string &dir, const std::string &name,
     const std::string metPath = dir + "/" + name + ".metrics.json";
     const JsonValue sum = parseDoc(sumPath, slurpFile(sumPath));
     const JsonValue met = parseDoc(metPath, slurpFile(metPath));
-    if (strOr(sum, "schema") != "cedar-scenario-v1")
+    if (sum.strOr("schema") != "cedar-scenario-v1")
         throw ConfigError("summarize: " + sumPath +
                           ": not a cedar-scenario-v1 document");
-    if (strOr(met, "schema") != "cedar-metrics-v1")
+    if (met.strOr("schema") != "cedar-metrics-v1")
         throw ConfigError("summarize: " + metPath +
                           ": not a cedar-metrics-v1 document");
 
+    constexpr auto max_unsigned = std::numeric_limits<unsigned>::max();
     SummaryScenario s;
     s.name = name;
     s.hash = hash;
-    s.app = strOr(sum, "app");
-    const JsonValue &mach = sum.at("machine");
-    s.machineLabel = strOr(mach, "label");
-    s.nprocs = static_cast<unsigned>(numOr(mach, "nprocs"));
-    s.seed = u64(numOr(mach, "seed"));
-    const JsonValue &run = sum.at("run");
-    s.status = strOr(run, "status");
-    s.scale = numOr(run, "scale", 1.0);
-    s.ct = u64(numOr(run, "ct_ticks"));
-    s.seconds = numOr(run, "seconds");
-    s.concurrency = numOr(run, "concurrency");
-    s.eventsExecuted = u64(numOr(run, "events_executed"));
-    const JsonValue &con = sum.at("contention");
-    s.groundTruthPct = numOr(con, "ground_truth_pct");
-    s.moduleGini = numOr(con, "module_gini");
+    // A field of the wrong type, or a count that is negative,
+    // fractional or out of range, names the file it came from.
+    const std::string *path = &sumPath;
+    try {
+        s.app = sum.strOr("app");
+        const JsonValue &mach = sum.at("machine");
+        s.machineLabel = mach.strOr("label");
+        s.nprocs = static_cast<unsigned>(mach.countOr("nprocs", max_unsigned));
+        s.seed = mach.countOr("seed");
+        const JsonValue &run = sum.at("run");
+        s.status = run.strOr("status");
+        s.scale = run.numOr("scale", 1.0);
+        s.ct = run.countOr("ct_ticks");
+        s.seconds = run.numOr("seconds");
+        s.concurrency = run.numOr("concurrency");
+        s.eventsExecuted = run.countOr("events_executed");
+        const JsonValue &con = sum.at("contention");
+        s.groundTruthPct = con.numOr("ground_truth_pct");
+        s.moduleGini = con.numOr("module_gini");
 
-    s.totalWaitTicks = u64(numOr(met, "total_wait_ticks"));
-    for (const JsonValue &c : met.at("classes").asArray()) {
-        SummaryScenario::ClassRow row;
-        row.cls = strOr(c, "class");
-        row.resources = static_cast<unsigned>(numOr(c, "resources"));
-        row.requests = u64(numOr(c, "requests"));
-        row.waitTicks = u64(numOr(c, "wait_ticks"));
-        row.busyTicks = u64(numOr(c, "busy_ticks"));
-        row.utilization = numOr(c, "utilization");
-        row.waitShare = numOr(c, "wait_share");
-        if (c.has("wait_hist")) {
-            const JsonValue &h = c.at("wait_hist");
-            row.histWidth = u64(numOr(h, "bucket_width"));
-            row.histMax = u64(numOr(h, "max"));
-            for (const JsonValue &b : h.at("buckets").asArray())
-                row.histBuckets.push_back(u64(b.asNumber()));
+        path = &metPath;
+        s.totalWaitTicks = met.countOr("total_wait_ticks");
+        for (const JsonValue &c : met.at("classes").asArray()) {
+            SummaryScenario::ClassRow row;
+            row.cls = c.strOr("class");
+            row.resources =
+                static_cast<unsigned>(c.countOr("resources", max_unsigned));
+            row.requests = c.countOr("requests");
+            row.waitTicks = c.countOr("wait_ticks");
+            row.busyTicks = c.countOr("busy_ticks");
+            row.utilization = c.numOr("utilization");
+            row.waitShare = c.numOr("wait_share");
+            if (c.has("wait_hist")) {
+                const JsonValue &h = c.at("wait_hist");
+                row.histWidth = h.countOr("bucket_width");
+                row.histMax = h.countOr("max");
+                for (const JsonValue &b : h.at("buckets").asArray())
+                    row.histBuckets.push_back(b.asCount());
+            }
+            s.classes.push_back(std::move(row));
         }
-        s.classes.push_back(std::move(row));
+        if (met.has("hot_spots"))
+            for (const JsonValue &h : met.at("hot_spots").asArray()) {
+                SummaryScenario::HotSpot hs;
+                hs.name = h.strOr("name");
+                hs.cls = h.strOr("class");
+                hs.waitTicks = h.countOr("wait_ticks");
+                hs.waitShare = h.numOr("wait_share");
+                s.hotSpots.push_back(std::move(hs));
+            }
+    } catch (const tools::JsonParseError &e) {
+        throw ConfigError("summarize: " + *path + ": " + e.what());
     }
-    if (met.has("hot_spots"))
-        for (const JsonValue &h : met.at("hot_spots").asArray()) {
-            SummaryScenario::HotSpot hs;
-            hs.name = strOr(h, "name");
-            hs.cls = strOr(h, "class");
-            hs.waitTicks = u64(numOr(h, "wait_ticks"));
-            hs.waitShare = numOr(h, "wait_share");
-            s.hotSpots.push_back(std::move(hs));
-        }
     return s;
 }
 
@@ -143,20 +136,20 @@ loadStudyDirInto(const std::string &dir,
 {
     const std::string manPath = dir + "/manifest.json";
     const JsonValue man = parseDoc(manPath, slurpFile(manPath));
-    if (strOr(man, "schema") != "cedar-manifest-v1" ||
-        strOr(man, "kind") != "snapshot")
+    if (man.strOr("schema") != "cedar-manifest-v1" ||
+        man.strOr("kind") != "snapshot")
         throw ConfigError("summarize: " + manPath +
                           ": not a cedar-manifest-v1 snapshot (is " +
                           dir + " a study output directory?)");
     for (const JsonValue &e : man.at("scenarios").asArray()) {
-        const std::string name = strOr(e, "name");
-        const std::string hash = strOr(e, "hash");
-        const std::string state = strOr(e, "state");
+        const std::string name = e.strOr("name");
+        const std::string hash = e.strOr("hash");
+        const std::string state = e.strOr("state");
         if (state != "done") {
             SummaryFailure f;
             f.name = name;
-            f.status = strOr(e, "status");
-            f.error = strOr(e, "error");
+            f.status = e.strOr("status");
+            f.error = e.strOr("error");
             failures.emplace(name, std::move(f));
             continue;
         }
@@ -180,8 +173,8 @@ loadStudyDirInto(const std::string &dir,
                 fnv1a64(slurpFile(dir + "/" + name + ".json")));
             const std::string metHash = hashHex(fnv1a64(
                 slurpFile(dir + "/" + name + ".metrics.json")));
-            if (sumHash != strOr(a, "summary") ||
-                metHash != strOr(a, "metrics"))
+            if (sumHash != a.strOr("summary") ||
+                metHash != a.strOr("metrics"))
                 throw ConfigError("summarize: " + dir + "/" + name +
                                   ".json: artifact does not match the "
                                   "manifest's content hash");

@@ -1,41 +1,21 @@
 #include "hpm/statfx.hh"
 
-#include <cassert>
+#include <utility>
 
 #include "sim/error.hh"
 
 namespace cedar::hpm
 {
 
-Statfx::Statfx(sim::EventQueue &eq, obs::TelemetryBus &bus,
-               unsigned n_clusters, sim::Tick period)
-    : eq_(eq), bus_(bus), period_(period), active_(n_clusters, 0),
+Statfx::Statfx(sim::EventQueue &eq, unsigned n_clusters, sim::Tick period,
+               ActiveFn active)
+    : eq_(eq), period_(period), active_(std::move(active)),
       activeSum_(n_clusters, 0)
 {
     // A zero period would reschedule sample() at the current tick
     // forever — a livelock the watchdog would kill mid-run.
     if (period_ == 0)
         throw sim::SimError("statfx: sampling period must be positive");
-    bus_.subscribe(this, {obs::EventKind::ce_state});
-}
-
-Statfx::~Statfx()
-{
-    bus_.unsubscribe(this);
-}
-
-void
-Statfx::onTelemetry(const obs::TelemetryEvent &e)
-{
-    const auto c = static_cast<std::size_t>(e.res);
-    if (c >= active_.size())
-        return;
-    if (e.active()) {
-        ++active_[c];
-    } else {
-        assert(active_[c] > 0 && "inactive edge without matching active");
-        --active_[c];
-    }
 }
 
 void
@@ -57,17 +37,8 @@ Statfx::sample()
     if (!running_)
         return;
     for (sim::ClusterId c = 0;
-         c < static_cast<sim::ClusterId>(activeSum_.size()); ++c) {
-        activeSum_[c] += active_[c];
-        if (bus_.wants(obs::EventKind::sample)) {
-            obs::TelemetryEvent e;
-            e.kind = obs::EventKind::sample;
-            e.when = eq_.now();
-            e.id = active_[c];
-            e.res = c;
-            bus_.publish(e);
-        }
-    }
+         c < static_cast<sim::ClusterId>(activeSum_.size()); ++c)
+        activeSum_[c] += active_(c);
     ++samples_;
     pending_ = true;
     eq_.scheduleIn(period_, [this] { sample(); });

@@ -9,20 +9,18 @@
  * cluster are idle — which is exactly why, during serial code, the
  * concurrency is 1 per cluster.
  *
- * Rather than polling the machine through a callback, statfx is a
- * TelemetryBus subscriber: every ce_state edge keeps a per-cluster
- * active counter current, and the periodic sample just reads the
- * counters (and republishes them as EventKind::sample for any
- * downstream listener, e.g. the live progress heartbeat).
+ * Like the real monitor, statfx polls: at each sample it asks a
+ * callback for every cluster's active count (the machine passes
+ * hw::Cluster::activeCount), so it costs nothing between samples.
  */
 
 #ifndef CEDAR_HPM_STATFX_HH
 #define CEDAR_HPM_STATFX_HH
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
-#include "obs/telemetry.hh"
 #include "sim/event_queue.hh"
 #include "sim/types.hh"
 
@@ -30,28 +28,26 @@ namespace cedar::hpm
 {
 
 /** Periodic sampling concurrency monitor. */
-class Statfx : public obs::TelemetrySink
+class Statfx
 {
   public:
+    /** Active CEs on one cluster right now. */
+    using ActiveFn = std::function<unsigned(sim::ClusterId)>;
+
     /**
      * @param eq event queue driving the samples.
-     * @param bus telemetry bus carrying the ce_state edges.
      * @param n_clusters clusters to sample.
      * @param period sampling period in ticks.
+     * @param active polled for every cluster at each sample.
      *
      * @throws sim::SimError when @p period is zero (a zero period
      *         would livelock the event queue at the current tick).
      */
-    Statfx(sim::EventQueue &eq, obs::TelemetryBus &bus,
-           unsigned n_clusters, sim::Tick period);
-
-    ~Statfx() override;
+    Statfx(sim::EventQueue &eq, unsigned n_clusters, sim::Tick period,
+           ActiveFn active);
 
     Statfx(const Statfx &) = delete;
     Statfx &operator=(const Statfx &) = delete;
-
-    /** Track ce_state edges (the bus delivers only that kind). */
-    void onTelemetry(const obs::TelemetryEvent &e) override;
 
     /**
      * Begin sampling; keeps rescheduling itself until stop().
@@ -65,9 +61,6 @@ class Statfx : public obs::TelemetrySink
 
     std::uint64_t samples() const { return samples_; }
 
-    /** Active CEs on cluster @p c right now (event-driven count). */
-    unsigned activeNow(sim::ClusterId c) const { return active_.at(c); }
-
     /** Mean active CEs on one cluster over the sampled window. */
     double clusterConcurrency(sim::ClusterId c) const;
 
@@ -78,13 +71,12 @@ class Statfx : public obs::TelemetrySink
     void sample();
 
     sim::EventQueue &eq_;
-    obs::TelemetryBus &bus_;
     sim::Tick period_;
+    ActiveFn active_;
     bool running_ = false;
     /** A sample() callback sits in the event queue right now. */
     bool pending_ = false;
     std::uint64_t samples_ = 0;
-    std::vector<unsigned> active_;
     std::vector<std::uint64_t> activeSum_;
 };
 

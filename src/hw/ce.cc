@@ -19,21 +19,10 @@ Ce::Ce(sim::EventQueue &eq, net::Network &net, os::Accounting &acct,
 }
 
 void
-Ce::noteStateChange(bool was)
-{
-    const bool is = active();
-    if (is != was && tracer_)
-        tracer_->ceState(static_cast<int>(id_),
-                         static_cast<int>(cluster_), eq_.now(), is);
-}
-
-void
 Ce::markIdle()
 {
     assert(!busy_);
-    const bool was = active();
     waiting_ = false;
-    noteStateChange(was);
 }
 
 void
@@ -42,9 +31,7 @@ Ce::finishOp(sim::Tick completion, sim::Cont k)
     assert(!busy_ && "CE already has an outstanding primitive");
     assert(!waiting_ && "CE cannot start a primitive while waiting");
     assert(!pendingK_ && !pendingVal_);
-    const bool was = active();
     busy_ = true;
-    noteStateChange(was);
     // Park the continuation in the CE; the completion event is a
     // bare [this] that fits any inline buffer. One outstanding
     // primitive per CE makes the slot race-free by construction.
@@ -58,9 +45,7 @@ Ce::finishOpVal(sim::Tick completion, ValCont k, std::uint64_t v)
     assert(!busy_ && "CE already has an outstanding primitive");
     assert(!waiting_ && "CE cannot start a primitive while waiting");
     assert(!pendingK_ && !pendingVal_);
-    const bool was = active();
     busy_ = true;
-    noteStateChange(was);
     pendingVal_ = std::move(k);
     pendingValArg_ = v;
     eq_.schedule(completion, [this] { opDone(); });
@@ -78,9 +63,7 @@ Ce::opDone()
         eq_.scheduleIn(p, [this] { opDone(); });
         return;
     }
-    const bool was = active();
     busy_ = false;
-    noteStateChange(was);
     // Move the continuation out before invoking: it may immediately
     // start the next primitive and re-park the slot.
     if (pendingVal_) {
@@ -280,9 +263,7 @@ Ce::faultedAccess(sim::Addr addr, os::UserAct act, unsigned attempt,
         // No timeout path: the CE hangs on the bus, exactly as the
         // stock hardware would. The runtime reports the deadlock.
         recordFault(fault::FaultKind::access_parked, addr);
-        const bool was = active();
         parked_ = true;
-        noteStateChange(was);
         return;
     }
     if (attempt > costs_.gm_max_retries) {
@@ -339,10 +320,8 @@ void
 Ce::beginWait(bool passive)
 {
     assert(!busy_ && !waiting_);
-    const bool was = active();
     waiting_ = true;
     passiveWait_ = passive;
-    noteStateChange(was);
     waitStart_ = eq_.now();
     waitOverlap_ = 0;
 }
@@ -351,10 +330,8 @@ sim::Tick
 Ce::endWait()
 {
     assert(waiting_);
-    const bool was = active();
     waiting_ = false;
     passiveWait_ = false;
-    noteStateChange(was);
     const sim::Tick wall = eq_.now() - waitStart_;
     return wall > waitOverlap_ ? wall - waitOverlap_ : 0;
 }

@@ -230,9 +230,6 @@ class Ce
 
     void recordFault(fault::FaultKind kind, std::uint64_t arg);
 
-    /** Publish a ce_state edge if active() changed from @p was. */
-    void noteStateChange(bool was);
-
     sim::EventQueue &eq_;
     net::Network &net_;
     os::Accounting &acct_;

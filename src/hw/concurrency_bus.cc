@@ -40,8 +40,7 @@ ConcurrencyBus::arrive(Ce &ce, os::UserAct act, sim::Cont k)
         const sim::Tick skew = eq_.now() - w.arrival;
         stats_.record(skew, costs_.cdoall_sync);
         if (tracer_)
-            tracer_->resourceWait(obs::ResourceClass::concurrency_bus,
-                                  clusterIdx_, w.arrival, skew);
+            tracer_->resourceWait(obs::ResourceClass::concurrency_bus, skew);
         eq_.schedule(resume, [this, w = std::move(w)] {
             w.ce->endWaitUser(w.act);
             w.ce->trace().post(eq_.now(), w.ce->id(),

@@ -55,14 +55,8 @@ class ConcurrencyBus
 
     bool inFlight() const { return expected_ != 0; }
 
-    /** Attach the telemetry tracer; @p cluster_idx identifies this
-     *  bus in the concurrency_bus resource class. */
-    void
-    setTracer(obs::Tracer *t, int cluster_idx)
-    {
-        tracer_ = t;
-        clusterIdx_ = cluster_idx;
-    }
+    /** Attach the telemetry tracer (barrier skew as waits). */
+    void setTracer(obs::Tracer *t) { tracer_ = t; }
 
     /** Barrier statistics: one request per arrival, wait = skew at
      *  the barrier, service = the bus sync cost. */
@@ -80,7 +74,6 @@ class ConcurrencyBus
     sim::EventQueue &eq_;
     const CostModel &costs_;
     obs::Tracer *tracer_ = nullptr;
-    int clusterIdx_ = 0;
     sim::ServerStats stats_;
     unsigned expected_ = 0;
     std::vector<Waiter> waiters_;

@@ -16,33 +16,25 @@ Machine::validated(const CedarConfig &cfg)
 
 Machine::Machine(const CedarConfig &cfg)
     : cfg_(validated(cfg)), rng_(cfg.seed),
-      hub_(bus_), tracer_(bus_),
       gmem_(mem::AddressMap(cfg.nModules, cfg.groupSize)),
       net_(cfg.nClusters, cfg.cesPerCluster, gmem_),
       acct_(cfg.nClusters, cfg.cesPerCluster),
-      statfx_(eq_, bus_, cfg.nClusters, cfg.costs.statfx_period)
+      statfx_(eq_, cfg.nClusters, cfg.costs.statfx_period,
+              [this](sim::ClusterId c) { return cluster(c).activeCount(); })
 {
     for (unsigned c = 0; c < cfg.nClusters; ++c) {
         clusters_.push_back(std::make_unique<Cluster>(
             eq_, net_, acct_, trace_, cfg_.costs,
             static_cast<sim::ClusterId>(c), cfg.cesPerCluster));
         auto &cl = *clusters_.back();
-        cl.bus().setTracer(&tracer_, static_cast<int>(c));
+        cl.bus().setTracer(&tracer_);
         for (unsigned p = 0; p < cfg.cesPerCluster; ++p) {
             cl.ce(static_cast<int>(p)).setFaultLog(&flog_);
             cl.ce(static_cast<int>(p)).setTracer(&tracer_);
         }
     }
     xylem_ = std::make_unique<os::Xylem>(*this);
-
-    // Every queueing wait in the machine reaches the MetricsHub (and
-    // any other subscriber) through the tracer. The tracer also
-    // learns which hub that is, so it can prove "sole resource_wait
-    // subscriber" and take waits in batch — the analytic fast path's
-    // replay among them.
     net_.setTracer(&tracer_);
-    gmem_.setTracer(&tracer_);
-    tracer_.setMetricsHub(&hub_);
 }
 
 Machine::~Machine() = default;

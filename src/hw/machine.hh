@@ -19,7 +19,6 @@
 #include "mem/global_memory.hh"
 #include "net/network.hh"
 #include "obs/resource.hh"
-#include "obs/telemetry.hh"
 #include "obs/tracer.hh"
 #include "os/accounting.hh"
 #include "sim/event_queue.hh"
@@ -62,15 +61,14 @@ class Machine
     fault::FaultLog &faultLog() { return flog_; }
     const fault::FaultLog &faultLog() const { return flog_; }
 
-    /** The machine's telemetry stream (see obs/telemetry.hh). */
-    obs::TelemetryBus &telemetry() { return bus_; }
+    /** The machine's observation point (see obs/tracer.hh). */
     obs::Tracer &tracer() { return tracer_; }
 
-    /** Always-on bus subscriber feeding the per-class wait metrics. */
-    const obs::MetricsHub &metricsHub() const { return hub_; }
-
     /** Per-resource-class wait-latency histograms (obs layer). */
-    const obs::WaitHistograms &waitHists() const { return hub_.hists(); }
+    const obs::WaitHistograms &waitHists() const
+    {
+        return tracer_.waitHists();
+    }
 
     unsigned numClusters() const { return cfg_.nClusters; }
     unsigned numCes() const { return cfg_.numCes(); }
@@ -104,10 +102,7 @@ class Machine
     CedarConfig cfg_;
     sim::EventQueue eq_;
     sim::RandomGen rng_;
-    /** Telemetry first: the hub subscribes and the tracer publishes
-     *  before any producer (memory, network, CEs) is wired to it. */
-    obs::TelemetryBus bus_;
-    obs::MetricsHub hub_;
+    /** Before any producer (memory, network, CEs) is wired to it. */
     obs::Tracer tracer_;
     mem::GlobalMemory gmem_;
     net::Network net_;

@@ -65,10 +65,9 @@ GlobalMemory::noteServe(unsigned m, sim::Tick arrival, sim::Tick start,
 {
     if (tracer_ == nullptr)
         return;
-    // The published wait is exactly what ServerStats recorded for
+    // The observed wait is exactly what ServerStats recorded for
     // this serve: max(arrival, not_before, free_at) - arrival.
     tracer_->resourceWait(obs::ResourceClass::memory_module,
-                          static_cast<std::int32_t>(m), arrival,
                           start - arrival);
     tracer_->flowStage(flow, obs::FlowStage::module, done,
                        static_cast<std::int32_t>(m), done - start);

@@ -106,8 +106,8 @@ class GlobalMemory
         return WordServe{before, done - ef.service, done, false};
     }
 
-    /** Publish one served request's queueing wait and flow milestone
-     *  through the attached tracer (a no-op without one). */
+    /** Hand one served request's queueing wait and flow milestone
+     *  to the attached tracer (a no-op without one). */
     void noteServe(unsigned m, sim::Tick arrival, sim::Tick start,
                    sim::Tick done, std::uint32_t flow) const;
 
@@ -176,9 +176,6 @@ class GlobalMemory
      *  analytic fast path refuses to fire on a faulted memory — the
      *  slow path alone evaluates fault windows. */
     bool hasFaults() const { return !faults_.empty(); }
-
-    /** The tracer this memory publishes through (fast-path gate). */
-    const obs::Tracer *tracerPtr() const { return tracer_; }
 
     /** Sum of queueing wait across all modules. */
     sim::Tick totalWaitTicks() const;

@@ -29,14 +29,15 @@
  * A BurstPattern is therefore learned per (shape, offset vector). It
  * records per touched server the request/wait/busy sums and relative
  * free horizon, plus the aggregated per-class queueing waits the
- * telemetry layer would have published. The pattern is *recorded off
+ * tracer would have been handed. The pattern is *recorded off
  * the live slow-path run* the missing access takes anyway: the one
  * reservation chain (net::reserveAccess) captures every serve of it
  * — by the translation invariance above, those sums are exactly what
  * a scratch replay at start = 0 pre-loaded with the offsets would
  * produce, at almost no extra cost. Replaying a learned pattern is
  * O(touched servers) instead of O(words), and leaves server
- * statistics, the MetricsHub and the returned timing bit-identical
+ * statistics, the tracer's wait histograms and the returned timing
+ * bit-identical
  * to the slow path — reuse requires an *exact* offset-vector match,
  * so the replay is self-verifying (the correctness bar: not a single
  * published number may change — see tests/test_fastpath.cc).
@@ -93,8 +94,8 @@ struct PatternServer
     sim::Tick freeAt;       //!< server's free horizon afterwards
 };
 
-/** Aggregated resource_wait telemetry of one pattern: @p count
- *  events of @p wait ticks at class @p cls. */
+/** Aggregated queueing waits of one pattern: @p count waits of
+ *  @p wait ticks at class @p cls. */
 struct PatternWaits
 {
     obs::ResourceClass cls;
@@ -276,7 +277,7 @@ struct ShapeInfo
 /**
  * Memoized pattern store, one per Network (and therefore per
  * Machine: single-threaded by the same ownership rule as the
- * TelemetryBus). Applications issue a small set of access shapes
+ * machine's obs::Tracer). Applications issue a small set of access shapes
  * millions of times, and contended phases queue into near-periodic
  * steady states with few distinct offset vectors, so the cache stays
  * small while the replay savings compound.

@@ -134,8 +134,8 @@ struct Network::LiveServers
 };
 
 /** reserveAccess policy for every access the fast path may not
- *  touch: each serve published through the tracer (module serves
- *  through the memory's own) with its flow milestones. */
+ *  touch: each serve handed to the tracer (module serves through
+ *  the memory's own) with its flow milestones. */
 struct Network::Live : LiveServers
 {
     std::uint32_t flow;
@@ -151,19 +151,19 @@ struct Network::Live : LiveServers
         obs::Tracer *t = net.tracer_;
         if (t == nullptr)
             return;
-        const std::int32_t res = net.portIndex(bank, idx, cluster, cePort);
-        t->resourceWait(classOfBank(bank), res, arrival, start - arrival);
-        if (bank != FastBank::returnA)
-            t->flowStage(flow, flowStageOf(bank), done, res, done - start);
+        t->resourceWait(classOfBank(bank), start - arrival);
+        if (flow != 0 && bank != FastBank::returnA)
+            t->flowStage(flow, flowStageOf(bank), done,
+                         net.portIndex(bank, idx, cluster, cePort),
+                         done - start);
     }
 };
 
 /**
- * reserveAccess policy for a fast-path miss. fastEligible() held:
- * flow == 0 (every flow milestone would be a no-op) and the
- * telemetry route is either "publish nothing" (no tracer) or "the
- * MetricsHub absorbs every resource_wait", resolved once per access.
- * When the miss earned a recording, each serve is also captured: per
+ * reserveAccess policy for a fast-path miss. fastEligible() held, so
+ * flow == 0: every flow milestone would be a no-op, and each serve
+ * only adds its wait to the tracer's histograms. When the miss
+ * earned a recording, each serve is also captured: per
  * touched server its request/wait/busy sums and horizon, the
  * per-serve waits, and the family validity constants (§10.2) — for a
  * shift-keyed bank the worst arrival-minus-horizon over its serves,
@@ -198,7 +198,7 @@ struct Network::Recorder : LiveServers
         const obs::ResourceClass cls = classOfBank(bank);
         const sim::Tick wait = s - arrival;
         if (net.tracer_ != nullptr)
-            net.tracer_->resourceWaitBatch(cls, wait, 1);
+            net.tracer_->resourceWait(cls, wait);
         if (!miss.record)
             return;
         net.waitScratch_.emplace_back(cls, wait);
@@ -365,19 +365,11 @@ Network::fastEligible(std::uint32_t flow) const
 {
     // The pattern replay is only legal when (a) the toggle is on,
     // (b) nobody watches individual flow milestones (a live flow id
-    // means a timeline subscriber expects per-stage events), (c) no
+    // means the timeline expects per-stage records), and (c) no
     // fault plan touches the memory — fault windows break the
-    // translation invariance — and (d) the telemetry this access
-    // would publish is exactly "MetricsHub absorbs every
-    // resource_wait", which the tracer can then take in batch. The
-    // memory must publish through the same tracer; otherwise the
-    // slow path's module waits would go elsewhere.
-    if (!fastPath_ || flow != 0 || gmem_.hasFaults())
-        return false;
-    if (gmem_.tracerPtr() != tracer_)
-        return false;
-    // Without a tracer the slow path publishes nothing either.
-    return tracer_ == nullptr || tracer_->waitsBatchable();
+    // translation invariance. The replay hands the tracer the same
+    // waits the slow path would, condensed.
+    return fastPath_ && flow == 0 && !gmem_.hasFaults();
 }
 
 sim::FifoServer &
@@ -466,7 +458,7 @@ Network::fastReplay(sim::Tick start, sim::ClusterId cluster, int ce_port,
 
         if (tracer_ != nullptr)
             for (const auto &w : p->waits)
-                tracer_->resourceWaitBatch(w.cls, w.wait, w.count);
+                tracer_->resourceWait(w.cls, w.wait, w.count);
 
         rel_complete = p->relComplete;
         last_len = p->lastLen;
@@ -623,7 +615,7 @@ Network::applyParam(const ParamPattern &pp,
         for (const auto &w : pp.pat.waits) {
             const auto b =
                 static_cast<unsigned>(bankOfClass(w.cls));
-            tracer_->resourceWaitBatch(
+            tracer_->resourceWait(
                 w.cls,
                 static_cast<sim::Tick>(static_cast<std::int64_t>(w.wait) +
                                        (alpha[b] - beta[b])),
@@ -661,16 +653,14 @@ Network::stallSwitch(sim::Tick when, unsigned stage, unsigned idx,
         s1 ? Side{&returnB_[idx], obs::ResourceClass::return_b_port}
            : Side{&returnA_[idx], obs::ResourceClass::return_a_port}};
     // The stall reservations go through serve() and therefore count
-    // as requests in ServerStats; publish matching (zero or pile-up)
+    // as requests in ServerStats; observe matching (zero or pile-up)
     // waits so per-class request counts stay consistent.
     for (const auto &[xb, cls] : sides) {
         for (unsigned p = 0; p < xb->numPorts(); ++p) {
             sim::FifoServer &port = xb->port(p);
             const sim::Tick free = port.freeAt();
             if (tracer_)
-                tracer_->resourceWait(
-                    cls, static_cast<std::int32_t>(idx * xb->numPorts() + p),
-                    when, free > when ? free - when : 0);
+                tracer_->resourceWait(cls, free > when ? free - when : 0);
             port.serve(when, duration);
         }
     }

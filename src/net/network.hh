@@ -128,8 +128,14 @@ class Network
     /** Interleaving geometry of the memory behind the network. */
     const mem::AddressMap &gmemMap() const { return gmem_.map(); }
 
-    /** Attach the telemetry tracer (queueing waits, flow stages). */
-    void setTracer(obs::Tracer *t) { tracer_ = t; }
+    /** Attach the telemetry tracer (queueing waits, flow stages) to
+     *  the network and the memory behind it, so the two share one. */
+    void
+    setTracer(obs::Tracer *t)
+    {
+        tracer_ = t;
+        gmem_.setTracer(t);
+    }
 
     /** Enable/disable the analytic fast path (RunOptions::fastPath,
      *  `cedar_cli --no-fast-path`). Results are bit-identical either
@@ -247,15 +253,15 @@ class Network
     /** Return path, stage B: per cluster, output ports per CE. */
     std::vector<Crossbar> returnB_;
 
-    /** Telemetry resource index of the port fastServer() resolves
-     *  a port @p bank and @p group to. */
+    /** Flow-milestone resource index of the port fastServer()
+     *  resolves a port @p bank and @p group to. */
     std::int32_t portIndex(FastBank bank, unsigned group,
                            sim::ClusterId cluster, int ce_port) const;
 
     /** reserveAccess policies over the live servers: observed
-     *  through the tracer (Live) or, on a fast-path miss, straight
-     *  into the MetricsHub and optionally recorded as a pattern
-     *  (Recorder). */
+     *  through the tracer with flow milestones (Live) or, on a
+     *  fast-path miss, waits only and optionally recorded as a
+     *  pattern (Recorder). */
     struct LiveServers;
     struct Live;
     struct Recorder;
@@ -314,7 +320,7 @@ class Network
      * shift) is the bank's own base delta when shift-keyed and
      * beta_b when passive — validates the one-sided constraints the
      * recording proved sufficient, and applies the recorded pattern
-     * with each bank's stats, horizons and published waits shifted
+     * with each bank's stats, horizons and observed waits shifted
      * by its (alpha, alpha - beta). Returns false (take the slow
      * path) when the member lies outside the family's validity
      * range or too close to the tick ceiling.

@@ -319,7 +319,7 @@ writeSpanTrace(std::ostream &os,
     for (const auto &e : events) {
         if (e.kind == EventKind::span) {
             ces.insert(e.ce);
-        } else if (e.kind == EventKind::flow) {
+        } else {
             switch (e.stage()) {
               case FlowStage::issue:
               case FlowStage::complete: ces.insert(e.ce); break;
@@ -375,8 +375,6 @@ writeSpanTrace(std::ostream &os,
             j.endObject();
             continue;
         }
-        if (e.kind != EventKind::flow)
-            continue;
         const auto tick_us = static_cast<double>(e.when) * us;
         const auto dur_us = static_cast<double>(e.dur) * us;
         switch (e.stage()) {

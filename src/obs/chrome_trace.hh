@@ -60,8 +60,8 @@ struct SpanTraceMeta
 };
 
 /**
- * Write a telemetry timeline (span + flow events, as captured by
- * obs::TimelineRecorder) as a Chrome/Perfetto trace_event document.
+ * Write a telemetry timeline (span + flow records, as obs::Tracer
+ * records them) as a Chrome/Perfetto trace_event document.
  *
  * Layout: one process per hardware layer — pid 0 holds a track per
  * CE with category-coloured 'X' slices (slice name = the charged

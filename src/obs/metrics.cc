@@ -71,6 +71,39 @@ writeHistJson(tools::JsonWriter &j, const sim::Histogram &h)
     j.endObject();
 }
 
+/**
+ * The one walk over every FIFO server of @p m, in report order:
+ * memory modules, network ports, concurrency buses, kernel locks.
+ * Calls f(cls, stats, name), where name() builds the resource's
+ * report name on demand — only collectMetrics asks for it, so the
+ * time-series boundary poll builds no strings.
+ */
+template <typename Fn>
+void
+visitServers(const hw::Machine &m, Fn &&f)
+{
+    const auto &gmem = m.gmem();
+    for (unsigned i = 0; i < gmem.map().numModules(); ++i)
+        f(ResourceClass::memory_module, gmem.moduleServer(i).stats(),
+          [i] { return "module." + std::to_string(i); });
+    m.net().visitPorts(
+        [&f](const net::PortSite &s, const sim::FifoServer &srv) {
+            f(classFromBank(s.bank), srv.stats(), [&s] {
+                return s.bankName + ".port" + std::to_string(s.portIdx);
+            });
+        });
+    for (unsigned c = 0; c < m.numClusters(); ++c)
+        f(ResourceClass::concurrency_bus,
+          m.cluster(static_cast<sim::ClusterId>(c)).bus().stats(),
+          [c] { return "cbus.cluster" + std::to_string(c); });
+    f(ResourceClass::kernel_lock, m.xylem().globalLock().stats(),
+      [] { return std::string("klock.global"); });
+    for (unsigned c = 0; c < m.numClusters(); ++c)
+        f(ResourceClass::kernel_lock,
+          m.xylem().clusterLock(static_cast<sim::ClusterId>(c)).stats(),
+          [c] { return "klock.cluster" + std::to_string(c); });
+}
+
 } // namespace
 
 MetricsReport
@@ -86,39 +119,10 @@ collectMetrics(const hw::Machine &m, sim::Tick elapsed)
             m.waitHists().perClass[c]; // per-request samples
     }
 
-    const auto &gmem = m.gmem();
-    for (unsigned i = 0; i < gmem.map().numModules(); ++i) {
-        rep.resources.push_back(snapshotStats(
-            "module." + std::to_string(i), ResourceClass::memory_module,
-            gmem.moduleServer(i).stats(), rep.elapsed));
-    }
-    m.net().visitPorts(
-        [&](const net::PortSite &s, const sim::FifoServer &srv) {
-            rep.resources.push_back(snapshotStats(
-                s.bankName + ".port" + std::to_string(s.portIdx),
-                classFromBank(s.bank), srv.stats(), rep.elapsed));
-        });
-
-    // The synchronisation hardware/kernel resources (satellite of the
-    // telemetry refactor): per-cluster concurrency buses and the
-    // Xylem kernel locks.
-    for (unsigned c = 0; c < m.numClusters(); ++c) {
-        rep.resources.push_back(snapshotStats(
-            "cbus.cluster" + std::to_string(c),
-            ResourceClass::concurrency_bus,
-            m.cluster(static_cast<sim::ClusterId>(c)).bus().stats(),
-            rep.elapsed));
-    }
-    rep.resources.push_back(
-        snapshotStats("klock.global", ResourceClass::kernel_lock,
-                      m.xylem().globalLock().stats(), rep.elapsed));
-    for (unsigned c = 0; c < m.numClusters(); ++c) {
-        rep.resources.push_back(snapshotStats(
-            "klock.cluster" + std::to_string(c),
-            ResourceClass::kernel_lock,
-            m.xylem().clusterLock(static_cast<sim::ClusterId>(c)).stats(),
-            rep.elapsed));
-    }
+    visitServers(m, [&rep](ResourceClass cls, const sim::ServerStats &st,
+                           const auto &name) {
+        rep.resources.push_back(snapshotStats(name(), cls, st, rep.elapsed));
+    });
 
     for (const auto &r : rep.resources) {
         auto &c = rep.classes[static_cast<std::size_t>(r.cls)];
@@ -147,12 +151,28 @@ collectMetrics(const hw::Machine &m, sim::Tick elapsed)
                           : 0.0;
     }
 
+    const auto &gmem = m.gmem();
     std::vector<double> moduleWaits;
     for (unsigned i = 0; i < gmem.map().numModules(); ++i)
         moduleWaits.push_back(static_cast<double>(
             gmem.moduleServer(i).stats().waitTicks()));
     rep.moduleGini = gini(std::move(moduleWaits));
     return rep;
+}
+
+ClassTotals
+sampleClassTotals(const hw::Machine &m)
+{
+    ClassTotals t;
+    visitServers(m, [&t](ResourceClass cls, const sim::ServerStats &st,
+                         const auto &) {
+        const auto c = static_cast<std::size_t>(cls);
+        ++t.resources[c];
+        t.requests[c] += st.requests();
+        t.waitTicks[c] += st.waitTicks();
+        t.busyTicks[c] += st.busyTicks();
+    });
+    return t;
 }
 
 std::vector<ResourceMetrics>

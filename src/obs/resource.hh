@@ -61,10 +61,10 @@ const char *toString(ResourceClass cls);
 ResourceClass classFromBank(const char *bank);
 
 /**
- * One wait-latency histogram per resource class, fed by the
- * resource_wait events on the telemetry bus (obs::MetricsHub). The
- * hub is owned by hw::Machine so the samples accumulate over exactly
- * one run.
+ * One wait-latency histogram per resource class, fed with every
+ * queueing wait by obs::Tracer::resourceWait. The tracer is owned by
+ * hw::Machine, so the samples accumulate over exactly one run; the
+ * per-class totals stay in the servers' own ServerStats.
  *
  * Bucket width 8 ticks resolves waits around the module service
  * times (4/8 cycles); hot-spot pile-ups land in the overflow bucket

@@ -1,51 +1,34 @@
 /**
  * @file
- * The telemetry bus: one event stream for every observer.
+ * The span timeline's record type.
  *
- * Before this layer existed the simulator had three parallel hook
- * sets — raw Histogram pointers wired into every FIFO server, a
- * count-active callback wired into statfx, and hpm trace posts —
- * each feeding exactly one consumer. The TelemetryBus replaces them
- * with a single typed event stream: the machine substrate *publishes*
- * (per-CE timeline spans, GM-request flow milestones, CE activity
- * transitions, resource queueing waits, concurrency samples) and any
- * number of subscribers *consume* (the metrics hub's wait
- * histograms, the statfx concurrency monitor, the Chrome/Perfetto
- * span exporter, the live progress heartbeat, tests).
- *
- * Publishing is near-zero-cost when nobody listens: the producer
- * checks wants(kind) — an empty-vector test — before building an
- * event. Subscribers register per event kind, so a hot resource_wait
- * stream never touches a spans-only recorder.
+ * A run's timeline (RunOptions::collectTimeline) is a vector of
+ * TelemetryEvents: per-CE time spans and GM-request flow milestones,
+ * in the order obs::Tracer emitted them. The span exporter
+ * (obs/chrome_trace.hh), the tracer-vs-accounting cross-check
+ * (core/report.hh) and the time-series recorder read it.
  *
  * This header sits below mem/net/hw (like obs/resource.hh) so the
- * machine substrate can publish without depending on the collection
- * layer.
+ * machine substrate can emit records without depending on the
+ * collection layer.
  */
 
 #ifndef CEDAR_OBS_TELEMETRY_HH
 #define CEDAR_OBS_TELEMETRY_HH
 
-#include <array>
 #include <cstdint>
-#include <vector>
 
-#include "obs/resource.hh"
 #include "os/accounting.hh"
 #include "sim/types.hh"
 
 namespace cedar::obs
 {
 
-/** The kinds of events carried by the telemetry bus. */
+/** The kinds of timeline records. */
 enum class EventKind : std::uint8_t
 {
-    span,          //!< closed per-CE time interval in one category
-    flow,          //!< GM-request milestone (issue/stages/complete)
-    ce_state,      //!< a CE became active or inactive (statfx sense)
-    sample,        //!< periodic concurrency sample (cluster, count)
-    resource_wait, //!< one queueing wait at a classified resource
-    NUM
+    span, //!< closed per-CE time interval in one category
+    flow, //!< GM-request milestone (issue/stages/complete)
 };
 
 /** Milestones of one global-memory request's path. */
@@ -60,20 +43,16 @@ enum class FlowStage : std::uint8_t
 };
 
 /**
- * One telemetry event. A compact POD rather than a variant so the
- * hot publish path is a couple of stores; which fields are
- * meaningful depends on kind:
+ * One timeline record. A compact POD rather than a variant so
+ * recording is a couple of stores; which fields are meaningful
+ * depends on kind:
  *
- *  - span:          when=begin, dur=length, ce, cat, act
- *                   (UserAct index when cat==user, OsAct index when
- *                   cat==system/interrupt, unused for kspin),
- *                   flags bit 0 = asynchronous overlay charge
- *  - flow:          when, dur (module service), id=flow id, ce,
- *                   act=FlowStage, res=resource index (module/port)
- *  - ce_state:      when, ce, res=cluster, flags bit 0 = active
- *  - sample:        when, id=active count, res=cluster
- *  - resource_wait: when=arrival, dur=wait ticks,
- *                   act=ResourceClass, res=resource index
+ *  - span: when=begin, dur=length, ce, cat, act
+ *          (UserAct index when cat==user, OsAct index when
+ *          cat==system/interrupt, unused for kspin),
+ *          flags bit 0 = asynchronous overlay charge
+ *  - flow: when, dur (module service), id=flow id, ce,
+ *          act=FlowStage, res=resource index (module/port)
  */
 struct TelemetryEvent
 {
@@ -88,179 +67,11 @@ struct TelemetryEvent
     std::int32_t res = -1;
 
     static constexpr std::uint8_t flag_overlay = 1;
-    static constexpr std::uint8_t flag_active = 1;
 
     bool overlay() const { return (flags & flag_overlay) != 0; }
-    bool active() const { return (flags & flag_active) != 0; }
     os::UserAct userAct() const { return static_cast<os::UserAct>(act); }
     os::OsAct osAct() const { return static_cast<os::OsAct>(act); }
     FlowStage stage() const { return static_cast<FlowStage>(act); }
-    ResourceClass resourceClass() const
-    {
-        return static_cast<ResourceClass>(act);
-    }
-};
-
-/** Interface every telemetry consumer implements. */
-class TelemetrySink
-{
-  public:
-    virtual ~TelemetrySink() = default;
-    virtual void onTelemetry(const TelemetryEvent &e) = 0;
-};
-
-/**
- * The per-machine publish/subscribe hub. Not thread-safe by design:
- * a bus belongs to exactly one Machine, and parallel sweeps give
- * every run its own machine (and therefore its own bus), which is
- * what keeps sweep results bit-identical at any job count.
- */
-class TelemetryBus
-{
-  public:
-    TelemetryBus() = default;
-    TelemetryBus(const TelemetryBus &) = delete;
-    TelemetryBus &operator=(const TelemetryBus &) = delete;
-
-    /** Subscribe @p s to each kind in @p kinds (idempotent per kind). */
-    void subscribe(TelemetrySink *s,
-                   std::initializer_list<EventKind> kinds);
-
-    /** Remove @p s from every kind it subscribed to. */
-    void unsubscribe(TelemetrySink *s);
-
-    /** True when at least one sink wants @p k — the producer gate. */
-    bool
-    wants(EventKind k) const
-    {
-        return !subs_[static_cast<std::size_t>(k)].empty();
-    }
-
-    /**
-     * The single sink subscribed to @p k, or nullptr when there are
-     * zero or several. The analytic fast path batches resource_wait
-     * deliveries only when the MetricsHub is provably the sole
-     * observer — any extra subscriber forces the event-by-event slow
-     * path so it sees exactly what it would have seen.
-     */
-    TelemetrySink *
-    soleSubscriber(EventKind k) const
-    {
-        const auto &v = subs_[static_cast<std::size_t>(k)];
-        return v.size() == 1 ? v.front() : nullptr;
-    }
-
-    /** Deliver @p e to every sink subscribed to its kind. */
-    void
-    publish(const TelemetryEvent &e) const
-    {
-        for (auto *s : subs_[static_cast<std::size_t>(e.kind)])
-            s->onTelemetry(e);
-    }
-
-  private:
-    std::array<std::vector<TelemetrySink *>,
-               static_cast<std::size_t>(EventKind::NUM)>
-        subs_;
-};
-
-/**
- * The metrics hub: the bus subscriber feeding the per-class
- * wait-latency histograms (formerly raw Histogram pointers attached
- * to every FIFO server) and live per-class wait/request totals the
- * progress heartbeat reads mid-run.
- */
-class MetricsHub : public TelemetrySink
-{
-  public:
-    explicit MetricsHub(TelemetryBus &bus) : bus_(bus)
-    {
-        bus_.subscribe(this, {EventKind::resource_wait});
-    }
-    ~MetricsHub() override { bus_.unsubscribe(this); }
-
-    void
-    onTelemetry(const TelemetryEvent &e) override
-    {
-        const auto c = static_cast<std::size_t>(e.resourceClass());
-        hists_.perClass[c].sample(e.dur);
-        classWait_[c] += e.dur;
-        ++classRequests_[c];
-    }
-
-    /**
-     * Batched delivery: @p count resource_wait events of @p wait
-     * ticks each at class @p cls, exactly as if that many events had
-     * arrived through onTelemetry (which ignores the event's origin
-     * fields). The analytic fast path calls this after replaying a
-     * reservation pattern; per-class histograms, wait totals and
-     * request counts end up bit-identical to the slow path.
-     */
-    void
-    recordWaits(ResourceClass cls, sim::Tick wait, std::uint64_t count)
-    {
-        const auto c = static_cast<std::size_t>(cls);
-        hists_.perClass[c].sampleN(wait, count);
-        classWait_[c] += wait * count;
-        classRequests_[c] += count;
-    }
-
-    const WaitHistograms &hists() const { return hists_; }
-
-    sim::Tick
-    classWaitTicks(ResourceClass cls) const
-    {
-        return classWait_[static_cast<std::size_t>(cls)];
-    }
-
-    std::uint64_t
-    classRequests(ResourceClass cls) const
-    {
-        return classRequests_[static_cast<std::size_t>(cls)];
-    }
-
-    sim::Tick
-    totalWaitTicks() const
-    {
-        sim::Tick t = 0;
-        for (const auto w : classWait_)
-            t += w;
-        return t;
-    }
-
-  private:
-    TelemetryBus &bus_;
-    WaitHistograms hists_;
-    std::array<sim::Tick, num_resource_classes> classWait_{};
-    std::array<std::uint64_t, num_resource_classes> classRequests_{};
-};
-
-/**
- * Records span and flow events verbatim — the sink behind
- * RunOptions::collectTimeline, the span-level Chrome trace and the
- * tracer-vs-accounting conservation cross-check.
- */
-class TimelineRecorder : public TelemetrySink
-{
-  public:
-    explicit TimelineRecorder(TelemetryBus &bus) : bus_(bus)
-    {
-        bus_.subscribe(this, {EventKind::span, EventKind::flow});
-    }
-    ~TimelineRecorder() override { bus_.unsubscribe(this); }
-
-    void
-    onTelemetry(const TelemetryEvent &e) override
-    {
-        events_.push_back(e);
-    }
-
-    const std::vector<TelemetryEvent> &events() const { return events_; }
-    std::vector<TelemetryEvent> take() { return std::move(events_); }
-
-  private:
-    TelemetryBus &bus_;
-    std::vector<TelemetryEvent> events_;
 };
 
 } // namespace cedar::obs

@@ -4,52 +4,17 @@
 #include <string>
 
 #include "bench_json.hh"
-#include "hw/machine.hh"
-#include "os/xylem.hh"
 #include "sim/error.hh"
 
 namespace cedar::obs
 {
 
-ClassTotals
-sampleClassTotals(const hw::Machine &m)
-{
-    ClassTotals t;
-    const auto add = [&t](ResourceClass cls, const sim::ServerStats &st) {
-        const auto c = static_cast<std::size_t>(cls);
-        ++t.resources[c];
-        t.requests[c] += st.requests();
-        t.waitTicks[c] += st.waitTicks();
-        t.busyTicks[c] += st.busyTicks();
-    };
-
-    const auto &gmem = m.gmem();
-    for (unsigned i = 0; i < gmem.map().numModules(); ++i)
-        add(ResourceClass::memory_module, gmem.moduleServer(i).stats());
-    m.net().visitPorts(
-        [&](const net::PortSite &s, const sim::FifoServer &srv) {
-            add(classFromBank(s.bank), srv.stats());
-        });
-    for (unsigned c = 0; c < m.numClusters(); ++c)
-        add(ResourceClass::concurrency_bus,
-            m.cluster(static_cast<sim::ClusterId>(c)).bus().stats());
-    add(ResourceClass::kernel_lock, m.xylem().globalLock().stats());
-    for (unsigned c = 0; c < m.numClusters(); ++c)
-        add(ResourceClass::kernel_lock,
-            m.xylem().clusterLock(static_cast<sim::ClusterId>(c)).stats());
-    return t;
-}
-
-TimeSeriesRecorder::TimeSeriesRecorder(TelemetryBus &bus, sim::Tick window)
-    : bus_(bus), window_(window)
+TimeSeriesRecorder::TimeSeriesRecorder(sim::Tick window) : window_(window)
 {
     if (window == 0)
         throw sim::ConfigError(
             "time series: window must be a positive tick count");
-    bus_.subscribe(this, {EventKind::span});
 }
-
-TimeSeriesRecorder::~TimeSeriesRecorder() { bus_.unsubscribe(this); }
 
 void
 TimeSeriesRecorder::checkWindowCount(std::uint64_t windows) const
@@ -65,7 +30,7 @@ TimeSeriesRecorder::SpanAccum &
 TimeSeriesRecorder::accumAt(std::size_t idx)
 {
     if (idx >= accum_.size()) {
-        // A span is often published at its start with its whole
+        // A span is often recorded at its start with its whole
         // duration, so it can reach windows no boundary has opened.
         checkWindowCount(idx);
         accum_.resize(idx + 1);
@@ -93,13 +58,6 @@ TimeSeriesRecorder::addSpan(const TelemetryEvent &e)
         }
         b += take;
     }
-}
-
-void
-TimeSeriesRecorder::onTelemetry(const TelemetryEvent &e)
-{
-    if (e.kind == EventKind::span && e.dur > 0)
-        addSpan(e);
 }
 
 void

@@ -12,19 +12,17 @@
  *    utilization and mean queue depth), sampled by polling the
  *    machine's ServerStats at exact window boundaries;
  *  - per-TimeCat occupancy and per-CE busy ticks, accumulated from
- *    the telemetry bus's span stream (overlap-split across windows);
+ *    the spans obs::Tracer hands it (overlap-split across windows);
  *  - analytic fast-path hits/misses and executed events, as
  *    boundary-to-boundary deltas.
  *
- * The split matters: the recorder subscribes to *spans only*. A
- * resource_wait or flow subscription would disengage the analytic
- * fast path (the sole-subscriber gate, obs::Tracer::waitsBatchable), so
- * the per-class series comes from the boundary poll instead — the
- * event queue's sampling hook (sim/event_queue.hh) fires a read-only
+ * The per-class series comes from the boundary poll: the event
+ * queue's sampling hook (sim/event_queue.hh) fires a read-only
  * callback each time simulated time crosses a k*window tick, and
  * core::runExperiment wires it to snapshotCounters(). With the
- * recorder off nothing subscribes and the hook stays disarmed, so
- * disabled runs remain bit-identical to pre-recorder builds.
+ * recorder off the tracer hands spans to no one and the hook stays
+ * disarmed, so disabled runs remain bit-identical to pre-recorder
+ * builds.
  *
  * Window semantics: window i covers [i*W, (i+1)*W) in simulated
  * ticks, except the last window which closes at the completion time
@@ -78,8 +76,8 @@ struct ClassTotals
     std::array<sim::Tick, num_resource_classes> busyTicks{};
 };
 
-/** Walk every FIFO server of @p m (the collectMetrics walk, minus
- *  per-resource detail) into cumulative per-class totals. */
+/** Every FIFO server of @p m (obs::collectMetrics' walk) summed into
+ *  cumulative per-class totals; builds no resource names. */
 ClassTotals sampleClassTotals(const hw::Machine &m);
 
 /** Cumulative machine counters at one window boundary. */
@@ -131,22 +129,23 @@ struct TimeSeries
 void writeTimeSeriesJson(tools::JsonWriter &j, const TimeSeries &ts);
 
 /**
- * The recording sink. Subscribes to span events for the scope of a
- * run (TimelineRecorder-style RAII) and absorbs boundary snapshots
- * from the event queue's sampling hook; finalize() folds both into
- * the per-window delta series.
+ * The recorder. obs::Tracer hands it every span of a run
+ * (Tracer::setTimeSeries), and the event queue's sampling hook hands
+ * it boundary snapshots; finalize() folds both into the per-window
+ * delta series.
  */
-class TimeSeriesRecorder : public TelemetrySink
+class TimeSeriesRecorder
 {
   public:
     /** @throws sim::ConfigError when @p window is zero. */
-    TimeSeriesRecorder(TelemetryBus &bus, sim::Tick window);
-    ~TimeSeriesRecorder() override;
+    explicit TimeSeriesRecorder(sim::Tick window);
 
     TimeSeriesRecorder(const TimeSeriesRecorder &) = delete;
     TimeSeriesRecorder &operator=(const TimeSeriesRecorder &) = delete;
 
-    void onTelemetry(const TelemetryEvent &e) override;
+    /** Split span @p e across every window it overlaps.
+     *  @throws sim::ConfigError past max_ts_windows windows. */
+    void addSpan(const TelemetryEvent &e);
 
     /** Record the cumulative counters at boundary @p s.boundary
      *  (boundaries arrive in ascending k*window order).
@@ -174,12 +173,10 @@ class TimeSeriesRecorder : public TelemetrySink
     };
 
     SpanAccum &accumAt(std::size_t idx);
-    void addSpan(const TelemetryEvent &e);
 
     /** Throw when a run needs @p windows windows, past the cap. */
     void checkWindowCount(std::uint64_t windows) const;
 
-    TelemetryBus &bus_;
     sim::Tick window_;
     std::vector<TimeSeriesSnapshot> snaps_;
     std::vector<SpanAccum> accum_;

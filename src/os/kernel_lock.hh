@@ -38,14 +38,8 @@ class KernelLock
   public:
     explicit KernelLock(std::string name) : name_(std::move(name)) {}
 
-    /** Attach the telemetry tracer; @p idx identifies this lock in
-     *  the kernel_lock resource class (0 = global, 1+c = cluster c). */
-    void
-    setTracer(obs::Tracer *t, int idx)
-    {
-        tracer_ = t;
-        idx_ = idx;
-    }
+    /** Attach the telemetry tracer (queueing waits). */
+    void setTracer(obs::Tracer *t) { tracer_ = t; }
 
     /** Reserve the section: spin until free, hold for @p hold. */
     SectionTiming
@@ -53,8 +47,7 @@ class KernelLock
     {
         if (tracer_) {
             const sim::Tick free_at = server_.freeAt();
-            tracer_->resourceWait(obs::ResourceClass::kernel_lock, idx_,
-                                  now,
+            tracer_->resourceWait(obs::ResourceClass::kernel_lock,
                                   free_at > now ? free_at - now : 0);
         }
         const sim::Tick exit = server_.serve(now, hold);
@@ -68,7 +61,6 @@ class KernelLock
     std::string name_;
     sim::FifoServer server_;
     obs::Tracer *tracer_ = nullptr;
-    int idx_ = 0;
 };
 
 } // namespace cedar::os

@@ -12,13 +12,10 @@ Xylem::Xylem(hw::Machine &m)
     : m_(m), globalLock_("global"),
       rng_(m.config().seed ^ 0xbadc0ffee0ddf00dULL)
 {
-    // Lock 0 of the kernel_lock resource class is the global lock,
-    // 1 + c is cluster c's memory lock.
-    globalLock_.setTracer(&m.tracer(), 0);
+    globalLock_.setTracer(&m.tracer());
     for (unsigned c = 0; c < m.numClusters(); ++c) {
         clusterLocks_.emplace_back("cluster" + std::to_string(c));
-        clusterLocks_.back().setTracer(&m.tracer(),
-                                       static_cast<int>(1 + c));
+        clusterLocks_.back().setTracer(&m.tracer());
     }
 }
 

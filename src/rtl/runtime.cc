@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <cassert>
 #include <chrono>
+#include <numeric>
 #include <stdexcept>
 
+#include "obs/timeseries.hh"
 #include "os/xylem.hh"
 
 namespace cedar::rtl
@@ -115,7 +117,9 @@ Runtime::run(std::uint64_t event_limit, std::uint64_t watchdog_events,
                 p.events = m_.eq().executed() - base;
                 p.stepsRun = stats_.stepsRun;
                 p.totalSteps = app_.steps;
-                p.totalWaitTicks = m_.metricsHub().totalWaitTicks();
+                const obs::ClassTotals t = obs::sampleClassTotals(m_);
+                p.totalWaitTicks = std::accumulate(
+                    t.waitTicks.begin(), t.waitTicks.end(), sim::Tick(0));
                 progress(p);
             }
         }
@@ -143,7 +147,7 @@ Runtime::run(std::uint64_t event_limit, std::uint64_t watchdog_events,
              m_.faultLog().degraded() > 0)
         status_ = sim::RunStatus::Faulted;
     m_.acct().finalize(ct_);
-    m_.tracer().close(ct_);
+    m_.tracer().close();
     return status_;
 }
 

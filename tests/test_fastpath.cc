@@ -28,7 +28,6 @@
 #include "mem/address_map.hh"
 #include "mem/global_memory.hh"
 #include "net/network.hh"
-#include "obs/telemetry.hh"
 #include "obs/tracer.hh"
 #include "sim/error.hh"
 #include "sim/random.hh"
@@ -209,10 +208,9 @@ TEST(FastPathIdentity, NonPaperTwoByFourGeometry)
 
 TEST(FastPathIdentity, TimelineMatchesEventForEvent)
 {
-    // With the timeline recorder subscribed, the bus has a second
-    // resource_wait listener, so the fast path must either replay
-    // waits exactly or refuse to engage — either way the recorded
-    // stream has to match the slow path event for event.
+    // With the timeline on, every access carries a flow id, so the
+    // fast path must refuse to engage — the recorded stream has to
+    // match the slow path event for event.
     const auto app = apps::perfectAppByName("FLO52");
     core::RunOptions o;
     o.scale = 0.02;
@@ -449,14 +447,12 @@ TEST(FastPathNetwork, DisabledPathReportsOnlyMisses)
 // Differential test on generated traffic
 // ---------------------------------------------------------------
 
-/** One network over its own memory, bus, MetricsHub and Tracer,
- *  wired the way hw::Machine wires them. */
+/** One network over its own memory and Tracer, wired the way
+ *  hw::Machine wires them. */
 struct WiredNet
 {
     mem::AddressMap map;
-    obs::TelemetryBus bus;
-    obs::MetricsHub hub{bus};
-    obs::Tracer tracer{bus};
+    obs::Tracer tracer;
     mem::GlobalMemory gmem{map};
     net::Network net;
 
@@ -465,8 +461,6 @@ struct WiredNet
         : map(m), net(clusters, ces, gmem)
     {
         net.setTracer(&tracer);
-        gmem.setTracer(&tracer);
-        tracer.setMetricsHub(&hub);
         net.setFastPath(fast);
     }
 
@@ -558,14 +552,13 @@ TEST(FastPathDifferential, GeneratedTrafficMatchesSlowPath)
         EXPECT_EQ(fast.servers(), slow.servers()) << "seed " << seed;
         for (std::size_t k = 0; k < obs::num_resource_classes; ++k) {
             const auto cls = static_cast<obs::ResourceClass>(k);
-            EXPECT_EQ(fast.hub.classWaitTicks(cls),
-                      slow.hub.classWaitTicks(cls))
+            const sim::Histogram &f = fast.tracer.waitHists().of(cls);
+            const sim::Histogram &s = slow.tracer.waitHists().of(cls);
+            EXPECT_EQ(f.count(), s.count())
                 << "seed " << seed << " class " << k;
-            EXPECT_EQ(fast.hub.classRequests(cls),
-                      slow.hub.classRequests(cls))
+            EXPECT_EQ(f.maxSample(), s.maxSample())
                 << "seed " << seed << " class " << k;
-            EXPECT_EQ(fast.hub.hists().of(cls).buckets(),
-                      slow.hub.hists().of(cls).buckets())
+            EXPECT_EQ(f.buckets(), s.buckets())
                 << "seed " << seed << " class " << k;
         }
         EXPECT_GT(fast.net.fastStats().hits(), 0u) << "seed " << seed;

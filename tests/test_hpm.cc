@@ -10,10 +10,10 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <vector>
 
 #include "hpm/statfx.hh"
 #include "hpm/trace.hh"
-#include "obs/telemetry.hh"
 #include "sim/error.hh"
 #include "sim/event_queue.hh"
 
@@ -23,19 +23,24 @@ namespace
 using namespace cedar;
 using hpm::EventId;
 
-/** Publish one ce_state edge, as the CEs do through obs::Tracer. */
-void
-publishEdge(obs::TelemetryBus &bus, sim::Tick when, int ce, int cluster,
-            bool active)
+/** A fake machine for statfx to poll: settable per-cluster active
+ *  counts, plus a log of which clusters were asked. */
+struct FakeClusters
 {
-    obs::TelemetryEvent e;
-    e.kind = obs::EventKind::ce_state;
-    e.when = when;
-    e.ce = ce;
-    e.res = cluster;
-    e.flags = active ? obs::TelemetryEvent::flag_active : 0;
-    bus.publish(e);
-}
+    std::vector<unsigned> active;
+    std::vector<sim::ClusterId> polled;
+
+    explicit FakeClusters(std::size_t n) : active(n, 0) {}
+
+    hpm::Statfx::ActiveFn
+    poll()
+    {
+        return [this](sim::ClusterId c) {
+            polled.push_back(c);
+            return active.at(static_cast<std::size_t>(c));
+        };
+    }
+};
 
 TEST(Trace, RecordsEventIdTimestampAndProcessor)
 {
@@ -182,16 +187,12 @@ TEST(Trace, EveryEventHasAName)
 TEST(Statfx, AveragesActiveCounts)
 {
     sim::EventQueue eq;
-    obs::TelemetryBus bus;
     // Cluster 0 has 3 active CEs until t=10000 and 1 after; cluster 1
     // stays idle throughout.
-    hpm::Statfx fx(eq, bus, 2, 1000);
-    for (int ce = 0; ce < 3; ++ce)
-        publishEdge(bus, 0, ce, 0, true);
-    eq.schedule(10001, [&bus] {
-        publishEdge(bus, 10001, 1, 0, false);
-        publishEdge(bus, 10001, 2, 0, false);
-    });
+    FakeClusters cl(2);
+    hpm::Statfx fx(eq, 2, 1000, cl.poll());
+    cl.active[0] = 3;
+    eq.schedule(10001, [&cl] { cl.active[0] = 1; });
     fx.start();
     eq.runUntil(20000);
     fx.stop();
@@ -201,52 +202,24 @@ TEST(Statfx, AveragesActiveCounts)
     EXPECT_NEAR(fx.machineConcurrency(), fx.clusterConcurrency(0), 1e-9);
 }
 
-TEST(Statfx, TracksEdgesEventDriven)
+TEST(Statfx, PollsEveryClusterOncePerSample)
 {
     sim::EventQueue eq;
-    obs::TelemetryBus bus;
-    hpm::Statfx fx(eq, bus, 2, 100);
-    EXPECT_EQ(fx.activeNow(0), 0u);
-    publishEdge(bus, 0, 0, 0, true);
-    publishEdge(bus, 0, 1, 0, true);
-    publishEdge(bus, 0, 8, 1, true);
-    EXPECT_EQ(fx.activeNow(0), 2u);
-    EXPECT_EQ(fx.activeNow(1), 1u);
-    publishEdge(bus, 5, 1, 0, false);
-    EXPECT_EQ(fx.activeNow(0), 1u);
-    // Out-of-range cluster ids are dropped, not UB.
-    publishEdge(bus, 5, 99, 7, true);
-    EXPECT_EQ(fx.activeNow(0), 1u);
-    EXPECT_EQ(fx.activeNow(1), 1u);
-}
-
-TEST(Statfx, SamplePublishesConcurrencyOnBus)
-{
-    sim::EventQueue eq;
-    obs::TelemetryBus bus;
-    hpm::Statfx fx(eq, bus, 1, 100);
-
-    struct Sink : obs::TelemetrySink
-    {
-        std::vector<obs::TelemetryEvent> got;
-        void onTelemetry(const obs::TelemetryEvent &e) override
-        {
-            got.push_back(e);
-        }
-    } sink;
-    bus.subscribe(&sink, {obs::EventKind::sample});
-
-    publishEdge(bus, 0, 0, 0, true);
-    publishEdge(bus, 0, 1, 0, true);
+    FakeClusters cl(3);
+    hpm::Statfx fx(eq, 3, 100, cl.poll());
+    cl.active = {2, 0, 1};
+    // Nothing is read between samples.
+    eq.schedule(50, [&cl] { EXPECT_TRUE(cl.polled.empty()); });
     fx.start();
     eq.runUntil(350);
     fx.stop();
     eq.run();
-    ASSERT_GE(sink.got.size(), 3u);
-    EXPECT_EQ(sink.got[0].kind, obs::EventKind::sample);
-    EXPECT_EQ(sink.got[0].id, 2u);
-    EXPECT_EQ(sink.got[0].res, 0);
-    bus.unsubscribe(&sink);
+    ASSERT_EQ(fx.samples(), 3u);
+    const std::vector<sim::ClusterId> order = {0, 1, 2, 0, 1, 2, 0, 1, 2};
+    EXPECT_EQ(cl.polled, order);
+    EXPECT_DOUBLE_EQ(fx.clusterConcurrency(0), 2.0);
+    EXPECT_DOUBLE_EQ(fx.clusterConcurrency(2), 1.0);
+    EXPECT_DOUBLE_EQ(fx.machineConcurrency(), 3.0);
 }
 
 TEST(Statfx, ZeroPeriodThrows)
@@ -254,16 +227,16 @@ TEST(Statfx, ZeroPeriodThrows)
     // A zero period would reschedule sample() at the current tick
     // forever — a livelock the watchdog would abort the run for.
     sim::EventQueue eq;
-    obs::TelemetryBus bus;
-    EXPECT_THROW(hpm::Statfx(eq, bus, 1, 0), sim::SimError);
+    FakeClusters cl(1);
+    EXPECT_THROW(hpm::Statfx(eq, 1, 0, cl.poll()), sim::SimError);
 }
 
 TEST(Statfx, StartIsIdempotent)
 {
     sim::EventQueue eq;
-    obs::TelemetryBus bus;
-    hpm::Statfx fx(eq, bus, 1, 100);
-    publishEdge(bus, 0, 0, 0, true);
+    FakeClusters cl(1);
+    hpm::Statfx fx(eq, 1, 100, cl.poll());
+    cl.active[0] = 1;
     fx.start();
     fx.start(); // must not chain a second sampling loop
     eq.scheduleIn(500, [&fx] { fx.start(); });
@@ -279,9 +252,9 @@ TEST(Statfx, StartIsIdempotent)
 TEST(Statfx, RestartAfterStopResumesWithoutDuplicates)
 {
     sim::EventQueue eq;
-    obs::TelemetryBus bus;
-    hpm::Statfx fx(eq, bus, 1, 100);
-    publishEdge(bus, 0, 0, 0, true);
+    FakeClusters cl(1);
+    hpm::Statfx fx(eq, 1, 100, cl.poll());
+    cl.active[0] = 1;
     fx.start();
     eq.runUntil(500);
     fx.stop();
@@ -297,9 +270,9 @@ TEST(Statfx, RestartAfterStopResumesWithoutDuplicates)
 TEST(Statfx, StopsCleanly)
 {
     sim::EventQueue eq;
-    obs::TelemetryBus bus;
-    hpm::Statfx fx(eq, bus, 1, 100);
-    publishEdge(bus, 0, 0, 0, true);
+    FakeClusters cl(1);
+    hpm::Statfx fx(eq, 1, 100, cl.poll());
+    cl.active[0] = 1;
     fx.start();
     eq.runUntil(1000);
     fx.stop();

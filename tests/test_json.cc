@@ -26,6 +26,7 @@
 namespace
 {
 
+using cedar::tools::JsonParseError;
 using cedar::tools::JsonValue;
 using cedar::tools::JsonWriter;
 
@@ -83,6 +84,35 @@ fromBits(std::uint64_t bits)
     double v;
     std::memcpy(&v, &bits, sizeof(v));
     return v;
+}
+
+TEST(JsonValue, CountsAreCheckedBeforeAnyIntegerCast)
+{
+    const JsonValue v = JsonValue::parse(
+        "{\"n\": 12, \"seed\": 18446744073709551615, \"big\": 1e3,"
+        " \"huge\": 1e300, \"neg\": -1, \"frac\": 2.5,"
+        " \"wide\": 18446744073709551616, \"inf\": 1e400,"
+        " \"s\": \"7\"}");
+    EXPECT_EQ(v.at("n").asCount(), 12u);
+    // Integer literals are exact: a 64-bit seed keeps every digit.
+    EXPECT_EQ(v.at("seed").asCount(), 18446744073709551615u);
+    EXPECT_EQ(v.at("big").asCount(), 1000u);
+    EXPECT_EQ(v.at("n").asCount(12), 12u);
+    EXPECT_THROW(v.at("n").asCount(11), JsonParseError);
+    for (const char *k : {"huge", "neg", "frac", "wide", "inf", "s"})
+        EXPECT_THROW(v.at(k).asCount(), JsonParseError) << k;
+
+    // Missing keys take the default; present ones of the wrong type
+    // still throw.
+    EXPECT_EQ(v.countOr("n"), 12u);
+    EXPECT_EQ(v.countOr("absent"), 0u);
+    EXPECT_THROW(v.countOr("huge"), JsonParseError);
+    EXPECT_EQ(v.numOr("frac"), 2.5);
+    EXPECT_EQ(v.numOr("absent", 4.0), 4.0);
+    EXPECT_EQ(v.strOr("s"), "7");
+    EXPECT_EQ(v.strOr("absent"), "");
+    EXPECT_THROW(v.strOr("n"), JsonParseError);
+    EXPECT_EQ(v.at("n").numOr("x", 1.0), 1.0); // not an object
 }
 
 TEST(JsonWriter, NumberMatchesOracleOnTraceTimestamps)

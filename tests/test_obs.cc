@@ -14,6 +14,7 @@
 
 #include "apps/perfect.hh"
 #include "core/experiment.hh"
+#include "fault/fault.hh"
 #include "obs/chrome_trace.hh"
 #include "obs/metrics.hh"
 #include "obs/resource.hh"
@@ -57,6 +58,18 @@ TEST(Resource, BankTagsMapToClasses)
 
 // ----- metrics collection -----
 
+/** Every queueing wait of the run reached the tracer's histograms
+ *  exactly once: per class, the histogram counts one sample per
+ *  request the servers themselves recorded. */
+void
+expectEveryServeObservedOnce(const obs::MetricsReport &m,
+                             const std::string &what)
+{
+    for (const auto &c : m.classes)
+        EXPECT_EQ(c.waitHist.count(), c.requests)
+            << what << ": " << obs::toString(c.cls);
+}
+
 TEST(Metrics, ReportSatisfiesAccountingInvariants)
 {
     const auto app = apps::perfectAppByName("FLO52");
@@ -96,10 +109,40 @@ TEST(Metrics, ReportSatisfiesAccountingInvariants)
     EXPECT_GE(m.moduleGini, 0.0);
     EXPECT_LE(m.moduleGini, 1.0);
 
-    // The per-class wait histograms saw every module request.
-    EXPECT_EQ(m.perClass(obs::ResourceClass::memory_module)
-                  .waitHist.count(),
-              m.perClass(obs::ResourceClass::memory_module).requests);
+    // The per-class wait histograms saw every request.
+    expectEveryServeObservedOnce(m, "FLO52 8p");
+}
+
+TEST(Metrics, EveryServeIsObservedExactlyOnce)
+{
+    // The histograms are fed by the tracer, the request counts by the
+    // servers: they must agree for every class whether the analytic
+    // fast path condenses the waits or the slow path reports them one
+    // by one, and on a faulted memory (the fast path is ineligible).
+    const auto app = apps::perfectAppByName("FLO52");
+    for (const bool fast : {true, false}) {
+        for (const bool degraded : {false, true}) {
+            auto opts = quickOpts();
+            opts.fastPath = fast;
+            if (degraded)
+                opts.faults.push_back(
+                    fault::parseFaultSpec("module:7:degrade:4x"));
+            const auto r = core::runExperiment(app, 16, opts);
+            const std::string what =
+                std::string(fast ? "fast" : "slow") +
+                (degraded ? " degraded" : "");
+            if (fast && !degraded) {
+                EXPECT_GT(r.fastPathHits, 0u);
+            }
+            if (degraded) {
+                EXPECT_GT(r.faultsInjected, 0u) << what;
+            }
+            for (const auto &c : r.metrics.classes)
+                EXPECT_GT(c.requests, 0u)
+                    << what << ": " << obs::toString(c.cls);
+            expectEveryServeObservedOnce(r.metrics, what);
+        }
+    }
 }
 
 TEST(Metrics, TopByWaitIsSortedAndBounded)
@@ -320,9 +363,9 @@ TEST(ChromeTrace, ConvertReportsAFailedFinalFlush)
 
 /** A hand-built timeline touching every layout branch of
  *  writeSpanTrace: every TimeCat and FlowStage, an overlay span,
- *  tracks first seen in descending order, kinds the exporter skips,
- *  and ticks whose microsecond form needs 17 digits (tick 3 is
- *  0.15000000000000002 us at the default clock). */
+ *  tracks first seen in descending order, and ticks whose
+ *  microsecond form needs 17 digits (tick 3 is 0.15000000000000002
+ *  us at the default clock). */
 std::vector<obs::TelemetryEvent>
 goldenTimeline()
 {
@@ -357,15 +400,12 @@ goldenTimeline()
         flow(123456799, 3, 1, FlowStage::module, 6, 17),
         flow(123456823, 6, 1, FlowStage::ret, 6, 4),
         flow(123456829, 0, 1, FlowStage::complete, 6, -1),
-        {.when = 40, .kind = EventKind::ce_state, .flags = 1, .ce = 4},
         flow(41, 0, 2, FlowStage::issue, 1, -1),
         flow(47, 6, 2, FlowStage::stage1, 1, 0),
         flow(59, 7, 2, FlowStage::stage2, 1, 2),
         flow(77, 3, 2, FlowStage::module, 1, 5),
         flow(99, 6, 2, FlowStage::ret, 1, 1),
         flow(103, 0, 2, FlowStage::complete, 1, -1),
-        {.when = 50, .id = 3, .kind = EventKind::sample, .ce = 0},
-        {.when = 60, .dur = 2, .kind = EventKind::resource_wait, .res = 7},
     };
 }
 

@@ -382,6 +382,34 @@ TEST(StudyCache, CorruptCacheEntryIsReRunNotServed)
     EXPECT_EQ(slurp(outB / "a.json"), good);
 }
 
+TEST(StudyCache, UnparseableEntryIsACacheMiss)
+{
+    TempDir scns, out;
+    writeScn(scns, "a.scn", tinyScenario("a"));
+    const auto entries = core::loadScenarioDir(scns.str());
+    const auto first = core::runStudy(entries, optsFor(out));
+    ASSERT_EQ(first.ran, 1u);
+    const std::string good = slurp(out / "a.json");
+
+    // A torn entry.json, then one whose hash has the wrong type:
+    // each is a miss that re-runs, never a study error.
+    const fs::path entry = fs::path(out.str()) / "cache" /
+                           first.rows[0].hash / "entry.json";
+    for (const char *bad :
+         {"{\"schema\": \"cedar-cache-v1\", \"ha",
+          "{\"schema\": \"cedar-cache-v1\", \"hash\": 7}"}) {
+        spit(entry, bad);
+        TempDir outB;
+        auto optsB = optsFor(outB);
+        optsB.cacheDir = out.str() + "/cache";
+        const auto second = core::runStudy(entries, optsB);
+        EXPECT_EQ(second.cached, 0u) << bad;
+        EXPECT_EQ(second.ran, 1u) << bad;
+        EXPECT_EQ(second.exitCode(), 0) << bad;
+        EXPECT_EQ(slurp(outB / "a.json"), good) << bad;
+    }
+}
+
 TEST(StudyCache, PaperPointLadderBitIdenticalThroughCache)
 {
     // The five paper machine points, expanded as a grid and pushed
@@ -551,6 +579,29 @@ TEST(StudyResume, TornJournalTailIsTolerated)
     const auto rep = core::runStudy(entries, opts);
     EXPECT_EQ(rep.resumed, 1u);
     EXPECT_EQ(rep.ran, 0u);
+}
+
+TEST(StudyResume, HostileAttemptEndsTheFold)
+{
+    TempDir scns, out;
+    writeScn(scns, "a.scn", tinyScenario("a"));
+    const auto entries = core::loadScenarioDir(scns.str());
+    core::runStudy(entries, optsFor(out));
+
+    // An attempt count no unsigned can hold must never reach a
+    // float-to-integer cast: the record ends the fold like a torn
+    // one, and everything journaled before it still resumes.
+    std::ofstream append(out / "manifest.jsonl",
+                         std::ios::app | std::ios::binary);
+    append << "{\"rec\":\"start\",\"scenario\":\"a\",\"attempt\":1e300}\n";
+    append.close();
+
+    auto opts = optsFor(out);
+    opts.resume = true;
+    const auto rep = core::runStudy(entries, opts);
+    EXPECT_EQ(rep.resumed, 1u);
+    EXPECT_EQ(rep.ran, 0u);
+    EXPECT_EQ(rep.exitCode(), 0);
 }
 
 TEST(StudyResume, StaleArtifactsForceReRun)

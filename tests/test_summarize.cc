@@ -296,6 +296,36 @@ TEST(Summarize, SameNameDifferentContentRefusesToMerge)
     EXPECT_THROW(core::buildSummary(o), ConfigError);
 }
 
+TEST(Summarize, HostileCountIsAConfigErrorNamingTheFile)
+{
+    // A count no integer type can hold must never reach a
+    // float-to-integer cast: the loader refuses it, naming the file.
+    TempDir scns, out;
+    writeScn(scns, "tiny.scn", tinyScenario("tiny"));
+    ASSERT_EQ(core::runStudy(core::loadScenarioDir(scns.str()),
+                             optsFor(out))
+                  .exitCode(),
+              0);
+    const fs::path sum = fs::path(out.str()) / "tiny.json";
+    std::string doc = slurp(sum);
+    const std::string field = "\"nprocs\": 2";
+    const auto at = doc.find(field);
+    ASSERT_NE(at, std::string::npos) << doc;
+    doc.replace(at, field.size(), "\"nprocs\": 1e300");
+    spit(sum, doc);
+
+    core::SummarizeOptions o;
+    o.dirs = {out.str()};
+    try {
+        core::buildSummary(o);
+        ADD_FAILURE() << "a 1e300 count was accepted";
+    } catch (const ConfigError &e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find(sum.string()), std::string::npos) << what;
+        EXPECT_NE(what.find("1e+300"), std::string::npos) << what;
+    }
+}
+
 TEST(Summarize, EmptyInputsRejected)
 {
     EXPECT_THROW(core::buildSummary(core::SummarizeOptions{}),

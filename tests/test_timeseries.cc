@@ -7,7 +7,8 @@
  * The flagship guarantees under test:
  *  - recorder-off runs are bit-identical to recorder-on runs in
  *    every published field (the sampling hook is read-only and the
- *    recorder subscribes to spans only), at all five paper points;
+ *    recorder only takes spans from the tracer), at all five paper
+ *    points;
  *  - the per-window series *conserves*: per-class deltas, fast-path
  *    deltas, span occupancy and event counts sum exactly to
  *    the end-of-run totals, and windows tile [0, CT] with aligned
@@ -135,8 +136,9 @@ metricsJson(const core::RunResult &r)
 /**
  * Every published field must be identical with the recorder on and
  * off, at every paper machine point: the boundary hook only reads
- * counters, and a span subscription cannot perturb the model (the
- * analytic fast path's sole-subscriber gate watches resource_wait).
+ * counters, and handing spans to the recorder cannot perturb the
+ * model (the analytic fast path's gate reads only the toggle, the
+ * flow id and the fault plan).
  */
 TEST(TimeSeriesRecorder, RecorderOffRunsBitIdenticalAtPaperPoints)
 {
@@ -300,18 +302,17 @@ TEST(TimeSeries, TinyWindowOnLongRunThrowsConfigErrorFast)
 
 TEST(TimeSeries, WindowCapIsInclusive)
 {
-    obs::TelemetryBus bus;
     constexpr Tick cap = obs::max_ts_windows;
 
     // Exactly max_ts_windows windows is allowed, on both paths.
-    obs::TimeSeriesRecorder ok(bus, 1);
+    obs::TimeSeriesRecorder ok(1);
     obs::TimeSeriesSnapshot s;
     s.boundary = cap;
     ok.onBoundary(s);
     EXPECT_EQ(ok.finalize(cap, s, 1).windows.size(), cap);
 
     // One boundary (or one completion tick) more is not.
-    obs::TimeSeriesRecorder over(bus, 1);
+    obs::TimeSeriesRecorder over(1);
     s.boundary = cap + 1;
     EXPECT_THROW(over.onBoundary(s), sim::ConfigError);
     EXPECT_THROW(over.finalize(cap + 1, s, 1), sim::ConfigError);

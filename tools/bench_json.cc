@@ -521,6 +521,9 @@ class JsonParser
         JsonValue v;
         v.kind_ = JsonValue::Kind::number;
         v.num_ = std::strtod(tok.c_str(), nullptr);
+        const char *end = tok.data() + tok.size();
+        const auto [p, ec] = std::from_chars(tok.data(), end, v.int_);
+        v.exactInt_ = ec == std::errc() && p == end;
         return v;
     }
 
@@ -558,6 +561,42 @@ JsonValue::asArray() const
     if (kind_ != Kind::array)
         throw JsonParseError("JSON value is not an array");
     return arr_;
+}
+
+std::uint64_t
+JsonValue::asCount(std::uint64_t max) const
+{
+    const double v = asNumber();
+    // Every double below 2^64 converts in range; 2^64 itself does not.
+    const bool inRange = exactInt_ ? int_ <= max
+                                   : v >= 0 && v < 0x1p64 &&
+                                         v == std::floor(v) &&
+                                         static_cast<std::uint64_t>(v) <= max;
+    if (!inRange)
+        throw JsonParseError("JSON number " +
+                             (exactInt_ ? std::to_string(int_)
+                                        : JsonWriter::number(v)) +
+                             " is not an integer in [0, " +
+                             std::to_string(max) + "]");
+    return exactInt_ ? int_ : static_cast<std::uint64_t>(v);
+}
+
+double
+JsonValue::numOr(const std::string &k, double dflt) const
+{
+    return has(k) ? at(k).asNumber() : dflt;
+}
+
+std::string
+JsonValue::strOr(const std::string &k) const
+{
+    return has(k) ? at(k).asString() : std::string();
+}
+
+std::uint64_t
+JsonValue::countOr(const std::string &k, std::uint64_t max) const
+{
+    return has(k) ? at(k).asCount(max) : 0;
 }
 
 const JsonValue &

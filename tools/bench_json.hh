@@ -20,6 +20,7 @@
 
 #include <array>
 #include <cstdint>
+#include <limits>
 #include <ostream>
 #include <stdexcept>
 #include <string>
@@ -121,8 +122,9 @@ class JsonParseError : public std::runtime_error
  * A parsed JSON document node. Heap-boxed children keep the type
  * regular; benchmark artifacts are a few kilobytes, so convenience
  * beats compactness here. Accessors throw JsonParseError on a type
- * or key mismatch — for a delta tool, "this field is missing" is a
- * diagnostic, not a crash.
+ * or key mismatch, or a number that is not the count asked for —
+ * for a reader of files off disk, "this field is missing" is a
+ * diagnostic, not a crash or undefined behaviour.
  */
 class JsonValue
 {
@@ -137,6 +139,27 @@ class JsonValue
     const std::string &asString() const;
     const std::vector<JsonValue> &asArray() const;
 
+    /**
+     * This number as a count or seed: an integer in [0, @p max].
+     * Integer literals are read exactly, so a 64-bit seed keeps
+     * every digit. Throws for anything else — a non-number, or a
+     * negative, fractional or out-of-range value (1e300 must not
+     * reach a float-to-integer cast).
+     */
+    std::uint64_t
+    asCount(std::uint64_t max = std::numeric_limits<std::uint64_t>::max())
+        const;
+
+    /** Missing-key helpers: member @p k of this object, or the
+     *  default when this is not an object holding @p k. A member of
+     *  the wrong type still throws. */
+    double numOr(const std::string &k, double dflt = 0) const;
+    std::string strOr(const std::string &k) const;
+    std::uint64_t
+    countOr(const std::string &k,
+            std::uint64_t max = std::numeric_limits<std::uint64_t>::max())
+        const;
+
     /** Member lookup; throws unless this is an object with key @p k. */
     const JsonValue &at(const std::string &k) const;
     /** True when this is an object containing key @p k. */
@@ -148,7 +171,9 @@ class JsonValue
   private:
     Kind kind_ = Kind::null;
     bool b_ = false;
+    bool exactInt_ = false; //!< an integer literal that fits int_
     double num_ = 0;
+    std::uint64_t int_ = 0;
     std::string str_;
     std::vector<JsonValue> arr_;
     /** Insertion-ordered members; a vector because std::map of an
