@@ -51,15 +51,15 @@ refOf(std::size_t i, unsigned groups)
 /**
  * reserveAccess policy for makeShape's idle probe: the shape's
  * reservation chain on scratch servers (an empty machine) at start
- * 0, noting per server its first request arrival and, per stage1
- * port, its rigidity floor.
+ * 0, noting per server its first request arrival, its serve count
+ * and its service ticks.
  */
 struct IdleProbe
 {
     explicit IdleProbe(const mem::AddressMap &map)
         : groups(map.numGroups()), gmem(map), ports(3 * groups + 1),
           firstArrival(3 * groups + 1 + map.numModules(), sim::max_tick),
-          floor(groups, 0), servedWords(groups, 0)
+          requests(firstArrival.size(), 0), busy(firstArrival.size(), 0)
     {
     }
 
@@ -75,18 +75,10 @@ struct IdleProbe
     served(FastBank bank, unsigned idx, sim::Tick arrival, sim::Tick,
            sim::Tick start, sim::Tick done)
     {
-        sim::Tick &first = firstArrival[flatIndex({bank, idx}, groups)];
-        first = std::min(first, arrival);
-        // Stage1 arrivals are CE issue times, fixed by the chunk
-        // sequence alone, so the horizon-bound condition "offset +
-        // served-so-far >= arrival" resolves per port to a static
-        // minimum offset.
-        if (bank == FastBank::stage1) {
-            if (arrival > servedWords[idx] &&
-                arrival - servedWords[idx] > floor[idx])
-                floor[idx] = arrival - servedWords[idx];
-            servedWords[idx] += done - start;
-        }
+        const std::size_t i = flatIndex({bank, idx}, groups);
+        firstArrival[i] = std::min(firstArrival[i], arrival);
+        ++requests[i];
+        busy[i] += done - start;
     }
 
     unsigned groups;
@@ -94,19 +86,19 @@ struct IdleProbe
     std::vector<sim::FifoServer> ports; //!< scratch ports, flat index
     /** Per flat index; sim::max_tick: the shape never touches it. */
     std::vector<sim::Tick> firstArrival;
-    std::vector<sim::Tick> floor;       //!< per group (stage1)
-    std::vector<sim::Tick> servedWords; //!< per group (stage1)
+    std::vector<std::uint32_t> requests; //!< per flat index
+    std::vector<sim::Tick> busy;         //!< per flat index
 };
 
 } // namespace
 
 /**
- * Derive a shape from its idle probe. Which servers see traffic
- * depends only on the addresses — never on contention — so the
- * probe's touched set (in canonical flat-index order) is valid for
- * every offset vector; its first arrivals are the canonicalization
- * thresholds (ShapeInfo::firstArrival) and its stage1 floors the
- * family rigidity floors (ShapeInfo::stage1Floor). One scratch
+ * Derive a shape from its idle probe. Which servers see traffic, how
+ * often and for how long depends only on the addresses — never on
+ * contention — so the probe's touched set (in canonical flat-index
+ * order), serve counts, service ticks and last chunk length are
+ * valid for every offset vector; its first arrivals are the
+ * canonicalization thresholds (ShapeInfo::firstArrival). One scratch
  * chain per *shape* (a handful per app), amortised over the
  * millions of lookups it serves.
  */
@@ -119,34 +111,36 @@ BurstPatternCache::makeShape(unsigned first_module, unsigned words,
     // class: chunk boundaries depend on addr % group_size and
     // routing on addr % n_modules, and group_size divides n_modules.
     IdleProbe probe(map_);
-    reserveAccess(probe, 0, first_module, words,
-                  is_rmw ? Access::rmw : Access::burst);
+    const Reservation r = reserveAccess(
+        probe, 0, first_module, words, is_rmw ? Access::rmw : Access::burst);
 
     const unsigned groups = map_.numGroups();
     ShapeInfo sh;
     sh.firstModule = first_module;
     sh.words = words;
     sh.isRmw = is_rmw;
+    sh.lastLen = r.lastLen;
     sh.groupRank.assign(groups, 0);
     sh.moduleRank.assign(map_.numModules(), 0);
     for (std::size_t i = 0; i < probe.firstArrival.size(); ++i) {
         if (probe.firstArrival[i] == sim::max_tick)
             continue;
-        const ServerRef r = refOf(i, groups);
+        const ServerRef ref = refOf(i, groups);
         // Banks are contiguous in flat-index order; the group/module
         // ranks map a serve back to its position in that order.
-        const auto b = static_cast<unsigned>(r.bank);
-        if (sh.bankCount[b] == 0)
+        const auto b = static_cast<unsigned>(ref.bank);
+        if (sh.servers.empty() || sh.servers.back().bank != ref.bank)
             sh.bankBegin[b] = static_cast<std::uint32_t>(sh.servers.size());
-        const std::uint32_t rank = sh.bankCount[b]++;
-        if (r.bank == FastBank::stage1)
-            sh.groupRank[r.idx] = rank;
-        else if (r.bank == FastBank::module)
-            sh.moduleRank[r.idx] = rank;
-        sh.servers.push_back(r);
+        const auto rank =
+            static_cast<std::uint32_t>(sh.servers.size() - sh.bankBegin[b]);
+        if (ref.bank == FastBank::stage1)
+            sh.groupRank[ref.idx] = rank;
+        else if (ref.bank == FastBank::module)
+            sh.moduleRank[ref.idx] = rank;
+        sh.servers.push_back(ref);
         sh.firstArrival.push_back(probe.firstArrival[i]);
-        sh.stage1Floor.push_back(
-            r.bank == FastBank::stage1 ? probe.floor[r.idx] : 0);
+        sh.requests.push_back(probe.requests[i]);
+        sh.busy.push_back(probe.busy[i]);
     }
     return sh;
 }

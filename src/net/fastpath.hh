@@ -26,14 +26,20 @@
  * thousands of times (queueing reaches a near-periodic steady
  * state).
  *
- * A BurstPattern is therefore learned per (shape, offset vector). It
- * records per touched server the request/wait/busy sums and relative
- * free horizon, plus the aggregated per-class queueing waits the
- * tracer would have been handed. The pattern is *recorded off
- * the live slow-path run* the missing access takes anyway: the one
- * reservation chain (net::reserveAccess) captures every serve of it
- * — by the translation invariance above, those sums are exactly what
- * a scratch replay at start = 0 pre-loaded with the offsets would
+ * Per touched server, the number of serves and their service ticks
+ * are constants of the shape as well (routing follows addresses, and
+ * without a memory fault plan every service is the port's chunk
+ * length or the module's fixed service time), so the shape's idle
+ * probe notes them once (ShapeInfo). A BurstPattern is learned per
+ * (shape, offset vector) and stores only what differs between two
+ * accesses of one shape: per touched server the wait sum and
+ * relative free horizon, the completion tick, and the aggregated
+ * per-class queueing waits the tracer would have been handed. The
+ * pattern is *recorded off the live slow-path run* the missing
+ * access takes anyway: the one reservation chain
+ * (net::reserveAccess) captures every serve of it — by the
+ * translation invariance above, those sums are exactly what a
+ * scratch replay at start = 0 pre-loaded with the offsets would
  * produce, at almost no extra cost. Replaying a learned pattern is
  * O(touched servers) instead of O(words), and leaves server
  * statistics, the tracer's wait histograms and the returned timing
@@ -82,16 +88,13 @@ struct ServerRef
     std::uint32_t idx; //!< group or module index (bank-relative)
 };
 
-/** One touched server's aggregated reservation outcome, all ticks
- *  relative to the access start. */
+/** What one touched server's reservation outcome adds to the shape's
+ *  constants (ShapeInfo::requests/busy), ticks relative to the access
+ *  start. */
 struct PatternServer
 {
-    FastBank bank;
-    std::uint32_t idx;      //!< group or module index (bank-relative)
-    std::uint32_t requests; //!< serve() calls replayed
-    sim::Tick waitSum;      //!< queueing recorded
-    sim::Tick busySum;      //!< service recorded
-    sim::Tick freeAt;       //!< server's free horizon afterwards
+    sim::Tick waitSum; //!< queueing recorded
+    sim::Tick freeAt;  //!< server's free horizon afterwards
 };
 
 /** Aggregated queueing waits of one pattern: @p count waits of
@@ -108,7 +111,6 @@ struct PatternWaits
 struct BurstPattern
 {
     sim::Tick relComplete = 0; //!< completion tick relative to start
-    unsigned lastLen = 0;      //!< last chunk's word count (unloaded)
     std::vector<PatternServer> servers;
     std::vector<PatternWaits> waits;
 };
@@ -116,67 +118,6 @@ struct BurstPattern
 /** Number of FastBank values — per-bank arrays below index by the
  *  underlying enum value. */
 inline constexpr unsigned fast_bank_count = 5;
-
-/**
- * One *family* of reservation outcomes, parameterized by per-bank
- * uniform shifts of the offset vector (DESIGN.md §10.2).
- *
- * The serve DAG of a burst is feed-forward through the banks in the
- * fixed order stage1 -> stage2 -> module -> returnA -> returnB (CE
- * issue times are offset-independent). Saturated convoys at 16/32p
- * produce offset vectors that are per-bank rigid ladders — within a
- * bank, the entries keep a fixed relative profile while the bank's
- * *base* level drifts from burst to burst. When the recorded run
- * proves that every serve of a base-subtracted ("shift-keyed") bank
- * was horizon-bound, raising or lowering that bank's base by a
- * uniform delta shifts exactly that bank's serve starts, waits and
- * horizons by computable amounts and leaves branch decisions (every
- * max()) intact — so one recording replays bit-identically for the
- * whole one-sided family of base levels. See Network::applyParam for
- * the shift algebra and validity checks.
- */
-struct ParamPattern
-{
-    BurstPattern pat;
-    /** Recorded base level per shift-keyed bank (the minimum
-     *  canonical offset of the bank, subtracted when keying). */
-    std::array<sim::Tick, fast_bank_count> base{};
-    /**
-     * Per-bank validity constant c_b, from the recorded run.
-     * Shift-keyed banks: c_b = max over the bank's serves of
-     * arrival - pre-serve horizon. c_b <= 0 means every serve was
-     * horizon-bound (a "rigid" bank) and any delta_b - beta_b >= c_b
-     * replays exactly; c_b > 0 means some serve was arrival-bound
-     * and only delta_b == beta_b (the whole bank shifting uniformly
-     * with its arrivals, which preserves every max() branch
-     * trivially) is accepted. Passive banks: c_b = max over the
-     * bank's servers of canonical offset - first recorded arrival.
-     * beta_b == 0 replays the bank verbatim (offsets and arrivals
-     * both identical to the recording) and is always valid;
-     * otherwise validity needs c_b <= 0 and beta_b >= c_b, the
-     * condition under which every first serve stays arrival-bound.
-     * A stage1 bank that is passive because it sits below its static
-     * rigidity floors (ShapeInfo::stage1Floor) always replays with
-     * beta == 0, so c_b > 0 there is harmless. beta_b is the shift
-     * of the bank's request arrivals — the serve-start shift of the
-     * bank feeding it.
-     */
-    std::array<std::int64_t, fast_bank_count> cmin{};
-    std::uint8_t mask = 0; //!< bit b set: bank b is shift-keyed
-    /** Number of banks with cmin > 0 — banks the variant can only
-     *  replay at one exact shift. 0 = fully general (every validity
-     *  check is a one-sided slack); used as the eviction score. */
-    std::uint8_t nonRigid = 0;
-};
-
-/**
- * The variants recorded under one family key. Distinct contention
- * regimes (ramp-up, steady convoy, drain) produce recordings whose
- * validity ranges don't cover each other; keeping a handful side by
- * side lets each regime hit its own variant instead of evicting the
- * others. Lookup tries them in recording order.
- */
-using ParamFamily = std::vector<ParamPattern>;
 
 /** FNV-1a over the raw offset ticks; equality stays the exact
  *  element-wise vector compare, so a hash collision can never apply
@@ -194,8 +135,9 @@ struct OffsetVecHash
 };
 
 /** One access shape: its touched-server set (fixed canonical order,
- *  the order offsets are gathered and keyed in) and the patterns
- *  learned per distinct offset vector. */
+ *  the order offsets are gathered and keyed in), what every access of
+ *  the shape serves there, and the patterns learned per distinct
+ *  offset vector. */
 struct ShapeInfo
 {
     unsigned firstModule = 0;
@@ -221,40 +163,19 @@ struct ShapeInfo
      */
     std::vector<sim::Tick> firstArrival;
 
+    /** Per touched server: the serve() calls and service ticks of
+     *  every access of the shape, noted by the idle probe. */
+    std::vector<std::uint32_t> requests;
+    std::vector<sim::Tick> busy;
+    unsigned lastLen = 0; //!< the last chunk's word count (unloaded)
+
     std::unordered_map<std::vector<sim::Tick>, BurstPattern,
                        OffsetVecHash>
         patterns;
 
-    /**
-     * Parametric pattern families (ParamPattern), keyed by the
-     * canonical offset vector with each shift-keyed bank's base
-     * subtracted, plus one trailing element holding the shift-key
-     * mask. A bank is shift-keyed in the key iff all its entries are
-     * nonzero — a purely structural rule both the recording and
-     * every lookup apply identically.
-     */
-    std::unordered_map<std::vector<sim::Tick>, ParamFamily,
-                       OffsetVecHash>
-        paramPatterns;
-
-    /** [bankBegin[b], bankBegin[b] + bankCount[b]) is bank b's range
-     *  in @p servers (banks are contiguous: makeShape emits servers
-     *  in flat-index order). */
+    /** Where bank b's entries start in @p servers (banks are
+     *  contiguous: makeShape emits servers in flat-index order). */
     std::array<std::uint32_t, fast_bank_count> bankBegin{};
-    std::array<std::uint32_t, fast_bank_count> bankCount{};
-
-    /**
-     * Per server (aligned with @p servers, nonzero only for stage1
-     * entries): the offset at or above which *every* serve of that
-     * server is horizon-bound. Stage1 arrivals are CE issue times —
-     * static per shape — so the floor is exact: with all of the
-     * bank's offsets at or above their floors the whole bank replays
-     * rigidly under any base shift that keeps them there, and the
-     * family apply constraint (delta >= c_stage1) reduces to exactly
-     * this floor test. Below a floor the bank cannot shift rigidly
-     * and the vector joins no family (see Network::fastReplay).
-     */
-    std::vector<sim::Tick> stage1Floor;
 
     /** Rank of a group / module among the shape's touched ones —
      *  maps a recorded serve's (bank, group/module) coordinates to
@@ -263,15 +184,16 @@ struct ShapeInfo
     std::vector<std::uint32_t> moduleRank;
 
     /**
-     * Per issuing (cluster, CE port): the concrete FifoServer each
-     * @p servers entry resolves to, in the same order. Resolving the
-     * position-free refs costs a bank switch per server per attempt;
-     * the offset gather and the replay apply run once per global
-     * access, so the Network caches the resolution here on first use
-     * (server storage is sized at construction and never moves).
+     * Per issuing CE, at its flat index (cluster * CEs per cluster +
+     * CE port): the concrete FifoServer each @p servers entry
+     * resolves to, in the same order; empty until that CE first
+     * issues the shape. Resolving the position-free refs costs a bank
+     * switch per server per attempt; the offset gather and the replay
+     * apply run once per global access, so the Network caches the
+     * resolution here on first use (server storage is sized at
+     * construction and never moves).
      */
-    std::unordered_map<std::uint32_t, std::vector<sim::FifoServer *>>
-        resolved;
+    std::vector<std::vector<sim::FifoServer *>> resolved;
 };
 
 /**
@@ -336,15 +258,6 @@ class BurstPatternCache
         return it != sh.patterns.end() ? &it->second : nullptr;
     }
 
-    /** The pattern family for @p key (base-subtracted canonical
-     *  vector + mask element), or nullptr. */
-    const ParamFamily *
-    findParam(const ShapeInfo &sh, const std::vector<sim::Tick> &key) const
-    {
-        const auto it = sh.paramPatterns.find(key);
-        return it != sh.paramPatterns.end() ? &it->second : nullptr;
-    }
-
     /**
      * After a find() miss: should the slow-path run this access is
      * about to take be recorded as the pattern for @p offsets?
@@ -369,42 +282,6 @@ class BurstPatternCache
         return ++sightings_[sightingKey(sh, offsets)] >= 2;
     }
 
-    /** shouldRecord() for a pattern *family*: second sighting of the
-     *  base-subtracted key. Separate sighting space (salted hash) —
-     *  a family key deliberately recurs across bursts whose exact
-     *  vectors never do. */
-    bool
-    shouldRecordParam(const ShapeInfo &sh,
-                      const std::vector<sim::Tick> &key)
-    {
-        if (patternBytes_ >= max_pattern_bytes)
-            return false;
-        // A full family whose worst variant is already fully general
-        // can never be improved — stop paying recording bookkeeping.
-        const auto it = sh.paramPatterns.find(key);
-        if (it != sh.paramPatterns.end() &&
-            it->second.size() >= max_family_variants &&
-            worstVariant(it->second)->nonRigid == 0)
-            return false;
-        return ++sightings_[sightingKey(sh, key) ^
-                            0x517cc1b727220a95ULL] >= 2;
-    }
-
-    /** Would storeParam() actually keep a variant scoring
-     *  @p non_rigid under @p key? Lets the recording side skip
-     *  condensing a run whose variant would just be dropped. */
-    bool
-    wouldAcceptParam(const ShapeInfo &sh,
-                     const std::vector<sim::Tick> &key,
-                     unsigned non_rigid) const
-    {
-        const auto it = sh.paramPatterns.find(key);
-        if (it == sh.paramPatterns.end() ||
-            it->second.size() < max_family_variants)
-            return true;
-        return worstVariant(it->second)->nonRigid > non_rigid;
-    }
-
     /** File a pattern recorded from a live slow-path run under
      *  @p offsets (the canonical vector the gather produced for it). */
     void
@@ -419,69 +296,8 @@ class BurstPatternCache
         sh.patterns.emplace(offsets, std::move(p));
     }
 
-    /** Cap on recorded variants per family key: enough for the
-     *  distinct contention regimes a loop exhibits, small enough that
-     *  a lookup trying all of them stays trivial. */
-    static constexpr std::size_t max_family_variants = 32;
-
-    /**
-     * File a new variant under its family key. A variant only ever
-     * gets recorded when every stored one rejected a structurally
-     * matching applicant (or the key was new), so distinct
-     * contention regimes accumulate side by side instead of evicting
-     * each other. When the key is full, a strictly worse-scoring
-     * variant (more non-rigid banks, so a narrower validity range)
-     * is replaced — monotone improvement, so regimes can't thrash —
-     * and otherwise the newcomer is dropped: its regime keeps taking
-     * the slow path, which is merely the status quo ante.
-     */
-    void
-    storeParam(ShapeInfo &sh, const std::vector<sim::Tick> &key,
-               ParamPattern &&p)
-    {
-        ParamFamily &fam = sh.paramPatterns[key];
-        const std::size_t bytes =
-            sizeof(ParamPattern) +
-            p.pat.servers.size() * sizeof(PatternServer) +
-            p.pat.waits.size() * sizeof(PatternWaits);
-        if (fam.size() < max_family_variants) {
-            ++patternsBuilt_;
-            patternBytes_ +=
-                bytes +
-                (fam.empty() ? key.size() * sizeof(sim::Tick) : 0);
-            fam.push_back(std::move(p));
-            return;
-        }
-        ParamPattern *worst = worstVariant(fam);
-        if (worst->nonRigid <= p.nonRigid)
-            return;
-        ++patternsBuilt_;
-        patternBytes_ +=
-            bytes - (sizeof(ParamPattern) +
-                     worst->pat.servers.size() * sizeof(PatternServer) +
-                     worst->pat.waits.size() * sizeof(PatternWaits));
-        *worst = std::move(p);
-    }
-
     /** Distinct (shape, offsets) patterns learned so far. */
     std::uint64_t patternsBuilt() const { return patternsBuilt_; }
-
-    /** The family's highest-scoring (least general) variant. */
-    static const ParamPattern *
-    worstVariant(const ParamFamily &fam)
-    {
-        const ParamPattern *worst = &fam.front();
-        for (const ParamPattern &p : fam)
-            if (p.nonRigid > worst->nonRigid)
-                worst = &p;
-        return worst;
-    }
-    static ParamPattern *
-    worstVariant(ParamFamily &fam)
-    {
-        return const_cast<ParamPattern *>(
-            worstVariant(static_cast<const ParamFamily &>(fam)));
-    }
 
   private:
     /** A shape from its idle probe: the reservation chain replayed

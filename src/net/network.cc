@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <iomanip>
-#include <limits>
 #include <ostream>
 #include <string>
 
@@ -16,14 +15,21 @@ namespace cedar::net
 namespace
 {
 
+/** Reject an issuing cluster or CE port the network does not have,
+ *  before either indexes a server or the fast path's per-CE cache. */
 void
-checkCluster(sim::ClusterId cluster, unsigned n_clusters)
+checkIssuer(sim::ClusterId cluster, int ce_port, unsigned n_clusters,
+            unsigned ces_per_cluster)
 {
     if (cluster < 0 || static_cast<unsigned>(cluster) >= n_clusters)
         throw sim::SimError("network: cluster " +
                             std::to_string(cluster) +
                             " out of range (network has " +
                             std::to_string(n_clusters) + ")");
+    if (ce_port < 0 || static_cast<unsigned>(ce_port) >= ces_per_cluster)
+        throw sim::SimError("network: CE port " + std::to_string(ce_port) +
+                            " out of range (a cluster has " +
+                            std::to_string(ces_per_cluster) + ")");
 }
 
 obs::ResourceClass
@@ -41,24 +47,6 @@ classOfBank(FastBank bank)
     case FastBank::module:
     default:
         return obs::ResourceClass::memory_module;
-    }
-}
-
-FastBank
-bankOfClass(obs::ResourceClass cls)
-{
-    switch (cls) {
-    case obs::ResourceClass::stage1_port:
-        return FastBank::stage1;
-    case obs::ResourceClass::stage2_port:
-        return FastBank::stage2;
-    case obs::ResourceClass::return_a_port:
-        return FastBank::returnA;
-    case obs::ResourceClass::return_b_port:
-        return FastBank::returnB;
-    case obs::ResourceClass::memory_module:
-    default:
-        return FastBank::module;
     }
 }
 
@@ -163,37 +151,29 @@ struct Network::Live : LiveServers
  * reserveAccess policy for a fast-path miss. fastEligible() held, so
  * flow == 0: every flow milestone would be a no-op, and each serve
  * only adds its wait to the tracer's histograms. When the miss
- * earned a recording, each serve is also captured: per
- * touched server its request/wait/busy sums and horizon, the
- * per-serve waits, and the family validity constants (§10.2) — for a
- * shift-keyed bank the worst arrival-minus-horizon over its serves,
- * for a passive bank the worst canonical offset minus first arrival
- * over its servers. c_b <= 0 leaves the bank a one-sided slack;
- * c_b > 0 restricts it to its exact recorded shift (see
- * ParamPattern::cmin).
+ * earned a recording, each serve is also captured: per touched
+ * server its wait sum and horizon, and the per-serve waits. Serve
+ * counts and service ticks are the shape's (ShapeInfo::requests,
+ * busy), so nothing else varies between two runs of one shape.
  */
 struct Network::Recorder : LiveServers
 {
     sim::Tick start;
     const FastMissCtx &miss;
-    std::array<std::int64_t, fast_bank_count> cmin;
 
     Recorder(Network &n, sim::ClusterId c, int ce_port, sim::Tick s,
              const FastMissCtx &m)
         : LiveServers{n, c, ce_port}, start(s), miss(m)
     {
-        cmin.fill(std::numeric_limits<std::int64_t>::min());
         if (!miss.record)
             return;
         net.waitScratch_.clear();
-        net.recScratch_.clear();
-        for (const ServerRef &r : miss.sh->servers)
-            net.recScratch_.push_back(PatternServer{r.bank, r.idx, 0, 0, 0, 0});
+        net.recScratch_.assign(miss.sh->servers.size(), PatternServer{0, 0});
     }
 
     void
-    served(FastBank bank, unsigned idx, sim::Tick arrival,
-           sim::Tick free_before, sim::Tick s, sim::Tick done)
+    served(FastBank bank, unsigned idx, sim::Tick arrival, sim::Tick,
+           sim::Tick s, sim::Tick done)
     {
         const obs::ResourceClass cls = classOfBank(bank);
         const sim::Tick wait = s - arrival;
@@ -204,68 +184,23 @@ struct Network::Recorder : LiveServers
         net.waitScratch_.emplace_back(cls, wait);
 
         const ShapeInfo &sh = *miss.sh;
-        const auto b = static_cast<unsigned>(bank);
         const std::size_t j =
-            sh.bankBegin[b] + (bank == FastBank::module    ? sh.moduleRank[idx]
-                               : bank == FastBank::returnB ? 0
-                                                           : sh.groupRank[idx]);
+            sh.bankBegin[static_cast<unsigned>(bank)] +
+            (bank == FastBank::module    ? sh.moduleRank[idx]
+             : bank == FastBank::returnB ? 0
+                                         : sh.groupRank[idx]);
         PatternServer &e = net.recScratch_[j];
-        if (miss.paramRecord) {
-            std::int64_t c = std::numeric_limits<std::int64_t>::min();
-            if ((miss.paramMask >> b) & 1u)
-                c = static_cast<std::int64_t>(arrival) -
-                    static_cast<std::int64_t>(free_before);
-            else if (e.requests == 0)
-                c = static_cast<std::int64_t>(net.offsetScratch_[j]) -
-                    static_cast<std::int64_t>(arrival - start);
-            cmin[b] = std::max(cmin[b], c);
-        }
-        ++e.requests;
         e.waitSum += wait;
-        e.busySum += done - s;
         // Every touched server serves at an arrival past start, so
         // its horizon sits beyond it.
         e.freeAt = done - start;
     }
 
-    /**
-     * Second sighting: file the recorded run @p r. The sums captured
-     * are, by the fast path's translation invariance, exactly what a
-     * scratch replay at start = 0 would compute — without paying
-     * that second full serve sequence. A family variant subsumes the
-     * exact pattern when the store keeps it (score = number of
-     * exact-shift-only banks; a full family only trades up toward
-     * fully general variants); otherwise fall back to the exact
-     * vector if it earned recording itself.
-     */
-    void
-    file(const Reservation &r)
-    {
-        ShapeInfo &sh = *miss.sh;
-        bool storeAsParam = false;
-        std::uint8_t non_rigid = 0;
-        if (miss.paramRecord) {
-            for (unsigned b = 0; b < fast_bank_count; ++b)
-                if (sh.bankCount[b] != 0 && cmin[b] > 0)
-                    ++non_rigid;
-            storeAsParam = net.cache_.wouldAcceptParam(
-                sh, net.paramScratch_, non_rigid);
-        }
-        if (storeAsParam) {
-            ParamPattern pp;
-            pp.pat = pattern(r);
-            pp.mask = miss.paramMask;
-            pp.nonRigid = non_rigid;
-            pp.base = net.paramBase_;
-            pp.cmin = cmin;
-            net.cache_.storeParam(sh, net.paramScratch_, std::move(pp));
-        } else if (miss.exactRecord) {
-            net.cache_.store(sh, net.offsetScratch_, pattern(r));
-        }
-    }
-
     /** The captured run as a BurstPattern, its per-serve waits
-     *  condensed by (class, value). The list order is irrelevant for
+     *  condensed by (class, value). The sums captured are, by the
+     *  fast path's translation invariance, exactly what a scratch
+     *  replay at start = 0 would compute — without paying that
+     *  second full serve sequence. The list order is irrelevant for
      *  bit-identity: histogram bucket counts and per-class wait sums
      *  are commutative. */
     BurstPattern
@@ -273,7 +208,6 @@ struct Network::Recorder : LiveServers
     {
         BurstPattern p;
         p.relComplete = r.complete - start;
-        p.lastLen = r.lastLen;
         p.servers = net.recScratch_;
         auto &waits = net.waitScratch_;
         std::sort(waits.begin(), waits.end());
@@ -293,7 +227,7 @@ XferResult
 Network::chunkAccess(sim::Tick when, sim::ClusterId cluster, int ce_port,
                      const mem::Chunk &chunk, std::uint32_t flow)
 {
-    checkCluster(cluster, nClusters_);
+    checkIssuer(cluster, ce_port, nClusters_, cesPerCluster_);
     assert(chunk.len >= 1 && chunk.len <= gmem_.map().groupSize());
     Live live{{*this, cluster, ce_port}, flow};
     const Reservation r =
@@ -305,7 +239,7 @@ XferResult
 Network::burst(sim::Tick start, sim::ClusterId cluster, int ce_port,
                sim::Addr addr, unsigned words, std::uint32_t flow)
 {
-    checkCluster(cluster, nClusters_);
+    checkIssuer(cluster, ce_port, nClusters_, cesPerCluster_);
     if (words == 0)
         throw sim::SimError("network: a burst needs at least one word");
     const Reservation r =
@@ -319,7 +253,7 @@ XferResult
 Network::rmw(sim::Tick when, sim::ClusterId cluster, int ce_port,
              sim::Addr addr, const sim::RmwFn &f, std::uint32_t flow)
 {
-    checkCluster(cluster, nClusters_);
+    checkIssuer(cluster, ce_port, nClusters_, cesPerCluster_);
     const Reservation r =
         reserve(when, cluster, ce_port, addr, 1, Access::rmw, flow);
     // The value mutation the module serve stands for, in the same
@@ -353,10 +287,11 @@ Network::reserve(sim::Tick start, sim::ClusterId cluster, int ce_port,
     ++(is_rmw ? fastStats_.slowRmws : fastStats_.slowBursts);
     Recorder rec(*this, cluster, ce_port, start, miss);
     r = reserveAccess(rec, start, addr, words, kind);
-    // Skip only the degenerate saturated case, where
-    // "complete - start" is no longer translation invariant.
+    // Second sighting: file the recorded run. Skip only the
+    // degenerate saturated case, where "complete - start" is no
+    // longer translation invariant.
     if (miss.record && r.complete != sim::max_tick)
-        rec.file(r);
+        cache_.store(*miss.sh, offsetScratch_, rec.pattern(r));
     return r;
 }
 
@@ -395,18 +330,20 @@ const std::vector<sim::FifoServer *> &
 Network::resolvedServers(ShapeInfo &sh, sim::ClusterId cluster,
                          int ce_port)
 {
-    const std::uint32_t key =
-        (static_cast<std::uint32_t>(cluster) << 16) |
-        static_cast<std::uint32_t>(ce_port);
-    auto it = sh.resolved.find(key);
-    if (it == sh.resolved.end()) {
-        std::vector<sim::FifoServer *> v;
+    // checkIssuer() bounded both, so the flat index names exactly one
+    // CE.
+    if (sh.resolved.empty())
+        sh.resolved.resize(static_cast<std::size_t>(nClusters_) *
+                           cesPerCluster_);
+    std::vector<sim::FifoServer *> &v =
+        sh.resolved[static_cast<std::size_t>(cluster) * cesPerCluster_ +
+                    static_cast<unsigned>(ce_port)];
+    if (v.empty()) {
         v.reserve(sh.servers.size());
         for (const ServerRef &r : sh.servers)
             v.push_back(&fastServer(r.bank, r.idx, cluster, ce_port));
-        it = sh.resolved.emplace(key, std::move(v)).first;
     }
-    return it->second;
+    return v;
 }
 
 bool
@@ -452,179 +389,21 @@ Network::fastReplay(sim::Tick start, sim::ClusterId cluster, int ce_port,
         const auto &entries = p->servers;
         assert(entries.size() == srvs.size());
         for (std::size_t j = 0; j < entries.size(); ++j)
-            srvs[j]->applyBatch(entries[j].requests, entries[j].waitSum,
-                                entries[j].busySum,
-                                start + entries[j].freeAt);
+            srvs[j]->applyBatch(sh.requests[j], entries[j].waitSum,
+                                sh.busy[j], start + entries[j].freeAt);
 
         if (tracer_ != nullptr)
             for (const auto &w : p->waits)
                 tracer_->resourceWait(w.cls, w.wait, w.count);
 
         rel_complete = p->relComplete;
-        last_len = p->lastLen;
+        last_len = sh.lastLen;
         return true;
     }
 
     miss.sh = &sh;
-
-    // Exact miss: try the parametric families (DESIGN.md §10.2).
-    // Build the base-subtracted key — a bank whose canonical offsets
-    // are all nonzero is shift-keyed (its base becomes a family
-    // parameter); any other bank keeps its entries verbatim. The
-    // rule is purely structural, so the recording side and every
-    // lookup derive identical keys.
-    bool paramCandidate = false;
-    if (!is_rmw) {
-        paramScratch_.clear();
-        std::uint8_t mask = 0;
-        for (unsigned b = 0; b < fast_bank_count; ++b) {
-            const std::uint32_t begin = sh.bankBegin[b];
-            const std::uint32_t n = sh.bankCount[b];
-            if (n == 0) {
-                paramBase_[b] = 0;
-                continue;
-            }
-            sim::Tick mn = offsetScratch_[begin];
-            for (std::uint32_t k = 1; k < n; ++k)
-                mn = std::min(mn, offsetScratch_[begin + k]);
-            // A stage1 bank below its static rigidity floors cannot
-            // shift rigidly (some serve would be arrival-bound), so
-            // it stays passive — which for stage1 is unconditionally
-            // replayable, since its arrivals never shift.
-            bool shiftable = mn > 0;
-            if (shiftable &&
-                b == static_cast<unsigned>(FastBank::stage1)) {
-                for (std::uint32_t k = 0; k < n; ++k)
-                    if (offsetScratch_[begin + k] <
-                        sh.stage1Floor[begin + k]) {
-                        shiftable = false;
-                        break;
-                    }
-            }
-            if (shiftable) {
-                mask |= static_cast<std::uint8_t>(1u << b);
-                paramBase_[b] = mn;
-                for (std::uint32_t k = 0; k < n; ++k)
-                    paramScratch_.push_back(offsetScratch_[begin + k] -
-                                            mn);
-            } else {
-                paramBase_[b] = 0;
-                for (std::uint32_t k = 0; k < n; ++k)
-                    paramScratch_.push_back(offsetScratch_[begin + k]);
-            }
-        }
-        paramScratch_.push_back(mask);
-        miss.paramMask = mask;
-        paramCandidate = mask != 0;
-        if (paramCandidate) {
-            if (const ParamFamily *fam =
-                    cache_.findParam(sh, paramScratch_)) {
-                for (const ParamPattern &pp : *fam)
-                    if (applyParam(pp, paramBase_, start, sh, srvs,
-                                   rel_complete, last_len))
-                        return true;
-            }
-        }
-    }
-
-    miss.exactRecord = cache_.shouldRecord(sh, offsetScratch_);
-    if (paramCandidate) {
-        bool in_range = true;
-        for (const sim::Tick o : offsetScratch_)
-            if (o >= BurstPatternCache::max_offset) {
-                in_range = false;
-                break;
-            }
-        miss.paramRecord =
-            in_range && cache_.shouldRecordParam(sh, paramScratch_);
-    }
-    miss.record = miss.exactRecord || miss.paramRecord;
+    miss.record = cache_.shouldRecord(sh, offsetScratch_);
     return false;
-}
-
-bool
-Network::applyParam(const ParamPattern &pp,
-                    const std::array<sim::Tick, fast_bank_count> &bases,
-                    sim::Tick start, const ShapeInfo &sh,
-                    const std::vector<sim::FifoServer *> &srvs,
-                    sim::Tick &rel_complete, unsigned &last_len)
-{
-    // Per-bank shift algebra, in the burst DAG's topological order.
-    // beta[b] is the shift of bank b's request arrivals — the serve-
-    // start shift (alpha) of the bank feeding it; stage1 arrivals
-    // are CE issue times, which no offset moves. A shift-keyed bank
-    // serves on its own horizon chain, so its starts move with its
-    // base delta; a passive bank's starts follow its arrivals.
-    // Each one-sided constraint keeps every recorded max() branch
-    // decision (horizon vs arrival) intact, which is what makes the
-    // shifted replay bit-exact.
-    static constexpr FastBank topo[fast_bank_count] = {
-        FastBank::stage1, FastBank::stage2, FastBank::module,
-        FastBank::returnA, FastBank::returnB};
-    std::int64_t alpha[fast_bank_count];
-    std::int64_t beta[fast_bank_count];
-    std::int64_t in = 0;
-    for (const FastBank fb : topo) {
-        const auto b = static_cast<unsigned>(fb);
-        beta[b] = in;
-        if ((pp.mask >> b) & 1u) {
-            const std::int64_t d = static_cast<std::int64_t>(bases[b]) -
-                                   static_cast<std::int64_t>(pp.base[b]);
-            if (d != in && (pp.cmin[b] > 0 || d - in < pp.cmin[b]))
-                return false;
-            alpha[b] = d;
-        } else {
-            // beta == 0 replays a passive bank verbatim — offsets
-            // and arrivals both identical to the recording — so it
-            // is valid whatever the recording looked like.
-            if (in != 0 && (pp.cmin[b] > 0 || in < pp.cmin[b]))
-                return false;
-            alpha[b] = in;
-        }
-        in = alpha[b];
-    }
-
-    // Completion is the last returnB serve plus a hop: it shifts
-    // with returnB's starts. Near the tick ceiling the slow path's
-    // overflow behaviour stays authoritative, as on the exact path.
-    const std::int64_t rel =
-        static_cast<std::int64_t>(pp.pat.relComplete) +
-        alpha[static_cast<unsigned>(FastBank::returnB)];
-    if (rel < 0 || static_cast<sim::Tick>(rel) > sim::max_tick - start)
-        return false;
-
-    const auto &entries = pp.pat.servers;
-    assert(entries.size() == srvs.size());
-    for (std::size_t j = 0; j < entries.size(); ++j) {
-        const auto b = static_cast<unsigned>(sh.servers[j].bank);
-        const PatternServer &e = entries[j];
-        // Every serve's wait moves by (alpha - beta); the validity
-        // constraints bound that from below by minus the smallest
-        // recorded wait, so no shifted wait goes negative.
-        srvs[j]->applyBatch(
-            e.requests,
-            static_cast<sim::Tick>(static_cast<std::int64_t>(e.waitSum) +
-                                   static_cast<std::int64_t>(e.requests) *
-                                       (alpha[b] - beta[b])),
-            e.busySum,
-            start + static_cast<sim::Tick>(
-                        static_cast<std::int64_t>(e.freeAt) + alpha[b]));
-    }
-
-    if (tracer_ != nullptr)
-        for (const auto &w : pp.pat.waits) {
-            const auto b =
-                static_cast<unsigned>(bankOfClass(w.cls));
-            tracer_->resourceWait(
-                w.cls,
-                static_cast<sim::Tick>(static_cast<std::int64_t>(w.wait) +
-                                       (alpha[b] - beta[b])),
-                w.count);
-        }
-
-    rel_complete = static_cast<sim::Tick>(rel);
-    last_len = pp.pat.lastLen;
-    return true;
 }
 
 sim::Tick

@@ -22,7 +22,6 @@
 #define CEDAR_NET_NETWORK_HH
 
 #include <algorithm>
-#include <array>
 #include <cstdint>
 #include <functional>
 #include <iosfwd>
@@ -159,8 +158,8 @@ class Network
      * complete == sim::max_tick when a dead module swallowed part of
      * the stream.
      *
-     * @throws sim::SimError when @p cluster is out of range or
-     *         @p words is 0.
+     * @throws sim::SimError when @p cluster or @p ce_port is out of
+     *         range or @p words is 0.
      */
     XferResult burst(sim::Tick start, sim::ClusterId cluster, int ce_port,
                      sim::Addr addr, unsigned words,
@@ -282,10 +281,7 @@ class Network
     struct FastMissCtx
     {
         ShapeInfo *sh = nullptr;
-        bool record = false;      //!< capture the run's serves
-        bool exactRecord = false; //!< exact vector sighted twice
-        bool paramRecord = false; //!< family key sighted twice
-        std::uint8_t paramMask = 0; //!< gather-time shift-keyed banks
+        bool record = false; //!< capture the run's waits and horizons
     };
 
     /** May the fast path even be attempted for this access? */
@@ -302,34 +298,17 @@ class Network
     resolvedServers(ShapeInfo &sh, sim::ClusterId cluster, int ce_port);
 
     /** Gather the touched servers' relative free-horizon offsets,
-     *  look up the matching pattern, and apply it: batched server
-     *  statistics, batched telemetry, and the returned timing are
-     *  bit-identical to the slow path. Returns false to take the
-     *  slow path (no pattern yet, store capped, an offset out of
-     *  range, or too close to the tick ceiling); @p miss then
-     *  carries what the recording needs. */
+     *  look up the matching pattern, and apply it: the shape's serve
+     *  counts and service ticks with the pattern's wait sums and
+     *  horizons, the pattern's condensed waits to the tracer, and the
+     *  returned timing — bit-identical to the slow path. Returns
+     *  false to take the slow path (no pattern yet, store capped, an
+     *  offset out of range, or too close to the tick ceiling); @p miss
+     *  then carries what the recording needs. */
     bool fastReplay(sim::Tick start, sim::ClusterId cluster, int ce_port,
                     unsigned first_module, unsigned words, bool is_rmw,
                     FastMissCtx &miss, sim::Tick &rel_complete,
                     unsigned &last_len);
-
-    /**
-     * Replay a pattern *family* member (DESIGN.md §10.2). Computes
-     * the per-bank shift algebra in DAG order — beta_b (arrival
-     * shift) is the alpha of the upstream bank, alpha_b (serve-start
-     * shift) is the bank's own base delta when shift-keyed and
-     * beta_b when passive — validates the one-sided constraints the
-     * recording proved sufficient, and applies the recorded pattern
-     * with each bank's stats, horizons and observed waits shifted
-     * by its (alpha, alpha - beta). Returns false (take the slow
-     * path) when the member lies outside the family's validity
-     * range or too close to the tick ceiling.
-     */
-    bool applyParam(const ParamPattern &pp,
-                    const std::array<sim::Tick, fast_bank_count> &bases,
-                    sim::Tick start, const ShapeInfo &sh,
-                    const std::vector<sim::FifoServer *> &srvs,
-                    sim::Tick &rel_complete, unsigned &last_len);
 
     /** Reused offset-gather buffer (single-threaded per Machine). */
     std::vector<sim::Tick> offsetScratch_;
@@ -338,10 +317,6 @@ class Network
     /** Reused per-server sums for pattern recording, in the shape's
      *  canonical server order. */
     std::vector<PatternServer> recScratch_;
-    /** Reused family-key buffer (base-subtracted offsets + mask). */
-    std::vector<sim::Tick> paramScratch_;
-    /** Gather-time per-bank bases of the candidate family key. */
-    std::array<sim::Tick, fast_bank_count> paramBase_{};
 };
 
 /**

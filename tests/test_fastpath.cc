@@ -286,6 +286,35 @@ TEST(FastPathIdentity, FaultedRunBailsAndStaysIdentical)
             << "fault log diverges at event " << i;
 }
 
+TEST(FastPathIdentity, SwitchStallKeepsThePathOnAndIdentical)
+{
+    // A switch stall is the one fault that leaves the fast path on:
+    // it reserves the live ports once, and later accesses see the
+    // backlog as ordinary offsets. Only a memory fault plan turns the
+    // path off.
+    for (const char *name : {"FLO52", "ARC2D"}) {
+        const auto app = apps::perfectAppByName(name);
+        for (const unsigned p : {8u, 32u}) {
+            SCOPED_TRACE(std::string(name) + " " + std::to_string(p) + "p");
+            core::RunOptions o;
+            o.scale = 0.03;
+            o.faults.push_back(
+                parseFaultSpec("switch:stage1:0:stall:2000:@5e4"));
+            o.faults.push_back(
+                parseFaultSpec("switch:stage2:3:stall:5000:@2e5"));
+            o.fastPath = true;
+            const auto fast = core::runExperiment(app, p, o);
+            o.fastPath = false;
+            const auto slow = core::runExperiment(app, p, o);
+
+            EXPECT_EQ(fast.faultLog.count(fault::FaultKind::switch_stall),
+                      2u);
+            EXPECT_GT(fast.fastPathHits, 0u);
+            expectBitIdentical(fast, slow);
+        }
+    }
+}
+
 // ---------------------------------------------------------------
 // Retry-backoff overflow regression (src/hw/ce.cc)
 // ---------------------------------------------------------------
@@ -483,6 +512,34 @@ struct WiredNet
         return v;
     }
 };
+
+TEST(FastPathNetwork, EveryCeResolvesItsOwnPorts)
+{
+    // CE 0 of cluster 1 and CE 65,536 of cluster 0 are distinct CEs
+    // whose (cluster, port) pair packs into the same 32-bit key if the
+    // port takes 16 bits. The second CE must replay the shared
+    // pattern onto its own stage-1 and return-B ports, not the
+    // first's.
+    const mem::AddressMap map(32, 4);
+    WiredNet fast(map, 2, 65537, true);
+    WiredNet slow(map, 2, 65537, false);
+    // Three idle 8-word bursts from CE 0 of cluster 1: the pattern is
+    // recorded on the second and replayed on the third.
+    for (int rep = 0; rep < 3; ++rep) {
+        const Tick when = static_cast<Tick>(rep) * 1000;
+        const auto a = fast.net.burst(when, 1, 0, 0, 8);
+        const auto b = slow.net.burst(when, 1, 0, 0, 8);
+        ASSERT_EQ(a.complete, b.complete) << "rep " << rep;
+    }
+    const auto a = fast.net.burst(3000, 0, 65536, 0, 8);
+    const auto b = slow.net.burst(3000, 0, 65536, 0, 8);
+    EXPECT_EQ(a.complete, b.complete);
+    EXPECT_EQ(fast.net.fastStats().hits(), 2u);
+    EXPECT_EQ(fast.servers(), slow.servers());
+    // Port 65,537 of cluster 0 is no CE at all, not cluster 1's CE 0.
+    EXPECT_THROW(fast.net.burst(4000, 0, 65537, 0, 8), sim::SimError);
+    EXPECT_THROW(slow.net.burst(4000, 0, 65537, 0, 8), sim::SimError);
+}
 
 TEST(FastPathDifferential, GeneratedTrafficMatchesSlowPath)
 {
