@@ -1,15 +1,34 @@
 #include "apps/parser.hh"
 
+#include <charconv>
+#include <cmath>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <sstream>
+#include <type_traits>
 #include <vector>
+
+#include "bench_json.hh"
 
 namespace cedar::apps
 {
 
 namespace
 {
+
+/** @p text (naming @p what) as a count that fits a @p T. */
+template <typename T>
+T
+countOf(unsigned line, const std::string &what, const std::string &text)
+{
+    if (const auto n = tools::checkedCount(text, std::numeric_limits<T>::max()))
+        return static_cast<T>(*n);
+    throw ParseError(line, "bad number for " + what +
+                               " (want a whole number in [0, " +
+                               std::to_string(std::numeric_limits<T>::max()) +
+                               "])");
+}
 
 /** key=value pairs plus bare flags of one directive line. */
 struct Args
@@ -24,8 +43,10 @@ struct Args
         return kv.count(key) != 0;
     }
 
-    std::uint64_t
-    num(const std::string &key, std::uint64_t fallback,
+    /** @p key= as a count that fits a @p T (tools::checkedCount). */
+    template <typename T = unsigned>
+    T
+    num(const std::string &key, std::type_identity_t<T> fallback,
         bool required = false) const
     {
         auto it = kv.find(key);
@@ -34,12 +55,7 @@ struct Args
                 throw ParseError(line, "missing required " + key + "=");
             return fallback;
         }
-        try {
-            return std::stoull(it->second);
-        } catch (const std::exception &) {
-            throw ParseError(line, "bad number for " + key + "=" +
-                                       it->second);
-        }
+        return countOf<T>(line, key + "=" + it->second, it->second);
     }
 
     double
@@ -48,12 +64,13 @@ struct Args
         auto it = kv.find(key);
         if (it == kv.end())
             return fallback;
-        try {
-            return std::stod(it->second);
-        } catch (const std::exception &) {
-            throw ParseError(line, "bad number for " + key + "=" +
-                                       it->second);
-        }
+        const std::string &v = it->second;
+        double x = 0;
+        const auto [p, ec] = std::from_chars(v.data(), v.data() + v.size(), x);
+        if (ec != std::errc() || p != v.data() + v.size() ||
+            !std::isfinite(x))
+            throw ParseError(line, "bad number for " + key + "=" + v);
+        return x;
     }
 
     bool
@@ -86,24 +103,22 @@ parseArgs(std::istringstream &rest, unsigned line)
 LoopSpec
 loopCommon(const Args &a, LoopSpec l)
 {
-    l.computePerIter = a.num("compute", 1000, true);
-    l.words = static_cast<unsigned>(a.num("words", 0));
-    l.burstLen = static_cast<unsigned>(a.num("burst", 64));
+    l.computePerIter = a.num<sim::Tick>("compute", 1000, true);
+    l.words = a.num("words", 0);
+    l.burstLen = a.num("burst", 64);
     if (l.burstLen == 0)
         throw ParseError(a.line, "burst= must be positive");
     l.jitterFrac = a.real("jitter", 0.15);
-    l.haloWords = static_cast<unsigned>(a.num("halo", 0));
-    l.sharedPages = static_cast<unsigned>(a.num("shared", 0));
-    l.pickupBlock =
-        static_cast<unsigned>(a.num("block", 1));
-    l.nBuffers = static_cast<unsigned>(a.num("buffers", 1));
+    l.haloWords = a.num("halo", 0);
+    l.sharedPages = a.num("shared", 0);
+    l.pickupBlock = a.num("block", 1);
+    l.nBuffers = a.num("buffers", 1);
     l.prefetch = a.flag("prefetch");
     const unsigned min_region =
         std::max(1u << 12, l.words * 4);
-    l.regionWords = static_cast<unsigned>(
-        a.num("region", std::max(min_region,
-                                 l.outerIters * l.innerIters *
-                                     std::max(l.words, 1u))));
+    l.regionWords =
+        a.num("region", std::max(min_region, l.outerIters * l.innerIters *
+                                                 std::max(l.words, 1u)));
     if (l.regionWords <= l.words)
         throw ParseError(a.line, "region= must exceed words=");
     if (l.jitterFrac < 0.0 || l.jitterFrac >= 1.0)
@@ -138,25 +153,24 @@ parseWorkload(std::istream &in)
             if (!(ls >> app.name))
                 throw ParseError(line, "app needs a name");
         } else if (directive == "steps") {
-            unsigned n = 0;
-            if (!(ls >> n) || n == 0)
+            std::string n;
+            ls >> n;
+            app.steps = countOf<unsigned>(line, "steps", n);
+            if (app.steps == 0)
                 throw ParseError(line, "steps needs a positive count");
-            app.steps = n;
         } else if (directive == "serial") {
             const auto a = parseArgs(ls, line);
             SerialSpec s;
-            s.compute = a.num("compute", 0, true);
-            s.pages = static_cast<unsigned>(a.num("pages", 0));
-            s.ioOps = static_cast<unsigned>(a.num("io", 0));
+            s.compute = a.num<sim::Tick>("compute", 0, true);
+            s.pages = a.num("pages", 0);
+            s.ioOps = a.num("io", 0);
             app.phases.emplace_back(s);
         } else if (directive == "sdoall") {
             const auto a = parseArgs(ls, line);
             LoopSpec l;
             l.kind = LoopKind::sdoall;
-            l.outerIters =
-                static_cast<unsigned>(a.num("outer", 0, true));
-            l.innerIters =
-                static_cast<unsigned>(a.num("inner", 0, true));
+            l.outerIters = a.num("outer", 0, true);
+            l.innerIters = a.num("inner", 0, true);
             if (l.outerIters == 0 || l.innerIters == 0)
                 throw ParseError(line, "outer=/inner= must be positive");
             app.phases.emplace_back(loopCommon(a, l));
@@ -164,8 +178,7 @@ parseWorkload(std::istream &in)
             const auto a = parseArgs(ls, line);
             LoopSpec l;
             l.kind = LoopKind::xdoall;
-            l.outerIters =
-                static_cast<unsigned>(a.num("iters", 0, true));
+            l.outerIters = a.num("iters", 0, true);
             l.innerIters = 1;
             if (l.outerIters == 0)
                 throw ParseError(line, "iters= must be positive");
@@ -174,18 +187,16 @@ parseWorkload(std::istream &in)
             const auto a = parseArgs(ls, line);
             LoopSpec l;
             l.kind = LoopKind::mc_cdoall;
-            l.outerIters =
-                static_cast<unsigned>(a.num("iters", 0, true));
+            l.outerIters = a.num("iters", 0, true);
             l.innerIters = 1;
             app.phases.emplace_back(loopCommon(a, l));
         } else if (directive == "cdoacross") {
             const auto a = parseArgs(ls, line);
             LoopSpec l;
             l.kind = LoopKind::cdoacross;
-            l.outerIters =
-                static_cast<unsigned>(a.num("iters", 0, true));
+            l.outerIters = a.num("iters", 0, true);
             l.innerIters = 1;
-            l.serialRegion = a.num("serial", 0, true);
+            l.serialRegion = a.num<sim::Tick>("serial", 0, true);
             app.phases.emplace_back(loopCommon(a, l));
         } else {
             throw ParseError(line, "unknown directive '" + directive +

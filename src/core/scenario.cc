@@ -1,11 +1,12 @@
 #include "core/scenario.hh"
 
-#include <cmath>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "apps/parser.hh"
 #include "apps/perfect.hh"
+#include "bench_json.hh"
 #include "core/study.hh"
 #include "fault/fault.hh"
 #include "sim/error.hh"
@@ -138,21 +139,22 @@ struct Parser
     }
 
     std::uint64_t
-    count(const std::string &key, const std::string &v) const
+    count(const std::string &key, const std::string &v,
+          std::uint64_t max = std::numeric_limits<std::uint64_t>::max())
+        const
     {
-        const double x = real(key, v);
-        if (x < 0 || x != std::floor(x) || x > 1.8e19)
-            fail(key + " = " + v + " is not a whole number");
-        return static_cast<std::uint64_t>(x);
+        if (const auto n = tools::checkedCount(v, max))
+            return *n;
+        real(key, v); // no number at all: "bad number"
+        fail(key + " = " + v + " is not a whole number in [0, " +
+             std::to_string(max) + "]");
     }
 
     unsigned
     small(const std::string &key, const std::string &v) const
     {
-        const std::uint64_t x = count(key, v);
-        if (x > 0xffffffffULL)
-            fail(key + " = " + v + " is out of range");
-        return static_cast<unsigned>(x);
+        return static_cast<unsigned>(
+            count(key, v, std::numeric_limits<unsigned>::max()));
     }
 
     bool

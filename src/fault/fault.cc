@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <limits>
 #include <ostream>
 #include <sstream>
 
+#include "bench_json.hh"
 #include "sim/error.hh"
 
 namespace cedar::fault
@@ -68,23 +70,29 @@ parseNum(const std::string &spec, const std::string &tok)
     return v;
 }
 
+/** A count in [0, @p max] ("2e5" included; tools::checkedCount). */
+std::uint64_t
+parseCount(const std::string &spec, const std::string &tok,
+           const std::string &what, std::uint64_t max)
+{
+    if (const auto n = tools::checkedCount(tok, max))
+        return *n;
+    throw FaultSpecError("'" + spec + "': bad " + what + " '" + tok +
+                         "' (want a whole number in [0, " +
+                         std::to_string(max) + "])");
+}
+
 sim::Tick
 parseTick(const std::string &spec, const std::string &tok)
 {
-    const double v = parseNum(spec, tok);
-    if (v < 0)
-        throw FaultSpecError("'" + spec + "': negative time '" + tok +
-                             "'");
-    return static_cast<sim::Tick>(v);
+    return parseCount(spec, tok, "time", sim::max_tick);
 }
 
 unsigned
 parseIndex(const std::string &spec, const std::string &tok)
 {
-    const double v = parseNum(spec, tok);
-    if (v < 0 || v != static_cast<double>(static_cast<unsigned>(v)))
-        throw FaultSpecError("'" + spec + "': bad index '" + tok + "'");
-    return static_cast<unsigned>(v);
+    return static_cast<unsigned>(parseCount(
+        spec, tok, "index", std::numeric_limits<unsigned>::max()));
 }
 
 /**
@@ -152,12 +160,13 @@ parseModule(const std::string &spec, const std::vector<std::string> &toks)
         std::string fac = toks[3];
         if (!fac.empty() && (fac.back() == 'x' || fac.back() == 'X'))
             fac.pop_back();
-        const double v = parseNum(spec, fac);
-        if (v < 2 || v != static_cast<double>(static_cast<unsigned>(v)))
+        f.factor = static_cast<unsigned>(
+            parseCount(spec, fac, "degrade factor",
+                       std::numeric_limits<unsigned>::max()));
+        if (f.factor < 2)
             throw FaultSpecError("'" + spec +
                                  "': degrade factor must be an integer "
                                  ">= 2");
-        f.factor = static_cast<unsigned>(v);
         next = 4;
     } else if (toks[2] == "stuck") {
         f.kind = FaultKind::module_stuck;

@@ -84,22 +84,33 @@ Ce::compute(sim::Tick n, os::UserAct act, sim::Cont k)
     finishOp(eq_.now() + n, std::move(k));
 }
 
-Ce::BurstTiming
-Ce::reserveBurst(sim::Addr addr, unsigned words)
+std::uint32_t
+Ce::beginAccess(unsigned words)
 {
-    const sim::Tick start = eq_.now();
-    const std::uint32_t flow =
-        tracer_ ? tracer_->flowBegin(static_cast<int>(id_), start) : 0;
-    const auto res = net_.burst(start, cluster_, local_, addr, words, flow);
-
     globalWords_ += words;
     ++globalAccesses_;
+    return tracer_ ? tracer_->flowBegin(static_cast<int>(id_), eq_.now())
+                   : 0;
+}
 
-    BurstTiming t;
-    t.complete = res.complete;
-    t.unloaded = res.unloaded;
-    t.flow = flow;
-    return t;
+sim::Tick
+Ce::bookAccess(sim::Tick start, sim::Tick n, const net::XferResult &res,
+               std::uint32_t flow, os::UserAct act)
+{
+    // The access runs under the computation; the CE only stalls for
+    // whatever the computation could not hide.
+    const sim::Tick complete = std::max(start + n, res.complete);
+    const sim::Tick duration = complete - start;
+    const sim::Tick hidden_min = std::max(n, res.unloaded);
+    if (duration > hidden_min)
+        queueingStall_ += duration - hidden_min;
+
+    acct_.addUser(id_, act, duration);
+    if (tracer_) {
+        tracer_->userSpan(static_cast<int>(id_), act, start, duration);
+        tracer_->flowEnd(flow, static_cast<int>(id_), res.complete);
+    }
+    return complete;
 }
 
 void
@@ -107,43 +118,8 @@ Ce::globalAccess(sim::Addr addr, unsigned words, os::UserAct act,
                  sim::Cont k)
 {
     assert(words > 0);
-    issueGlobal(addr, words, act, 0, std::move(k));
-}
-
-void
-Ce::issueGlobal(sim::Addr addr, unsigned words, os::UserAct act,
-                unsigned attempt, sim::Cont k)
-{
-    const sim::Tick start = eq_.now();
-    const auto t = reserveBurst(addr, words);
-
-    if (t.complete == sim::max_tick) {
-        if (tracer_)
-            tracer_->flowEnd(t.flow, static_cast<int>(id_), eq_.now());
-        // Retry and fallback share ownership of k; exactly one of
-        // them ever runs, so moving out of the shared slot is safe.
-        auto ks = std::make_shared<sim::Cont>(std::move(k));
-        faultedAccess(
-            addr, act, attempt,
-            [this, addr, words, act, ks](unsigned next) {
-                issueGlobal(addr, words, act, next, std::move(*ks));
-            },
-            // Fallback: the data words carry no simulated values;
-            // the access simply completes (its cost was the waits).
-            [this, ks] { finishOp(eq_.now(), std::move(*ks)); });
-        return;
-    }
-
-    const sim::Tick duration = t.complete - start;
-    if (duration > t.unloaded)
-        queueingStall_ += duration - t.unloaded;
-
-    acct_.addUser(id_, act, duration);
-    if (tracer_) {
-        tracer_->userSpan(static_cast<int>(id_), act, start, duration);
-        tracer_->flowEnd(t.flow, static_cast<int>(id_), t.complete);
-    }
-    finishOp(t.complete, std::move(k));
+    // A plain access is a prefetch with no computation to hide it.
+    issuePrefetch(0, addr, words, act, 0, std::move(k));
 }
 
 void
@@ -162,19 +138,21 @@ Ce::issuePrefetch(sim::Tick n, sim::Addr addr, unsigned words,
                   os::UserAct act, unsigned attempt, sim::Cont k)
 {
     const sim::Tick start = eq_.now();
-    const auto t = reserveBurst(addr, words);
+    const std::uint32_t flow = beginAccess(words);
+    const auto res = net_.burst(start, cluster_, local_, addr, words, flow);
 
-    if (t.complete == sim::max_tick) {
-        if (tracer_)
-            tracer_->flowEnd(t.flow, static_cast<int>(id_), eq_.now());
+    if (res.complete == sim::max_tick) {
+        // Retry and fallback share ownership of k; exactly one of
+        // them ever runs, so moving out of the shared slot is safe.
         auto ks = std::make_shared<sim::Cont>(std::move(k));
         faultedAccess(
-            addr, act, attempt,
+            addr, act, attempt, flow,
             [this, n, addr, words, act, ks](unsigned next) {
                 issuePrefetch(n, addr, words, act, next, std::move(*ks));
             },
-            // Fallback: only the (already accounted) computation
-            // remains; the stream is written off.
+            // Fallback: the data words carry no simulated values, so
+            // the stream is written off and only the (already
+            // accounted) computation remains.
             [this, n, act, ks] {
                 acct_.addUser(id_, act, n);
                 if (tracer_)
@@ -184,21 +162,7 @@ Ce::issuePrefetch(sim::Tick n, sim::Addr addr, unsigned words,
             });
         return;
     }
-
-    // The stream runs under the computation; the CE only stalls for
-    // whatever the prefetch could not hide.
-    const sim::Tick complete = std::max(start + n, t.complete);
-    const sim::Tick duration = complete - start;
-    const sim::Tick hidden_min = std::max(n, t.unloaded);
-    if (duration > hidden_min)
-        queueingStall_ += duration - hidden_min;
-
-    acct_.addUser(id_, act, duration);
-    if (tracer_) {
-        tracer_->userSpan(static_cast<int>(id_), act, start, duration);
-        tracer_->flowEnd(t.flow, static_cast<int>(id_), t.complete);
-    }
-    finishOp(complete, std::move(k));
+    finishOp(bookAccess(start, n, res, flow, act), std::move(k));
 }
 
 void
@@ -212,22 +176,16 @@ Ce::issueRmw(sim::Addr addr, RmwFn f, os::UserAct act,
              unsigned attempt, ValCont k)
 {
     const sim::Tick start = eq_.now();
-    const std::uint32_t flow =
-        tracer_ ? tracer_->flowBegin(static_cast<int>(id_), start) : 0;
+    const std::uint32_t flow = beginAccess(1);
     const auto res = net_.rmw(start, cluster_, local_, addr, f, flow);
 
-    globalWords_ += 1;
-    ++globalAccesses_;
-
     if (res.complete == sim::max_tick) {
-        if (tracer_)
-            tracer_->flowEnd(flow, static_cast<int>(id_), eq_.now());
         // The dead module did not apply the mutation, so a retry
         // cannot double-apply it.
         auto fs = std::make_shared<RmwFn>(std::move(f));
         auto ks = std::make_shared<ValCont>(std::move(k));
         faultedAccess(
-            addr, act, attempt,
+            addr, act, attempt, flow,
             [this, addr, fs, act, ks](unsigned next) {
                 issueRmw(addr, std::move(*fs), act, next,
                          std::move(*ks));
@@ -241,24 +199,17 @@ Ce::issueRmw(sim::Addr addr, RmwFn f, os::UserAct act,
             });
         return;
     }
-
-    const sim::Tick duration = res.complete - start;
-    if (duration > res.unloaded)
-        queueingStall_ += duration - res.unloaded;
-
-    acct_.addUser(id_, act, duration);
-    if (tracer_) {
-        tracer_->userSpan(static_cast<int>(id_), act, start, duration);
-        tracer_->flowEnd(flow, static_cast<int>(id_), res.complete);
-    }
-    finishOpVal(res.complete, std::move(k), res.oldValue);
+    finishOpVal(bookAccess(start, 0, res, flow, act), std::move(k),
+                res.oldValue);
 }
 
 void
 Ce::faultedAccess(sim::Addr addr, os::UserAct act, unsigned attempt,
-                  sim::SmallFn<void(unsigned)> retry,
+                  std::uint32_t flow, sim::SmallFn<void(unsigned)> retry,
                   sim::Cont fallback)
 {
+    if (tracer_)
+        tracer_->flowEnd(flow, static_cast<int>(id_), eq_.now());
     if (costs_.gm_timeout == 0) {
         // No timeout path: the CE hangs on the bus, exactly as the
         // stock hardware would. The runtime reports the deadlock.

@@ -183,15 +183,22 @@ class Ce
     hpm::Trace &trace() { return trace_; }
 
   private:
-    struct BurstTiming
-    {
-        sim::Tick complete;
-        sim::Tick unloaded;
-        std::uint32_t flow; //!< telemetry flow id (0 = unwatched)
-    };
+    /** Count a global access of @p words and open its telemetry
+     *  flow; returns the flow id (0 = unwatched). */
+    std::uint32_t beginAccess(unsigned words);
 
-    /** Reserve a pipelined chunk stream through the network. */
-    BurstTiming reserveBurst(sim::Addr addr, unsigned words);
+    /**
+     * Book a global access issued at @p start that the network
+     * answered with @p res, overlapped with @p n cycles of
+     * computation (0 for a plain access or an RMW): the queueing
+     * stall beyond max(n, unloaded latency), the user ledger and
+     * span over the CE's busy time, and the end of @p flow.
+     *
+     * @return the tick at which the CE is free again.
+     */
+    sim::Tick bookAccess(sim::Tick start, sim::Tick n,
+                         const net::XferResult &res, std::uint32_t flow,
+                         os::UserAct act);
 
     /**
      * Occupy the CE until @p completion, then invoke @p k. The
@@ -210,8 +217,6 @@ class Ce
 
     // ----- dead-module handling (see docs/FAULTS.md) -----
 
-    void issueGlobal(sim::Addr addr, unsigned words, os::UserAct act,
-                     unsigned attempt, sim::Cont k);
     void issuePrefetch(sim::Tick n, sim::Addr addr, unsigned words,
                        os::UserAct act, unsigned attempt, sim::Cont k);
     void issueRmw(sim::Addr addr, RmwFn f, os::UserAct act,
@@ -219,12 +224,14 @@ class Ce
 
     /**
      * React to an access whose completion came back as the
-     * sim::max_tick sentinel (dead module): park forever when no
-     * timeout is configured, otherwise wait out the timeout plus
-     * exponential backoff and call @p retry with the next attempt
-     * number — or @p fallback once retries are exhausted.
+     * sim::max_tick sentinel (dead module): end its @p flow, then
+     * park forever when no timeout is configured, otherwise wait out
+     * the timeout plus exponential backoff and call @p retry with the
+     * next attempt number — or @p fallback once retries are
+     * exhausted.
      */
     void faultedAccess(sim::Addr addr, os::UserAct act, unsigned attempt,
+                       std::uint32_t flow,
                        sim::SmallFn<void(unsigned)> retry,
                        sim::Cont fallback);
 

@@ -24,13 +24,4 @@ AddressMap::AddressMap(unsigned n_modules, unsigned group_size)
         groupMask_ = group_size - 1;
 }
 
-std::vector<Chunk>
-AddressMap::chunkify(sim::Addr addr, unsigned len) const
-{
-    std::vector<Chunk> chunks;
-    forEachChunk(addr, len,
-                 [&chunks](const Chunk &c) { chunks.push_back(c); });
-    return chunks;
-}
-
 } // namespace cedar::mem

@@ -16,7 +16,6 @@
 #define CEDAR_MEM_ADDRESS_MAP_HH
 
 #include <algorithm>
-#include <vector>
 
 #include "sim/types.hh"
 
@@ -62,33 +61,10 @@ class AddressMap
     /** Module group (== stage-2 switch index) for @p addr. */
     unsigned group(sim::Addr addr) const { return module(addr) / groupSize_; }
 
-    /**
-     * Split [addr, addr+len) into chunks that each stay within one
-     * module group. Chunk boundaries fall on group_size-aligned
-     * addresses, mirroring how a pipelined vector stream sweeps the
-     * interleaved modules.
-     */
-    std::vector<Chunk> chunkify(sim::Addr addr, unsigned len) const;
-
-    /**
-     * Allocation-free form of chunkify: invoke @p f on each chunk in
-     * address order. The burst hot path iterates millions of streams
-     * per run and must not pay a vector per burst.
-     */
-    template <typename Fn>
-    void
-    forEachChunk(sim::Addr addr, unsigned len, Fn &&f) const
-    {
-        while (len > 0) {
-            const unsigned take = chunkLen(addr, len);
-            f(Chunk{addr, take});
-            addr += take;
-            len -= take;
-        }
-    }
-
     /** Length of the first chunk of [addr, addr+len): the words up
-     *  to the next group_size-aligned address, at most @p len. */
+     *  to the next group_size-aligned address, at most @p len. A
+     *  pipelined stream splits into chunks at those boundaries, the
+     *  way it sweeps the interleaved modules (net::reserveAccess). */
     unsigned
     chunkLen(sim::Addr addr, unsigned len) const
     {

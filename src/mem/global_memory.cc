@@ -1,10 +1,8 @@
 #include "mem/global_memory.hh"
 
 #include <algorithm>
-#include <cassert>
 #include <string>
 
-#include "obs/tracer.hh"
 #include "sim/error.hh"
 
 namespace cedar::mem
@@ -30,12 +28,6 @@ GlobalMemory::injectModuleFault(unsigned m, const ModuleFault &f)
     faults_[m].push_back(f);
 }
 
-bool
-GlobalMemory::moduleDead(unsigned m, sim::Tick at) const
-{
-    return effect(m, at, word_service).dead;
-}
-
 GlobalMemory::ServiceEffect
 GlobalMemory::effect(unsigned m, sim::Tick arrival, sim::Tick base) const
 {
@@ -57,68 +49,6 @@ GlobalMemory::effect(unsigned m, sim::Tick arrival, sim::Tick base) const
         }
     }
     return e;
-}
-
-void
-GlobalMemory::noteServe(unsigned m, sim::Tick arrival, sim::Tick start,
-                        sim::Tick done, std::uint32_t flow) const
-{
-    if (tracer_ == nullptr)
-        return;
-    // The observed wait is exactly what ServerStats recorded for
-    // this serve: max(arrival, not_before, free_at) - arrival.
-    tracer_->resourceWait(obs::ResourceClass::memory_module,
-                          start - arrival);
-    tracer_->flowStage(flow, obs::FlowStage::module, done,
-                       static_cast<std::int32_t>(m), done - start);
-}
-
-MemAccessResult
-GlobalMemory::accessChunk(sim::Tick arrival, const Chunk &chunk,
-                          std::uint32_t flow)
-{
-    assert(chunk.len > 0);
-    MemAccessResult res{0, 0};
-    for (unsigned i = 0; i < chunk.len; ++i) {
-        const unsigned m = map_.module(chunk.addr + i);
-        const WordServe w = serveWord(m, arrival, word_service);
-        if (w.dead) {
-            res.complete = sim::max_tick;
-            continue;
-        }
-        noteServe(m, arrival, w.start, w.done, flow);
-        res.complete = std::max(res.complete, w.done);
-        if (w.freeBefore > arrival)
-            res.wait += w.freeBefore - arrival;
-    }
-    return res;
-}
-
-MemAccessResult
-GlobalMemory::rmw(sim::Tick arrival, sim::Addr addr,
-                  const sim::RmwFn &f, std::uint64_t *old_out,
-                  std::uint32_t flow)
-{
-    const unsigned m = map_.module(addr);
-    const WordServe w = serveWord(m, arrival, rmw_service);
-    if (w.dead) {
-        // The module never answers: no service, and crucially no
-        // mutation, so a retried/abandoned RMW cannot double-apply.
-        if (old_out)
-            *old_out = ~0ULL;
-        return MemAccessResult{sim::max_tick, 0};
-    }
-    noteServe(m, arrival, w.start, w.done, flow);
-
-    std::uint64_t &cell = words_[addr];
-    if (old_out)
-        *old_out = cell;
-    cell = f(cell);
-
-    MemAccessResult res;
-    res.complete = w.done;
-    res.wait = w.freeBefore > arrival ? w.freeBefore - arrival : 0;
-    return res;
 }
 
 std::uint64_t

@@ -13,7 +13,6 @@
 #define CEDAR_MEM_GLOBAL_MEMORY_HH
 
 #include <cstdint>
-#include <functional>
 #include <unordered_map>
 #include <vector>
 
@@ -21,20 +20,8 @@
 #include "sim/fifo_server.hh"
 #include "sim/types.hh"
 
-namespace cedar::obs
-{
-class Tracer;
-}
-
 namespace cedar::mem
 {
-
-/** Timing/occupancy result of a memory-side chunk access. */
-struct MemAccessResult
-{
-    sim::Tick complete; //!< when the last touched module finished
-    sim::Tick wait;     //!< total queueing ticks across modules
-};
 
 /**
  * An injected service fault on one memory module, active for
@@ -72,24 +59,19 @@ class GlobalMemory
 
     const AddressMap &map() const { return map_; }
 
-    /** Attach the telemetry tracer (module waits, flow milestones). */
-    void setTracer(obs::Tracer *t) { tracer_ = t; }
-
     /** One module request reserved by serveWord. */
     struct WordServe
     {
-        sim::Tick freeBefore; //!< the module's horizon before it
-        sim::Tick start;      //!< service start (stuck floor included)
-        sim::Tick done;       //!< completion tick
-        bool dead;            //!< the module never serves: no reservation
+        sim::Tick start; //!< service start (stuck floor included)
+        sim::Tick done;  //!< completion tick
+        bool dead;       //!< the module never serves: no reservation
     };
 
     /**
      * Reserve one request of @p base service ticks arriving at
-     * module @p m at @p arrival, under the module's fault plan. The
-     * one module serve every access path shares: accessChunk, rmw
-     * and the network's reservation chain (net::reserveAccess).
-     * Publishes nothing (see noteServe).
+     * module @p m at @p arrival, under the module's fault plan: the
+     * module leg of the network's reservation chain
+     * (net::reserveAccess), which reports the serve.
      */
     WordServe
     serveWord(unsigned m, sim::Tick arrival, sim::Tick base)
@@ -98,42 +80,19 @@ class GlobalMemory
                                      ? ServiceEffect{base, 0, false}
                                      : effect(m, arrival, base);
         if (ef.dead)
-            return WordServe{0, 0, sim::max_tick, true};
-        sim::FifoServer &srv = modules_[m];
-        const sim::Tick before = srv.freeAt();
+            return WordServe{0, sim::max_tick, true};
         const sim::Tick done =
-            srv.serve(arrival, ef.service, ef.notBefore);
-        return WordServe{before, done - ef.service, done, false};
+            modules_[m].serve(arrival, ef.service, ef.notBefore);
+        return WordServe{done - ef.service, done, false};
     }
-
-    /** Hand one served request's queueing wait and flow milestone
-     *  to the attached tracer (a no-op without one). */
-    void noteServe(unsigned m, sim::Tick arrival, sim::Tick start,
-                   sim::Tick done, std::uint32_t flow) const;
-
-    /**
-     * Access a chunk (all words within one module group): each
-     * touched module serves one word. A non-zero @p flow tags the
-     * module milestones in the telemetry stream.
-     */
-    MemAccessResult accessChunk(sim::Tick arrival, const Chunk &chunk,
-                                std::uint32_t flow = 0);
-
-    /**
-     * Atomically apply @p f to the word at @p addr, serialised in
-     * module order.
-     *
-     * @return access timing plus the *previous* value of the word.
-     */
-    MemAccessResult
-    rmw(sim::Tick arrival, sim::Addr addr, const sim::RmwFn &f,
-        std::uint64_t *old_out = nullptr, std::uint32_t flow = 0);
 
     /**
      * Apply @p f to the word at @p addr without timing or module
-     * service: the resilience layer's software fallback for atomics
-     * whose home module is dead. Keeps synchronisation state
-     * consistent for runs that complete in degraded mode.
+     * service. The network's RMW calls it once the chain has served
+     * the word, so values change in module service order; the
+     * resilience layer's software fallback calls it for atomics whose
+     * home module is dead, keeping synchronisation state consistent
+     * for runs that complete in degraded mode.
      *
      * @return the previous value of the word.
      */
@@ -158,7 +117,7 @@ class GlobalMemory
         return modules_[m];
     }
 
-    /** Mutable module access, for wiring observability hooks. */
+    /** Mutable module access, for the network's fast-path replay. */
     sim::FifoServer &moduleServerMut(unsigned m) { return modules_[m]; }
 
     /**
@@ -168,9 +127,6 @@ class GlobalMemory
      *         fault's window/factor is malformed.
      */
     void injectModuleFault(unsigned m, const ModuleFault &f);
-
-    /** True when module @p m never serves arrivals at @p at. */
-    bool moduleDead(unsigned m, sim::Tick at) const;
 
     /** True when any module has an injected fault installed. The
      *  analytic fast path refuses to fire on a faulted memory — the
@@ -197,7 +153,6 @@ class GlobalMemory
     ServiceEffect effect(unsigned m, sim::Tick arrival,
                          sim::Tick base) const;
 
-    obs::Tracer *tracer_ = nullptr;
     AddressMap map_;
     std::vector<sim::FifoServer> modules_;
     std::unordered_map<sim::Addr, std::uint64_t> words_;

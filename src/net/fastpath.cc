@@ -72,8 +72,8 @@ struct IdleProbe
     mem::GlobalMemory &memory() { return gmem; }
 
     void
-    served(FastBank bank, unsigned idx, sim::Tick arrival, sim::Tick,
-           sim::Tick start, sim::Tick done)
+    served(FastBank bank, unsigned idx, sim::Tick arrival, sim::Tick start,
+           sim::Tick done)
     {
         const std::size_t i = flatIndex({bank, idx}, groups);
         firstArrival[i] = std::min(firstArrival[i], arrival);
@@ -103,22 +103,20 @@ struct IdleProbe
  * millions of lookups it serves.
  */
 ShapeInfo
-BurstPatternCache::makeShape(unsigned first_module, unsigned words,
-                             bool is_rmw) const
+BurstPatternCache::makeShape(unsigned first_module, unsigned words) const
 {
     // A canonical address with the same home module reproduces the
     // chunk/group/module sequence of every address in the shape
     // class: chunk boundaries depend on addr % group_size and
     // routing on addr % n_modules, and group_size divides n_modules.
     IdleProbe probe(map_);
-    const Reservation r = reserveAccess(
-        probe, 0, first_module, words, is_rmw ? Access::rmw : Access::burst);
+    const Reservation r =
+        reserveAccess(probe, 0, first_module, words, Access::burst);
 
     const unsigned groups = map_.numGroups();
     ShapeInfo sh;
     sh.firstModule = first_module;
     sh.words = words;
-    sh.isRmw = is_rmw;
     sh.lastLen = r.lastLen;
     sh.groupRank.assign(groups, 0);
     sh.moduleRank.assign(map_.numModules(), 0);

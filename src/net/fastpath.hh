@@ -1,13 +1,13 @@
 /**
  * @file
- * Analytic fast-forward patterns for global-memory traffic.
+ * Analytic fast-forward patterns for global-memory bursts.
  *
  * Every global access in the model is reservation based: the whole
  * stage1 -> stage2 -> module -> returnA -> returnB path of a burst
  * is reserved synchronously at issue time (sim/fifo_server.hh). The
- * set of servers an access touches is a pure function of its *shape*
- * (home module of the first word, word count, burst vs RMW) — the
- * routing depends only on addresses. Given the shape, the entire
+ * set of servers a burst touches is a pure function of its *shape*
+ * (home module of the first word and word count) — the routing
+ * depends only on addresses. Given the shape, the entire
  * reservation outcome is determined by one more input: each touched
  * server's free horizon *relative to the access start*,
  *
@@ -47,6 +47,10 @@
  * to the slow path — reuse requires an *exact* offset-vector match,
  * so the replay is self-verifying (the correctness bar: not a single
  * published number may change — see tests/test_fastpath.cc).
+ *
+ * Only bursts take this path. An RMW touches five servers, and
+ * gathering, hashing and probing five offsets does not beat serving
+ * them, so Network::rmw always reserves through the reference chain.
  */
 
 #ifndef CEDAR_NET_FASTPATH_HH
@@ -142,7 +146,6 @@ struct ShapeInfo
 {
     unsigned firstModule = 0;
     unsigned words = 0;
-    bool isRmw = false;
     std::vector<ServerRef> servers;
 
     /**
@@ -216,8 +219,9 @@ class BurstPatternCache
     /** Learned patterns stop growing past this approximate byte
      *  footprint across all shapes; later unseen offset vectors just
      *  take the slow path. A byte budget rather than an entry count:
-     *  contended RMW patterns are ~50x smaller than long-burst ones,
-     *  and sync-heavy runs want many of exactly those. */
+     *  a pattern's size follows its shape's touched servers (5 for a
+     *  one-word burst, about 57 for a long one), so a count would
+     *  bound the footprint only to within an order of magnitude. */
     static constexpr std::size_t max_pattern_bytes = 192u << 20;
 
     explicit BurstPatternCache(const mem::AddressMap &map) : map_(map)
@@ -230,18 +234,15 @@ class BurstPatternCache
     }
 
     /** The shape record for a burst of @p words whose first word
-     *  lives on @p first_module (or the single-word RMW shape);
-     *  its touched-server list is derived on first use. */
+     *  lives on @p first_module; its touched-server list is derived
+     *  on first use. */
     ShapeInfo &
-    shape(unsigned first_module, unsigned words, bool is_rmw)
+    shape(unsigned first_module, unsigned words)
     {
-        const std::uint64_t key =
-            (static_cast<std::uint64_t>(first_module) << 33) |
-            (static_cast<std::uint64_t>(words) << 1) | (is_rmw ? 1u : 0u);
+        const std::uint64_t key = shapeKey(first_module, words);
         auto it = shapes_.find(key);
         if (it == shapes_.end())
-            it = shapes_.emplace(key, makeShape(first_module, words, is_rmw))
-                     .first;
+            it = shapes_.emplace(key, makeShape(first_module, words)).first;
         return it->second;
     }
 
@@ -302,16 +303,19 @@ class BurstPatternCache
   private:
     /** A shape from its idle probe: the reservation chain replayed
      *  once on an empty scratch machine (net::reserveAccess). */
-    ShapeInfo makeShape(unsigned first_module, unsigned words,
-                        bool is_rmw) const;
+    ShapeInfo makeShape(unsigned first_module, unsigned words) const;
+
+    static std::uint64_t
+    shapeKey(unsigned first_module, unsigned words)
+    {
+        return (static_cast<std::uint64_t>(first_module) << 32) | words;
+    }
 
     static std::uint64_t
     sightingKey(const ShapeInfo &sh, const std::vector<sim::Tick> &offsets)
     {
-        std::uint64_t h = OffsetVecHash{}(offsets);
-        h ^= (static_cast<std::uint64_t>(sh.firstModule) << 33) |
-             (static_cast<std::uint64_t>(sh.words) << 1) |
-             (sh.isRmw ? 1u : 0u);
+        const std::uint64_t h = OffsetVecHash{}(offsets) ^
+                                shapeKey(sh.firstModule, sh.words);
         return h * 0x9e3779b97f4a7c15ULL;
     }
 

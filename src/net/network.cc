@@ -50,14 +50,21 @@ classOfBank(FastBank bank)
     }
 }
 
-/** The flow milestone a port bank's serve stands for (returnA has
- *  none: the return path clears at returnB). */
+/** The flow milestone a bank's serve stands for (returnA has none:
+ *  the return path clears at returnB). */
 obs::FlowStage
 flowStageOf(FastBank bank)
 {
-    return bank == FastBank::stage1   ? obs::FlowStage::stage1
-           : bank == FastBank::stage2 ? obs::FlowStage::stage2
-                                      : obs::FlowStage::ret;
+    switch (bank) {
+    case FastBank::stage1:
+        return obs::FlowStage::stage1;
+    case FastBank::stage2:
+        return obs::FlowStage::stage2;
+    case FastBank::module:
+        return obs::FlowStage::module;
+    default:
+        return obs::FlowStage::ret;
+    }
 }
 
 } // namespace
@@ -86,31 +93,44 @@ Network::Network(unsigned n_clusters, unsigned ces_per_cluster,
 }
 
 std::int32_t
-Network::portIndex(FastBank bank, unsigned group, sim::ClusterId cluster,
-                   int ce_port) const
+Network::flowResource(FastBank bank, unsigned idx, sim::ClusterId cluster,
+                      int ce_port) const
 {
     const auto c = static_cast<unsigned>(cluster);
     switch (bank) {
     case FastBank::stage1:
         return static_cast<std::int32_t>(
-            c * static_cast<unsigned>(stage2In_.size()) + group);
+            c * static_cast<unsigned>(stage2In_.size()) + idx);
     case FastBank::stage2:
     case FastBank::returnA:
-        return static_cast<std::int32_t>(group * nClusters_ + c);
+        return static_cast<std::int32_t>(idx * nClusters_ + c);
     case FastBank::returnB:
-    default:
         return static_cast<std::int32_t>(
             c * cesPerCluster_ + static_cast<unsigned>(ce_port));
+    case FastBank::module:
+    default:
+        return static_cast<std::int32_t>(idx);
     }
 }
 
-/** What every live reserveAccess policy resolves the same way: the
- *  issuing CE's ports and the machine's modules. */
-struct Network::LiveServers
+/**
+ * The one reserveAccess policy over the live servers of the issuing
+ * CE. Every serve hands its queueing wait to the tracer and, for a
+ * watched access (flow != 0), its flow milestone. When a fast-path
+ * miss earned a recording (@p rec), each serve is also captured: per
+ * touched server its wait sum and horizon, and the per-serve waits.
+ * Serve counts and service ticks are the shape's
+ * (ShapeInfo::requests, busy), so nothing else varies between two
+ * runs of one shape.
+ */
+struct Network::Live
 {
     Network &net;
     sim::ClusterId cluster;
     int cePort;
+    sim::Tick start;
+    std::uint32_t flow = 0;
+    const ShapeInfo *rec = nullptr; //!< record the run for this shape
 
     sim::FifoServer &
     server(FastBank bank, unsigned idx)
@@ -119,76 +139,28 @@ struct Network::LiveServers
     }
 
     mem::GlobalMemory &memory() { return net.gmem_; }
-};
-
-/** reserveAccess policy for every access the fast path may not
- *  touch: each serve handed to the tracer (module serves through
- *  the memory's own) with its flow milestones. */
-struct Network::Live : LiveServers
-{
-    std::uint32_t flow;
 
     void
-    served(FastBank bank, unsigned idx, sim::Tick arrival, sim::Tick,
-           sim::Tick start, sim::Tick done)
-    {
-        if (bank == FastBank::module) {
-            net.gmem_.noteServe(idx, arrival, start, done, flow);
-            return;
-        }
-        obs::Tracer *t = net.tracer_;
-        if (t == nullptr)
-            return;
-        t->resourceWait(classOfBank(bank), start - arrival);
-        if (flow != 0 && bank != FastBank::returnA)
-            t->flowStage(flow, flowStageOf(bank), done,
-                         net.portIndex(bank, idx, cluster, cePort),
-                         done - start);
-    }
-};
-
-/**
- * reserveAccess policy for a fast-path miss. fastEligible() held, so
- * flow == 0: every flow milestone would be a no-op, and each serve
- * only adds its wait to the tracer's histograms. When the miss
- * earned a recording, each serve is also captured: per touched
- * server its wait sum and horizon, and the per-serve waits. Serve
- * counts and service ticks are the shape's (ShapeInfo::requests,
- * busy), so nothing else varies between two runs of one shape.
- */
-struct Network::Recorder : LiveServers
-{
-    sim::Tick start;
-    const FastMissCtx &miss;
-
-    Recorder(Network &n, sim::ClusterId c, int ce_port, sim::Tick s,
-             const FastMissCtx &m)
-        : LiveServers{n, c, ce_port}, start(s), miss(m)
-    {
-        if (!miss.record)
-            return;
-        net.waitScratch_.clear();
-        net.recScratch_.assign(miss.sh->servers.size(), PatternServer{0, 0});
-    }
-
-    void
-    served(FastBank bank, unsigned idx, sim::Tick arrival, sim::Tick,
-           sim::Tick s, sim::Tick done)
+    served(FastBank bank, unsigned idx, sim::Tick arrival, sim::Tick s,
+           sim::Tick done)
     {
         const obs::ResourceClass cls = classOfBank(bank);
         const sim::Tick wait = s - arrival;
-        if (net.tracer_ != nullptr)
-            net.tracer_->resourceWait(cls, wait);
-        if (!miss.record)
+        if (obs::Tracer *t = net.tracer_) {
+            t->resourceWait(cls, wait);
+            if (flow != 0 && bank != FastBank::returnA)
+                t->flowStage(flow, flowStageOf(bank), done,
+                             net.flowResource(bank, idx, cluster, cePort),
+                             done - s);
+        }
+        if (rec == nullptr)
             return;
         net.waitScratch_.emplace_back(cls, wait);
-
-        const ShapeInfo &sh = *miss.sh;
         const std::size_t j =
-            sh.bankBegin[static_cast<unsigned>(bank)] +
-            (bank == FastBank::module    ? sh.moduleRank[idx]
+            rec->bankBegin[static_cast<unsigned>(bank)] +
+            (bank == FastBank::module    ? rec->moduleRank[idx]
              : bank == FastBank::returnB ? 0
-                                         : sh.groupRank[idx]);
+                                         : rec->groupRank[idx]);
         PatternServer &e = net.recScratch_[j];
         e.waitSum += wait;
         // Every touched server serves at an arrival past start, so
@@ -229,7 +201,7 @@ Network::chunkAccess(sim::Tick when, sim::ClusterId cluster, int ce_port,
 {
     checkIssuer(cluster, ce_port, nClusters_, cesPerCluster_);
     assert(chunk.len >= 1 && chunk.len <= gmem_.map().groupSize());
-    Live live{{*this, cluster, ce_port}, flow};
+    Live live{*this, cluster, ce_port, when, flow};
     const Reservation r =
         reserveAccess(live, when, chunk.addr, chunk.len, Access::chunk);
     return XferResult{r.complete, unloadedLatency(chunk.len)};
@@ -243,7 +215,7 @@ Network::burst(sim::Tick start, sim::ClusterId cluster, int ce_port,
     if (words == 0)
         throw sim::SimError("network: a burst needs at least one word");
     const Reservation r =
-        reserve(start, cluster, ce_port, addr, words, Access::burst, flow);
+        reserveBurst(start, cluster, ce_port, addr, words, flow);
     // Zero-contention duration of the same stream: the pipelined
     // issue of every word plus the last chunk's full latency.
     return XferResult{r.complete, words + unloadedLatency(r.lastLen)};
@@ -254,8 +226,8 @@ Network::rmw(sim::Tick when, sim::ClusterId cluster, int ce_port,
              sim::Addr addr, const sim::RmwFn &f, std::uint32_t flow)
 {
     checkIssuer(cluster, ce_port, nClusters_, cesPerCluster_);
-    const Reservation r =
-        reserve(when, cluster, ce_port, addr, 1, Access::rmw, flow);
+    Live live{*this, cluster, ce_port, when, flow};
+    const Reservation r = reserveAccess(live, when, addr, 1, Access::rmw);
     // The value mutation the module serve stands for, in the same
     // (synchronous) serialisation order. A dead module never answers
     // and mutates nothing, so an abandoned RMW cannot double-apply.
@@ -264,34 +236,31 @@ Network::rmw(sim::Tick when, sim::ClusterId cluster, int ce_port,
 }
 
 Reservation
-Network::reserve(sim::Tick start, sim::ClusterId cluster, int ce_port,
-                 sim::Addr addr, unsigned words, Access kind,
-                 std::uint32_t flow)
+Network::reserveBurst(sim::Tick start, sim::ClusterId cluster, int ce_port,
+                      sim::Addr addr, unsigned words, std::uint32_t flow)
 {
-    const bool is_rmw = kind == Access::rmw;
-    if (!fastEligible(flow)) {
-        ++(is_rmw ? fastStats_.slowRmws : fastStats_.slowBursts);
-        Live live{{*this, cluster, ce_port}, flow};
-        return reserveAccess(live, start, addr, words, kind);
-    }
-
-    FastMissCtx miss;
+    Live live{*this, cluster, ce_port, start, flow};
     Reservation r;
-    sim::Tick rel = 0;
-    if (fastReplay(start, cluster, ce_port, gmem_.map().module(addr),
-                   words, is_rmw, miss, rel, r.lastLen)) {
-        ++(is_rmw ? fastStats_.fastRmws : fastStats_.fastBursts);
-        r.complete = start + rel;
-        return r;
+    ShapeInfo *record = nullptr;
+    if (fastEligible(flow)) {
+        if (fastReplay(start, cluster, ce_port, gmem_.map().module(addr),
+                       words, r, record)) {
+            ++fastStats_.fastBursts;
+            return r;
+        }
+        if (record != nullptr) {
+            waitScratch_.clear();
+            recScratch_.assign(record->servers.size(), PatternServer{0, 0});
+            live.rec = record;
+        }
     }
-    ++(is_rmw ? fastStats_.slowRmws : fastStats_.slowBursts);
-    Recorder rec(*this, cluster, ce_port, start, miss);
-    r = reserveAccess(rec, start, addr, words, kind);
+    ++fastStats_.slowBursts;
+    r = reserveAccess(live, start, addr, words, Access::burst);
     // Second sighting: file the recorded run. Skip only the
     // degenerate saturated case, where "complete - start" is no
     // longer translation invariant.
-    if (miss.record && r.complete != sim::max_tick)
-        cache_.store(*miss.sh, offsetScratch_, rec.pattern(r));
+    if (record != nullptr && r.complete != sim::max_tick)
+        cache_.store(*record, offsetScratch_, live.pattern(r));
     return r;
 }
 
@@ -348,11 +317,10 @@ Network::resolvedServers(ShapeInfo &sh, sim::ClusterId cluster,
 
 bool
 Network::fastReplay(sim::Tick start, sim::ClusterId cluster, int ce_port,
-                    unsigned first_module, unsigned words, bool is_rmw,
-                    FastMissCtx &miss, sim::Tick &rel_complete,
-                    unsigned &last_len)
+                    unsigned first_module, unsigned words, Reservation &r,
+                    ShapeInfo *&record)
 {
-    ShapeInfo &sh = cache_.shape(first_module, words, is_rmw);
+    ShapeInfo &sh = cache_.shape(first_module, words);
     const auto &srvs = resolvedServers(sh, cluster, ce_port);
 
     // The replay key: every touched server's free horizon relative
@@ -381,10 +349,8 @@ Network::fastReplay(sim::Tick start, sim::ClusterId cluster, int ce_port,
     if (const BurstPattern *p = cache_.find(sh, offsetScratch_)) {
         // Near the tick ceiling the slow path's overflow throw
         // applies. (The pattern exists, so no re-recording.)
-        if (p->relComplete > sim::max_tick - start) {
-            miss.sh = &sh;
+        if (p->relComplete > sim::max_tick - start)
             return false;
-        }
 
         const auto &entries = p->servers;
         assert(entries.size() == srvs.size());
@@ -396,13 +362,13 @@ Network::fastReplay(sim::Tick start, sim::ClusterId cluster, int ce_port,
             for (const auto &w : p->waits)
                 tracer_->resourceWait(w.cls, w.wait, w.count);
 
-        rel_complete = p->relComplete;
-        last_len = sh.lastLen;
+        r.complete = start + p->relComplete;
+        r.lastLen = sh.lastLen;
         return true;
     }
 
-    miss.sh = &sh;
-    miss.record = cache_.shouldRecord(sh, offsetScratch_);
+    if (cache_.shouldRecord(sh, offsetScratch_))
+        record = &sh;
     return false;
 }
 
@@ -471,20 +437,10 @@ Network::visitPorts(
     visitBank("returnB", returnB_, f);
 }
 
-void
-Network::visitPortsMut(
-    const std::function<void(const PortSite &, sim::FifoServer &)> &f)
-{
-    visitBank("stage1", stage1_, f);
-    visitBank("stage2", stage2In_, f);
-    visitBank("returnA", returnA_, f);
-    visitBank("returnB", returnB_, f);
-}
-
 sim::Tick
-Network::switchWaitTicks() const
+Network::totalWaitTicks() const
 {
-    sim::Tick t = 0;
+    sim::Tick t = gmem_.totalWaitTicks();
     for (const auto &x : stage1_)
         t += x.totalWaitTicks();
     for (const auto &x : stage2In_)
@@ -494,12 +450,6 @@ Network::switchWaitTicks() const
     for (const auto &x : returnB_)
         t += x.totalWaitTicks();
     return t;
-}
-
-sim::Tick
-Network::totalWaitTicks() const
-{
-    return switchWaitTicks() + gmem_.totalWaitTicks();
 }
 
 namespace

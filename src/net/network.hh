@@ -71,17 +71,16 @@ struct PortSite
     unsigned portIdx;
 };
 
-/** How often the analytic fast path fired vs fell back; purely
- *  informational (bench reporting, test assertions). */
+/** How often the analytic fast path replayed a burst vs fell back;
+ *  purely informational (bench reporting, test assertions). RMWs
+ *  always take the reference chain and count as neither. */
 struct FastPathStats
 {
     std::uint64_t fastBursts = 0; //!< bursts replayed from a pattern
     std::uint64_t slowBursts = 0; //!< bursts served by reserveAccess
-    std::uint64_t fastRmws = 0;   //!< RMWs replayed from a pattern
-    std::uint64_t slowRmws = 0;   //!< RMWs served by reserveAccess
 
-    std::uint64_t hits() const { return fastBursts + fastRmws; }
-    std::uint64_t misses() const { return slowBursts + slowRmws; }
+    std::uint64_t hits() const { return fastBursts; }
+    std::uint64_t misses() const { return slowBursts; }
 };
 
 /** What one global access reserves (reserveAccess). */
@@ -122,25 +121,14 @@ class Network
     Network(unsigned n_clusters, unsigned ces_per_cluster,
             mem::GlobalMemory &gmem);
 
-    unsigned numClusters() const { return nClusters_; }
-
-    /** Interleaving geometry of the memory behind the network. */
-    const mem::AddressMap &gmemMap() const { return gmem_.map(); }
-
-    /** Attach the telemetry tracer (queueing waits, flow stages) to
-     *  the network and the memory behind it, so the two share one. */
-    void
-    setTracer(obs::Tracer *t)
-    {
-        tracer_ = t;
-        gmem_.setTracer(t);
-    }
+    /** Attach the telemetry tracer: every serve's queueing wait, the
+     *  memory modules' included, and the flow milestones. */
+    void setTracer(obs::Tracer *t) { tracer_ = t; }
 
     /** Enable/disable the analytic fast path (RunOptions::fastPath,
      *  `cedar_cli --no-fast-path`). Results are bit-identical either
      *  way; the toggle exists for A/B timing and debugging. */
     void setFastPath(bool on) { fastPath_ = on; }
-    bool fastPathEnabled() const { return fastPath_; }
 
     /** Fast-path hit/miss counters (informational). */
     const FastPathStats &fastStats() const { return fastStats_; }
@@ -176,7 +164,9 @@ class Network
 
     /**
      * Atomic read-modify-write of one global word (test&set,
-     * fetch&add). Serialised at the memory module.
+     * fetch&add). Serialised at the memory module; always reserved
+     * through the reference chain (an RMW touches five servers, too
+     * few for a pattern lookup to beat serving them).
      */
     XferResult rmw(sim::Tick when, sim::ClusterId cluster, int ce_port,
                    sim::Addr addr, const sim::RmwFn &f,
@@ -204,25 +194,13 @@ class Network
         return gmem_.forceRmw(addr, f);
     }
 
-    /** Queueing wait accumulated in switches (not memory modules). */
-    sim::Tick switchWaitTicks() const;
-
     /** Queueing wait accumulated in switches and memory modules. */
     sim::Tick totalWaitTicks() const;
-
-    const Crossbar &stage1(sim::ClusterId c) const { return stage1_.at(c); }
-    const Crossbar &stage2(unsigned g) const { return stage2In_.at(g); }
 
     /** Visit every port server in the network (snapshotting). */
     void visitPorts(
         const std::function<void(const PortSite &,
                                  const sim::FifoServer &)> &f) const;
-
-    /** Visit every port server for wiring (e.g. attaching the
-     *  observability layer's wait histograms). */
-    void visitPortsMut(
-        const std::function<void(const PortSite &, sim::FifoServer &)>
-            &f);
 
     /**
      * Human-readable utilisation report of every switch stage and
@@ -252,37 +230,23 @@ class Network
     /** Return path, stage B: per cluster, output ports per CE. */
     std::vector<Crossbar> returnB_;
 
-    /** Flow-milestone resource index of the port fastServer()
-     *  resolves a port @p bank and @p group to. */
-    std::int32_t portIndex(FastBank bank, unsigned group,
-                           sim::ClusterId cluster, int ce_port) const;
+    /** Flow-milestone resource index of the server fastServer()
+     *  resolves @p bank and @p idx (a group, or a module) to. */
+    std::int32_t flowResource(FastBank bank, unsigned idx,
+                              sim::ClusterId cluster, int ce_port) const;
 
-    /** reserveAccess policies over the live servers: observed
-     *  through the tracer with flow milestones (Live) or, on a
-     *  fast-path miss, waits only and optionally recorded as a
-     *  pattern (Recorder). */
-    struct LiveServers;
+    /** The one reserveAccess policy over the live servers (see
+     *  network.cc). */
     struct Live;
-    struct Recorder;
 
-    /** One burst or RMW: the fast-path replay when eligible and a
-     *  pattern matches, otherwise reserveAccess on the live servers
+    /** One burst: the fast-path replay when eligible and a pattern
+     *  matches, otherwise reserveAccess on the live servers
      *  (recording the run when the miss earned it). */
-    Reservation reserve(sim::Tick start, sim::ClusterId cluster,
-                        int ce_port, sim::Addr addr, unsigned words,
-                        Access kind, std::uint32_t flow);
+    Reservation reserveBurst(sim::Tick start, sim::ClusterId cluster,
+                             int ce_port, sim::Addr addr, unsigned words,
+                             std::uint32_t flow);
 
     // ----- analytic fast path (see net/fastpath.hh) -----
-
-    /** What a fast-path miss leaves behind for the recording: the
-     *  shape and whether the run about to happen should be recorded
-     *  as this offset vector's pattern (second sighting). The
-     *  canonical offsets themselves stay in offsetScratch_. */
-    struct FastMissCtx
-    {
-        ShapeInfo *sh = nullptr;
-        bool record = false; //!< capture the run's waits and horizons
-    };
 
     /** May the fast path even be attempted for this access? */
     bool fastEligible(std::uint32_t flow) const;
@@ -301,14 +265,14 @@ class Network
      *  look up the matching pattern, and apply it: the shape's serve
      *  counts and service ticks with the pattern's wait sums and
      *  horizons, the pattern's condensed waits to the tracer, and the
-     *  returned timing — bit-identical to the slow path. Returns
+     *  timing into @p r — bit-identical to the slow path. Returns
      *  false to take the slow path (no pattern yet, store capped, an
-     *  offset out of range, or too close to the tick ceiling); @p miss
-     *  then carries what the recording needs. */
+     *  offset out of range, or too close to the tick ceiling);
+     *  @p record is then the shape whose slow-path run should be
+     *  recorded under offsetScratch_ (second sighting), or nullptr. */
     bool fastReplay(sim::Tick start, sim::ClusterId cluster, int ce_port,
-                    unsigned first_module, unsigned words, bool is_rmw,
-                    FastMissCtx &miss, sim::Tick &rel_complete,
-                    unsigned &last_len);
+                    unsigned first_module, unsigned words, Reservation &r,
+                    ShapeInfo *&record);
 
     /** Reused offset-gather buffer (single-threaded per Machine). */
     std::vector<sim::Tick> offsetScratch_;
@@ -336,10 +300,10 @@ class Network
  *    returnB port (idx 0);
  *  - `mem::GlobalMemory &memory()`: the modules and their faults;
  *  - `void served(FastBank bank, unsigned idx, sim::Tick arrival,
- *    sim::Tick free_before, sim::Tick start, sim::Tick done)`: one
- *    reservation, in serve order (@p idx as above, or the module).
- * Three policies exist: the Network's live telemetry and fast-path
- * recording, and BurstPatternCache::makeShape's idle probe.
+ *    sim::Tick start, sim::Tick done)`: one reservation, in serve
+ *    order (@p idx as above, or the module).
+ * Two policies exist: the Network's live servers (telemetry and
+ * fast-path recording) and BurstPatternCache::makeShape's idle probe.
  */
 template <typename Policy>
 Reservation
@@ -355,10 +319,8 @@ reserveAccess(Policy &pol, sim::Tick start, sim::Addr addr,
 
     const auto port = [&pol](FastBank bank, unsigned idx,
                              sim::Tick arrival, unsigned len) {
-        sim::FifoServer &s = pol.server(bank, idx);
-        const sim::Tick free_before = s.freeAt();
-        const sim::Tick done = s.serve(arrival, len);
-        pol.served(bank, idx, arrival, free_before, done - len, done);
+        const sim::Tick done = pol.server(bank, idx).serve(arrival, len);
+        pol.served(bank, idx, arrival, done - len, done);
         return done;
     };
 
@@ -389,8 +351,7 @@ reserveAccess(Policy &pol, sim::Tick start, sim::Addr addr,
                 memdone = sim::max_tick;
                 continue;
             }
-            pol.served(FastBank::module, m, arrival, w.freeBefore,
-                       w.start, w.done);
+            pol.served(FastBank::module, m, arrival, w.start, w.done);
             memdone = std::max(memdone, w.done);
         }
         if (memdone == sim::max_tick) {

@@ -2,9 +2,9 @@
  * @file
  * The machine's one observation point.
  *
- * A Tracer is what the machine substrate (CEs, Xylem, the network,
- * global memory, the sync hardware) holds a pointer to, and it feeds
- * the machine's fixed observers directly:
+ * A Tracer is what the machine substrate (CEs, Xylem, the network
+ * with the memory behind it, the sync hardware) holds a pointer to,
+ * and it feeds the machine's fixed observers directly:
  *
  *  - every queueing wait lands in the per-class wait histograms it
  *    owns (resourceWait);

@@ -143,22 +143,11 @@ Xylem::handleFault(hw::Ce &ce, PageId page, Touch kind, sim::Cont k)
         // Fault handler runs on the faulting CE: spin on the
         // cluster memory lock, hold it for the critical section,
         // then do the page-in service work.
-        const auto sect =
-            clusterLocks_[ce.cluster()].reserve(m_.now(),
-                                                costs.crit_clus_cost);
-        if (sect.spin > 0) {
-            m_.acct().addKernelSpin(ce.id(), sect.spin);
-            m_.tracer().spinSpan(static_cast<int>(ce.id()), m_.now(),
-                                 sect.spin);
-        }
-        m_.acct().addOs(ce.id(), TimeCat::system, OsAct::crit_clus,
-                        costs.crit_clus_cost);
-        m_.tracer().osSpan(static_cast<int>(ce.id()), TimeCat::system,
-                           OsAct::crit_clus,
-                           sect.exit - costs.crit_clus_cost,
-                           costs.crit_clus_cost);
-        pt_.faultWindow(page, sect.exit + costs.pgflt_seq_cost);
-        ce.occupyUntil(sect.exit,
+        const sim::Tick exit =
+            enterCritical(ce, clusterLocks_[ce.cluster()],
+                          OsAct::crit_clus, costs.crit_clus_cost);
+        pt_.faultWindow(page, exit + costs.pgflt_seq_cost);
+        ce.occupyUntil(exit,
                        [&ce, cost = costs.pgflt_seq_cost,
                         finish = std::move(finish)]() mutable {
                            ce.osCompute(cost, TimeCat::system,
@@ -184,6 +173,22 @@ Xylem::handleFault(hw::Ce &ce, PageId page, Touch kind, sim::Cont k)
             ce.osCompute(service, TimeCat::system, OsAct::pgflt_conc,
                          std::move(finish));
         });
+}
+
+sim::Tick
+Xylem::enterCritical(hw::Ce &ce, KernelLock &lock, OsAct act,
+                     sim::Tick hold)
+{
+    const auto sect = lock.reserve(m_.now(), hold);
+    if (sect.spin > 0) {
+        m_.acct().addKernelSpin(ce.id(), sect.spin);
+        m_.tracer().spinSpan(static_cast<int>(ce.id()), m_.now(),
+                             sect.spin);
+    }
+    m_.acct().addOs(ce.id(), TimeCat::system, act, hold);
+    m_.tracer().osSpan(static_cast<int>(ce.id()), TimeCat::system, act,
+                       sect.exit - hold, hold);
+    return sect.exit;
 }
 
 void
@@ -213,20 +218,10 @@ Xylem::clusterSyscall(hw::Ce &ce, sim::Cont k)
 {
     ++stats_.clusterSyscalls;
     const auto &costs = m_.costs();
-    const auto sect = clusterLocks_[ce.cluster()].reserve(
-        m_.now(), costs.crit_clus_cost);
-    if (sect.spin > 0) {
-        m_.acct().addKernelSpin(ce.id(), sect.spin);
-        m_.tracer().spinSpan(static_cast<int>(ce.id()), m_.now(),
-                             sect.spin);
-    }
-    m_.acct().addOs(ce.id(), TimeCat::system, OsAct::crit_clus,
-                    costs.crit_clus_cost);
-    m_.tracer().osSpan(static_cast<int>(ce.id()), TimeCat::system,
-                       OsAct::crit_clus,
-                       sect.exit - costs.crit_clus_cost,
-                       costs.crit_clus_cost);
-    ce.occupyUntil(sect.exit,
+    const sim::Tick exit = enterCritical(ce, clusterLocks_[ce.cluster()],
+                                         OsAct::crit_clus,
+                                         costs.crit_clus_cost);
+    ce.occupyUntil(exit,
                    [&ce, cost = costs.syscall_clus_cost,
                     k = std::move(k)]() mutable {
                        ce.osCompute(cost, TimeCat::system,
@@ -239,19 +234,9 @@ Xylem::globalSyscall(hw::Ce &ce, sim::Cont k)
 {
     ++stats_.globalSyscalls;
     const auto &costs = m_.costs();
-    const auto sect = globalLock_.reserve(m_.now(), costs.crit_glbl_cost);
-    if (sect.spin > 0) {
-        m_.acct().addKernelSpin(ce.id(), sect.spin);
-        m_.tracer().spinSpan(static_cast<int>(ce.id()), m_.now(),
-                             sect.spin);
-    }
-    m_.acct().addOs(ce.id(), TimeCat::system, OsAct::crit_glbl,
-                    costs.crit_glbl_cost);
-    m_.tracer().osSpan(static_cast<int>(ce.id()), TimeCat::system,
-                       OsAct::crit_glbl,
-                       sect.exit - costs.crit_glbl_cost,
-                       costs.crit_glbl_cost);
-    ce.occupyUntil(sect.exit,
+    const sim::Tick exit = enterCritical(ce, globalLock_, OsAct::crit_glbl,
+                                         costs.crit_glbl_cost);
+    ce.occupyUntil(exit,
                    [&ce, cost = costs.syscall_glbl_cost,
                     k = std::move(k)]() mutable {
                        ce.osCompute(cost, TimeCat::system,

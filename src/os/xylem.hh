@@ -112,6 +112,16 @@ class Xylem
     void scheduleAst();
     void handleFault(hw::Ce &ce, PageId page, Touch kind, sim::Cont k);
 
+    /**
+     * @p ce enters a critical section of @p hold ticks under @p lock:
+     * reserve the lock, book the kernel spin (ledger and span), then
+     * book the section itself as system time in @p act.
+     *
+     * @return the tick at which the section exits.
+     */
+    sim::Tick enterCritical(hw::Ce &ce, KernelLock &lock, OsAct act,
+                            sim::Tick hold);
+
     hw::Machine &m_;
     PageTable pt_;
     std::vector<KernelLock> clusterLocks_;

@@ -864,8 +864,9 @@ Runtime::execBursts(hw::Ce &ce, sim::Addr addr, unsigned words,
         ce.compute(compute, act, std::move(k));
         return;
     }
-    const unsigned bursts =
-        (words + burst_len - 1) / std::max(burst_len, 1u);
+    // ceil(words / burst_len) without forming words + burst_len,
+    // which wraps for a burst length near 2^32 (words > 0 here).
+    const unsigned bursts = (words - 1) / std::max(burst_len, 1u) + 1;
     const sim::Tick slice = std::max<sim::Tick>(compute / bursts, 1);
     const unsigned len = std::min(words, burst_len);
 

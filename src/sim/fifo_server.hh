@@ -67,14 +67,6 @@ class FifoServer
     Tick freeAt() const { return freeAt_; }
 
     /**
-     * Idle-window query: true when a request arriving at @p t would
-     * start service immediately (no queueing). The analytic fast
-     * path uses this to decide whether a precomputed reservation
-     * pattern may be replayed onto this server.
-     */
-    bool idleAt(Tick t) const { return freeAt_ <= t; }
-
-    /**
      * Replay @p n reservations whose outcome was computed
      * analytically: bump the statistics by the precomputed sums and
      * move the free horizon to @p new_free_at. Only valid when the

@@ -396,7 +396,10 @@ TEST(FastPathNetwork, ContendedConvoyRepliesBitIdentical)
             ASSERT_EQ(a.unloaded, b.unloaded);
         }
     }
-    // Mix in contended RMWs against one hot word.
+    // Mix in contended RMWs against one hot word. They take the
+    // reference chain: no hit, no miss, no pattern.
+    const net::FastPathStats before = t.fast.fastStats();
+    const std::uint64_t patterns_before = t.fast.fastPatterns();
     for (int i = 0; i < 64; ++i) {
         const Tick when = 2000 + static_cast<Tick>(i) * 3;
         const auto inc = [](std::uint64_t v) { return v + 1; };
@@ -405,6 +408,9 @@ TEST(FastPathNetwork, ContendedConvoyRepliesBitIdentical)
         ASSERT_EQ(a.complete, b.complete) << "rmw " << i;
         ASSERT_EQ(a.oldValue, b.oldValue);
     }
+    EXPECT_EQ(t.fast.fastStats().hits(), before.hits());
+    EXPECT_EQ(t.fast.fastStats().misses(), before.misses());
+    EXPECT_EQ(t.fast.fastPatterns(), patterns_before);
     EXPECT_EQ(t.gmemA.peek(5), t.gmemB.peek(5));
     EXPECT_EQ(t.fast.totalWaitTicks(), t.slow.totalWaitTicks());
     // The convoy repeats the same few queue states, so the replay
@@ -570,6 +576,7 @@ TEST(FastPathDifferential, GeneratedTrafficMatchesSlowPath)
         std::vector<Tick> ready(n_ces, 0);
         for (unsigned c = 0; c < n_ces; ++c)
             cursor[c] = c * 4096 + rng.below(64);
+        std::uint64_t bursts = 0;
 
         for (unsigned i = 0; i < 3000; ++i) {
             const bool convoy = (i / 250) % 2 == 0;
@@ -590,11 +597,13 @@ TEST(FastPathDifferential, GeneratedTrafficMatchesSlowPath)
                 const auto words = static_cast<unsigned>(rng.range(1, 64));
                 a = fast.net.burst(now, cl, port, addr, words);
                 b = slow.net.burst(now, cl, port, addr, words);
+                ++bursts;
             } else {
                 const unsigned words = lens[rng.below(2)];
                 a = fast.net.burst(now, cl, port, cursor[c], words);
                 b = slow.net.burst(now, cl, port, cursor[c], words);
                 cursor[c] += words;
+                ++bursts;
             }
             ASSERT_EQ(a.complete, b.complete)
                 << "seed " << seed << " access " << i;
@@ -620,6 +629,11 @@ TEST(FastPathDifferential, GeneratedTrafficMatchesSlowPath)
         }
         EXPECT_GT(fast.net.fastStats().hits(), 0u) << "seed " << seed;
         EXPECT_EQ(slow.net.fastStats().hits(), 0u) << "seed " << seed;
+        // The engagement counters count bursts, and only bursts.
+        for (const WiredNet *w : {&fast, &slow})
+            EXPECT_EQ(w->net.fastStats().hits() + w->net.fastStats().misses(),
+                      bursts)
+                << "seed " << seed;
     }
 }
 

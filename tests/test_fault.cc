@@ -15,6 +15,7 @@
 #include "hw/machine.hh"
 #include "mem/address_map.hh"
 #include "mem/global_memory.hh"
+#include "net/network.hh"
 #include "sim/error.hh"
 #include "sim/fifo_server.hh"
 #include "sim/watchdog.hh"
@@ -124,6 +125,46 @@ TEST(FaultSpec, RejectsMalformedSpecs)
             << "spec not rejected: " << s;
 }
 
+TEST(FaultSpec, RejectsHostileCounts)
+{
+    // Each number is checked against its field before any cast: no
+    // 1e300 reaches a float-to-integer conversion, and nothing wraps.
+    const char *bad[] = {
+        "module:1e300:stuck",            // index far past unsigned
+        "module:4294967296:stuck",       // index one past unsigned
+        "module:-1:stuck",               // negative index
+        "module:7:stuck:@1e300",         // window start past 2^64
+        "module:7:stuck:@-5",            // negative window start
+        "module:7:stuck:@1.5",           // fractional tick
+        "module:7:degrade:1e300x",       // factor far past unsigned
+        "module:7:degrade:4.5x",         // fractional factor
+        "switch:stage1:0:stall:1e300",   // stall past 2^64
+        "ce:1:hiccup:p=0.1:cost=1e20",   // cost past 2^64
+        "os:intr-storm:cluster0:n=1e10", // storm count past unsigned
+    };
+    for (const char *s : bad) {
+        try {
+            parseFaultSpec(s);
+            ADD_FAILURE() << "spec not rejected: " << s;
+        } catch (const sim::FaultSpecError &e) {
+            EXPECT_NE(std::string(e.what()).find("want a whole number"),
+                      std::string::npos)
+                << s << ": " << e.what();
+        }
+    }
+}
+
+TEST(FaultSpec, ReadsCountsExactly)
+{
+    // Scientific notation stays accepted; integer literals keep every
+    // digit, even past 2^53.
+    const auto f = parseFaultSpec("module:7:stuck:@9007199254740993");
+    EXPECT_EQ(f.from, 9007199254740993ULL);
+    EXPECT_EQ(parseFaultSpec("module:7:degrade:4e0x").factor, 4u);
+    EXPECT_EQ(parseFaultSpec("module:4294967295:stuck").index,
+              4294967295u);
+}
+
 // ---------------------------------------------------------------
 // Fault log
 // ---------------------------------------------------------------
@@ -193,11 +234,11 @@ TEST(GlobalMemory, DegradeFactorMultipliesService)
     faulty.injectModuleFault(
         7, {0, sim::max_tick, 4});
 
-    const mem::Chunk c{7, 1}; // address 7 lives on module 7
-    const auto base = clean.accessChunk(0, c);
-    const auto slow = faulty.accessChunk(0, c);
-    EXPECT_EQ(base.complete, mem::GlobalMemory::word_service);
-    EXPECT_EQ(slow.complete, 4 * mem::GlobalMemory::word_service);
+    const Tick ws = mem::GlobalMemory::word_service;
+    const auto base = clean.serveWord(7, 0, ws);
+    const auto slow = faulty.serveWord(7, 0, ws);
+    EXPECT_EQ(base.done, ws);
+    EXPECT_EQ(slow.done, 4 * ws);
 }
 
 TEST(GlobalMemory, StuckWindowDefersServiceUntilItCloses)
@@ -206,38 +247,38 @@ TEST(GlobalMemory, StuckWindowDefersServiceUntilItCloses)
     mem::GlobalMemory gm(map);
     gm.injectModuleFault(7, {0, 1000, 0});
 
-    const mem::Chunk c{7, 1};
-    const auto r = gm.accessChunk(10, c);
-    EXPECT_EQ(r.complete, 1000 + mem::GlobalMemory::word_service);
-    EXPECT_FALSE(gm.moduleDead(7, 10));
+    const Tick ws = mem::GlobalMemory::word_service;
+    const auto r = gm.serveWord(7, 10, ws);
+    EXPECT_FALSE(r.dead);
+    EXPECT_EQ(r.done, 1000 + ws);
 
     // Arrivals after the window see normal service.
-    const auto later = gm.accessChunk(2000, c);
-    EXPECT_EQ(later.complete, 2000 + mem::GlobalMemory::word_service);
+    const auto later = gm.serveWord(7, 2000, ws);
+    EXPECT_EQ(later.done, 2000 + ws);
 }
 
 TEST(GlobalMemory, DeadModuleNeverCompletesAndNeverMutates)
 {
     mem::AddressMap map(32, 4);
     mem::GlobalMemory gm(map);
+    net::Network net(4, 8, gm);
     gm.injectModuleFault(7, {0, sim::max_tick, 0});
-    EXPECT_TRUE(gm.moduleDead(7, 12345));
 
-    const mem::Chunk c{7, 1};
-    EXPECT_EQ(gm.accessChunk(0, c).complete, sim::max_tick);
+    const auto w = gm.serveWord(7, 12345, mem::GlobalMemory::word_service);
+    EXPECT_TRUE(w.dead);
+    EXPECT_EQ(w.done, sim::max_tick);
+    EXPECT_EQ(net.burst(0, 0, 0, 7, 1).complete, sim::max_tick);
 
-    // A chunk spanning dead and live modules still reports max_tick
+    // A burst spanning dead and live modules still reports max_tick
     // (the access as a whole never finishes).
-    const mem::Chunk span{6, 2}; // modules 6 (live) and 7 (dead)
-    EXPECT_EQ(gm.accessChunk(0, span).complete, sim::max_tick);
+    EXPECT_EQ(net.burst(0, 0, 1, 6, 2).complete, sim::max_tick); // 6, 7
 
     // An RMW against the dead module does not mutate the word, so a
     // later software fallback cannot double-apply.
     gm.poke(7, 10);
-    std::uint64_t old = 0;
-    const auto r =
-        gm.rmw(0, 7, [](std::uint64_t v) { return v + 1; }, &old);
+    const auto r = net.rmw(0, 0, 0, 7, [](std::uint64_t v) { return v + 1; });
     EXPECT_EQ(r.complete, sim::max_tick);
+    EXPECT_EQ(r.oldValue, ~0ULL);
     EXPECT_EQ(gm.peek(7), 10u);
     EXPECT_EQ(gm.forceRmw(7, [](std::uint64_t v) { return v + 1; }), 10u);
     EXPECT_EQ(gm.peek(7), 11u);

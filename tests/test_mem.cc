@@ -1,13 +1,17 @@
 /**
  * @file
  * Unit tests for the global memory substrate: address interleaving
- * and the interleaved module array.
+ * and the interleaved module array (its module serve, and atomics
+ * through the network's RMW).
  */
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "mem/address_map.hh"
 #include "mem/global_memory.hh"
+#include "net/network.hh"
 
 namespace
 {
@@ -40,10 +44,25 @@ TEST(AddressMap, GroupChangesEveryGroupSizeWords)
     EXPECT_EQ(map.group(32), 0u); // wraps around the modules
 }
 
+/** The chunks a pipelined stream over [addr, addr+len) splits into,
+ *  walked with AddressMap::chunkLen as the reservation chain does. */
+std::vector<mem::Chunk>
+chunkWalk(const mem::AddressMap &map, sim::Addr addr, unsigned len)
+{
+    std::vector<mem::Chunk> chunks;
+    while (len > 0) {
+        const unsigned take = map.chunkLen(addr, len);
+        chunks.push_back({addr, take});
+        addr += take;
+        len -= take;
+    }
+    return chunks;
+}
+
 TEST(AddressMap, ChunkifyCoversRangeExactly)
 {
     mem::AddressMap map(32, 4);
-    const auto chunks = map.chunkify(2, 11);
+    const auto chunks = chunkWalk(map, 2, 11);
     unsigned total = 0;
     sim::Addr expect = 2;
     for (const auto &c : chunks) {
@@ -60,13 +79,14 @@ TEST(AddressMap, ChunkifyCoversRangeExactly)
 TEST(AddressMap, AlignedChunkifyProducesFullChunks)
 {
     mem::AddressMap map(32, 4);
-    const auto chunks = map.chunkify(8, 16);
+    const auto chunks = chunkWalk(map, 8, 16);
     ASSERT_EQ(chunks.size(), 4u);
     for (const auto &c : chunks)
         EXPECT_EQ(c.len, 4u);
 }
 
-/** Property: chunkify is exact for arbitrary geometry and ranges. */
+/** Property: the chunk walk is exact for arbitrary geometry and
+ *  ranges. */
 struct ChunkCase
 {
     unsigned modules;
@@ -85,7 +105,7 @@ TEST_P(ChunkifyProperty, ExactCover)
     mem::AddressMap map(p.modules, p.group);
     sim::Addr next = p.addr;
     unsigned total = 0;
-    for (const auto &c : map.chunkify(p.addr, p.len)) {
+    for (const auto &c : chunkWalk(map, p.addr, p.len)) {
         EXPECT_EQ(c.addr, next);
         EXPECT_GE(c.len, 1u);
         EXPECT_LE(c.len, p.group);
@@ -101,13 +121,17 @@ INSTANTIATE_TEST_SUITE_P(
                       ChunkCase{32, 4, 5, 64}, ChunkCase{16, 8, 7, 33},
                       ChunkCase{8, 2, 1, 17}, ChunkCase{64, 4, 63, 128}));
 
+constexpr Tick word_service = mem::GlobalMemory::word_service;
+constexpr Tick rmw_service = mem::GlobalMemory::rmw_service;
+
 TEST(GlobalMemory, SingleWordTakesServiceTime)
 {
     mem::AddressMap map(32, 4);
     mem::GlobalMemory gm(map);
-    const auto res = gm.accessChunk(100, mem::Chunk{0, 1});
-    EXPECT_EQ(res.complete, 100 + mem::GlobalMemory::word_service);
-    EXPECT_EQ(res.wait, 0u);
+    const auto w = gm.serveWord(map.module(0), 100, word_service);
+    EXPECT_FALSE(w.dead);
+    EXPECT_EQ(w.done, 100 + word_service);
+    EXPECT_EQ(w.start, 100u); // no wait
 }
 
 TEST(GlobalMemory, ChunkWordsServeInParallelAcrossModules)
@@ -115,63 +139,76 @@ TEST(GlobalMemory, ChunkWordsServeInParallelAcrossModules)
     mem::AddressMap map(32, 4);
     mem::GlobalMemory gm(map);
     // 4 aligned words land on 4 distinct modules: same latency as 1.
-    const auto res = gm.accessChunk(0, mem::Chunk{0, 4});
-    EXPECT_EQ(res.complete, mem::GlobalMemory::word_service);
+    for (sim::Addr a = 0; a < 4; ++a)
+        EXPECT_EQ(gm.serveWord(map.module(a), 0, word_service).done,
+                  word_service);
 }
 
 TEST(GlobalMemory, SameModuleBackToBackQueues)
 {
     mem::AddressMap map(32, 4);
     mem::GlobalMemory gm(map);
-    gm.accessChunk(0, mem::Chunk{0, 1});
-    const auto res = gm.accessChunk(0, mem::Chunk{32, 1}); // same module
-    EXPECT_EQ(res.complete, 2 * mem::GlobalMemory::word_service);
-    EXPECT_GT(res.wait, 0u);
+    gm.serveWord(map.module(0), 0, word_service);
+    const auto w = gm.serveWord(map.module(32), 0, word_service);
+    EXPECT_EQ(w.done, 2 * word_service); // same module
+    EXPECT_GT(w.start, 0u);              // it waited
 }
 
 TEST(GlobalMemory, DifferentModulesDoNotInterfere)
 {
     mem::AddressMap map(32, 4);
     mem::GlobalMemory gm(map);
-    gm.accessChunk(0, mem::Chunk{0, 1});
-    const auto res = gm.accessChunk(0, mem::Chunk{1, 1});
-    EXPECT_EQ(res.complete, mem::GlobalMemory::word_service);
-    EXPECT_EQ(res.wait, 0u);
+    gm.serveWord(map.module(0), 0, word_service);
+    const auto w = gm.serveWord(map.module(1), 0, word_service);
+    EXPECT_EQ(w.done, word_service);
+    EXPECT_EQ(w.start, 0u);
 }
+
+/** Atomics reach the memory through the network's RMW, the one path
+ *  the machine issues them on. */
+struct RmwFixture
+{
+    mem::AddressMap map{32, 4};
+    mem::GlobalMemory gm{map};
+    net::Network net{4, 8, gm};
+};
 
 TEST(GlobalMemory, RmwAppliesFunctionInServiceOrder)
 {
-    mem::AddressMap map(32, 4);
-    mem::GlobalMemory gm(map);
-    std::uint64_t old1 = 0, old2 = 0;
-    gm.rmw(0, 7, [](std::uint64_t v) { return v + 5; }, &old1);
-    gm.rmw(0, 7, [](std::uint64_t v) { return v * 2; }, &old2);
-    EXPECT_EQ(old1, 0u);
-    EXPECT_EQ(old2, 5u);
-    EXPECT_EQ(gm.peek(7), 10u);
+    RmwFixture f;
+    const auto r1 =
+        f.net.rmw(0, 0, 0, 7, [](std::uint64_t v) { return v + 5; });
+    const auto r2 =
+        f.net.rmw(0, 0, 0, 7, [](std::uint64_t v) { return v * 2; });
+    EXPECT_EQ(r1.oldValue, 0u);
+    EXPECT_EQ(r2.oldValue, 5u);
+    EXPECT_EQ(f.gm.peek(7), 10u);
 }
 
 TEST(GlobalMemory, RmwIsSlowerThanRead)
 {
-    mem::AddressMap map(32, 4);
-    mem::GlobalMemory gm(map);
-    const auto res = gm.rmw(0, 3, [](std::uint64_t v) { return v; });
-    EXPECT_EQ(res.complete, mem::GlobalMemory::rmw_service);
+    RmwFixture f;
+    const auto res = f.net.rmw(0, 0, 0, 3, [](std::uint64_t v) { return v; });
+    EXPECT_EQ(f.gm.moduleServer(3).stats().busyTicks(), rmw_service);
+    EXPECT_EQ(res.complete, net::Network::unloadedLatency(1, true));
+    EXPECT_GT(res.complete, net::Network::unloadedLatency(1));
 }
 
 TEST(GlobalMemory, HotSpotSerializesOnOneModule)
 {
-    mem::AddressMap map(32, 4);
-    mem::GlobalMemory gm(map);
+    RmwFixture f;
     sim::Tick last = 0;
     for (int i = 0; i < 10; ++i) {
-        const auto res =
-            gm.rmw(0, 11, [](std::uint64_t v) { return v + 1; });
+        const auto res = f.net.rmw(0, i / 8, i % 8, 11,
+                                   [](std::uint64_t v) { return v + 1; });
         EXPECT_GT(res.complete, last);
         last = res.complete;
     }
-    EXPECT_EQ(last, 10 * mem::GlobalMemory::rmw_service);
-    EXPECT_EQ(gm.peek(11), 10u);
+    // The lock word's module serves the ten RMWs back to back, so
+    // the last answer trails an idle RMW's by nine services.
+    EXPECT_EQ(last, net::Network::unloadedLatency(1, true) + 9 * rmw_service);
+    EXPECT_EQ(f.gm.moduleServer(11).stats().busyTicks(), 10 * rmw_service);
+    EXPECT_EQ(f.gm.peek(11), 10u);
 }
 
 TEST(GlobalMemory, PokeAndPeek)
@@ -187,10 +224,11 @@ TEST(GlobalMemory, WaitAndBusyAggregates)
 {
     mem::AddressMap map(32, 4);
     mem::GlobalMemory gm(map);
-    gm.accessChunk(0, mem::Chunk{0, 4});
-    gm.accessChunk(0, mem::Chunk{32, 4}); // same 4 modules again
-    EXPECT_EQ(gm.totalBusyTicks(), 8 * mem::GlobalMemory::word_service);
-    EXPECT_EQ(gm.totalWaitTicks(), 4 * mem::GlobalMemory::word_service);
+    for (const sim::Addr base : {0, 32}) // the same 4 modules twice
+        for (sim::Addr a = base; a < base + 4; ++a)
+            gm.serveWord(map.module(a), 0, word_service);
+    EXPECT_EQ(gm.totalBusyTicks(), 8 * word_service);
+    EXPECT_EQ(gm.totalWaitTicks(), 4 * word_service);
 }
 
 TEST(GlobalMemory, ResetRestoresPristineState)
@@ -198,7 +236,8 @@ TEST(GlobalMemory, ResetRestoresPristineState)
     mem::AddressMap map(32, 4);
     mem::GlobalMemory gm(map);
     gm.poke(5, 77);
-    gm.accessChunk(0, mem::Chunk{0, 4});
+    for (sim::Addr a = 0; a < 4; ++a)
+        gm.serveWord(map.module(a), 0, word_service);
     gm.reset();
     EXPECT_EQ(gm.peek(5), 0u);
     EXPECT_EQ(gm.totalBusyTicks(), 0u);

@@ -135,12 +135,8 @@ TEST_F(NetFixture, SaturationThroughputBoundedByMemory)
         for (int ce = 0; ce < 8; ++ce) {
             sim::Addr base =
                 static_cast<sim::Addr>(cl * 8 + ce) * words_per_ce;
-            Tick issue = 0;
-            for (const auto &c : map.chunkify(base, words_per_ce)) {
-                const auto r = net.chunkAccess(issue, cl, ce, c);
-                last = std::max(last, r.complete);
-                issue += c.len;
-            }
+            const auto r = net.burst(0, cl, ce, base, words_per_ce);
+            last = std::max(last, r.complete);
         }
     }
     const double total_words = 32.0 * words_per_ce;

@@ -7,6 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
+#include <tuple>
+
 #include "apps/parser.hh"
 #include "core/experiment.hh"
 
@@ -111,6 +115,56 @@ TEST(Parser, BadNumbersThrow)
     EXPECT_THROW(parseWorkloadString("xdoall iters=abc compute=100\n"),
                  ParseError);
     EXPECT_THROW(parseWorkloadString("steps zero\n"), ParseError);
+}
+
+TEST(Parser, HostileCountsRejected)
+{
+    // Every count is checked against its field before any cast:
+    // nothing negates, truncates at an exponent, or wraps.
+    const char *bad[] = {
+        "xdoall iters=8 compute=500 words=16 burst=-1\n",
+        "xdoall iters=8 compute=500 words=4294967296\n",
+        "xdoall iters=1e300 compute=500\n",
+        "xdoall iters=8 compute=-5\n",
+        "xdoall iters=8 compute=1e20\n",
+        "xdoall iters=8 compute=500 words=1.5\n",
+        "xdoall iters=8 compute=500 jitter=0.1abc\n",
+        "xdoall iters=8 compute=500 jitter=nan\n",
+        "steps -1\nserial compute=1\n",
+        "steps 4294967296\nserial compute=1\n",
+    };
+    for (const char *text : bad)
+        EXPECT_THROW(parseWorkloadString(text), ParseError) << text;
+}
+
+TEST(Parser, ScientificCountsReadExactly)
+{
+    const auto app = parseWorkloadString(
+        "xdoall iters=8 compute=5e2 words=1e6\n");
+    const auto &l = std::get<LoopSpec>(app.phases.at(0));
+    EXPECT_EQ(l.words, 1000000u); // not 1: the exponent is read
+    EXPECT_EQ(l.computePerIter, 500u);
+}
+
+TEST(Parser, HugeBurstRunsLikeOneBurst)
+{
+    // A burst length of at least the word count streams the words as
+    // one burst, however large. Near 2^32 the burst count once
+    // wrapped to zero and the runtime divided by it (SIGFPE).
+    const auto run = [](const std::string &burst) {
+        const auto r = cedar::core::runExperiment(
+            parseWorkloadString("app t\nsteps 2\nxdoall iters=8 "
+                                "compute=500 words=16 burst=" +
+                                burst + "\n"),
+            8);
+        std::ostringstream os;
+        r.metrics.writeJson(os);
+        return std::make_tuple(r.ct, r.eventsExecuted, r.globalWords,
+                               os.str());
+    };
+    const auto one_burst = run("16");
+    EXPECT_EQ(run("4294967295"), one_burst);
+    EXPECT_EQ(run("4294967281"), one_burst);
 }
 
 TEST(Parser, EmptyWorkloadThrows)

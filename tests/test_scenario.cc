@@ -269,6 +269,36 @@ TEST(ScenarioDiagnostics, DiagnosticsCarryLineNumbers)
     expectDiagnostic("[machine]\nprocs = 8\nbogus = 1\n", "line 3");
 }
 
+TEST(ScenarioDiagnostics, HostileCountsRejected)
+{
+    // Out of the field's range, negative, or a double that no
+    // integer cast may see (1e300): each a typed diagnostic.
+    expectDiagnostic("[machine]\nmodules = 4294967296\n",
+                     "modules = 4294967296 is not a whole number in "
+                     "[0, 4294967295]");
+    expectDiagnostic("[machine]\nseed = 1e300\n", "not a whole number");
+    expectDiagnostic("[machine]\nseed = -1\n", "not a whole number");
+    expectDiagnostic("[run]\nevent_limit = 18446744073709551616\n",
+                     "not a whole number");
+    expectDiagnostic("[costs]\ngm_max_retries = 1e10\n",
+                     "not a whole number");
+}
+
+TEST(ScenarioDiagnostics, SeedReadExactly)
+{
+    // 2^53 + 1 has no double; it must not round to 2^53.
+    const auto spec = core::parseScenarioString(
+        "[machine]\nprocs = 8\nseed = 9007199254740993\n"
+        "[workload]\napp = ADM\n");
+    EXPECT_EQ(spec.config.seed, 9007199254740993ULL);
+    EXPECT_EQ(spec.options.seed, 9007199254740993ULL);
+    EXPECT_EQ(core::parseScenarioString("[machine]\nprocs = 8\n"
+                                        "seed = 1e3\n[workload]\n"
+                                        "app = ADM\n")
+                  .config.seed,
+              1000u);
+}
+
 TEST(ScenarioDiagnostics, UnknownAppSurfacesAtResolve)
 {
     const auto spec = core::parseScenarioString(

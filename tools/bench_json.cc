@@ -81,6 +81,21 @@ constexpr std::string_view spaces =
     "                                                                "
     "                                                                ";
 
+/** A parsed number as a count in [0, @p max]: the integer literal
+ *  @p i when @p exact, otherwise @p v if it is whole, >= 0 and below
+ *  2^64 (every double below 2^64 converts in range; 2^64 itself does
+ *  not), checked against @p max before the cast. */
+std::optional<std::uint64_t>
+countIn(bool exact, std::uint64_t i, double v, std::uint64_t max)
+{
+    if (exact)
+        return i <= max ? std::optional<std::uint64_t>(i) : std::nullopt;
+    if (v >= 0 && v < 0x1p64 && v == std::floor(v) &&
+        static_cast<std::uint64_t>(v) <= max)
+        return static_cast<std::uint64_t>(v);
+    return std::nullopt;
+}
+
 } // namespace
 
 std::string
@@ -567,18 +582,30 @@ std::uint64_t
 JsonValue::asCount(std::uint64_t max) const
 {
     const double v = asNumber();
-    // Every double below 2^64 converts in range; 2^64 itself does not.
-    const bool inRange = exactInt_ ? int_ <= max
-                                   : v >= 0 && v < 0x1p64 &&
-                                         v == std::floor(v) &&
-                                         static_cast<std::uint64_t>(v) <= max;
-    if (!inRange)
-        throw JsonParseError("JSON number " +
-                             (exactInt_ ? std::to_string(int_)
-                                        : JsonWriter::number(v)) +
-                             " is not an integer in [0, " +
-                             std::to_string(max) + "]");
-    return exactInt_ ? int_ : static_cast<std::uint64_t>(v);
+    if (const auto n = countIn(exactInt_, int_, v, max))
+        return *n;
+    throw JsonParseError("JSON number " +
+                         (exactInt_ ? std::to_string(int_)
+                                    : JsonWriter::number(v)) +
+                         " is not an integer in [0, " +
+                         std::to_string(max) + "]");
+}
+
+std::optional<std::uint64_t>
+checkedCount(std::string_view text, std::uint64_t max)
+{
+    const char *first = text.data();
+    const char *last = first + text.size();
+    std::uint64_t i = 0;
+    const auto [ip, iec] = std::from_chars(first, last, i);
+    const bool exact = iec == std::errc() && ip == last;
+    double v = 0;
+    if (!exact) {
+        const auto [dp, dec] = std::from_chars(first, last, v);
+        if (dec != std::errc() || dp != last)
+            return std::nullopt;
+    }
+    return countIn(exact, i, v, max);
 }
 
 double

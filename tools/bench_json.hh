@@ -12,7 +12,9 @@
  * key/value ordering are handled by a context stack, so call sites
  * read like the document. The reader is a strict recursive-descent
  * parser over the same subset (full RFC 8259 minus \\u surrogate
- * pairs, which the emitter never produces).
+ * pairs, which the emitter never produces). The reader's count check
+ * (checkedCount) is shared with every other reader of counts from
+ * text.
  */
 
 #ifndef CEDAR_TOOLS_BENCH_JSON_HH
@@ -21,6 +23,7 @@
 #include <array>
 #include <cstdint>
 #include <limits>
+#include <optional>
 #include <ostream>
 #include <stdexcept>
 #include <string>
@@ -182,6 +185,20 @@ class JsonValue
 
     friend class JsonParser;
 };
+
+/**
+ * @p text as a count in [0, @p max], or nullopt: the one check every
+ * reader of a count from untrusted text shares (JsonValue::asCount,
+ * the CLI, fault specs, scenario and workload files). An integer
+ * literal is read exactly, so a 64-bit seed keeps every digit; any
+ * other number ("1e6") must be whole, >= 0 and below 2^64, and is
+ * checked against @p max before any float-to-integer cast (1e300
+ * never reaches one). No '+', blank or hex prefix is accepted, and no
+ * negative value.
+ */
+std::optional<std::uint64_t>
+checkedCount(std::string_view text,
+             std::uint64_t max = std::numeric_limits<std::uint64_t>::max());
 
 } // namespace cedar::tools
 

@@ -75,6 +75,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <mutex>
 #include <optional>
 #include <stdexcept>
@@ -181,15 +182,18 @@ parseNumber(const std::string &what, const std::string &tok)
     }
 }
 
-std::uint64_t
+/** @p tok as a count that fits a @p T (tools::checkedCount). */
+template <typename T = std::uint64_t>
+T
 parseCount(const std::string &what, const std::string &tok)
 {
-    const double v = parseNumber(what, tok);
-    if (v < 0 ||
-        v != static_cast<double>(static_cast<std::uint64_t>(v)))
-        throw std::invalid_argument(what + ": not a whole number: '" +
-                                    tok + "'");
-    return static_cast<std::uint64_t>(v);
+    const auto n = tools::checkedCount(tok, std::numeric_limits<T>::max());
+    if (!n)
+        throw std::invalid_argument(
+            what + ": not a whole number in [0, " +
+            std::to_string(std::numeric_limits<T>::max()) + "]: '" + tok +
+            "'");
+    return static_cast<T>(*n);
 }
 
 struct Flags
@@ -248,7 +252,7 @@ parseFlags(const std::vector<std::string> &args, std::size_t from,
         } else if (a == "--scale") {
             f.opts.scale = parseNumber(a, value());
         } else if (a == "--pickup-block") {
-            f.pickupBlock = static_cast<unsigned>(parseCount(a, value()));
+            f.pickupBlock = parseCount<unsigned>(a, value());
         } else if (a == "--inject") {
             f.opts.faults.push_back(fault::parseFaultSpec(value()));
         } else if (a == "--watchdog-events") {
@@ -257,8 +261,7 @@ parseFlags(const std::vector<std::string> &args, std::size_t from,
         } else if (a == "--gm-timeout") {
             f.opts.gmTimeout = parseCount(a, value());
         } else if (a == "--gm-retries") {
-            f.opts.gmMaxRetries =
-                static_cast<unsigned>(parseCount(a, value()));
+            f.opts.gmMaxRetries = parseCount<unsigned>(a, value());
         } else if (a == "--gm-backoff") {
             f.opts.gmRetryBackoff = parseCount(a, value());
         } else if (a == "--ts-window") {
@@ -266,9 +269,9 @@ parseFlags(const std::vector<std::string> &args, std::size_t from,
         } else if (a == "--baseline") {
             f.baselineDir = value();
         } else if (a == "--jobs") {
-            f.jobs = static_cast<unsigned>(parseCount(a, value()));
+            f.jobs = parseCount<unsigned>(a, value());
         } else if (a == "--top") {
-            f.top = static_cast<unsigned>(parseCount(a, value()));
+            f.top = parseCount<unsigned>(a, value());
         } else if (a == "--json") {
             f.jsonOut = value();
         } else if (a == "--md") {
@@ -278,17 +281,15 @@ parseFlags(const std::vector<std::string> &args, std::size_t from,
         } else if (a == "--cache") {
             f.cacheDir = value();
         } else if (a == "--retries") {
-            f.retries = static_cast<unsigned>(parseCount(a, value()));
+            f.retries = parseCount<unsigned>(a, value());
         } else if (a == "--shard") {
             const std::string &v = value();
             const auto slash = v.find('/');
             if (slash == std::string::npos)
                 throw std::invalid_argument(
                     "--shard: expected i/N, got '" + v + "'");
-            f.shardIndex = static_cast<unsigned>(
-                parseCount(a, v.substr(0, slash)));
-            f.shardCount = static_cast<unsigned>(
-                parseCount(a, v.substr(slash + 1)));
+            f.shardIndex = parseCount<unsigned>(a, v.substr(0, slash));
+            f.shardCount = parseCount<unsigned>(a, v.substr(slash + 1));
         } else if (a == "--resume") {
             f.resume = true;
         } else if (a == "--list") {
@@ -401,7 +402,7 @@ parseInvocation(const std::vector<std::string> &args, std::size_t at,
         return false;
     inv.app = buildApp(args[at], inv.flags);
     inv.cfg = hw::CedarConfig::withProcs(
-        static_cast<unsigned>(parseCount("processor count", args[at + 1])));
+        parseCount<unsigned>("processor count", args[at + 1]));
     return true;
 }
 
@@ -550,8 +551,7 @@ cmdRunFile(const std::vector<std::string> &args)
     if (!parseFlags(args, 4, f))
         return usage();
     const auto app = apps::parseWorkloadFile(args[2]);
-    const unsigned procs =
-        static_cast<unsigned>(parseCount("processor count", args[3]));
+    const unsigned procs = parseCount<unsigned>("processor count", args[3]);
     core::RunOptions uniOpts = f.opts;
     uniOpts.faults.clear();
     const auto uni = core::runExperiment(app, 1, uniOpts);
@@ -655,8 +655,7 @@ cmdFaults(const std::vector<std::string> &args)
     unsigned procs = 8;
     std::size_t flags_from = 3;
     if (args.size() > 3 && args[3][0] != '-') {
-        procs = static_cast<unsigned>(
-            parseCount("processor count", args[3]));
+        procs = parseCount<unsigned>("processor count", args[3]);
         flags_from = 4;
     }
     Flags f;
@@ -1041,8 +1040,7 @@ cmdProfile(const std::vector<std::string> &args)
     if (args.size() < 4)
         return usage();
     const auto app = apps::perfectAppByName(args[2]);
-    const unsigned procs =
-        static_cast<unsigned>(parseCount("processor count", args[3]));
+    const unsigned procs = parseCount<unsigned>("processor count", args[3]);
     core::RunOptions opts;
     opts.collectTrace = true;
     const auto r = core::runExperiment(app, procs, opts);
