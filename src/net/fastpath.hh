@@ -1,56 +1,45 @@
 /**
  * @file
- * Analytic fast-forward patterns for global-memory bursts.
+ * Analytic fast-forward patterns for global-memory bursts
+ * (DESIGN.md §10).
  *
- * Every global access in the model is reservation based: the whole
- * stage1 -> stage2 -> module -> returnA -> returnB path of a burst
- * is reserved synchronously at issue time (sim/fifo_server.hh). The
- * set of servers a burst touches is a pure function of its *shape*
- * (home module of the first word and word count) — the routing
- * depends only on addresses. Given the shape, the entire
- * reservation outcome is determined by one more input: each touched
- * server's free horizon *relative to the access start*,
+ * A burst reserves its whole stage1 -> stage2 -> module -> returnA
+ * -> returnB path at issue time (sim/fifo_server.hh). Which servers
+ * it touches, and how often and how long it serves at each, is a
+ * pure function of its *shape* — home module of the first word and
+ * word count — since routing follows addresses and, without a memory
+ * fault plan, every service is the port's chunk length or the
+ * module's fixed service time (ShapeInfo, noted once by an idle
+ * probe). The rest of the outcome depends on one more input, each
+ * touched server's free horizon relative to the access start,
  *
- *   offsets[i] = max(0, freeAt_i - start).
+ *   offsets[i] = max(0, freeAt_i - start),
  *
- * This holds because FifoServer::serve computes
- * start = max(arrival, not_before, free_at); with no fault windows
- * (not_before = 0) every serve start, wait and updated horizon is a
- * function of (arrival - start, offset) alone, so
+ * because FifoServer::serve computes start = max(arrival,
+ * not_before, free_at), and with no fault windows (not_before = 0)
  *
  *   outcome(start, offsets) = outcome(0, offsets) + start.
  *
- * The special case offsets == 0 is the idle machine; non-zero
- * offsets capture *contention*, including the convoys a saturated
- * streaming phase forms, where the same few offset vectors recur
- * thousands of times (queueing reaches a near-periodic steady
- * state).
+ * Contended phases queue into near-periodic steady states where the
+ * same few offset vectors recur thousands of times. A pattern is
+ * learned per (shape, offset vector), *recorded off the live
+ * slow-path run* the missing access takes anyway (net::reserveAccess;
+ * by the invariance above its sums are what a scratch replay at
+ * start = 0 would produce). It stores only what differs between two
+ * accesses of one shape: per touched server the wait sum and free
+ * horizon, the completion tick, and the queueing waits the tracer
+ * would have been handed, condensed to (wait, count) pairs. It is
+ * one record of 32-bit ticks in the store's arena
+ * (BurstPatternCache); a burst with any value past 32 bits is never
+ * stored and takes the slow path. Replaying a pattern is O(touched
+ * servers) instead of O(words) and leaves server statistics, the
+ * wait histograms and the returned timing bit-identical to the slow
+ * path: reuse requires an *exact* offset-vector match, so the replay
+ * is self-verifying (tests/test_fastpath.cc).
  *
- * Per touched server, the number of serves and their service ticks
- * are constants of the shape as well (routing follows addresses, and
- * without a memory fault plan every service is the port's chunk
- * length or the module's fixed service time), so the shape's idle
- * probe notes them once (ShapeInfo). A BurstPattern is learned per
- * (shape, offset vector) and stores only what differs between two
- * accesses of one shape: per touched server the wait sum and
- * relative free horizon, the completion tick, and the aggregated
- * per-class queueing waits the tracer would have been handed. The
- * pattern is *recorded off the live slow-path run* the missing
- * access takes anyway: the one reservation chain
- * (net::reserveAccess) captures every serve of it — by the
- * translation invariance above, those sums are exactly what a
- * scratch replay at start = 0 pre-loaded with the offsets would
- * produce, at almost no extra cost. Replaying a learned pattern is
- * O(touched servers) instead of O(words), and leaves server
- * statistics, the tracer's wait histograms and the returned timing
- * bit-identical
- * to the slow path — reuse requires an *exact* offset-vector match,
- * so the replay is self-verifying (the correctness bar: not a single
- * published number may change — see tests/test_fastpath.cc).
- *
- * Only bursts take this path. An RMW touches five servers, and
- * gathering, hashing and probing five offsets does not beat serving
- * them, so Network::rmw always reserves through the reference chain.
+ * Only bursts take this path. An RMW touches five servers, too few
+ * for gathering and probing their offsets to beat serving them, so
+ * Network::rmw always reserves through the reference chain.
  */
 
 #ifndef CEDAR_NET_FASTPATH_HH
@@ -58,11 +47,11 @@
 
 #include <array>
 #include <cstdint>
+#include <memory>
 #include <unordered_map>
 #include <vector>
 
 #include "mem/address_map.hh"
-#include "obs/resource.hh"
 #include "sim/types.hh"
 
 namespace cedar::sim
@@ -94,75 +83,50 @@ struct ServerRef
 
 /** What one touched server's reservation outcome adds to the shape's
  *  constants (ShapeInfo::requests/busy), ticks relative to the access
- *  start. */
+ *  start, as a recording captures it. */
 struct PatternServer
 {
     sim::Tick waitSum; //!< queueing recorded
     sim::Tick freeAt;  //!< server's free horizon afterwards
 };
 
-/** Aggregated queueing waits of one pattern: @p count waits of
- *  @p wait ticks at class @p cls. */
-struct PatternWaits
-{
-    obs::ResourceClass cls;
-    sim::Tick wait;
-    std::uint64_t count;
-};
-
-/** The reservation outcome of one (shape, offsets) pair at
- *  start = 0. */
-struct BurstPattern
-{
-    sim::Tick relComplete = 0; //!< completion tick relative to start
-    std::vector<PatternServer> servers;
-    std::vector<PatternWaits> waits;
-};
-
-/** Number of FastBank values — per-bank arrays below index by the
- *  underlying enum value. */
+/** Number of FastBank values; per-bank arrays index by them. */
 inline constexpr unsigned fast_bank_count = 5;
 
-/** FNV-1a over the raw offset ticks; equality stays the exact
- *  element-wise vector compare, so a hash collision can never apply
- *  the wrong pattern. */
-struct OffsetVecHash
-{
-    std::size_t
-    operator()(const std::vector<sim::Tick> &v) const
-    {
-        std::uint64_t h = 1469598103934665603ULL;
-        for (const sim::Tick t : v)
-            h = (h ^ t) * 1099511628211ULL;
-        return static_cast<std::size_t>(h);
-    }
-};
+/** The widest value a pattern record holds. */
+inline constexpr sim::Tick max_rec_tick = ~std::uint32_t(0);
+
+/**
+ * Layout of a learned pattern, one record of 32-bit words for a
+ * shape of n touched servers:
+ *
+ *   [0]                   shape id (ShapeInfo::id)
+ *   [1]                   completion tick relative to start
+ *   [2, rec_key)          condensed waits per bank, FastBank order
+ *   [rec_key, +n)         key: the canonical offsets
+ *   [rec_key + n, +2n)    per server: wait sum, free horizon
+ *   then each bank's condensed waits as (wait, count) pairs.
+ */
+inline constexpr std::size_t rec_key = 2 + fast_bank_count;
 
 /** One access shape: its touched-server set (fixed canonical order,
- *  the order offsets are gathered and keyed in), what every access of
- *  the shape serves there, and the patterns learned per distinct
- *  offset vector. */
+ *  the order offsets are gathered and keyed in) and what every access
+ *  of the shape serves there. */
 struct ShapeInfo
 {
+    std::uint32_t id = 0; //!< creation order; seeds the key hash
     unsigned firstModule = 0;
     unsigned words = 0;
     std::vector<ServerRef> servers;
 
     /**
      * Per touched server (same order as @p servers): the tick of the
-     * shape's *first* request arrival at that server in the idle
-     * (all-offsets-zero) replay, relative to the access start. Used
-     * to canonicalize offset vectors before keying: replay arrivals
-     * are monotone non-decreasing in the offsets (every serve start
-     * is a max of arrival and horizons), so any replay's arrival at
-     * server j is >= firstArrival[j]. An offset o_j <=
-     * firstArrival[j] therefore never delays the first serve
-     * (max(arrival, o_j) == arrival) nor records wait, and after the
-     * first serve the server queues behind its own work — the
-     * outcome is bit-identical to o_j == 0. Such don't-care offsets
-     * are zeroed before the cache lookup, collapsing the
-     * convoy-diverse vectors 16/32p runs produce onto one canonical
-     * key (DESIGN.md §10.1).
+     * shape's *first* request arrival there in the idle
+     * (all-offsets-zero) replay, relative to the access start. Replay
+     * arrivals are monotone non-decreasing in the offsets, so an
+     * offset at or below it never delays a serve nor records wait:
+     * the outcome is bit-identical to offset 0, and the gather zeroes
+     * it before keying (canonicalization, DESIGN.md §10.1).
      */
     std::vector<sim::Tick> firstArrival;
 
@@ -171,10 +135,6 @@ struct ShapeInfo
     std::vector<std::uint32_t> requests;
     std::vector<sim::Tick> busy;
     unsigned lastLen = 0; //!< the last chunk's word count (unloaded)
-
-    std::unordered_map<std::vector<sim::Tick>, BurstPattern,
-                       OffsetVecHash>
-        patterns;
 
     /** Where bank b's entries start in @p servers (banks are
      *  contiguous: makeShape emits servers in flat-index order). */
@@ -186,52 +146,89 @@ struct ShapeInfo
     std::vector<std::uint32_t> groupRank;
     std::vector<std::uint32_t> moduleRank;
 
-    /**
-     * Per issuing CE, at its flat index (cluster * CEs per cluster +
-     * CE port): the concrete FifoServer each @p servers entry
-     * resolves to, in the same order; empty until that CE first
-     * issues the shape. Resolving the position-free refs costs a bank
-     * switch per server per attempt; the offset gather and the replay
-     * apply run once per global access, so the Network caches the
-     * resolution here on first use (server storage is sized at
-     * construction and never moves).
-     */
+    /** Per issuing CE, at its flat index (cluster * CEs per cluster
+     *  + CE port): the concrete FifoServer of each @p servers entry,
+     *  resolved on that CE's first use so the gather and the replay
+     *  walk pointers (server storage never moves). */
     std::vector<std::vector<sim::FifoServer *>> resolved;
 };
 
 /**
+ * The wait -> count tally of one bank's serves in one recording, open
+ * addressed and cleared when a recording starts (~490 serves of a
+ * 235-word burst condense to ~20 entries across the banks). A burst
+ * serves a bank at most `words` < 2^32 times, so a count fits 32
+ * bits; a wait that does not spoils the recording (tooWide).
+ */
+struct WaitCounts
+{
+    struct Entry
+    {
+        std::uint32_t wait;
+        std::uint32_t count; //!< 0: empty slot
+    };
+    std::vector<Entry> slots;
+    std::vector<std::uint32_t> used; //!< occupied slots, first-seen order
+    unsigned shift = 64;
+    bool tooWide = false;
+
+    std::size_t
+    home(std::uint32_t wait) const
+    {
+        return static_cast<std::size_t>((wait * 0x9e3779b97f4a7c15ULL) >>
+                                        shift);
+    }
+
+    void
+    add(sim::Tick wait)
+    {
+        tooWide |= wait > max_rec_tick;
+        if (2 * used.size() + 2 > slots.size())
+            grow();
+        const auto w = static_cast<std::uint32_t>(wait);
+        std::size_t i = home(w);
+        while (slots[i].count != 0 && slots[i].wait != w)
+            i = (i + 1) & (slots.size() - 1);
+        if (slots[i].count++ == 0) {
+            slots[i].wait = w;
+            used.push_back(static_cast<std::uint32_t>(i));
+        }
+    }
+
+    void clear();
+    void grow();
+};
+
+/** A recording's tallies, one per bank in FastBank order. */
+using BankWaits = std::array<WaitCounts, fast_bank_count>;
+
+/**
  * Memoized pattern store, one per Network (and therefore per
  * Machine: single-threaded by the same ownership rule as the
- * machine's obs::Tracer). Applications issue a small set of access shapes
- * millions of times, and contended phases queue into near-periodic
- * steady states with few distinct offset vectors, so the cache stays
- * small while the replay savings compound.
+ * machine's obs::Tracer). One open-addressed table, keyed by the
+ * 64-bit hash of (shape, canonical offsets) the gather builds, holds
+ * both kinds of keys: a slot is a first sighting or a learned
+ * pattern, whose record sits in a fixed-block arena and never moves.
+ * Patterns are learned on a key's *second* sighting: contended sweeps
+ * produce long tails of one-shot queue states whose patterns would
+ * never be replayed. A sighting is its hash alone, so a collision
+ * merely records a pattern a sighting early; a pattern is reused
+ * only after an exact compare of its shape id and every key offset,
+ * so a collision takes the slow path, never a wrong pattern.
  */
 class BurstPatternCache
 {
   public:
-    /** Offsets at or above this bound skip the fast path: they would
-     *  push the scratch replay's internal arithmetic toward the tick
-     *  ceiling, where the slow path's own overflow behaviour (a
-     *  SimError from serve()) must stay authoritative. */
-    static constexpr sim::Tick max_offset = sim::Tick(1) << 40;
-
-    /** Learned patterns stop growing past this approximate byte
-     *  footprint across all shapes; later unseen offset vectors just
-     *  take the slow path. A byte budget rather than an entry count:
-     *  a pattern's size follows its shape's touched servers (5 for a
-     *  one-word burst, about 57 for a long one), so a count would
+    /** The store stops growing past this footprint, table and arena
+     *  blocks together (the largest paper point, ARC2D 32p, ends at
+     *  41 MB); later unseen offset vectors take the slow path. A byte
+     *  budget, not an entry count: a pattern's size follows its
+     *  shape's servers and distinct waits (5 servers for a one-word
+     *  burst, 57 for a long one; ~860 bytes at 32p), so a count would
      *  bound the footprint only to within an order of magnitude. */
     static constexpr std::size_t max_pattern_bytes = 192u << 20;
 
-    explicit BurstPatternCache(const mem::AddressMap &map) : map_(map)
-    {
-        // Contended 16/32p sweeps note tens of thousands of one-shot
-        // offset vectors; growing the sighting table from its default
-        // size rehashes a dozen times along the way (measured in the
-        // 32p profile). One up-front reservation amortises it.
-        sightings_.reserve(1u << 15);
-    }
+    explicit BurstPatternCache(const mem::AddressMap &map) : map_(map) {}
 
     /** The shape record for a burst of @p words whose first word
      *  lives on @p first_module; its touched-server list is derived
@@ -239,63 +236,36 @@ class BurstPatternCache
     ShapeInfo &
     shape(unsigned first_module, unsigned words)
     {
-        const std::uint64_t key = shapeKey(first_module, words);
+        const std::uint64_t key =
+            (static_cast<std::uint64_t>(first_module) << 32) | words;
         auto it = shapes_.find(key);
-        if (it == shapes_.end())
+        if (it == shapes_.end()) {
             it = shapes_.emplace(key, makeShape(first_module, words)).first;
+            it->second.id = static_cast<std::uint32_t>(shapes_.size() - 1);
+        }
         return it->second;
     }
 
-    /** The learned pattern for @p sh under @p offsets (one entry per
-     *  sh.servers element, same order), or nullptr when this vector
-     *  has none yet. Pure lookup — learning happens through
-     *  shouldRecord()/store(): the Network records the pattern off
-     *  the slow-path run it is about to execute anyway, instead of
-     *  paying a second full scratch replay to build it. */
-    const BurstPattern *
-    find(const ShapeInfo &sh, const std::vector<sim::Tick> &offsets) const
-    {
-        const auto it = sh.patterns.find(offsets);
-        return it != sh.patterns.end() ? &it->second : nullptr;
-    }
-
     /**
-     * After a find() miss: should the slow-path run this access is
-     * about to take be recorded as the pattern for @p offsets?
-     * True only on the *second* sighting of an offset vector:
-     * heavily contended sweeps produce long tails of one-shot queue
-     * states whose patterns would never be replayed — the recording
-     * bookkeeping and the stored bytes would be pure overhead. The
-     * sighting note is a 64-bit hash, so a collision merely records
-     * one pattern a sighting early; the pattern map itself still
-     * matches vectors exactly. False as well when the store hit its
-     * byte cap or an offset is out of replayable range.
+     * The learned pattern of @p sh under @p key (its canonical
+     * offsets, one per sh.servers element) hashed to @p hash, or
+     * nullptr. A first sighting is noted; on the second, @p record is
+     * set to @p sh: the slow-path run this access is about to take
+     * should be recorded and filed by learn(). The first call
+     * allocates the table, so a run that never takes the fast path
+     * allocates nothing for it.
      */
-    bool
-    shouldRecord(const ShapeInfo &sh,
-                 const std::vector<sim::Tick> &offsets)
-    {
-        if (patternBytes_ >= max_pattern_bytes)
-            return false;
-        for (const sim::Tick o : offsets)
-            if (o >= max_offset)
-                return false;
-        return ++sightings_[sightingKey(sh, offsets)] >= 2;
-    }
+    const std::uint32_t *lookup(ShapeInfo &sh, std::uint64_t hash,
+                                const std::uint32_t *key,
+                                ShapeInfo *&record);
 
-    /** File a pattern recorded from a live slow-path run under
-     *  @p offsets (the canonical vector the gather produced for it). */
-    void
-    store(ShapeInfo &sh, const std::vector<sim::Tick> &offsets,
-          BurstPattern &&p)
-    {
-        ++patternsBuilt_;
-        patternBytes_ += sizeof(BurstPattern) +
-                         p.servers.size() * sizeof(PatternServer) +
-                         p.waits.size() * sizeof(PatternWaits) +
-                         offsets.size() * sizeof(sim::Tick);
-        sh.patterns.emplace(offsets, std::move(p));
-    }
+    /** File the run recorded for the last lookup() that asked for one
+     *  as the pattern of @p sh under @p key — unless a value does not
+     *  fit 32 bits, when the key stays a sighting. */
+    void learn(const ShapeInfo &sh, const std::uint32_t *key,
+               sim::Tick rel_complete,
+               const std::vector<PatternServer> &servers,
+               const BankWaits &waits);
 
     /** Distinct (shape, offsets) patterns learned so far. */
     std::uint64_t patternsBuilt() const { return patternsBuilt_; }
@@ -305,25 +275,33 @@ class BurstPatternCache
      *  once on an empty scratch machine (net::reserveAccess). */
     ShapeInfo makeShape(unsigned first_module, unsigned words) const;
 
-    static std::uint64_t
-    shapeKey(unsigned first_module, unsigned words)
+    struct Slot
     {
-        return (static_cast<std::uint64_t>(first_module) << 32) | words;
+        std::uint64_t hash = 0; //!< 0: empty
+        const std::uint32_t *pattern = nullptr; //!< nullptr: sighting
+    };
+
+    std::size_t
+    home(std::uint64_t hash) const
+    {
+        return static_cast<std::size_t>((hash * 0x9e3779b97f4a7c15ULL) >>
+                                        shift_);
     }
 
-    static std::uint64_t
-    sightingKey(const ShapeInfo &sh, const std::vector<sim::Tick> &offsets)
-    {
-        const std::uint64_t h = OffsetVecHash{}(offsets) ^
-                                shapeKey(sh.firstModule, sh.words);
-        return h * 0x9e3779b97f4a7c15ULL;
-    }
+    /** Double the table (or allocate it) and re-place every slot. */
+    void grow();
 
     mem::AddressMap map_;
     std::unordered_map<std::uint64_t, ShapeInfo> shapes_;
-    std::unordered_map<std::uint64_t, std::uint32_t> sightings_;
+    std::vector<Slot> slots_;
+    std::size_t usedSlots_ = 0;
+    std::size_t learnSlot_ = 0; //!< where learn() files its pattern
+    unsigned shift_ = 64;
+    std::vector<std::unique_ptr<std::uint32_t[]>> blocks_; //!< the arena
+    std::uint32_t *next_ = nullptr; //!< the last block's free words
+    std::size_t blockFree_ = 0;
+    std::size_t bytes_ = 0;     //!< table plus arena blocks
     std::uint64_t patternsBuilt_ = 0;
-    std::size_t patternBytes_ = 0;
 };
 
 } // namespace cedar::net

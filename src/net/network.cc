@@ -5,6 +5,7 @@
 #include <iomanip>
 #include <ostream>
 #include <string>
+#include <utility>
 
 #include "obs/tracer.hh"
 #include "sim/error.hh"
@@ -117,9 +118,9 @@ Network::flowResource(FastBank bank, unsigned idx, sim::ClusterId cluster,
  * The one reserveAccess policy over the live servers of the issuing
  * CE. Every serve hands its queueing wait to the tracer and, for a
  * watched access (flow != 0), its flow milestone. When a fast-path
- * miss earned a recording (@p rec), each serve is also captured: per
- * touched server its wait sum and horizon, and the per-serve waits.
- * Serve counts and service ticks are the shape's
+ * miss earned a recording (@p rec), each serve also adds its wait to
+ * its server's sum and its bank's tally, and moves the server's
+ * horizon: serve counts and service ticks are the shape's
  * (ShapeInfo::requests, busy), so nothing else varies between two
  * runs of one shape.
  */
@@ -155,7 +156,7 @@ struct Network::Live
         }
         if (rec == nullptr)
             return;
-        net.waitScratch_.emplace_back(cls, wait);
+        net.waitCounts_[static_cast<unsigned>(bank)].add(wait);
         const std::size_t j =
             rec->bankBegin[static_cast<unsigned>(bank)] +
             (bank == FastBank::module    ? rec->moduleRank[idx]
@@ -166,32 +167,6 @@ struct Network::Live
         // Every touched server serves at an arrival past start, so
         // its horizon sits beyond it.
         e.freeAt = done - start;
-    }
-
-    /** The captured run as a BurstPattern, its per-serve waits
-     *  condensed by (class, value). The sums captured are, by the
-     *  fast path's translation invariance, exactly what a scratch
-     *  replay at start = 0 would compute — without paying that
-     *  second full serve sequence. The list order is irrelevant for
-     *  bit-identity: histogram bucket counts and per-class wait sums
-     *  are commutative. */
-    BurstPattern
-    pattern(const Reservation &r)
-    {
-        BurstPattern p;
-        p.relComplete = r.complete - start;
-        p.servers = net.recScratch_;
-        auto &waits = net.waitScratch_;
-        std::sort(waits.begin(), waits.end());
-        for (std::size_t i = 0; i < waits.size();) {
-            std::size_t k = i + 1;
-            while (k < waits.size() && waits[k] == waits[i])
-                ++k;
-            p.waits.push_back(
-                PatternWaits{waits[i].first, waits[i].second, k - i});
-            i = k;
-        }
-        return p;
     }
 };
 
@@ -242,14 +217,19 @@ Network::reserveBurst(sim::Tick start, sim::ClusterId cluster, int ce_port,
     Live live{*this, cluster, ce_port, start, flow};
     Reservation r;
     ShapeInfo *record = nullptr;
-    if (fastEligible(flow)) {
+    // The replay is only legal when the toggle is on, nobody watches
+    // individual flow milestones (a flow id means the timeline expects
+    // per-stage records), and no fault plan touches the memory (fault
+    // windows break the translation invariance).
+    if (fastPath_ && flow == 0 && !gmem_.hasFaults()) {
         if (fastReplay(start, cluster, ce_port, gmem_.map().module(addr),
                        words, r, record)) {
             ++fastStats_.fastBursts;
             return r;
         }
         if (record != nullptr) {
-            waitScratch_.clear();
+            for (WaitCounts &c : waitCounts_)
+                c.clear();
             recScratch_.assign(record->servers.size(), PatternServer{0, 0});
             live.rec = record;
         }
@@ -260,20 +240,9 @@ Network::reserveBurst(sim::Tick start, sim::ClusterId cluster, int ce_port,
     // degenerate saturated case, where "complete - start" is no
     // longer translation invariant.
     if (record != nullptr && r.complete != sim::max_tick)
-        cache_.store(*record, offsetScratch_, live.pattern(r));
+        cache_.learn(*record, keyScratch_.data(), r.complete - start,
+                     recScratch_, waitCounts_);
     return r;
-}
-
-bool
-Network::fastEligible(std::uint32_t flow) const
-{
-    // The pattern replay is only legal when (a) the toggle is on,
-    // (b) nobody watches individual flow milestones (a live flow id
-    // means the timeline expects per-stage records), and (c) no
-    // fault plan touches the memory — fault windows break the
-    // translation invariance. The replay hands the tracer the same
-    // waits the slow path would, condensed.
-    return fastPath_ && flow == 0 && !gmem_.hasFaults();
 }
 
 sim::FifoServer &
@@ -295,81 +264,66 @@ Network::fastServer(FastBank bank, std::uint32_t idx,
     }
 }
 
-const std::vector<sim::FifoServer *> &
-Network::resolvedServers(ShapeInfo &sh, sim::ClusterId cluster,
-                         int ce_port)
-{
-    // checkIssuer() bounded both, so the flat index names exactly one
-    // CE.
-    if (sh.resolved.empty())
-        sh.resolved.resize(static_cast<std::size_t>(nClusters_) *
-                           cesPerCluster_);
-    std::vector<sim::FifoServer *> &v =
-        sh.resolved[static_cast<std::size_t>(cluster) * cesPerCluster_ +
-                    static_cast<unsigned>(ce_port)];
-    if (v.empty()) {
-        v.reserve(sh.servers.size());
-        for (const ServerRef &r : sh.servers)
-            v.push_back(&fastServer(r.bank, r.idx, cluster, ce_port));
-    }
-    return v;
-}
-
 bool
 Network::fastReplay(sim::Tick start, sim::ClusterId cluster, int ce_port,
                     unsigned first_module, unsigned words, Reservation &r,
                     ShapeInfo *&record)
 {
     ShapeInfo &sh = cache_.shape(first_module, words);
-    const auto &srvs = resolvedServers(sh, cluster, ce_port);
+    // The shape's servers for this CE, resolved on its first use
+    // (checkIssuer() bounded both, so the index names one CE).
+    if (sh.resolved.empty())
+        sh.resolved.resize(static_cast<std::size_t>(nClusters_) *
+                           cesPerCluster_);
+    auto &srvs = sh.resolved[static_cast<std::size_t>(cluster) *
+                                 cesPerCluster_ +
+                             static_cast<unsigned>(ce_port)];
+    if (srvs.empty())
+        for (const ServerRef &ref : sh.servers)
+            srvs.push_back(&fastServer(ref.bank, ref.idx, cluster, ce_port));
+    const std::size_t n = srvs.size();
 
-    // The replay key: every touched server's free horizon relative
-    // to this access's start. An exact match means the pattern's
-    // recorded run saw precisely this queue state, so every serve
-    // start, wait and updated horizon — including the access's
-    // self-queueing — is the recorded one shifted by start.
-    //
-    // Canonicalization: an offset at or below the server's idle
-    // first-arrival tick can never delay a serve or record wait (the
-    // request arrives later than the horizon clears), so it is
-    // quotiented to zero before keying. Convoy phases at 16/32p
-    // produce thousands of vectors differing only in such don't-care
-    // entries — e.g. a return-path port whose residual backlog
-    // clears long before this access's words come back — and they
-    // all collapse onto one canonical pattern, bit-identically.
-    offsetScratch_.clear();
-    for (std::size_t j = 0; j < srvs.size(); ++j) {
+    // The key: every touched server's free horizon relative to start,
+    // an offset at or below the server's idle first arrival zeroed
+    // (it can never delay a serve: canonicalization, ShapeInfo::
+    // firstArrival). An exact match means the pattern's run saw this
+    // very queue state, so every serve is the recorded one shifted by
+    // start. An offset past 32 bits is never stored: its burst takes
+    // the slow path unrecorded. The hash is FNV-1a over the key,
+    // seeded with the shape.
+    keyScratch_.resize(n);
+    std::uint64_t hash = 1469598103934665603ULL ^ sh.id;
+    for (std::size_t j = 0; j < n; ++j) {
         const sim::Tick f = srvs[j]->freeAt();
         sim::Tick off = f > start ? f - start : 0;
         if (off <= sh.firstArrival[j])
             off = 0;
-        offsetScratch_.push_back(off);
-    }
-
-    if (const BurstPattern *p = cache_.find(sh, offsetScratch_)) {
-        // Near the tick ceiling the slow path's overflow throw
-        // applies. (The pattern exists, so no re-recording.)
-        if (p->relComplete > sim::max_tick - start)
+        if (off > max_rec_tick)
             return false;
-
-        const auto &entries = p->servers;
-        assert(entries.size() == srvs.size());
-        for (std::size_t j = 0; j < entries.size(); ++j)
-            srvs[j]->applyBatch(sh.requests[j], entries[j].waitSum,
-                                sh.busy[j], start + entries[j].freeAt);
-
-        if (tracer_ != nullptr)
-            for (const auto &w : p->waits)
-                tracer_->resourceWait(w.cls, w.wait, w.count);
-
-        r.complete = start + p->relComplete;
-        r.lastLen = sh.lastLen;
-        return true;
+        keyScratch_[j] = static_cast<std::uint32_t>(off);
+        hash = (hash ^ off) * 1099511628211ULL;
     }
 
-    if (cache_.shouldRecord(sh, offsetScratch_))
-        record = &sh;
-    return false;
+    const std::uint32_t *p =
+        cache_.lookup(sh, hash, keyScratch_.data(), record);
+    if (p == nullptr)
+        return false;
+    // Near the tick ceiling the slow path's overflow throw applies.
+    // (The pattern exists, so no re-recording.)
+    if (p[1] > sim::max_tick - start)
+        return false;
+
+    const std::uint32_t *e = p + rec_key + n;
+    for (std::size_t j = 0; j < n; ++j, e += 2)
+        srvs[j]->applyBatch(sh.requests[j], e[0], sh.busy[j], start + e[1]);
+    if (tracer_ != nullptr)
+        for (unsigned b = 0; b < fast_bank_count; ++b)
+            for (std::uint32_t k = 0; k < p[2 + b]; ++k, e += 2)
+                tracer_->resourceWait(classOfBank(FastBank(b)), e[0], e[1]);
+
+    r.complete = start + p[1];
+    r.lastLen = sh.lastLen;
+    return true;
 }
 
 sim::Tick
@@ -411,44 +365,29 @@ Network::stallSwitch(sim::Tick when, unsigned stage, unsigned idx,
     }
 }
 
-namespace
-{
-
-template <typename Banks, typename Fn>
-void
-visitBank(const char *tag, Banks &banks, Fn &&f)
-{
-    for (auto &xb : banks) {
-        for (unsigned p = 0; p < xb.numPorts(); ++p)
-            f(PortSite{tag, xb.name(), p}, xb.port(p));
-    }
-}
-
-} // namespace
-
 void
 Network::visitPorts(
     const std::function<void(const PortSite &, const sim::FifoServer &)>
         &f) const
 {
-    visitBank("stage1", stage1_, f);
-    visitBank("stage2", stage2In_, f);
-    visitBank("returnA", returnA_, f);
-    visitBank("returnB", returnB_, f);
+    const std::pair<const char *, const std::vector<Crossbar> *> banks[] = {
+        {"stage1", &stage1_},
+        {"stage2", &stage2In_},
+        {"returnA", &returnA_},
+        {"returnB", &returnB_}};
+    for (const auto &[tag, xbs] : banks)
+        for (const Crossbar &xb : *xbs)
+            for (unsigned p = 0; p < xb.numPorts(); ++p)
+                f(PortSite{tag, xb.name(), p}, xb.port(p));
 }
 
 sim::Tick
 Network::totalWaitTicks() const
 {
     sim::Tick t = gmem_.totalWaitTicks();
-    for (const auto &x : stage1_)
-        t += x.totalWaitTicks();
-    for (const auto &x : stage2In_)
-        t += x.totalWaitTicks();
-    for (const auto &x : returnA_)
-        t += x.totalWaitTicks();
-    for (const auto &x : returnB_)
-        t += x.totalWaitTicks();
+    for (const auto *bank : {&stage1_, &stage2In_, &returnA_, &returnB_})
+        for (const Crossbar &x : *bank)
+            t += x.totalWaitTicks();
     return t;
 }
 
@@ -519,14 +458,9 @@ Network::report(std::ostream &os, sim::Tick elapsed) const
 void
 Network::reset()
 {
-    for (auto &x : stage1_)
-        x.reset();
-    for (auto &x : stage2In_)
-        x.reset();
-    for (auto &x : returnA_)
-        x.reset();
-    for (auto &x : returnB_)
-        x.reset();
+    for (auto *bank : {&stage1_, &stage2In_, &returnA_, &returnB_})
+        for (Crossbar &x : *bank)
+            x.reset();
 }
 
 } // namespace cedar::net

@@ -25,7 +25,6 @@
 #include <cstdint>
 #include <functional>
 #include <iosfwd>
-#include <utility>
 #include <vector>
 
 #include "mem/global_memory.hh"
@@ -248,38 +247,27 @@ class Network
 
     // ----- analytic fast path (see net/fastpath.hh) -----
 
-    /** May the fast path even be attempted for this access? */
-    bool fastEligible(std::uint32_t flow) const;
-
     /** Resolve a position-free bank/index pair to the live server it
      *  stands for, given the issuing cluster and CE port. */
     sim::FifoServer &fastServer(FastBank bank, std::uint32_t idx,
                                 sim::ClusterId cluster, int ce_port);
 
-    /** The shape's touched servers resolved for (cluster, ce_port),
-     *  cached in the ShapeInfo on first use. */
-    const std::vector<sim::FifoServer *> &
-    resolvedServers(ShapeInfo &sh, sim::ClusterId cluster, int ce_port);
-
-    /** Gather the touched servers' relative free-horizon offsets,
-     *  look up the matching pattern, and apply it: the shape's serve
-     *  counts and service ticks with the pattern's wait sums and
-     *  horizons, the pattern's condensed waits to the tracer, and the
-     *  timing into @p r — bit-identical to the slow path. Returns
-     *  false to take the slow path (no pattern yet, store capped, an
-     *  offset out of range, or too close to the tick ceiling);
-     *  @p record is then the shape whose slow-path run should be
-     *  recorded under offsetScratch_ (second sighting), or nullptr. */
+    /** Gather the touched servers' canonical offsets into keyScratch_
+     *  and look up their pattern. On a match, apply it (the shape's
+     *  serve counts and service ticks, the pattern's wait sums,
+     *  horizons and condensed waits) and its timing into @p r —
+     *  bit-identical to the slow path. Returns false to take the slow
+     *  path; @p record is then the shape whose run should be recorded
+     *  (second sighting), or nullptr. */
     bool fastReplay(sim::Tick start, sim::ClusterId cluster, int ce_port,
                     unsigned first_module, unsigned words, Reservation &r,
                     ShapeInfo *&record);
 
-    /** Reused offset-gather buffer (single-threaded per Machine). */
-    std::vector<sim::Tick> offsetScratch_;
-    /** Reused per-serve (class, wait) capture for pattern recording. */
-    std::vector<std::pair<obs::ResourceClass, sim::Tick>> waitScratch_;
-    /** Reused per-server sums for pattern recording, in the shape's
-     *  canonical server order. */
+    /** Reused canonical-offset key (single-threaded per Machine). */
+    std::vector<std::uint32_t> keyScratch_;
+    /** Reused per-bank wait tallies and per-server sums for pattern
+     *  recording, the sums in the shape's canonical server order. */
+    BankWaits waitCounts_;
     std::vector<PatternServer> recScratch_;
 };
 
@@ -288,22 +276,19 @@ class Network
  * chunk of a burst, the one chunk of Network::chunkAccess, or the
  * one RMW word (@p kind) reserves stage1 -> stage2 -> each module
  * word -> returnA -> returnB, the CE issuing the stream pipelined at
- * one word per cycle from @p start. Latency compositions saturate
- * instead of wrapping; a saturated arrival makes FifoServer::serve
- * throw its overflow error, which is the behaviour the reservation
- * layer defines at the ceiling. A dead module swallows its word: its
- * chunk has no return traffic and the access never completes.
+ * one word per cycle from @p start. Latency compositions saturate; a
+ * saturated arrival makes FifoServer::serve throw its overflow
+ * error. A dead module swallows its word: its chunk has no return
+ * traffic and the access never completes.
  *
  * The policy @p pol decides where the serves land and who sees them:
- *  - `sim::FifoServer &server(FastBank bank, unsigned idx)`: the
- *    stage1/stage2/returnA port of group @p idx, or the issuing CE's
- *    returnB port (idx 0);
- *  - `mem::GlobalMemory &memory()`: the modules and their faults;
- *  - `void served(FastBank bank, unsigned idx, sim::Tick arrival,
- *    sim::Tick start, sim::Tick done)`: one reservation, in serve
- *    order (@p idx as above, or the module).
- * Two policies exist: the Network's live servers (telemetry and
- * fast-path recording) and BurstPatternCache::makeShape's idle probe.
+ * `server(bank, idx)` is the stage1/stage2/returnA port of group
+ * idx or the issuing CE's returnB port (idx 0); `memory()` the
+ * modules and their faults; `served(bank, idx, arrival, start,
+ * done)` sees one reservation, in serve order (idx as above, or the
+ * module). Two policies exist: the Network's live servers (telemetry
+ * and fast-path recording) and BurstPatternCache::makeShape's idle
+ * probe.
  */
 template <typename Policy>
 Reservation

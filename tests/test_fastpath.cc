@@ -547,15 +547,127 @@ TEST(FastPathNetwork, EveryCeResolvesItsOwnPorts)
     EXPECT_THROW(slow.net.burst(4000, 0, 65537, 0, 8), sim::SimError);
 }
 
+/** Every per-class wait histogram of @p a matches @p b's: buckets,
+ *  sample count and maximum. */
+void
+expectSameWaits(const WiredNet &a, const WiredNet &b, const std::string &what)
+{
+    for (std::size_t k = 0; k < obs::num_resource_classes; ++k) {
+        const auto cls = static_cast<obs::ResourceClass>(k);
+        const sim::Histogram &f = a.tracer.waitHists().of(cls);
+        const sim::Histogram &s = b.tracer.waitHists().of(cls);
+        EXPECT_EQ(f.count(), s.count()) << what << " class " << k;
+        EXPECT_EQ(f.maxSample(), s.maxSample()) << what << " class " << k;
+        EXPECT_EQ(f.buckets(), s.buckets()) << what << " class " << k;
+    }
+}
+
+/** The closed-loop traffic expectTwinsAgree drives. */
+struct Traffic
+{
+    unsigned lens[2];          //!< the two stream lengths, in words
+    bool sparsePhases = true;  //!< alternate convoy and sparse phases
+    Tick convoyThink = 8;      //!< convoy think times are below this
+    bool mixed = true;         //!< add hot-word RMWs and random bursts
+};
+
+/**
+ * Drive the same closed-loop traffic through a fast-path network and
+ * its slow-path twin: every CE streams bursts of one of @p t's
+ * lengths from its own cursor (plus, when mixed, the odd random
+ * burst and test&sets of two hot words), issuing its next access a
+ * think time after the previous one completes. Short think times
+ * form convoys, long ones sparse traffic. Then every server and wait
+ * histogram must match.
+ */
+void
+expectTwinsAgree(std::uint64_t seed, sim::RandomGen &rng, WiredNet &fast,
+                 WiredNet &slow, unsigned clusters, unsigned ces,
+                 const Traffic &t)
+{
+    const auto inc = [](std::uint64_t v) { return v + 1; };
+    const unsigned n_ces = clusters * ces;
+    const sim::Addr hot[2] = {(sim::Addr(1) << 40) + rng.below(64),
+                              (sim::Addr(1) << 40) + rng.below(64)};
+    std::vector<sim::Addr> cursor(n_ces);
+    std::vector<Tick> ready(n_ces, 0);
+    for (unsigned c = 0; c < n_ces; ++c)
+        cursor[c] = c * 4096 + rng.below(64);
+    std::uint64_t bursts = 0;
+
+    for (unsigned i = 0; i < 3000; ++i) {
+        const bool convoy = !t.sparsePhases || (i / 250) % 2 == 0;
+        const auto c = static_cast<unsigned>(
+            std::min_element(ready.begin(), ready.end()) - ready.begin());
+        const Tick now = ready[c];
+        const auto cl = static_cast<sim::ClusterId>(c / ces);
+        const auto port = static_cast<int>(c % ces);
+
+        net::XferResult a, b;
+        if (t.mixed && rng.chance(0.1)) {
+            const sim::Addr w = hot[rng.below(2)];
+            a = fast.net.rmw(now, cl, port, w, inc);
+            b = slow.net.rmw(now, cl, port, w, inc);
+        } else if (t.mixed && rng.chance(0.1)) {
+            const sim::Addr addr = rng.below(1u << 16);
+            const auto words = static_cast<unsigned>(rng.range(1, 64));
+            a = fast.net.burst(now, cl, port, addr, words);
+            b = slow.net.burst(now, cl, port, addr, words);
+            ++bursts;
+        } else {
+            const unsigned words = t.lens[rng.below(2)];
+            a = fast.net.burst(now, cl, port, cursor[c], words);
+            b = slow.net.burst(now, cl, port, cursor[c], words);
+            cursor[c] += words;
+            ++bursts;
+        }
+        ASSERT_EQ(a.complete, b.complete)
+            << "seed " << seed << " access " << i;
+        ASSERT_EQ(a.unloaded, b.unloaded)
+            << "seed " << seed << " access " << i;
+        ASSERT_EQ(a.oldValue, b.oldValue)
+            << "seed " << seed << " access " << i;
+        ready[c] = a.complete + (convoy ? rng.below(t.convoyThink)
+                                        : rng.range(200, 2000));
+    }
+
+    EXPECT_EQ(fast.servers(), slow.servers()) << "seed " << seed;
+    expectSameWaits(fast, slow, "seed " + std::to_string(seed));
+    EXPECT_GT(fast.net.fastStats().hits(), 0u) << "seed " << seed;
+    EXPECT_EQ(slow.net.fastStats().hits(), 0u) << "seed " << seed;
+    // The engagement counters count bursts, and only bursts.
+    for (const WiredNet *w : {&fast, &slow})
+        EXPECT_EQ(w->net.fastStats().hits() + w->net.fastStats().misses(),
+                  bursts)
+            << "seed " << seed;
+}
+
+TEST(FastPathNetwork, OversizedPatternGetsABlockOfItsOwn)
+{
+    // A 4,096-word burst over 4,096 one-module groups touches 16,385
+    // servers, so its pattern record outgrows an arena block; the
+    // short burst's record after it must land in a fresh block.
+    const mem::AddressMap map(4096, 1);
+    WiredNet fast(map, 1, 1, true);
+    WiredNet slow(map, 1, 1, false);
+    for (unsigned rep = 0; rep < 3; ++rep) {
+        for (const unsigned words : {4096u, 8u}) {
+            const Tick when = 100000 * (2 * rep + (words == 8 ? 1 : 0));
+            const auto a = fast.net.burst(when, 0, 0, 0, words);
+            const auto b = slow.net.burst(when, 0, 0, 0, words);
+            ASSERT_EQ(a.complete, b.complete)
+                << words << " words, rep " << rep;
+        }
+    }
+    EXPECT_EQ(fast.net.fastPatterns(), 2u);
+    EXPECT_EQ(fast.net.fastStats().hits(), 2u);
+    EXPECT_EQ(fast.servers(), slow.servers());
+    expectSameWaits(fast, slow, "oversized");
+}
+
 TEST(FastPathDifferential, GeneratedTrafficMatchesSlowPath)
 {
-    // Each seed draws a geometry and drives the same closed-loop
-    // traffic through a fast-path network and its slow-path twin:
-    // every CE streams bursts from its own cursor (plus the odd
-    // random burst) and test&sets two hot words, issuing its next
-    // access a think time after the previous one completes. Short
-    // think times form convoys, long ones sparse traffic.
-    const auto inc = [](std::uint64_t v) { return v + 1; };
+    // Each seed draws a geometry and the two stream lengths.
     for (const std::uint64_t seed : {11u, 12u, 13u, 14u, 15u, 16u}) {
         sim::RandomGen rng(seed);
         static constexpr unsigned group_sizes[] = {1, 2, 3, 4, 8};
@@ -566,75 +678,80 @@ TEST(FastPathDifferential, GeneratedTrafficMatchesSlowPath)
         const auto ces = static_cast<unsigned>(rng.range(1, 8));
         WiredNet fast(map, clusters, ces, true);
         WiredNet slow(map, clusters, ces, false);
-
-        const unsigned n_ces = clusters * ces;
-        const unsigned lens[2] = {static_cast<unsigned>(rng.range(1, 64)),
-                                  static_cast<unsigned>(rng.range(1, 64))};
-        const sim::Addr hot[2] = {(sim::Addr(1) << 40) + rng.below(64),
-                                  (sim::Addr(1) << 40) + rng.below(64)};
-        std::vector<sim::Addr> cursor(n_ces);
-        std::vector<Tick> ready(n_ces, 0);
-        for (unsigned c = 0; c < n_ces; ++c)
-            cursor[c] = c * 4096 + rng.below(64);
-        std::uint64_t bursts = 0;
-
-        for (unsigned i = 0; i < 3000; ++i) {
-            const bool convoy = (i / 250) % 2 == 0;
-            const auto c = static_cast<unsigned>(
-                std::min_element(ready.begin(), ready.end()) -
-                ready.begin());
-            const Tick now = ready[c];
-            const auto cl = static_cast<sim::ClusterId>(c / ces);
-            const auto port = static_cast<int>(c % ces);
-
-            net::XferResult a, b;
-            if (rng.chance(0.1)) {
-                const sim::Addr w = hot[rng.below(2)];
-                a = fast.net.rmw(now, cl, port, w, inc);
-                b = slow.net.rmw(now, cl, port, w, inc);
-            } else if (rng.chance(0.1)) {
-                const sim::Addr addr = rng.below(1u << 16);
-                const auto words = static_cast<unsigned>(rng.range(1, 64));
-                a = fast.net.burst(now, cl, port, addr, words);
-                b = slow.net.burst(now, cl, port, addr, words);
-                ++bursts;
-            } else {
-                const unsigned words = lens[rng.below(2)];
-                a = fast.net.burst(now, cl, port, cursor[c], words);
-                b = slow.net.burst(now, cl, port, cursor[c], words);
-                cursor[c] += words;
-                ++bursts;
-            }
-            ASSERT_EQ(a.complete, b.complete)
-                << "seed " << seed << " access " << i;
-            ASSERT_EQ(a.unloaded, b.unloaded)
-                << "seed " << seed << " access " << i;
-            ASSERT_EQ(a.oldValue, b.oldValue)
-                << "seed " << seed << " access " << i;
-            ready[c] = a.complete + (convoy ? rng.below(8)
-                                            : rng.range(200, 2000));
-        }
-
-        EXPECT_EQ(fast.servers(), slow.servers()) << "seed " << seed;
-        for (std::size_t k = 0; k < obs::num_resource_classes; ++k) {
-            const auto cls = static_cast<obs::ResourceClass>(k);
-            const sim::Histogram &f = fast.tracer.waitHists().of(cls);
-            const sim::Histogram &s = slow.tracer.waitHists().of(cls);
-            EXPECT_EQ(f.count(), s.count())
-                << "seed " << seed << " class " << k;
-            EXPECT_EQ(f.maxSample(), s.maxSample())
-                << "seed " << seed << " class " << k;
-            EXPECT_EQ(f.buckets(), s.buckets())
-                << "seed " << seed << " class " << k;
-        }
-        EXPECT_GT(fast.net.fastStats().hits(), 0u) << "seed " << seed;
-        EXPECT_EQ(slow.net.fastStats().hits(), 0u) << "seed " << seed;
-        // The engagement counters count bursts, and only bursts.
-        for (const WiredNet *w : {&fast, &slow})
-            EXPECT_EQ(w->net.fastStats().hits() + w->net.fastStats().misses(),
-                      bursts)
-                << "seed " << seed;
+        Traffic t;
+        t.lens[0] = static_cast<unsigned>(rng.range(1, 64));
+        t.lens[1] = static_cast<unsigned>(rng.range(1, 64));
+        expectTwinsAgree(seed, rng, fast, slow, clusters, ces, t);
     }
+}
+
+TEST(FastPathDifferential, PaperGeometryConvoysMatchSlowPath)
+{
+    // FLO52-shaped traffic on the paper geometry (4 clusters of 8 CEs,
+    // 32 modules in groups of 4): every CE streams 235-word bursts in
+    // convoys. Each recording condenses ~470 serves with many
+    // distinct waits, so the per-bank wait tallies grow past their
+    // first size.
+    const mem::AddressMap map(32, 4);
+    const Traffic t{{235, 235}, false, 2, false};
+    for (const std::uint64_t seed : {21u, 22u, 23u}) {
+        sim::RandomGen rng(seed);
+        WiredNet fast(map, 4, 8, true);
+        WiredNet slow(map, 4, 8, false);
+        expectTwinsAgree(seed, rng, fast, slow, 4, 8, t);
+        EXPECT_GT(fast.net.fastPatterns(), 0u) << "seed " << seed;
+    }
+}
+
+TEST(FastPathNetwork, TicksPast32BitsNeverReachTheStore)
+{
+    // Stage-1 switch 0 held for 2^33 ticks: every burst cluster 0
+    // issues then queues ~2^33 ticks, past what a pattern record
+    // holds, so the fast twin learns nothing and replays nothing —
+    // and still matches the slow twin bit for bit.
+    const mem::AddressMap map(32, 4);
+    WiredNet fast(map, 4, 8, true);
+    WiredNet slow(map, 4, 8, false);
+    for (WiredNet *w : {&fast, &slow})
+        w->net.stallSwitch(0, 1, 0, Tick(1) << 33);
+    for (unsigned i = 0; i < 40; ++i) {
+        const auto a = fast.net.burst(4 * i, 0, 0, 0, 4);
+        const auto b = slow.net.burst(4 * i, 0, 0, 0, 4);
+        ASSERT_EQ(a.complete, b.complete) << "burst " << i;
+        ASSERT_EQ(a.unloaded, b.unloaded) << "burst " << i;
+    }
+    EXPECT_EQ(fast.net.fastPatterns(), 0u);
+    EXPECT_EQ(fast.net.fastStats().hits(), 0u);
+    EXPECT_EQ(fast.net.fastStats().misses(), 40u);
+    EXPECT_EQ(fast.servers(), slow.servers());
+    expectSameWaits(fast, slow, "stalled");
+}
+
+TEST(FastPathNetwork, AbortedRecordingLeavesNothingBehind)
+{
+    // A 4-word burst at max_tick - 8 serves stage 1, then overflows at
+    // stage 2. Cluster 0 sights its key first; cluster 1's issue is
+    // the second sighting, so it records — and throws mid-recording.
+    const mem::AddressMap map(32, 4);
+    WiredNet fast(map, 4, 8, true);
+    WiredNet slow(map, 4, 8, false);
+    for (const sim::ClusterId cl : {0, 1}) {
+        EXPECT_THROW(fast.net.burst(sim::max_tick - 8, cl, 0, 0, 4),
+                     sim::SimError);
+        EXPECT_THROW(slow.net.burst(sim::max_tick - 8, cl, 0, 0, 4),
+                     sim::SimError);
+    }
+    // Three idle 8-word bursts: the second records a fresh pattern,
+    // the third replays it. The aborted run's stage-1 wait must not
+    // leak into that recording.
+    for (unsigned rep = 0; rep < 3; ++rep) {
+        const auto a = fast.net.burst(1000 * rep, 2, 0, 0, 8);
+        const auto b = slow.net.burst(1000 * rep, 2, 0, 0, 8);
+        ASSERT_EQ(a.complete, b.complete) << "rep " << rep;
+    }
+    EXPECT_EQ(fast.net.fastStats().hits(), 1u);
+    EXPECT_EQ(fast.servers(), slow.servers());
+    expectSameWaits(fast, slow, "after the abort");
 }
 
 } // namespace
