@@ -26,12 +26,11 @@ main()
     for (const auto &name : bench::app_names) {
         std::cerr << "running " << name << " (base + coop)...\n";
         const auto app = apps::perfectAppByName(name);
-        core::RunOptions base_opts;
-        core::RunOptions coop_opts;
-        coop_opts.ctxRtlCoop = true;
+        auto coop_cfg = hw::CedarConfig::withProcs(32);
+        coop_cfg.costs.ctx_rtl_coop = true;
 
-        const auto base = core::runExperiment(app, 32, base_opts);
-        const auto coop = core::runExperiment(app, 32, coop_opts);
+        const auto base = core::runExperiment(app, 32);
+        const auto coop = core::runExperiment(app, coop_cfg);
 
         auto ctx_pct = [](const core::RunResult &r) {
             return 100.0 *

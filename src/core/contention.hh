@@ -12,8 +12,8 @@
  * overhead Ov_cont.
  *
  * Because the simulator also *knows* the true queueing every CE
- * experienced, estimateGroundTruth() reports the directly measured
- * contention the paper could not observe — the ablation
+ * experienced, groundTruthContentionPct() reports the directly
+ * measured contention the paper could not observe — the ablation
  * bench compares the two.
  */
 

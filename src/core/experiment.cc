@@ -43,28 +43,13 @@ validateRunOptions(const RunOptions &opts)
     if (opts.watchdogEvents == 0)
         throw ConfigError(
             "run options: watchdog threshold must be positive");
-    if (opts.gmTimeout > 0 && opts.gmRetryBackoff == 0)
-        throw ConfigError(
-            "run options: global-memory retry backoff must be positive "
-            "when the timeout path is enabled");
-    if (opts.gmMaxRetries > 30)
-        throw ConfigError(
-            "run options: global-memory retries capped at 30 (backoff "
-            "doubles per attempt)");
 }
 
 RunResult
-runExperiment(const apps::AppModel &app, const hw::CedarConfig &base,
+runExperiment(const apps::AppModel &app, const hw::CedarConfig &cfg,
               const RunOptions &opts)
 {
     validateRunOptions(opts);
-
-    hw::CedarConfig cfg = base;
-    cfg.seed = opts.seed;
-    cfg.costs.ctx_rtl_coop = opts.ctxRtlCoop;
-    cfg.costs.gm_timeout = opts.gmTimeout;
-    cfg.costs.gm_retry_backoff = opts.gmRetryBackoff;
-    cfg.costs.gm_max_retries = opts.gmMaxRetries;
 
     // The observers outlive the machine: its tracer points at them.
     std::vector<obs::TelemetryEvent> timeline;
@@ -72,7 +57,7 @@ runExperiment(const apps::AppModel &app, const hw::CedarConfig &base,
     if (opts.tsWindow > 0)
         tsRec = std::make_unique<obs::TimeSeriesRecorder>(opts.tsWindow);
 
-    hw::Machine m(cfg);
+    hw::Machine m(cfg, opts.seed);
     m.trace().setEnabled(opts.collectTrace);
     m.net().setFastPath(opts.fastPath);
     if (opts.collectTimeline)

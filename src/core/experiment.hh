@@ -134,6 +134,7 @@ struct RunResult
 /** Options controlling a run. */
 struct RunOptions
 {
+    /** Seed of every random stream in the run (hw::Machine). */
     std::uint64_t seed = 1;
     bool collectTrace = false;
     /** Record the span/flow timeline into RunResult::timeline. */
@@ -143,8 +144,6 @@ struct RunOptions
     /** Workload scale factor (1.0 = full size). */
     double scale = 1.0;
     std::uint64_t eventLimit = 500'000'000ULL;
-    /** Enable the Section-5.1 context-switch/RTL cooperation. */
-    bool ctxRtlCoop = false;
     /** Analytic uncontended fast path (`--no-fast-path` disables).
      *  Published results are bit-identical either way. */
     bool fastPath = true;
@@ -164,21 +163,14 @@ struct RunOptions
     std::vector<fault::FaultSpec> faults;
     /** Livelock watchdog threshold (events without time advance). */
     std::uint64_t watchdogEvents = sim::Watchdog::default_stall_events;
-    /** Dead-module access timeout; 0 parks the CE (stock machine). */
-    sim::Tick gmTimeout = 0;
-    /** Base backoff per dead-module retry (doubles each attempt). */
-    sim::Tick gmRetryBackoff = 2000;
-    /** Retries before a dead-module access takes the fallback. */
-    unsigned gmMaxRetries = 3;
 };
 
 /**
  * Check @p opts for structural sanity: the workload scale must be in
- * (0, 1], the event budget positive, the watchdog threshold positive,
- * and the global-memory retry knobs within the same bounds
- * CedarConfig::validate enforces. Called by every runExperiment
- * overload, so nonsense cannot slip in from any surface (CLI,
- * scenario files, library callers).
+ * (0, 1], the event budget positive and the watchdog threshold
+ * positive. Called by every runExperiment overload, so nonsense
+ * cannot slip in from any surface (CLI, scenario files, library
+ * callers).
  *
  * @throws sim::ConfigError describing the first problem found.
  */
@@ -186,10 +178,10 @@ void validateRunOptions(const RunOptions &opts);
 
 /**
  * Run @p app on an arbitrary machine configuration and return the
- * full measurement record. The per-run knobs in @p opts (seed,
- * ctx/RTL cooperation, global-memory resilience) override the
- * corresponding @p cfg fields, so one configuration can be reused
- * across differently-seeded runs.
+ * full measurement record. @p cfg is the machine, its cost model and
+ * policy knobs included; @p opts holds what varies per run (seed,
+ * scale, budgets, observation, fault plan), so one configuration
+ * can be reused across differently-seeded runs.
  */
 RunResult runExperiment(const apps::AppModel &app,
                         const hw::CedarConfig &cfg,

@@ -204,8 +204,7 @@ Parser::machineKey(const std::string &k, const std::string &v)
     } else if (k == "clock_hz") {
         cfg.clockHz = real(k, v);
     } else if (k == "seed") {
-        cfg.seed = count(k, v);
-        spec.options.seed = cfg.seed;
+        spec.options.seed = count(k, v);
     } else {
         fail("unknown key '" + k + "' in [machine]");
     }
@@ -247,16 +246,8 @@ Parser::runKey(const std::string &k, const std::string &v)
         o.eventLimit = count(k, v);
     else if (k == "collect_trace")
         o.collectTrace = flag(k, v);
-    else if (k == "ctx_rtl_coop")
-        o.ctxRtlCoop = flag(k, v);
     else if (k == "watchdog_events")
         o.watchdogEvents = count(k, v);
-    else if (k == "gm_timeout")
-        o.gmTimeout = static_cast<sim::Tick>(count(k, v));
-    else if (k == "gm_retry_backoff")
-        o.gmRetryBackoff = static_cast<sim::Tick>(count(k, v));
-    else if (k == "gm_max_retries")
-        o.gmMaxRetries = small(k, v);
     else
         fail("unknown key '" + k + "' in [run]");
 }
@@ -463,7 +454,7 @@ formatScenario(const ScenarioSpec &spec)
     os << "group_size = " << cfg.groupSize << "\n";
     if (cfg.clockHz != def.clockHz)
         os << "clock_hz = " << cfg.clockHz << "\n";
-    os << "seed = " << cfg.seed << "\n";
+    os << "seed = " << o.seed << "\n";
 
     std::ostringstream costs;
     for (const auto &f : cost_fields) {
@@ -498,16 +489,8 @@ formatScenario(const ScenarioSpec &spec)
         os << "event_limit = " << o.eventLimit << "\n";
     if (o.collectTrace)
         os << "collect_trace = true\n";
-    if (o.ctxRtlCoop)
-        os << "ctx_rtl_coop = true\n";
     if (o.watchdogEvents != def_opts.watchdogEvents)
         os << "watchdog_events = " << o.watchdogEvents << "\n";
-    if (o.gmTimeout != def_opts.gmTimeout)
-        os << "gm_timeout = " << o.gmTimeout << "\n";
-    if (o.gmRetryBackoff != def_opts.gmRetryBackoff)
-        os << "gm_retry_backoff = " << o.gmRetryBackoff << "\n";
-    if (o.gmMaxRetries != def_opts.gmMaxRetries)
-        os << "gm_max_retries = " << o.gmMaxRetries << "\n";
 
     if (!o.faults.empty()) {
         os << "\n[faults]\n";

@@ -19,12 +19,13 @@
  *
  *   [scenario]        name = <identifier>
  *   [machine]         clusters, ces_per_cluster, modules, group_size,
- *                     clock_hz, seed, procs (paper-point shorthand)
+ *                     clock_hz, procs (paper-point shorthand), and
+ *                     seed (the run's RNG seed, RunOptions::seed)
  *   [costs]           any CostModel field by its source name, e.g.
- *                     ctx_cost = 1500, daemon_mean_interval = 1.6e5
- *   [run]             scale, event_limit, collect_trace, ctx_rtl_coop,
- *                     watchdog_events, gm_timeout, gm_retry_backoff,
- *                     gm_max_retries
+ *                     ctx_cost = 1500, ctx_rtl_coop = true,
+ *                     gm_timeout = 30000
+ *   [run]             scale, event_limit, collect_trace,
+ *                     watchdog_events
  *   [workload]        app = <Perfect name> | file = <workload path>
  *   [workload.inline] raw workload text (apps/parser.hh directives)
  *                     until the next section header
@@ -57,7 +58,7 @@ struct ScenarioSpec
     /** Scenario identifier (defaults to the file's stem). */
     std::string name = "unnamed";
 
-    /** Machine geometry, clock, seed and cost model. */
+    /** Machine geometry, clock and cost model. */
     hw::CedarConfig config;
 
     /**
@@ -70,7 +71,7 @@ struct ScenarioSpec
     std::string workloadFile;
     std::optional<apps::AppModel> workload;
 
-    /** Run options; the fault plan lives in options.faults. */
+    /** Run options; the seed and the fault plan live here too. */
     RunOptions options;
 
     /**

@@ -22,7 +22,7 @@ constexpr std::uint64_t fault_seed_salt = 0x9d5c0fa017ab1e55ULL;
 
 FaultInjector::FaultInjector(hw::Machine &m, std::vector<FaultSpec> specs)
     : m_(m), specs_(std::move(specs)),
-      rng_(m.config().seed ^ fault_seed_salt)
+      rng_(m.seed() ^ fault_seed_salt)
 {
 }
 

@@ -300,19 +300,6 @@ Ce::endWaitUser(os::UserAct act)
     return waited;
 }
 
-sim::Tick
-Ce::endWaitKernelSpin()
-{
-    const sim::Tick waited = endWait();
-    if (waited > 0) {
-        acct_.addKernelSpin(id_, waited);
-        if (tracer_)
-            tracer_->spinSpan(static_cast<int>(id_),
-                              eq_.now() - waited, waited);
-    }
-    return waited;
-}
-
 void
 Ce::chargeInterrupt(sim::Tick n, os::TimeCat cat, os::OsAct act)
 {

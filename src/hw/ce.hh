@@ -153,9 +153,6 @@ class Ce
     /** End the wait and account it as user time in @p act. */
     sim::Tick endWaitUser(os::UserAct act);
 
-    /** End the wait and account it as kernel-lock spin time. */
-    sim::Tick endWaitKernelSpin();
-
     bool waiting() const { return waiting_; }
 
     // ----- interrupt overlay -----

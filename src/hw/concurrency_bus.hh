@@ -53,8 +53,6 @@ class ConcurrencyBus
     /** Dispatch cost of starting a cdoall over the bus. */
     sim::Tick dispatchCost() const { return costs_.cdoall_dispatch; }
 
-    bool inFlight() const { return expected_ != 0; }
-
     /** Attach the telemetry tracer (barrier skew as waits). */
     void setTracer(obs::Tracer *t) { tracer_ = t; }
 

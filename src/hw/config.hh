@@ -13,7 +13,6 @@
 #ifndef CEDAR_HW_CONFIG_HH
 #define CEDAR_HW_CONFIG_HH
 
-#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -108,7 +107,6 @@ struct CedarConfig
     unsigned nModules = 32;
     unsigned groupSize = 4;
     double clockHz = sim::default_clock_hz;
-    std::uint64_t seed = 1;
     CostModel costs;
 
     unsigned numCes() const { return nClusters * cesPerCluster; }

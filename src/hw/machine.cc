@@ -14,8 +14,8 @@ Machine::validated(const CedarConfig &cfg)
     return cfg;
 }
 
-Machine::Machine(const CedarConfig &cfg)
-    : cfg_(validated(cfg)), rng_(cfg.seed),
+Machine::Machine(const CedarConfig &cfg, std::uint64_t seed)
+    : cfg_(validated(cfg)), seed_(seed), rng_(seed),
       gmem_(mem::AddressMap(cfg.nModules, cfg.groupSize)),
       net_(cfg.nClusters, cfg.cesPerCluster, gmem_),
       acct_(cfg.nClusters, cfg.cesPerCluster),

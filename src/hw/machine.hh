@@ -8,6 +8,7 @@
 #ifndef CEDAR_HW_MACHINE_HH
 #define CEDAR_HW_MACHINE_HH
 
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -37,7 +38,9 @@ namespace cedar::hw
 class Machine
 {
   public:
-    explicit Machine(const CedarConfig &cfg);
+    /** @p seed seeds every random stream of the run: the machine's,
+     *  Xylem's and the fault injector's. */
+    explicit Machine(const CedarConfig &cfg, std::uint64_t seed = 1);
     ~Machine();
 
     Machine(const Machine &) = delete;
@@ -45,6 +48,7 @@ class Machine
 
     const CedarConfig &config() const { return cfg_; }
     const CostModel &costs() const { return cfg_.costs; }
+    std::uint64_t seed() const { return seed_; }
 
     /** The machine's single global event queue. */
     sim::EventQueue &eq() { return eq_; }
@@ -100,6 +104,7 @@ class Machine
     static const CedarConfig &validated(const CedarConfig &cfg);
 
     CedarConfig cfg_;
+    std::uint64_t seed_;
     sim::EventQueue eq_;
     sim::RandomGen rng_;
     /** Before any producer (memory, network, CEs) is wired to it. */

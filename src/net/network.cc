@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <iomanip>
-#include <ostream>
 #include <string>
 #include <utility>
 
@@ -389,70 +387,6 @@ Network::totalWaitTicks() const
         for (const Crossbar &x : *bank)
             t += x.totalWaitTicks();
     return t;
-}
-
-namespace
-{
-
-void
-reportBank(std::ostream &os, const std::string &label,
-           const Crossbar &xb, sim::Tick elapsed)
-{
-    std::uint64_t requests = 0;
-    for (unsigned p = 0; p < xb.numPorts(); ++p)
-        requests += xb.port(p).stats().requests();
-    const double busy =
-        elapsed ? 100.0 * static_cast<double>(xb.totalBusyTicks()) /
-                      (static_cast<double>(elapsed) * xb.numPorts())
-                : 0.0;
-    const double wait =
-        requests ? static_cast<double>(xb.totalWaitTicks()) /
-                       static_cast<double>(requests)
-                 : 0.0;
-    os << "  " << std::left << std::setw(18) << label << std::right
-       << std::setw(10) << requests << " req " << std::setw(6)
-       << std::fixed << std::setprecision(1) << busy << "% busy "
-       << std::setw(7) << std::setprecision(1) << wait
-       << " mean wait\n";
-}
-
-} // namespace
-
-void
-Network::report(std::ostream &os, sim::Tick elapsed) const
-{
-    os << "network utilisation over " << elapsed << " cycles:\n";
-    for (unsigned c = 0; c < nClusters_; ++c)
-        reportBank(os, stage1_[c].name(), stage1_[c], elapsed);
-    for (unsigned g = 0; g < stage2In_.size(); ++g)
-        reportBank(os, stage2In_[g].name(), stage2In_[g], elapsed);
-
-    // Memory modules, grouped per stage-2 switch.
-    const unsigned group_size = gmem_.map().groupSize();
-    for (unsigned g = 0; g < gmem_.map().numGroups(); ++g) {
-        std::uint64_t requests = 0;
-        sim::Tick busy = 0, wait = 0;
-        for (unsigned m = 0; m < group_size; ++m) {
-            const auto &st =
-                gmem_.moduleServer(g * group_size + m).stats();
-            requests += st.requests();
-            busy += st.busyTicks();
-            wait += st.waitTicks();
-        }
-        const double busy_pct =
-            elapsed ? 100.0 * static_cast<double>(busy) /
-                          (static_cast<double>(elapsed) * group_size)
-                    : 0.0;
-        const double mean_wait =
-            requests ? static_cast<double>(wait) /
-                           static_cast<double>(requests)
-                     : 0.0;
-        os << "  modules.group" << g << "    " << std::right
-           << std::setw(10) << requests << " req " << std::setw(6)
-           << std::fixed << std::setprecision(1) << busy_pct
-           << "% busy " << std::setw(7) << std::setprecision(1)
-           << mean_wait << " mean wait\n";
-    }
 }
 
 void

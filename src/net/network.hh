@@ -24,7 +24,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <functional>
-#include <iosfwd>
 #include <vector>
 
 #include "mem/global_memory.hh"
@@ -200,14 +199,6 @@ class Network
     void visitPorts(
         const std::function<void(const PortSite &,
                                  const sim::FifoServer &)> &f) const;
-
-    /**
-     * Human-readable utilisation report of every switch stage and
-     * the memory modules over the first @p elapsed ticks: request
-     * counts, busy fractions and mean queueing waits. The tool for
-     * finding *where* contention concentrated.
-     */
-    void report(std::ostream &os, sim::Tick elapsed) const;
 
     void reset();
 

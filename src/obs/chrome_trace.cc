@@ -1,8 +1,6 @@
 #include "obs/chrome_trace.hh"
 
 #include <array>
-#include <filesystem>
-#include <fstream>
 #include <ostream>
 #include <string_view>
 
@@ -57,16 +55,6 @@ shapeOf(hpm::EventId id)
       case E::os_overlay: return {'i', "os_overlay", "os"};
       default: return {0, "", ""};
     }
-}
-
-/** Delete a half-written output, but never a device such as
- *  /dev/null that the caller named as the destination. */
-void
-removeRegularFile(const std::string &path)
-{
-    std::error_code ec;
-    if (std::filesystem::is_regular_file(path, ec))
-        std::filesystem::remove(path, ec);
 }
 
 /** The track ids one layer needs, as a seen flag per id: discovery
@@ -419,28 +407,6 @@ writeSpanTrace(std::ostream &os,
     j.endArray();
     j.field("displayTimeUnit", "ms");
     j.endObject();
-}
-
-void
-convertTraceFile(const std::string &chpm_path,
-                 const std::string &json_path, double clock_hz)
-{
-    const auto recs = hpm::Trace::readFile(chpm_path);
-    std::ofstream f(json_path);
-    if (!f)
-        throw sim::SimError("chrome trace: cannot write " + json_path);
-    try {
-        writeChromeTrace(f, recs, clock_hz);
-        // close() flushes the final buffer: a write error in it shows
-        // only after that, and the destructor would drop it unchecked.
-        f.close();
-        if (!f)
-            throw sim::SimError("chrome trace: write failed: " +
-                                json_path);
-    } catch (...) {
-        removeRegularFile(json_path);
-        throw;
-    }
 }
 
 } // namespace cedar::obs

@@ -16,7 +16,6 @@
 #define CEDAR_OBS_CHROME_TRACE_HH
 
 #include <iosfwd>
-#include <string>
 #include <vector>
 
 #include "hpm/trace.hh"
@@ -39,11 +38,6 @@ void writeChromeTrace(std::ostream &os,
                       const std::vector<hpm::Record> &recs,
                       double clock_hz = sim::default_clock_hz,
                       unsigned ces_per_cluster = 0);
-
-/** Convert an off-loaded .chpm trace file to Chrome JSON. */
-void convertTraceFile(const std::string &chpm_path,
-                      const std::string &json_path,
-                      double clock_hz = sim::default_clock_hz);
 
 struct TimeSeries;
 

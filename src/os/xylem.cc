@@ -10,7 +10,7 @@ namespace cedar::os
 
 Xylem::Xylem(hw::Machine &m)
     : m_(m), globalLock_("global"),
-      rng_(m.config().seed ^ 0xbadc0ffee0ddf00dULL)
+      rng_(m.seed() ^ 0xbadc0ffee0ddf00dULL)
 {
     globalLock_.setTracer(&m.tracer());
     for (unsigned c = 0; c < m.numClusters(); ++c) {

@@ -268,11 +268,12 @@ TEST(FastPathIdentity, FaultedRunBailsAndStaysIdentical)
 {
     core::RunOptions o;
     o.faults.push_back(parseFaultSpec("module:7:stuck"));
-    o.gmTimeout = 30000;
+    auto cfg = hw::CedarConfig::withProcs(8);
+    cfg.costs.gm_timeout = 30000;
     o.fastPath = true;
-    const auto fast = core::runExperiment(gmFaultApp(), 8, o);
+    const auto fast = core::runExperiment(gmFaultApp(), cfg, o);
     o.fastPath = false;
-    const auto slow = core::runExperiment(gmFaultApp(), 8, o);
+    const auto slow = core::runExperiment(gmFaultApp(), cfg, o);
 
     // Faulted memory invalidates the pattern preconditions wholesale;
     // the engagement gate must refuse every access.
@@ -330,13 +331,14 @@ TEST(BackoffOverflow, HugeBackoffSaturatesInsteadOfWrapping)
     // event budget runs out, and the run surfaces as EventLimit.
     core::RunOptions o;
     o.faults.push_back(parseFaultSpec("module:7:stuck"));
-    o.gmTimeout = 100;
-    o.gmRetryBackoff = Tick(1) << 60;
-    o.gmMaxRetries = 6;
     o.eventLimit = 200'000;
+    auto cfg = hw::CedarConfig::withProcs(8);
+    cfg.costs.gm_timeout = 100;
+    cfg.costs.gm_retry_backoff = Tick(1) << 60;
+    cfg.costs.gm_max_retries = 6;
 
     core::RunResult r;
-    ASSERT_NO_THROW(r = core::runExperiment(gmFaultApp(), 8, o));
+    ASSERT_NO_THROW(r = core::runExperiment(gmFaultApp(), cfg, o));
     EXPECT_EQ(r.status, sim::RunStatus::EventLimit);
     EXPECT_GE(r.faultLog.count(fault::FaultKind::access_timeout), 1u);
     // No retry sequence may complete: a wrapped wait would race
@@ -346,7 +348,7 @@ TEST(BackoffOverflow, HugeBackoffSaturatesInsteadOfWrapping)
 
     // The clamped schedule is deterministic.
     core::RunResult r2;
-    ASSERT_NO_THROW(r2 = core::runExperiment(gmFaultApp(), 8, o));
+    ASSERT_NO_THROW(r2 = core::runExperiment(gmFaultApp(), cfg, o));
     EXPECT_EQ(r.ct, r2.ct);
     EXPECT_EQ(r.eventsExecuted, r2.eventsExecuted);
     EXPECT_EQ(r.faultLog.events().size(), r2.faultLog.events().size());
@@ -354,10 +356,10 @@ TEST(BackoffOverflow, HugeBackoffSaturatesInsteadOfWrapping)
 
 TEST(BackoffOverflow, MaxRetriesBeyondShiftWidthRejected)
 {
-    core::RunOptions o;
-    o.gmTimeout = 100;
-    o.gmMaxRetries = 40; // backoff doubling would exceed 64 bits
-    EXPECT_THROW(core::runExperiment(gmFaultApp(), 8, o),
+    auto cfg = hw::CedarConfig::withProcs(8);
+    cfg.costs.gm_timeout = 100;
+    cfg.costs.gm_max_retries = 40; // backoff doubling would exceed 64 bits
+    EXPECT_THROW(core::runExperiment(gmFaultApp(), cfg),
                  sim::ConfigError);
 }
 

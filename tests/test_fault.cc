@@ -379,8 +379,9 @@ TEST(FaultRun, DeadModuleWithoutTimeoutDeadlocksCleanly)
 {
     core::RunOptions o;
     o.faults.push_back(parseFaultSpec("module:7:stuck"));
-    o.gmTimeout = 0; // stock machine: no resilience path
-    const auto r = core::runExperiment(faultTestApp(), 8, o);
+    auto cfg = hw::CedarConfig::withProcs(8);
+    cfg.costs.gm_timeout = 0; // stock machine: no resilience path
+    const auto r = core::runExperiment(faultTestApp(), cfg, o);
 
     EXPECT_EQ(r.status, sim::RunStatus::Deadlock);
     EXPECT_GE(r.parkedCes, 1u);
@@ -393,8 +394,9 @@ TEST(FaultRun, DeadModuleWithRetryCompletesDegraded)
 {
     core::RunOptions o;
     o.faults.push_back(parseFaultSpec("module:7:stuck"));
-    o.gmTimeout = 30000;
-    const auto r = core::runExperiment(faultTestApp(), 8, o);
+    auto cfg = hw::CedarConfig::withProcs(8);
+    cfg.costs.gm_timeout = 30000;
+    const auto r = core::runExperiment(faultTestApp(), cfg, o);
 
     EXPECT_EQ(r.status, sim::RunStatus::Faulted);
     EXPECT_EQ(r.parkedCes, 0u);

@@ -227,13 +227,13 @@ TEST(PaperExtensions, LoopFusionReducesBarrierOverhead)
 
 TEST(PaperExtensions, CtxRtlCooperationCutsCtxTime)
 {
-    core::RunOptions base_opts;
-    base_opts.scale = 0.3;
-    core::RunOptions coop_opts = base_opts;
-    coop_opts.ctxRtlCoop = true;
+    core::RunOptions o;
+    o.scale = 0.3;
+    auto coop_cfg = hw::CedarConfig::withProcs(32);
+    coop_cfg.costs.ctx_rtl_coop = true;
     const auto app = apps::perfectAppByName("FLO52");
-    const auto base = core::runExperiment(app, 32, base_opts);
-    const auto coop = core::runExperiment(app, 32, coop_opts);
+    const auto base = core::runExperiment(app, 32, o);
+    const auto coop = core::runExperiment(app, coop_cfg, o);
     EXPECT_LT(coop.totalAcct.inOs(os::OsAct::ctx),
               base.totalAcct.inOs(os::OsAct::ctx));
 }

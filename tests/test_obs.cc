@@ -7,8 +7,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <filesystem>
 #include <fstream>
 #include <sstream>
 
@@ -317,46 +315,6 @@ TEST(ChromeTrace, GoldenDocumentForFixedRecords)
 }
 )";
     EXPECT_EQ(ss.str(), golden);
-}
-
-TEST(ChromeTrace, ConvertsAnOffloadedTraceFile)
-{
-    const std::string dir = ::testing::TempDir();
-    const std::string chpm = dir + "/obs_test.chpm";
-    const std::string json = dir + "/obs_test.json";
-
-    hpm::Trace t;
-    t.post(100, 0, hpm::EventId::serial_enter, 1);
-    t.post(900, 0, hpm::EventId::serial_exit, 1);
-    t.writeFile(chpm);
-
-    obs::convertTraceFile(chpm, json);
-    std::ifstream f(json);
-    ASSERT_TRUE(f.good());
-    std::stringstream ss;
-    ss << f.rdbuf();
-    EXPECT_NE(ss.str().find("\"traceEvents\""), std::string::npos);
-    EXPECT_NE(ss.str().find("\"serial\""), std::string::npos);
-
-    std::remove(chpm.c_str());
-    std::remove(json.c_str());
-}
-
-TEST(ChromeTrace, ConvertReportsAFailedFinalFlush)
-{
-    // Two records fit in the file buffer, so the only failing write
-    // is the flush when the output closes.
-    if (!std::filesystem::exists("/dev/full"))
-        GTEST_SKIP() << "needs /dev/full";
-    const std::string chpm = ::testing::TempDir() + "/obs_full.chpm";
-    hpm::Trace t;
-    t.post(100, 0, hpm::EventId::serial_enter, 1);
-    t.post(900, 0, hpm::EventId::serial_exit, 1);
-    t.writeFile(chpm);
-
-    EXPECT_THROW(obs::convertTraceFile(chpm, "/dev/full"), sim::SimError);
-    EXPECT_TRUE(std::filesystem::exists("/dev/full")); // never removed
-    std::remove(chpm.c_str());
 }
 
 // ----- span-trace export -----

@@ -1,7 +1,6 @@
 /**
  * @file
- * Tests for the per-loop-phase profiler and the network utilisation
- * report.
+ * Tests for the per-loop-phase profiler.
  */
 
 #include <gtest/gtest.h>
@@ -9,8 +8,6 @@
 #include <sstream>
 
 #include "core/profile.hh"
-#include "hw/machine.hh"
-#include "os/accounting.hh"
 
 namespace
 {
@@ -130,23 +127,6 @@ TEST(LoopProfile, EmptyOnUntracedRun)
 {
     const auto r = core::runExperiment(twoLoopApp(), 8);
     EXPECT_TRUE(core::profileLoopPhases(r).empty());
-}
-
-TEST(NetworkReport, ListsEveryStageAndModuleGroup)
-{
-    hw::Machine m{hw::CedarConfig::withProcs(32)};
-    m.ce(0).globalAccess(0, 256, os::UserAct::iter_exec, [] {});
-    m.ce(8).globalAccess(0, 256, os::UserAct::iter_exec, [] {});
-    m.eq().run();
-
-    std::ostringstream os;
-    m.net().report(os, m.now());
-    const auto text = os.str();
-    EXPECT_NE(text.find("stage1.cluster0"), std::string::npos);
-    EXPECT_NE(text.find("stage1.cluster3"), std::string::npos);
-    EXPECT_NE(text.find("stage2.group7"), std::string::npos);
-    EXPECT_NE(text.find("modules.group0"), std::string::npos);
-    EXPECT_NE(text.find("req"), std::string::npos);
 }
 
 } // namespace

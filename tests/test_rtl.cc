@@ -204,9 +204,7 @@ TEST(Runtime, SeedChangesPerturbTiming)
 {
     const auto app = tinyApp(LoopKind::sdoall);
     auto run_seeded = [&](std::uint64_t seed) {
-        auto cfg = hw::CedarConfig::withProcs(16);
-        cfg.seed = seed;
-        hw::Machine m{cfg};
+        hw::Machine m{hw::CedarConfig::withProcs(16), seed};
         rtl::Runtime rt(m, app);
         rt.run();
         return rt.completionTime();

@@ -42,10 +42,10 @@ seed = 9
 [costs]
 pickup_local = 90
 ctx_rtl_coop = true
+gm_timeout = 30000
 
 [run]
 scale = 0.25
-gm_timeout = 30000
 
 [faults]
 inject = module:3:degrade:2x
@@ -87,12 +87,11 @@ TEST(ScenarioParse, ReadsEverySection)
     EXPECT_EQ(spec.config.cesPerCluster, 4u);
     EXPECT_EQ(spec.config.nModules, 16u);
     EXPECT_EQ(spec.config.groupSize, 4u);
-    EXPECT_EQ(spec.config.seed, 9u);
     EXPECT_EQ(spec.options.seed, 9u);
     EXPECT_EQ(spec.config.costs.pickup_local, 90u);
     EXPECT_TRUE(spec.config.costs.ctx_rtl_coop);
     EXPECT_DOUBLE_EQ(spec.options.scale, 0.25);
-    EXPECT_EQ(spec.options.gmTimeout, 30000u);
+    EXPECT_EQ(spec.config.costs.gm_timeout, 30000u);
     ASSERT_EQ(spec.options.faults.size(), 1u);
     EXPECT_EQ(spec.options.faults[0].text, "module:3:degrade:2x");
     ASSERT_TRUE(spec.workload.has_value());
@@ -110,11 +109,11 @@ TEST(ScenarioParse, GoldenRoundTrip)
     EXPECT_EQ(a.config.cesPerCluster, b.config.cesPerCluster);
     EXPECT_EQ(a.config.nModules, b.config.nModules);
     EXPECT_EQ(a.config.groupSize, b.config.groupSize);
-    EXPECT_EQ(a.config.seed, b.config.seed);
+    EXPECT_EQ(a.options.seed, b.options.seed);
     EXPECT_EQ(a.config.costs.pickup_local, b.config.costs.pickup_local);
     EXPECT_EQ(a.config.costs.ctx_rtl_coop, b.config.costs.ctx_rtl_coop);
     EXPECT_DOUBLE_EQ(a.options.scale, b.options.scale);
-    EXPECT_EQ(a.options.gmTimeout, b.options.gmTimeout);
+    EXPECT_EQ(a.config.costs.gm_timeout, b.config.costs.gm_timeout);
     ASSERT_EQ(b.options.faults.size(), 1u);
     EXPECT_EQ(a.options.faults[0].text, b.options.faults[0].text);
     // The inline workload survives (formatScenario re-inlines it).
@@ -202,6 +201,11 @@ TEST(ScenarioDiagnostics, UnknownRunKey)
 {
     expectDiagnostic("[run]\nturbo = yes\n",
                      "unknown key 'turbo' in [run]");
+    // The policy knobs are CostModel fields, spelled in [costs] only.
+    for (const std::string key : {"ctx_rtl_coop", "gm_timeout",
+                                  "gm_retry_backoff", "gm_max_retries"})
+        expectDiagnostic("[run]\n" + key + " = 1\n",
+                         "unknown key '" + key + "' in [run]");
 }
 
 TEST(ScenarioDiagnostics, BadNumber)
@@ -290,12 +294,11 @@ TEST(ScenarioDiagnostics, SeedReadExactly)
     const auto spec = core::parseScenarioString(
         "[machine]\nprocs = 8\nseed = 9007199254740993\n"
         "[workload]\napp = ADM\n");
-    EXPECT_EQ(spec.config.seed, 9007199254740993ULL);
     EXPECT_EQ(spec.options.seed, 9007199254740993ULL);
     EXPECT_EQ(core::parseScenarioString("[machine]\nprocs = 8\n"
                                         "seed = 1e3\n[workload]\n"
                                         "app = ADM\n")
-                  .config.seed,
+                  .options.seed,
               1000u);
 }
 
@@ -319,11 +322,6 @@ TEST(RunOptionValidation, RejectsBadKnobs)
     bad([](core::RunOptions &o) { o.scale = 0.0 / 0.0; });
     bad([](core::RunOptions &o) { o.eventLimit = 0; });
     bad([](core::RunOptions &o) { o.watchdogEvents = 0; });
-    bad([](core::RunOptions &o) { o.gmMaxRetries = 31; });
-    bad([](core::RunOptions &o) {
-        o.gmTimeout = 1000;
-        o.gmRetryBackoff = 0;
-    });
     EXPECT_NO_THROW(core::validateRunOptions(core::RunOptions{}));
 }
 
@@ -450,6 +448,43 @@ TEST(ScenarioRun, MatchesDirectExperiment)
     EXPECT_EQ(via_scenario.ct, direct.ct);
     EXPECT_EQ(via_scenario.eventsExecuted, direct.eventsExecuted);
     EXPECT_EQ(via_scenario.globalWords, direct.globalWords);
+}
+
+TEST(ScenarioRun, CostsCoopKnobReachesTheRun)
+{
+    // [costs] ctx_rtl_coop is the knob's one home: the run sees it,
+    // exactly as it sees the same CostModel field set directly.
+    const std::string flo52 = "[machine]\nprocs = 8\n[run]\nscale = 0.05\n"
+                              "[workload]\napp = FLO52\n";
+    const auto plain = core::runScenario(core::parseScenarioString(flo52));
+    const auto coop = core::runScenario(core::parseScenarioString(
+        flo52 + "[costs]\nctx_rtl_coop = true\n"));
+    EXPECT_NE(coop.totalAcct.inOs(os::OsAct::ctx),
+              plain.totalAcct.inOs(os::OsAct::ctx));
+
+    auto cfg = hw::CedarConfig::withProcs(8);
+    cfg.costs.ctx_rtl_coop = true;
+    core::RunOptions o;
+    o.scale = 0.05;
+    const auto direct =
+        core::runExperiment(apps::perfectAppByName("FLO52"), cfg, o);
+    EXPECT_EQ(coop.ct, direct.ct);
+    EXPECT_EQ(coop.eventsExecuted, direct.eventsExecuted);
+    EXPECT_EQ(coop.totalAcct.inOs(os::OsAct::ctx),
+              direct.totalAcct.inOs(os::OsAct::ctx));
+}
+
+TEST(ScenarioRun, CostsTimeoutKnobReachesTheRun)
+{
+    // With [costs] gm_timeout a dead module costs retries and a
+    // fallback, not a deadlock.
+    const auto r = core::runScenario(core::parseScenarioString(
+        "[machine]\nprocs = 8\n[costs]\ngm_timeout = 30000\n"
+        "[run]\nscale = 0.05\n[faults]\ninject = module:7:stuck:@1e5\n"
+        "[workload]\napp = ADM\n"));
+    EXPECT_EQ(r.status, sim::RunStatus::Faulted);
+    EXPECT_EQ(r.parkedCes, 0u);
+    EXPECT_GT(r.accessesDegraded, 0u);
 }
 
 } // namespace

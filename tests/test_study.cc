@@ -94,8 +94,8 @@ std::string
 stuckScenario(const std::string &name)
 {
     return tinyScenario(name,
-                        "\n[run]\ngm_timeout = 0\n"
-                        "watchdog_events = 20000\n"
+                        "\n[costs]\ngm_timeout = 0\n"
+                        "[run]\nwatchdog_events = 20000\n"
                         "[faults]\ninject = module:0:stuck\n");
 }
 
@@ -150,7 +150,7 @@ TEST(StudyHash, SensitiveToEveryKnob)
     const auto base =
         core::parseScenarioString(tinyScenario("hashme"));
     auto seed = base;
-    seed.config.seed = 99;
+    seed.options.seed = 99;
     EXPECT_NE(core::canonicalHash(base), core::canonicalHash(seed));
     auto scale = base;
     scale.options.scale = 0.5;
@@ -158,6 +158,33 @@ TEST(StudyHash, SensitiveToEveryKnob)
     auto shape = base;
     shape.config.cesPerCluster = 4;
     EXPECT_NE(core::canonicalHash(base), core::canonicalHash(shape));
+    auto coop = base;
+    coop.config.costs.ctx_rtl_coop = true;
+    EXPECT_NE(core::canonicalHash(base), core::canonicalHash(coop));
+}
+
+TEST(StudyHash, EqualHashesRunIdentically)
+{
+    // The hash keys the result cache, so a hit must equal a fresh
+    // run: specs that hash equal run identically, whether a setting
+    // came from the text or was made on the parsed spec.
+    const std::string stuck = "[faults]\ninject = module:0:stuck\n";
+    const auto text = core::parseScenarioString(tinyScenario(
+        "hashme", "\n[machine]\nseed = 7\n[costs]\ngm_timeout = 30000\n" +
+                      stuck));
+    auto made = core::parseScenarioString(tinyScenario("hashme", "\n" + stuck));
+    made.options.seed = 7;
+    made.config.costs.gm_timeout = 30000;
+    ASSERT_EQ(core::canonicalHash(text), core::canonicalHash(made));
+
+    const auto a = core::runScenario(text);
+    const auto b = core::runScenario(made);
+    EXPECT_EQ(a.status, sim::RunStatus::Faulted);
+    EXPECT_EQ(a.status, b.status);
+    EXPECT_EQ(a.ct, b.ct);
+    EXPECT_EQ(a.eventsExecuted, b.eventsExecuted);
+    EXPECT_EQ(a.globalWords, b.globalWords);
+    EXPECT_EQ(a.faultLog.events().size(), b.faultLog.events().size());
 }
 
 TEST(StudyHash, HexIsFixedWidth)
@@ -661,9 +688,9 @@ TEST(StudyGrid, ExpandsCrossProductWithOverrides)
     for (const auto &e : entries)
         ASSERT_TRUE(e.parseError.empty()) << e.parseError;
     EXPECT_DOUBLE_EQ(entries[0].spec->options.scale, 0.5);
-    EXPECT_EQ(entries[0].spec->config.seed, 3u);
+    EXPECT_EQ(entries[0].spec->options.seed, 3u);
     EXPECT_DOUBLE_EQ(entries[3].spec->options.scale, 1.0);
-    EXPECT_EQ(entries[3].spec->config.seed, 7u);
+    EXPECT_EQ(entries[3].spec->options.seed, 7u);
     // Grid points with distinct knobs hash distinctly.
     EXPECT_NE(entries[0].hash, entries[1].hash);
 }

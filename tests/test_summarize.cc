@@ -342,8 +342,8 @@ TEST(Summarize, FailedScenariosLandInTheLedger)
     writeScn(scns, "ok.scn", tinyScenario("ok"));
     writeScn(scns, "stuck.scn",
              tinyScenario("stuck",
-                          "\n[run]\ngm_timeout = 0\n"
-                          "watchdog_events = 20000\n"
+                          "\n[costs]\ngm_timeout = 0\n"
+                          "[run]\nwatchdog_events = 20000\n"
                           "[faults]\ninject = module:0:stuck\n"));
     core::runStudy(core::loadScenarioDir(scns.str()), optsFor(out));
 

@@ -6,6 +6,8 @@
  *   run      — run one application on one configuration and print
  *              the full characterization (breakdowns, concurrency,
  *              contention, counters).
+ *   run-file — the same, for a workload file (apps/parser.hh) in
+ *              place of the application name; it takes run's flags.
  *   sweep    — run the paper's 1/4/8/16/32 sweep and print the
  *              Table-1-style summary.
  *   faults   — run the canonical fault-injection degradation matrix
@@ -41,12 +43,13 @@
  *              stdout; --json/--md write cedar-summary-v1 artifacts.
  *   apps     — list the built-in application models.
  *
- * run, sweep, metrics and trace all accept `--scenario FILE` in
- * place of the <app> <procs> positionals: the scenario file
+ * run, sweep, metrics, report and trace all accept `--scenario FILE`
+ * in place of the <app> <procs> positionals: the scenario file
  * (docs/SCENARIOS.md) declares the machine geometry — including
  * non-paper shapes like 2 clusters x 4 CEs — the workload, cost
  * overrides, fault plan and run options; any run flags given after
- * it override the scenario's [run] section.
+ * it override the scenario's settings (--ctx-coop and --gm-* its
+ * [costs] knobs, the others its [machine] seed and [run] section).
  *
  * Examples:
  *   cedar_cli run FLO52 32
@@ -122,7 +125,7 @@ usage()
            "                     window in ticks, 0 = off; at most\n"
            "                     65536 windows per run; results are\n"
            "                     bit-identical either way)\n"
-           "  cedar_cli run-file <workload.txt> <procs> [flags]\n"
+           "  cedar_cli run-file <workload.txt> <procs> [run flags]\n"
            "  cedar_cli run      --scenario <file.scn> [run flags]\n"
            "  cedar_cli sweep    <app> [--seed N] [--scale F]\n"
            "                     [--jobs N]  (0 = one per core)\n"
@@ -198,6 +201,9 @@ parseCount(const std::string &what, const std::string &tok)
 
 struct Flags
 {
+    /** The run's settings: the machine (--ctx-coop and --gm-* set
+     *  its cost model) and the run options. */
+    hw::CedarConfig cfg;
     core::RunOptions opts;
     bool prefetch = false;
     unsigned pickupBlock = 1;
@@ -259,11 +265,11 @@ parseFlags(const std::vector<std::string> &args, std::size_t from,
             f.opts.watchdogEvents = parseCount(a, value());
             f.watchdogOverride = f.opts.watchdogEvents;
         } else if (a == "--gm-timeout") {
-            f.opts.gmTimeout = parseCount(a, value());
+            f.cfg.costs.gm_timeout = parseCount(a, value());
         } else if (a == "--gm-retries") {
-            f.opts.gmMaxRetries = parseCount<unsigned>(a, value());
+            f.cfg.costs.gm_max_retries = parseCount<unsigned>(a, value());
         } else if (a == "--gm-backoff") {
-            f.opts.gmRetryBackoff = parseCount(a, value());
+            f.cfg.costs.gm_retry_backoff = parseCount(a, value());
         } else if (a == "--ts-window") {
             f.opts.tsWindow = parseCount(a, value());
         } else if (a == "--baseline") {
@@ -305,7 +311,7 @@ parseFlags(const std::vector<std::string> &args, std::size_t from,
         } else if (a == "--prefetch") {
             f.prefetch = true;
         } else if (a == "--ctx-coop") {
-            f.opts.ctxRtlCoop = true;
+            f.cfg.costs.ctx_rtl_coop = true;
         } else if (a == "--no-fast-path") {
             f.opts.fastPath = false;
         } else if (a == "--fuse") {
@@ -357,28 +363,27 @@ buildApp(const std::string &name, const Flags &f)
     return app;
 }
 
-/** A 1-CE comparison baseline sharing @p cfg's memory system, clock
- *  and cost model (the paper's undisturbed uniprocessor run). */
+/** @p cfg in the machine shape of the @p nprocs paper point, on its
+ *  own memory system, clock and cost model. */
 hw::CedarConfig
-uniConfigFor(hw::CedarConfig cfg)
+withPaperShape(hw::CedarConfig cfg, unsigned nprocs)
 {
-    cfg.nClusters = 1;
-    cfg.cesPerCluster = 1;
+    const auto paper = hw::CedarConfig::withProcs(nprocs);
+    cfg.nClusters = paper.nClusters;
+    cfg.cesPerCluster = paper.cesPerCluster;
     return cfg;
 }
 
 /**
- * One subcommand invocation resolved to (application, machine,
- * options) — either from `<app> <procs>` positionals or from
- * `--scenario FILE`, where run flags after the file override the
- * scenario's [run] section.
+ * One subcommand invocation resolved to an application and its run
+ * settings — either from `<app> <procs>` positionals (for run-file a
+ * workload file in place of <app>) or from `--scenario FILE`, where
+ * run flags after the file override the scenario's settings.
  */
 struct Invocation
 {
     apps::AppModel app;
-    hw::CedarConfig cfg;
     Flags flags;
-    bool fromScenario = false;
 };
 
 bool
@@ -387,22 +392,23 @@ parseInvocation(const std::vector<std::string> &args, std::size_t at,
 {
     if (args.size() < at + 2)
         return false;
+    Flags &f = inv.flags;
     if (args[at] == "--scenario") {
         const auto spec = core::parseScenarioFile(args[at + 1]);
-        inv.flags.opts = spec.options;
-        if (!parseFlags(args, flags_from, inv.flags))
+        f.cfg = spec.config;
+        f.opts = spec.options;
+        if (!parseFlags(args, flags_from, f))
             return false;
         inv.app = spec.resolveApp();
-        applyAppFlags(inv.app, inv.flags);
-        inv.cfg = spec.config;
-        inv.fromScenario = true;
-        return true;
+    } else {
+        if (!parseFlags(args, flags_from, f))
+            return false;
+        inv.app = args[1] == "run-file" ? apps::parseWorkloadFile(args[at])
+                                        : apps::perfectAppByName(args[at]);
+        f.cfg = withPaperShape(
+            f.cfg, parseCount<unsigned>("processor count", args[at + 1]));
     }
-    if (!parseFlags(args, flags_from, inv.flags))
-        return false;
-    inv.app = buildApp(args[at], inv.flags);
-    inv.cfg = hw::CedarConfig::withProcs(
-        parseCount<unsigned>("processor count", args[at + 1]));
+    applyAppFlags(inv.app, f);
     return true;
 }
 
@@ -522,18 +528,21 @@ cmdRun(const std::vector<std::string> &args)
     Invocation inv;
     if (!parseInvocation(args, 2, 4, inv))
         return usage();
-    // The 1-processor comparison baseline always runs undisturbed.
-    core::RunOptions uniOpts = inv.flags.opts;
+    const Flags &f = inv.flags;
+    // The 1-processor comparison baseline (the paper's uniprocessor
+    // run, on the same memory system, clock and cost model) always
+    // runs undisturbed.
+    core::RunOptions uniOpts = f.opts;
     uniOpts.faults.clear();
-    applyProgress(uniOpts, inv.flags, "run(1p baseline)");
+    applyProgress(uniOpts, f, args[1] + "(1p baseline)");
     const auto uni =
-        core::runExperiment(inv.app, uniConfigFor(inv.cfg), uniOpts);
-    core::RunOptions opts = inv.flags.opts;
-    applyProgress(opts, inv.flags, "run");
-    const auto r = inv.cfg.numCes() == 1 && inv.flags.opts.faults.empty()
+        core::runExperiment(inv.app, withPaperShape(f.cfg, 1), uniOpts);
+    core::RunOptions opts = f.opts;
+    applyProgress(opts, f, args[1]);
+    const auto r = f.cfg.numCes() == 1 && f.opts.faults.empty()
                        ? uni
-                       : core::runExperiment(inv.app, inv.cfg, opts);
-    if (!inv.flags.quiet)
+                       : core::runExperiment(inv.app, f.cfg, opts);
+    if (!f.quiet)
         printRun(r, &uni);
     else
         std::cout << r.app << " " << r.nprocs << "p: CT "
@@ -542,39 +551,14 @@ cmdRun(const std::vector<std::string> &args)
     return runExitCode(r);
 }
 
-int
-cmdRunFile(const std::vector<std::string> &args)
-{
-    if (args.size() < 4)
-        return usage();
-    Flags f;
-    if (!parseFlags(args, 4, f))
-        return usage();
-    const auto app = apps::parseWorkloadFile(args[2]);
-    const unsigned procs = parseCount<unsigned>("processor count", args[3]);
-    core::RunOptions uniOpts = f.opts;
-    uniOpts.faults.clear();
-    const auto uni = core::runExperiment(app, 1, uniOpts);
-    const auto r = procs == 1 && f.opts.faults.empty()
-                       ? uni
-                       : core::runExperiment(app, procs, f.opts);
-    printRun(r, &uni);
-    return runExitCode(r);
-}
-
-/** The paper's five-point processor ladder, carrying over @p base's
- *  memory geometry, clock, seed and cost model. */
+/** The paper's five-point processor ladder on @p base's memory
+ *  system, clock and cost model. */
 std::vector<hw::CedarConfig>
 paperLadderOf(const hw::CedarConfig &base)
 {
-    auto configs = core::paperConfigs();
-    for (auto &c : configs) {
-        c.nModules = base.nModules;
-        c.groupSize = base.groupSize;
-        c.clockHz = base.clockHz;
-        c.seed = base.seed;
-        c.costs = base.costs;
-    }
+    std::vector<hw::CedarConfig> configs;
+    for (const unsigned p : hw::CedarConfig::paperProcCounts())
+        configs.push_back(withPaperShape(base, p));
     return configs;
 }
 
@@ -583,29 +567,22 @@ cmdSweep(const std::vector<std::string> &args)
 {
     if (args.size() < 3)
         return usage();
-    apps::AppModel app;
-    std::vector<hw::CedarConfig> configs;
-    Flags f;
+    Invocation inv;
     if (args[2] == "--scenario") {
-        if (args.size() < 4)
+        if (!parseInvocation(args, 2, 4, inv))
             return usage();
-        const auto spec = core::parseScenarioFile(args[3]);
-        f.opts = spec.options;
-        if (!parseFlags(args, 4, f))
-            return usage();
-        app = spec.resolveApp();
-        applyAppFlags(app, f);
-        // Sweep the processor ladder on the scenario's memory system;
-        // a non-paper machine shape becomes an extra final point.
-        configs = paperLadderOf(spec.config);
-        if (!spec.config.isPaperPoint())
-            configs.push_back(spec.config);
     } else {
-        if (!parseFlags(args, 3, f))
+        if (!parseFlags(args, 3, inv.flags))
             return usage();
-        app = buildApp(args[2], f);
-        configs = core::paperConfigs();
+        inv.app = buildApp(args[2], inv.flags);
     }
+    const apps::AppModel &app = inv.app;
+    const Flags &f = inv.flags;
+    // Sweep the processor ladder on the run's memory system; a
+    // non-paper machine shape becomes an extra final point.
+    auto configs = paperLadderOf(f.cfg);
+    if (!f.cfg.isPaperPoint())
+        configs.push_back(f.cfg);
     // Per-config completion heartbeat: runs land on worker threads,
     // so the line is built under a mutex.
     core::SweepResultFn onResult;
@@ -681,10 +658,11 @@ cmdFaults(const std::vector<std::string> &args)
          {"os:intr-storm:cluster0:n=16:@1e6"}, 0},
     };
 
+    // The baseline runs no fault plan, so no retry knob reaches it.
     core::RunOptions uniOpts = f.opts;
     uniOpts.faults.clear();
-    uniOpts.gmTimeout = 0;
-    const auto uni = core::runExperiment(app, 1, uniOpts);
+    const auto uni =
+        core::runExperiment(app, withPaperShape(f.cfg, 1), uniOpts);
 
     std::cout << app.name << " fault-degradation matrix on " << procs
               << " processors (seed " << f.opts.seed << ")\n\n";
@@ -695,8 +673,9 @@ cmdFaults(const std::vector<std::string> &args)
         opts.faults.clear();
         for (const char *spec : sc.specs)
             opts.faults.push_back(fault::parseFaultSpec(spec));
-        opts.gmTimeout = sc.gmTimeout;
-        const auto r = core::runExperiment(app, procs, opts);
+        hw::CedarConfig cfg = withPaperShape(f.cfg, procs);
+        cfg.costs.gm_timeout = sc.gmTimeout;
+        const auto r = core::runExperiment(app, cfg, opts);
 
         const bool usable = r.status == sim::RunStatus::Completed ||
                             r.status == sim::RunStatus::Faulted;
@@ -734,9 +713,9 @@ cmdMetrics(const std::vector<std::string> &args)
     if (!parseInvocation(args, 2, 4, inv))
         return usage();
     const Flags &f = inv.flags;
-    const auto r = core::runExperiment(inv.app, inv.cfg, f.opts);
+    const auto r = core::runExperiment(inv.app, f.cfg, f.opts);
 
-    std::cout << r.app << " on " << inv.cfg.label()
+    std::cout << r.app << " on " << f.cfg.label()
               << " — contention metrics\n\n";
     if (r.status != sim::RunStatus::Completed)
         std::cout << "run status: " << sim::toString(r.status) << "\n";
@@ -787,7 +766,7 @@ cmdReport(const std::vector<std::string> &args)
     core::RunOptions opts = f.opts;
     opts.collectTimeline = f.timeline;
     applyProgress(opts, f, "report");
-    const auto r = core::runExperiment(inv.app, inv.cfg, opts);
+    const auto r = core::runExperiment(inv.app, f.cfg, opts);
     const auto rep = core::buildReport(r);
 
     if (!f.quiet)
@@ -839,7 +818,7 @@ cmdTrace(const std::vector<std::string> &args)
     core::RunOptions opts = inv.flags.opts;
     opts.collectTrace = !spans;
     opts.collectTimeline = spans;
-    const auto r = core::runExperiment(inv.app, inv.cfg, opts);
+    const auto r = core::runExperiment(inv.app, inv.flags.cfg, opts);
 
     if (spans) {
         // The span-level (telemetry) trace: per-CE category slices
@@ -1083,10 +1062,8 @@ main(int argc, char **argv)
     if (args.size() < 2)
         return usage();
     try {
-        if (args[1] == "run")
+        if (args[1] == "run" || args[1] == "run-file")
             return cmdRun(args);
-        if (args[1] == "run-file")
-            return cmdRunFile(args);
         if (args[1] == "sweep")
             return cmdSweep(args);
         if (args[1] == "faults")
