@@ -359,6 +359,10 @@ readManifest(const std::string &path)
 // are still verified byte-for-byte against the stored hashes.
 // ---------------------------------------------------------------
 
+/** The entry schema. Bumped whenever the model changes a published
+ *  number of an unchanged canonical hash, so older entries miss. */
+constexpr const char *cache_schema = "cedar-cache-v2";
+
 struct CacheEntry
 {
     std::string summary;
@@ -385,7 +389,7 @@ probeCache(const std::string &cacheDir, const std::string &hash)
     CacheEntry hit;
     try {
         const JsonValue e = JsonValue::parse(*meta);
-        if (e.strOr("schema") != "cedar-cache-v1" || e.strOr("hash") != hash ||
+        if (e.strOr("schema") != cache_schema || e.strOr("hash") != hash ||
             !e.has("artifacts"))
             return std::nullopt;
         hit.summaryHash = e.at("artifacts").strOr("summary");
@@ -423,7 +427,7 @@ storeCache(const std::string &cacheDir, const std::string &hash,
     {
         JsonWriter w(meta);
         w.beginObject();
-        w.field("schema", "cedar-cache-v1");
+        w.field("schema", cache_schema);
         w.field("hash", hash);
         w.field("scenario", scenarioName);
         w.field("app", entry.app);

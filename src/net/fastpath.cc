@@ -78,24 +78,24 @@ struct IdleProbe
 /**
  * Derive a shape from its idle probe. Which servers see traffic, how
  * often and for how long depends only on the addresses, so the
- * probe's touched set (in canonical flat-index order), serve counts,
- * service ticks and last chunk length hold for every offset vector;
- * its first arrivals are the canonicalization thresholds. A
- * canonical address with the same home module reproduces every
- * address of the shape: chunk boundaries depend on addr % group_size
- * and routing on addr % n_modules, and group_size divides n_modules.
+ * probe's touched set (in canonical flat-index order), serve counts
+ * and service ticks hold for every offset vector; its first arrivals
+ * are the canonicalization thresholds, and its completion is the
+ * shape's zero-contention latency. A canonical address with the same
+ * home module reproduces every address of the shape: chunk
+ * boundaries depend on addr % group_size and routing on addr %
+ * n_modules, and group_size divides n_modules.
  */
 ShapeInfo
 BurstPatternCache::makeShape(unsigned first_module, unsigned words) const
 {
     IdleProbe probe(map_);
-    const Reservation r =
-        reserveAccess(probe, 0, first_module, words, Access::burst);
-
     ShapeInfo sh;
+    sh.unloaded = reserveAccess(probe, 0, first_module, words,
+                                mem::GlobalMemory::word_service)
+                      .complete;
     sh.firstModule = first_module;
     sh.words = words;
-    sh.lastLen = r.lastLen;
     sh.groupRank.assign(map_.numGroups(), 0);
     sh.moduleRank.assign(map_.numModules(), 0);
     for (std::size_t i = 0; i < probe.firstArrival.size(); ++i) {

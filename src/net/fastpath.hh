@@ -134,7 +134,10 @@ struct ShapeInfo
      *  every access of the shape, noted by the idle probe. */
     std::vector<std::uint32_t> requests;
     std::vector<sim::Tick> busy;
-    unsigned lastLen = 0; //!< the last chunk's word count (unloaded)
+    /** The idle probe's completion relative to the access start: the
+     *  zero-contention latency of every access of the shape
+     *  (XferResult::unloaded). */
+    sim::Tick unloaded = 0;
 
     /** Where bank b's entries start in @p servers (banks are
      *  contiguous: makeShape emits servers in flat-index order). */

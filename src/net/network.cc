@@ -1,7 +1,6 @@
 #include "net/network.hh"
 
 #include <algorithm>
-#include <cassert>
 #include <string>
 #include <utility>
 
@@ -169,29 +168,16 @@ struct Network::Live
 };
 
 XferResult
-Network::chunkAccess(sim::Tick when, sim::ClusterId cluster, int ce_port,
-                     const mem::Chunk &chunk, std::uint32_t flow)
-{
-    checkIssuer(cluster, ce_port, nClusters_, cesPerCluster_);
-    assert(chunk.len >= 1 && chunk.len <= gmem_.map().groupSize());
-    Live live{*this, cluster, ce_port, when, flow};
-    const Reservation r =
-        reserveAccess(live, when, chunk.addr, chunk.len, Access::chunk);
-    return XferResult{r.complete, unloadedLatency(chunk.len)};
-}
-
-XferResult
 Network::burst(sim::Tick start, sim::ClusterId cluster, int ce_port,
                sim::Addr addr, unsigned words, std::uint32_t flow)
 {
     checkIssuer(cluster, ce_port, nClusters_, cesPerCluster_);
     if (words == 0)
         throw sim::SimError("network: a burst needs at least one word");
+    ShapeInfo &sh = cache_.shape(gmem_.map().module(addr), words);
     const Reservation r =
-        reserveBurst(start, cluster, ce_port, addr, words, flow);
-    // Zero-contention duration of the same stream: the pipelined
-    // issue of every word plus the last chunk's full latency.
-    return XferResult{r.complete, words + unloadedLatency(r.lastLen)};
+        reserveBurst(sh, start, cluster, ce_port, addr, flow);
+    return XferResult{r.complete, sh.unloaded};
 }
 
 XferResult
@@ -200,17 +186,18 @@ Network::rmw(sim::Tick when, sim::ClusterId cluster, int ce_port,
 {
     checkIssuer(cluster, ce_port, nClusters_, cesPerCluster_);
     Live live{*this, cluster, ce_port, when, flow};
-    const Reservation r = reserveAccess(live, when, addr, 1, Access::rmw);
+    const Reservation r = reserveAccess(live, when, addr, 1,
+                                        mem::GlobalMemory::rmw_service);
     // The value mutation the module serve stands for, in the same
     // (synchronous) serialisation order. A dead module never answers
     // and mutates nothing, so an abandoned RMW cannot double-apply.
-    return XferResult{r.complete, unloadedLatency(1, true),
+    return XferResult{r.complete, rmw_unloaded,
                       r.dead ? ~0ULL : gmem_.forceRmw(addr, f)};
 }
 
 Reservation
-Network::reserveBurst(sim::Tick start, sim::ClusterId cluster, int ce_port,
-                      sim::Addr addr, unsigned words, std::uint32_t flow)
+Network::reserveBurst(ShapeInfo &sh, sim::Tick start, sim::ClusterId cluster,
+                      int ce_port, sim::Addr addr, std::uint32_t flow)
 {
     Live live{*this, cluster, ce_port, start, flow};
     Reservation r;
@@ -220,8 +207,7 @@ Network::reserveBurst(sim::Tick start, sim::ClusterId cluster, int ce_port,
     // per-stage records), and no fault plan touches the memory (fault
     // windows break the translation invariance).
     if (fastPath_ && flow == 0 && !gmem_.hasFaults()) {
-        if (fastReplay(start, cluster, ce_port, gmem_.map().module(addr),
-                       words, r, record)) {
+        if (fastReplay(sh, start, cluster, ce_port, r, record)) {
             ++fastStats_.fastBursts;
             return r;
         }
@@ -233,7 +219,8 @@ Network::reserveBurst(sim::Tick start, sim::ClusterId cluster, int ce_port,
         }
     }
     ++fastStats_.slowBursts;
-    r = reserveAccess(live, start, addr, words, Access::burst);
+    r = reserveAccess(live, start, addr, sh.words,
+                      mem::GlobalMemory::word_service);
     // Second sighting: file the recorded run. Skip only the
     // degenerate saturated case, where "complete - start" is no
     // longer translation invariant.
@@ -263,11 +250,9 @@ Network::fastServer(FastBank bank, std::uint32_t idx,
 }
 
 bool
-Network::fastReplay(sim::Tick start, sim::ClusterId cluster, int ce_port,
-                    unsigned first_module, unsigned words, Reservation &r,
-                    ShapeInfo *&record)
+Network::fastReplay(ShapeInfo &sh, sim::Tick start, sim::ClusterId cluster,
+                    int ce_port, Reservation &r, ShapeInfo *&record)
 {
-    ShapeInfo &sh = cache_.shape(first_module, words);
     // The shape's servers for this CE, resolved on its first use
     // (checkIssuer() bounded both, so the index names one CE).
     if (sh.resolved.empty())
@@ -320,19 +305,7 @@ Network::fastReplay(sim::Tick start, sim::ClusterId cluster, int ce_port,
                 tracer_->resourceWait(classOfBank(FastBank(b)), e[0], e[1]);
 
     r.complete = start + p[1];
-    r.lastLen = sh.lastLen;
     return true;
-}
-
-sim::Tick
-Network::unloadedLatency(unsigned len, bool is_rmw)
-{
-    // Six hop traversals (CE->s1, s1->s2, s2->mem, mem->rA, rA->rB,
-    // rB->CE), one port service per switch stage in each direction,
-    // and the module service time.
-    const sim::Tick mem_service = is_rmw ? mem::GlobalMemory::rmw_service
-                                         : mem::GlobalMemory::word_service;
-    return 6 * hop_latency + 4 * static_cast<sim::Tick>(len) + mem_service;
 }
 
 void

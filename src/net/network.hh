@@ -44,7 +44,10 @@ namespace cedar::net
 struct XferResult
 {
     sim::Tick complete; //!< tick at which the response reaches the CE
-    sim::Tick unloaded; //!< zero-contention latency of the same path
+    /** Zero-contention latency: the same access's completion on an
+     *  idle machine, relative to its issue (a burst's includes its
+     *  later chunks queueing behind its own earlier ones). */
+    sim::Tick unloaded;
     std::uint64_t oldValue = 0; //!< previous word value (RMW only)
 
     /** Queueing delay experienced relative to an idle machine. */
@@ -81,22 +84,13 @@ struct FastPathStats
     std::uint64_t misses() const { return slowBursts; }
 };
 
-/** What one global access reserves (reserveAccess). */
-enum class Access : std::uint8_t
-{
-    burst, //!< a pipelined stream, chunk by chunk
-    chunk, //!< one chunk as given (Network::chunkAccess)
-    rmw,   //!< one atomic read-modify-write word
-};
-
 /** What reserveAccess leaves behind. */
 struct Reservation
 {
     /** When the response reaches the CE; sim::max_tick when a dead
      *  module swallowed a word. */
     sim::Tick complete = 0;
-    unsigned lastLen = 0; //!< the last chunk's word count
-    bool dead = false;    //!< some module never served its word
+    bool dead = false; //!< some module never served its word
 };
 
 /**
@@ -108,6 +102,13 @@ class Network
   public:
     /** Per-stage wire/setup latency in cycles. */
     static constexpr sim::Tick hop_latency = 2;
+
+    /** Zero-contention latency of an RMW: six hop traversals, a
+     *  one-word service at each switch stage in each direction, and
+     *  the module's RMW service (the reservation chain's idle
+     *  completion of one word). */
+    static constexpr sim::Tick rmw_unloaded =
+        6 * hop_latency + 4 + mem::GlobalMemory::rmw_service;
 
     /**
      * Build the two-stage network for @p n_clusters clusters of
@@ -140,9 +141,11 @@ class Network
      * (chunks issue at one word per cycle). This is the CE's burst
      * entry point; it dispatches to the analytic fast path when the
      * touched servers' queue state matches a learned pattern, and
-     * otherwise reserves chunk by chunk (reserveAccess).
+     * otherwise reserves chunk by chunk (reserveAccess). unloaded is
+     * the shape's idle completion (ShapeInfo::unloaded).
      * complete == sim::max_tick when a dead module swallowed part of
-     * the stream.
+     * the stream. A non-zero @p flow tags the burst's telemetry
+     * milestones.
      *
      * @throws sim::SimError when @p cluster or @p ce_port is out of
      *         range or @p words is 0.
@@ -150,15 +153,6 @@ class Network
     XferResult burst(sim::Tick start, sim::ClusterId cluster, int ce_port,
                      sim::Addr addr, unsigned words,
                      std::uint32_t flow = 0);
-
-    /**
-     * Transfer one chunk (<= one module-group span) between a CE and
-     * the global memory. Reads and writes share path timing. A
-     * non-zero @p flow tags the transfer's telemetry milestones.
-     */
-    XferResult chunkAccess(sim::Tick when, sim::ClusterId cluster,
-                           int ce_port, const mem::Chunk &chunk,
-                           std::uint32_t flow = 0);
 
     /**
      * Atomic read-modify-write of one global word (test&set,
@@ -169,9 +163,6 @@ class Network
     XferResult rmw(sim::Tick when, sim::ClusterId cluster, int ce_port,
                    sim::Addr addr, const sim::RmwFn &f,
                    std::uint32_t flow = 0);
-
-    /** Zero-contention latency of a chunk of @p len words. */
-    static sim::Tick unloadedLatency(unsigned len, bool is_rmw = false);
 
     /**
      * Fault injection: block every port of one switch (forward and
@@ -229,12 +220,12 @@ class Network
      *  network.cc). */
     struct Live;
 
-    /** One burst: the fast-path replay when eligible and a pattern
-     *  matches, otherwise reserveAccess on the live servers
-     *  (recording the run when the miss earned it). */
-    Reservation reserveBurst(sim::Tick start, sim::ClusterId cluster,
-                             int ce_port, sim::Addr addr, unsigned words,
-                             std::uint32_t flow);
+    /** One burst of shape @p sh: the fast-path replay when eligible
+     *  and a pattern matches, otherwise reserveAccess on the live
+     *  servers (recording the run when the miss earned it). */
+    Reservation reserveBurst(ShapeInfo &sh, sim::Tick start,
+                             sim::ClusterId cluster, int ce_port,
+                             sim::Addr addr, std::uint32_t flow);
 
     // ----- analytic fast path (see net/fastpath.hh) -----
 
@@ -243,16 +234,15 @@ class Network
     sim::FifoServer &fastServer(FastBank bank, std::uint32_t idx,
                                 sim::ClusterId cluster, int ce_port);
 
-    /** Gather the touched servers' canonical offsets into keyScratch_
-     *  and look up their pattern. On a match, apply it (the shape's
-     *  serve counts and service ticks, the pattern's wait sums,
-     *  horizons and condensed waits) and its timing into @p r —
+    /** Gather the canonical offsets of @p sh's touched servers into
+     *  keyScratch_ and look up their pattern. On a match, apply it
+     *  (the shape's serve counts and service ticks, the pattern's wait
+     *  sums, horizons and condensed waits) and its timing into @p r —
      *  bit-identical to the slow path. Returns false to take the slow
      *  path; @p record is then the shape whose run should be recorded
      *  (second sighting), or nullptr. */
-    bool fastReplay(sim::Tick start, sim::ClusterId cluster, int ce_port,
-                    unsigned first_module, unsigned words, Reservation &r,
-                    ShapeInfo *&record);
+    bool fastReplay(ShapeInfo &sh, sim::Tick start, sim::ClusterId cluster,
+                    int ce_port, Reservation &r, ShapeInfo *&record);
 
     /** Reused canonical-offset key (single-threaded per Machine). */
     std::vector<std::uint32_t> keyScratch_;
@@ -264,13 +254,13 @@ class Network
 
 /**
  * The reservation chain of one global access, written once. Every
- * chunk of a burst, the one chunk of Network::chunkAccess, or the
- * one RMW word (@p kind) reserves stage1 -> stage2 -> each module
- * word -> returnA -> returnB, the CE issuing the stream pipelined at
- * one word per cycle from @p start. Latency compositions saturate; a
- * saturated arrival makes FifoServer::serve throw its overflow
- * error. A dead module swallows its word: its chunk has no return
- * traffic and the access never completes.
+ * chunk of a burst, or the one word of an RMW, reserves stage1 ->
+ * stage2 -> each module word (served for @p mem_service) -> returnA
+ * -> returnB, the CE issuing the stream pipelined at one word per
+ * cycle from @p start. Latency compositions saturate; a saturated
+ * arrival makes FifoServer::serve throw its overflow error. A dead
+ * module swallows its word: its chunk has no return traffic and the
+ * access never completes.
  *
  * The policy @p pol decides where the serves land and who sees them:
  * `server(bank, idx)` is the stage1/stage2/returnA port of group
@@ -284,14 +274,11 @@ class Network
 template <typename Policy>
 Reservation
 reserveAccess(Policy &pol, sim::Tick start, sim::Addr addr,
-              unsigned words, Access kind)
+              unsigned words, sim::Tick mem_service)
 {
     constexpr sim::Tick hop = Network::hop_latency;
     mem::GlobalMemory &gmem = pol.memory();
     const mem::AddressMap &map = gmem.map();
-    const sim::Tick mem_service = kind == Access::rmw
-                                      ? mem::GlobalMemory::rmw_service
-                                      : mem::GlobalMemory::word_service;
 
     const auto port = [&pol](FastBank bank, unsigned idx,
                              sim::Tick arrival, unsigned len) {
@@ -303,15 +290,11 @@ reserveAccess(Policy &pol, sim::Tick start, sim::Addr addr,
     Reservation r;
     r.complete = start;
     for (unsigned issued = 0; issued < words;) {
-        // A burst splits at module-group boundaries; a chunk or RMW
-        // is reserved as given.
+        // The stream splits at module-group boundaries.
         const mem::Chunk c{addr + issued,
-                           kind == Access::burst
-                               ? map.chunkLen(addr + issued, words - issued)
-                               : words};
+                           map.chunkLen(addr + issued, words - issued)};
         const sim::Tick issue = sim::satAdd(start, issued);
         issued += c.len;
-        r.lastLen = c.len;
         const unsigned g = map.group(c.addr);
         const sim::Tick t1 =
             port(FastBank::stage1, g, sim::satAdd(issue, hop), c.len);

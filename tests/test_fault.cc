@@ -340,8 +340,7 @@ TEST(Validation, MachineConstructionValidates)
 TEST(Validation, NetworkRejectsOutOfRangeCluster)
 {
     hw::Machine m{hw::CedarConfig::withProcs(8)};
-    const mem::Chunk c{0, 1};
-    EXPECT_THROW(m.net().chunkAccess(0, 99, 0, c), sim::SimError);
+    EXPECT_THROW(m.net().burst(0, 99, 0, 0, 1), sim::SimError);
     EXPECT_THROW(
         m.net().rmw(0, 99, 0, 0, [](std::uint64_t v) { return v; }),
         sim::SimError);

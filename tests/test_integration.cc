@@ -242,12 +242,26 @@ TEST(PaperShapes, SameMinimumLatencyAcrossConfigurations)
 {
     // Section 3.2: every configuration uses the same network and
     // memory, hence the same unloaded latency — that is what lets
-    // the methodology isolate contention.
+    // the methodology isolate contention. On each idle machine an
+    // access completes exactly at its unloaded latency.
     hw::Machine m1{hw::CedarConfig::withProcs(1)};
     hw::Machine m32{hw::CedarConfig::withProcs(32)};
-    EXPECT_EQ(m1.net().unloadedLatency(4), m32.net().unloadedLatency(4));
-    EXPECT_EQ(m1.net().unloadedLatency(1, true),
-              m32.net().unloadedLatency(1, true));
+    const auto inc = [](std::uint64_t v) { return v + 1; };
+    sim::Tick t = 0;
+    for (const auto &[addr, words] :
+         {std::pair<sim::Addr, unsigned>{0, 4}, {0, 5}, {1, 235}}) {
+        const auto a = m1.net().burst(t, 0, 0, addr, words);
+        const auto b = m32.net().burst(t, 0, 0, addr, words);
+        EXPECT_EQ(a.unloaded, b.unloaded) << words << " words";
+        EXPECT_EQ(a.complete - t, a.unloaded) << words << " words";
+        EXPECT_EQ(b.complete - t, b.unloaded) << words << " words";
+        t = std::max(a.complete, b.complete);
+    }
+    const auto a = m1.net().rmw(t, 0, 0, 9, inc);
+    const auto b = m32.net().rmw(t, 0, 0, 9, inc);
+    EXPECT_EQ(a.unloaded, b.unloaded);
+    EXPECT_EQ(a.complete - t, a.unloaded);
+    EXPECT_EQ(b.complete - t, b.unloaded);
 }
 
 } // namespace

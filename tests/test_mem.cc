@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <vector>
 
 #include "mem/address_map.hh"
@@ -94,6 +95,16 @@ struct ChunkCase
     sim::Addr addr;
     unsigned len;
 };
+
+/** Name a case by its geometry (m32_g4_a5_l64): test listings, and
+ *  the test names CMake derives from them, then carry no raw bytes
+ *  of the struct, padding included. */
+void
+PrintTo(const ChunkCase &c, std::ostream *os)
+{
+    *os << "m" << c.modules << "_g" << c.group << "_a" << c.addr << "_l"
+        << c.len;
+}
 
 class ChunkifyProperty : public ::testing::TestWithParam<ChunkCase>
 {
@@ -190,8 +201,9 @@ TEST(GlobalMemory, RmwIsSlowerThanRead)
     RmwFixture f;
     const auto res = f.net.rmw(0, 0, 0, 3, [](std::uint64_t v) { return v; });
     EXPECT_EQ(f.gm.moduleServer(3).stats().busyTicks(), rmw_service);
-    EXPECT_EQ(res.complete, net::Network::unloadedLatency(1, true));
-    EXPECT_GT(res.complete, net::Network::unloadedLatency(1));
+    EXPECT_EQ(res.complete, net::Network::rmw_unloaded);
+    const auto read = f.net.burst(1000, 0, 0, 3, 1);
+    EXPECT_GT(res.complete, read.complete - 1000);
 }
 
 TEST(GlobalMemory, HotSpotSerializesOnOneModule)
@@ -206,7 +218,7 @@ TEST(GlobalMemory, HotSpotSerializesOnOneModule)
     }
     // The lock word's module serves the ten RMWs back to back, so
     // the last answer trails an idle RMW's by nine services.
-    EXPECT_EQ(last, net::Network::unloadedLatency(1, true) + 9 * rmw_service);
+    EXPECT_EQ(last, net::Network::rmw_unloaded + 9 * rmw_service);
     EXPECT_EQ(f.gm.moduleServer(11).stats().busyTicks(), 10 * rmw_service);
     EXPECT_EQ(f.gm.peek(11), 10u);
 }

@@ -24,21 +24,22 @@ struct NetFixture : ::testing::Test
 
 TEST_F(NetFixture, UnloadedLatencyMatchesFormula)
 {
-    // 6 hops, 4 port services of len words, module service.
-    EXPECT_EQ(net.unloadedLatency(1),
+    // A single chunk of len words, idle: 6 hops, 4 port services of
+    // len words, the module service.
+    EXPECT_EQ(net.burst(0, 0, 0, 0, 1).unloaded,
               6 * net::Network::hop_latency + 4 * 1 +
                   mem::GlobalMemory::word_service);
-    EXPECT_EQ(net.unloadedLatency(4),
+    EXPECT_EQ(net.burst(0, 0, 0, 0, 4).unloaded,
               6 * net::Network::hop_latency + 4 * 4 +
                   mem::GlobalMemory::word_service);
-    EXPECT_EQ(net.unloadedLatency(1, true),
+    EXPECT_EQ(net::Network::rmw_unloaded,
               6 * net::Network::hop_latency + 4 * 1 +
                   mem::GlobalMemory::rmw_service);
 }
 
 TEST_F(NetFixture, SingleChunkSeesUnloadedLatency)
 {
-    const auto res = net.chunkAccess(1000, 0, 0, mem::Chunk{0, 4});
+    const auto res = net.burst(1000, 0, 0, 0, 4);
     EXPECT_EQ(res.complete - 1000, res.unloaded);
     EXPECT_EQ(res.queueing(1000), 0u);
 }
@@ -47,16 +48,16 @@ TEST_F(NetFixture, SameGroupSameClusterContends)
 {
     // Two CEs of one cluster sending to the same group share the
     // stage-1 output port.
-    const auto a = net.chunkAccess(0, 0, 0, mem::Chunk{0, 4});
-    const auto b = net.chunkAccess(0, 0, 1, mem::Chunk{64, 4});
+    const auto a = net.burst(0, 0, 0, 0, 4);
+    const auto b = net.burst(0, 0, 1, 64, 4);
     EXPECT_GT(b.complete, a.complete);
     EXPECT_GT(b.queueing(0), 0u);
 }
 
 TEST_F(NetFixture, DifferentGroupsDoNotContend)
 {
-    const auto a = net.chunkAccess(0, 0, 0, mem::Chunk{0, 4});
-    const auto b = net.chunkAccess(0, 0, 1, mem::Chunk{4, 4});
+    const auto a = net.burst(0, 0, 0, 0, 4);
+    const auto b = net.burst(0, 0, 1, 4, 4);
     EXPECT_EQ(a.complete, b.complete);
     EXPECT_EQ(b.queueing(0), 0u);
 }
@@ -66,16 +67,16 @@ TEST_F(NetFixture, CrossClusterMeetsAtStage2AndMemory)
     // Different clusters to the same 4 modules: stage-1 is private,
     // stage-2 input ports are per cluster, but the modules are
     // shared, so the second transfer queues there.
-    const auto a = net.chunkAccess(0, 0, 0, mem::Chunk{0, 4});
-    const auto b = net.chunkAccess(0, 1, 0, mem::Chunk{32, 4});
+    const auto a = net.burst(0, 0, 0, 0, 4);
+    const auto b = net.burst(0, 1, 0, 32, 4);
     EXPECT_GE(b.complete, a.complete);
     EXPECT_GT(b.queueing(0), 0u);
 }
 
 TEST_F(NetFixture, CrossClusterDifferentModulesIndependent)
 {
-    const auto a = net.chunkAccess(0, 0, 0, mem::Chunk{0, 4});
-    const auto b = net.chunkAccess(0, 1, 0, mem::Chunk{4, 4});
+    const auto a = net.burst(0, 0, 0, 0, 4);
+    const auto b = net.burst(0, 1, 0, 4, 4);
     EXPECT_EQ(a.complete, b.complete);
 }
 
@@ -107,8 +108,8 @@ TEST_F(NetFixture, RmwHotSpotSerializes)
 TEST_F(NetFixture, WaitAccountingAggregates)
 {
     EXPECT_EQ(net.totalWaitTicks(), 0u);
-    net.chunkAccess(0, 0, 0, mem::Chunk{0, 4});
-    net.chunkAccess(0, 0, 1, mem::Chunk{64, 4});
+    net.burst(0, 0, 0, 0, 4);
+    net.burst(0, 0, 1, 64, 4);
     EXPECT_GT(net.totalWaitTicks(), 0u);
     net.reset();
     gmem.reset();
@@ -119,8 +120,8 @@ TEST_F(NetFixture, ReturnPathIsPerCe)
 {
     // Two CEs of a cluster to *different* groups only share their
     // cluster's return-B switch, but on distinct ports: no wait.
-    const auto a = net.chunkAccess(0, 2, 3, mem::Chunk{0, 4});
-    const auto b = net.chunkAccess(0, 2, 4, mem::Chunk{4, 4});
+    const auto a = net.burst(0, 2, 3, 0, 4);
+    const auto b = net.burst(0, 2, 4, 4, 4);
     EXPECT_EQ(a.complete, b.complete);
 }
 
@@ -144,8 +145,8 @@ TEST_F(NetFixture, SaturationThroughputBoundedByMemory)
     EXPECT_GE(static_cast<double>(last), min_time);
 }
 
-/** Property over geometry: every chunk access completes after its
- *  issue plus the unloaded latency, never before. */
+/** Property over paths: every burst completes after its issue plus
+ *  the unloaded latency, never before. */
 class NetLatencyProperty
     : public ::testing::TestWithParam<std::tuple<int, int, int>>
 {
@@ -157,9 +158,8 @@ TEST_P(NetLatencyProperty, NeverFasterThanUnloaded)
     mem::GlobalMemory gmem(map);
     net::Network net(4, 8, gmem);
     const auto [cluster, ce, addr] = GetParam();
-    const auto r = net.chunkAccess(
-        50, cluster, ce,
-        mem::Chunk{static_cast<sim::Addr>(addr), 2});
+    const auto r =
+        net.burst(50, cluster, ce, static_cast<sim::Addr>(addr), 2);
     EXPECT_GE(r.complete - 50, r.unloaded);
 }
 
@@ -168,6 +168,82 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(0, 1, 3),
                        ::testing::Values(0, 4, 7),
                        ::testing::Values(0, 5, 30, 63)));
+
+/** The idle completions of four burst shapes on the paper geometry:
+ *  a one-word burst, one full chunk, a chunk plus a word (the second
+ *  chunk reaches the CE's returnB port first but is served after the
+ *  first chunk's reservation there), and FLO52's unaligned 235-word
+ *  stream. */
+TEST(NetUnloaded, NamedShapesCompleteAtTheirIdleLatency)
+{
+    struct Case
+    {
+        sim::Addr addr;
+        unsigned words;
+        Tick complete;
+    };
+    static constexpr Case cases[] = {
+        {0, 1, 20}, {0, 4, 32}, {0, 5, 33}, {1, 235, 263}};
+    const mem::AddressMap map{32, 4};
+    for (const bool fast : {true, false}) {
+        for (const Case &c : cases) {
+            mem::GlobalMemory gmem{map};
+            net::Network net{4, 8, gmem};
+            net.setFastPath(fast);
+            const auto r = net.burst(100, 0, 0, c.addr, c.words);
+            EXPECT_EQ(r.complete - 100, c.complete)
+                << c.words << " words at " << c.addr << ", fast " << fast;
+            EXPECT_EQ(r.unloaded, c.complete)
+                << c.words << " words at " << c.addr << ", fast " << fast;
+        }
+    }
+}
+
+/** Exhaustive: on an idle network, a burst of every shape (first
+ *  module x 1..512 words) and an RMW complete exactly their
+ *  unloaded latency after issue, with the fast path on and off. Each
+ *  shape is issued three times, each after the previous completed,
+ *  so with the path on the third replays a learned pattern. */
+TEST(NetUnloaded, IdleAccessCompletesAtItsUnloadedLatency)
+{
+    struct Geometry
+    {
+        unsigned modules, group, clusters, ces;
+    };
+    const auto inc = [](std::uint64_t v) { return v + 1; };
+    for (const Geometry g : {Geometry{32, 4, 4, 8}, Geometry{8, 4, 2, 4}}) {
+        const mem::AddressMap map{g.modules, g.group};
+        for (const bool fast : {true, false}) {
+            mem::GlobalMemory gmem{map};
+            net::Network net{g.clusters, g.ces, gmem};
+            net.setFastPath(fast);
+            const int reps = fast ? 3 : 1;
+            Tick t = 0;
+            std::uint64_t bad = 0;
+            for (unsigned m = 0; m < g.modules; ++m) {
+                for (unsigned words = 1; words <= 512; ++words) {
+                    for (int rep = 0; rep < reps; ++rep) {
+                        const auto r = net.burst(t, 0, 0, m, words);
+                        if (r.complete - t != r.unloaded && bad++ < 5)
+                            ADD_FAILURE()
+                                << g.modules << "/" << g.group << " fast "
+                                << fast << ": " << words << " words from "
+                                << "module " << m << " complete after "
+                                << r.complete - t << ", unloaded "
+                                << r.unloaded;
+                        t = r.complete;
+                    }
+                }
+            }
+            EXPECT_EQ(bad, 0u) << g.modules << "/" << g.group;
+            EXPECT_EQ(net.fastStats().hits(),
+                      fast ? g.modules * 512u : 0u);
+            const auto r = net.rmw(t, 0, 0, 3, inc);
+            EXPECT_EQ(r.complete - t, r.unloaded);
+            EXPECT_EQ(r.unloaded, net::Network::rmw_unloaded);
+        }
+    }
+}
 
 TEST(Crossbar, PortStatsIndependent)
 {

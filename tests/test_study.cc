@@ -423,8 +423,8 @@ TEST(StudyCache, UnparseableEntryIsACacheMiss)
     const fs::path entry = fs::path(out.str()) / "cache" /
                            first.rows[0].hash / "entry.json";
     for (const char *bad :
-         {"{\"schema\": \"cedar-cache-v1\", \"ha",
-          "{\"schema\": \"cedar-cache-v1\", \"hash\": 7}"}) {
+         {"{\"schema\": \"cedar-cache-v2\", \"ha",
+          "{\"schema\": \"cedar-cache-v2\", \"hash\": 7}"}) {
         spit(entry, bad);
         TempDir outB;
         auto optsB = optsFor(outB);
@@ -435,6 +435,35 @@ TEST(StudyCache, UnparseableEntryIsACacheMiss)
         EXPECT_EQ(second.exitCode(), 0) << bad;
         EXPECT_EQ(slurp(outB / "a.json"), good) << bad;
     }
+}
+
+TEST(StudyCache, PreviousSchemaEntryIsReRunNotServed)
+{
+    TempDir scns, out;
+    writeScn(scns, "a.scn", tinyScenario("a"));
+    const auto entries = core::loadScenarioDir(scns.str());
+    const auto first = core::runStudy(entries, optsFor(out));
+    ASSERT_EQ(first.ran, 1u);
+    const std::string good = slurp(out / "a.json");
+
+    // An entry that verifies in every other way but carries the
+    // previous schema, whose results an older model computed under
+    // the same hash, must miss.
+    const fs::path entry = fs::path(out.str()) / "cache" /
+                           first.rows[0].hash / "entry.json";
+    const std::string current = "cedar-cache-v2";
+    std::string meta = slurp(entry);
+    const std::size_t at = meta.find(current);
+    ASSERT_NE(at, std::string::npos);
+    spit(entry, meta.replace(at, current.size(), "cedar-cache-v1"));
+
+    TempDir outB;
+    auto optsB = optsFor(outB);
+    optsB.cacheDir = out.str() + "/cache";
+    const auto second = core::runStudy(entries, optsB);
+    EXPECT_EQ(second.cached, 0u);
+    EXPECT_EQ(second.ran, 1u);
+    EXPECT_EQ(slurp(outB / "a.json"), good);
 }
 
 TEST(StudyCache, PaperPointLadderBitIdenticalThroughCache)

@@ -1016,7 +1016,8 @@ cmdSummarize(const std::vector<std::string> &args)
 int
 cmdProfile(const std::vector<std::string> &args)
 {
-    if (args.size() < 4)
+    // profile reads no flags: refuse any rather than drop them.
+    if (args.size() != 4)
         return usage();
     const auto app = apps::perfectAppByName(args[2]);
     const unsigned procs = parseCount<unsigned>("processor count", args[3]);
