@@ -94,7 +94,6 @@ BurstPatternCache::makeShape(unsigned first_module, unsigned words) const
     sh.unloaded = reserveAccess(probe, 0, first_module, words,
                                 mem::GlobalMemory::word_service)
                       .complete;
-    sh.firstModule = first_module;
     sh.words = words;
     sh.groupRank.assign(map_.numGroups(), 0);
     sh.moduleRank.assign(map_.numModules(), 0);

@@ -115,7 +115,6 @@ inline constexpr std::size_t rec_key = 2 + fast_bank_count;
 struct ShapeInfo
 {
     std::uint32_t id = 0; //!< creation order; seeds the key hash
-    unsigned firstModule = 0;
     unsigned words = 0;
     std::vector<ServerRef> servers;
 

@@ -7,10 +7,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <fstream>
+#include <random>
+#include <set>
 #include <sstream>
+#include <string>
 
 #include "apps/perfect.hh"
+#include "bench_json.hh"
 #include "core/experiment.hh"
 #include "fault/fault.hh"
 #include "obs/chrome_trace.hh"
@@ -420,5 +425,321 @@ TEST(SpanTrace, RejectsNegativeTrackIds)
     const obs::TelemetryEvent span{.kind = obs::EventKind::span, .ce = -1};
     EXPECT_THROW(obs::writeSpanTrace(os, {span}), sim::SimError);
 }
+
+// ----- span-trace export against a per-field rendering -----
+
+/**
+ * The span trace rendered field by field, one JsonWriter call per
+ * key and value: the oracle that writeSpanTrace's pre-rendered
+ * record shapes must match byte for byte. Track discovery, metadata
+ * and counter tracks follow the same layout.
+ */
+class PerFieldSpanTrace
+{
+  public:
+    PerFieldSpanTrace(std::ostream &os,
+                      const std::vector<obs::TelemetryEvent> &events,
+                      const obs::SpanTraceMeta &meta)
+        : j_(os), us_(1e6 / meta.clock_hz)
+    {
+        using obs::FlowStage;
+        std::set<unsigned> ces, modules, s1, s2, ret;
+        for (const auto &e : events) {
+            if (e.kind == obs::EventKind::span)
+                ces.insert(e.ce);
+            else if (e.stage() == FlowStage::issue ||
+                     e.stage() == FlowStage::complete)
+                ces.insert(e.ce);
+            else
+                (e.stage() == FlowStage::stage1   ? s1
+                 : e.stage() == FlowStage::stage2 ? s2
+                 : e.stage() == FlowStage::module ? modules
+                                                  : ret)
+                    .insert(e.res);
+        }
+        j_.beginObject();
+        j_.key("traceEvents").beginArray();
+        processMeta(0, "CEs");
+        for (const unsigned ce : ces)
+            threadMeta(0, ce,
+                       meta.ces_per_cluster == 0
+                           ? "CE " + std::to_string(ce)
+                           : "cluster " +
+                                 std::to_string(ce / meta.ces_per_cluster) +
+                                 " / CE " +
+                                 std::to_string(ce % meta.ces_per_cluster));
+        layer(modules, 1, "global memory", "GM module ");
+        layer(s1, 2, "network stage 1", "stage1 port ");
+        layer(s2, 3, "network stage 2", "stage2 port ");
+        layer(ret, 4, "network return", "return port ");
+        const bool series =
+            meta.timeseries != nullptr && !meta.timeseries->empty();
+        if (series)
+            processMeta(5, "telemetry");
+        for (const auto &e : events)
+            record(e);
+        if (series)
+            counterTracks(*meta.timeseries);
+        j_.endArray();
+        j_.field("displayTimeUnit", "ms");
+        j_.endObject();
+    }
+
+  private:
+    void
+    processMeta(unsigned pid, const std::string &name)
+    {
+        j_.beginObject();
+        j_.field("name", "process_name");
+        j_.field("ph", "M");
+        j_.field("pid", pid);
+        j_.key("args").beginObject().field("name", name).endObject();
+        j_.endObject();
+    }
+
+    void
+    threadMeta(unsigned pid, unsigned tid, const std::string &name)
+    {
+        j_.beginObject();
+        j_.field("name", "thread_name");
+        j_.field("ph", "M");
+        j_.field("pid", pid);
+        j_.field("tid", tid);
+        j_.key("args").beginObject().field("name", name).endObject();
+        j_.endObject();
+    }
+
+    void
+    layer(const std::set<unsigned> &tracks, unsigned pid,
+          const char *process, const char *track)
+    {
+        if (tracks.empty())
+            return;
+        processMeta(pid, process);
+        for (const unsigned id : tracks)
+            threadMeta(pid, id, track + std::to_string(id));
+    }
+
+    void
+    slice(const char *name, const char *cat, double ts, double dur,
+          unsigned pid, unsigned tid)
+    {
+        j_.beginObject();
+        j_.field("name", name);
+        j_.field("cat", cat);
+        j_.field("ph", "X");
+        j_.field("ts", ts);
+        j_.field("dur", dur);
+        j_.field("pid", pid);
+        j_.field("tid", tid);
+        j_.endObject();
+    }
+
+    void
+    flowPoint(char ph, std::uint32_t id, double ts, unsigned pid,
+              unsigned tid)
+    {
+        j_.beginObject();
+        j_.field("name", "gm_request");
+        j_.field("cat", "gm");
+        j_.field("ph", std::string_view(&ph, 1));
+        j_.field("id", id);
+        j_.field("ts", ts);
+        j_.field("pid", pid);
+        j_.field("tid", tid);
+        if (ph == 'f')
+            j_.field("bp", "e");
+        j_.endObject();
+    }
+
+    void
+    record(const obs::TelemetryEvent &e)
+    {
+        using os::TimeCat;
+        if (e.kind == obs::EventKind::span) {
+            const char *name =
+                e.cat == TimeCat::user ? os::toString(e.userAct())
+                : e.cat == TimeCat::system || e.cat == TimeCat::interrupt
+                    ? os::toString(e.osAct())
+                : e.cat == TimeCat::kspin ? "kernel_spin"
+                                          : "idle";
+            j_.beginObject();
+            j_.field("name", name);
+            j_.field("cat", os::toString(e.cat));
+            j_.field("ph", "X");
+            j_.field("ts", static_cast<double>(e.when) * us_);
+            j_.field("dur", static_cast<double>(e.dur) * us_);
+            j_.field("pid", 0);
+            j_.field("tid", static_cast<unsigned>(e.ce));
+            if (e.overlay())
+                j_.key("args").beginObject().field("overlay", 1).endObject();
+            j_.endObject();
+            return;
+        }
+        const auto tick = static_cast<double>(e.when) * us_;
+        const auto dur = static_cast<double>(e.dur) * us_;
+        const auto ce = static_cast<unsigned>(e.ce);
+        const auto res = static_cast<unsigned>(e.res);
+        switch (e.stage()) {
+          case obs::FlowStage::issue:
+            flowPoint('s', e.id, tick, 0, ce);
+            break;
+          case obs::FlowStage::stage1:
+            slice("xfer", "net", tick - dur, dur, 2, res);
+            flowPoint('t', e.id, tick - dur, 2, res);
+            break;
+          case obs::FlowStage::stage2:
+            slice("xfer", "net", tick - dur, dur, 3, res);
+            flowPoint('t', e.id, tick - dur, 3, res);
+            break;
+          case obs::FlowStage::module:
+            slice("serve", "gm", tick - dur, dur, 1, res);
+            flowPoint('t', e.id, tick - dur, 1, res);
+            break;
+          case obs::FlowStage::ret:
+            slice("xfer", "net", tick - dur, dur, 4, res);
+            flowPoint('t', e.id, tick - dur, 4, res);
+            break;
+          case obs::FlowStage::complete:
+            flowPoint('f', e.id, tick, 0, ce);
+            break;
+        }
+    }
+
+    void
+    counter(const std::string &name, double ts, double value)
+    {
+        j_.beginObject();
+        j_.field("name", name);
+        j_.field("cat", "timeseries");
+        j_.field("ph", "C");
+        j_.field("ts", ts);
+        j_.field("pid", 5);
+        j_.key("args").beginObject().field("value", value).endObject();
+        j_.endObject();
+    }
+
+    void
+    counterTracks(const obs::TimeSeries &ts)
+    {
+        for (const auto &w : ts.windows) {
+            const double t = static_cast<double>(w.start) * us_;
+            const double width = static_cast<double>(w.width());
+            if (width <= 0)
+                continue;
+            for (std::size_t c = 0; c < obs::num_resource_classes; ++c) {
+                const auto cls = static_cast<obs::ResourceClass>(c);
+                const std::string name = obs::toString(cls);
+                if (obs::isQueueingClass(cls))
+                    counter("queue_depth." + name, t,
+                            static_cast<double>(w.classes.waitTicks[c]) /
+                                width);
+                if (w.classes.resources[c] > 0)
+                    counter("utilization." + name, t,
+                            static_cast<double>(w.classes.busyTicks[c]) /
+                                (width * w.classes.resources[c]));
+            }
+            for (std::size_t c = 0; c < obs::num_time_cats; ++c)
+                counter(std::string("ces_in.") +
+                            os::toString(static_cast<os::TimeCat>(c)),
+                        t, static_cast<double>(w.catTicks[c]) / width);
+            const double bursts =
+                static_cast<double>(w.fastHits + w.fastMisses);
+            counter("fastpath_hit_rate", t,
+                    bursts > 0 ? static_cast<double>(w.fastHits) / bursts
+                               : 0.0);
+            counter("events_per_ktick", t,
+                    1000.0 * static_cast<double>(w.events) / width);
+        }
+    }
+
+    tools::JsonWriter j_;
+    double us_;
+};
+
+/** A seeded random timeline: every TimeCat (each activity of user,
+ *  system and interrupt), overlay on and off, every FlowStage; ticks
+ *  below 2^40, durations below 2^32, any 32-bit flow id, CE and
+ *  resource ids below 1024. Magnitudes are drawn per value, so small
+ *  and large numbers (fixed and scientific text, negative slice
+ *  starts) all occur. */
+std::vector<obs::TelemetryEvent>
+generatedTimeline(std::mt19937_64 &rng, std::size_t n)
+{
+    auto below2 = [&](unsigned bits) {
+        const unsigned b = static_cast<unsigned>(rng() % (bits + 1));
+        return b == 0 ? std::uint64_t{0} : rng() >> (64 - b);
+    };
+    std::vector<obs::TelemetryEvent> events;
+    for (std::size_t i = 0; i < n; ++i) {
+        obs::TelemetryEvent e;
+        e.when = below2(40);
+        e.dur = below2(32);
+        e.ce = static_cast<std::int32_t>(rng() % 1024);
+        if (rng() % 4 == 0) {
+            e.kind = obs::EventKind::span;
+            e.cat = static_cast<os::TimeCat>(rng() % obs::num_time_cats);
+            const std::size_t acts =
+                e.cat == os::TimeCat::user
+                    ? static_cast<std::size_t>(os::UserAct::NUM)
+                : e.cat == os::TimeCat::system ||
+                        e.cat == os::TimeCat::interrupt
+                    ? static_cast<std::size_t>(os::OsAct::NUM)
+                    : 1;
+            e.act = static_cast<std::uint8_t>(rng() % acts);
+            e.flags = rng() % 2 ? obs::TelemetryEvent::flag_overlay : 0;
+        } else {
+            e.kind = obs::EventKind::flow;
+            e.id = static_cast<std::uint32_t>(rng());
+            e.act = static_cast<std::uint8_t>(rng() % 6);
+            e.res = static_cast<std::int32_t>(rng() % 1024);
+        }
+        events.push_back(e);
+    }
+    return events;
+}
+
+/** Where @p got first departs from @p want, with context: the
+ *  documents run to megabytes, too long for gtest's string diff. */
+std::string
+firstDifference(const std::string &got, const std::string &want)
+{
+    const auto at = static_cast<std::size_t>(
+        std::mismatch(got.begin(), got.end(), want.begin(), want.end())
+            .first -
+        got.begin());
+    const std::size_t from = at > 120 ? at - 120 : 0;
+    return "first difference at byte " + std::to_string(at) +
+           "\n--- got:\n" + got.substr(from, 240) + "\n--- want:\n" +
+           want.substr(from, 240);
+}
+
+TEST(SpanTrace, MatchesPerFieldRenderingOnGeneratedTimelines)
+{
+    std::mt19937_64 rng(2024);
+    const obs::TimeSeries series = goldenSeries();
+    std::size_t checked = 0;
+    for (const double clock : {sim::default_clock_hz, 33.3e6})
+        for (const unsigned per_cluster : {0u, 4u})
+            for (const bool with_series : {false, true})
+                for (int rep = 0; rep < 3; ++rep) {
+                    const auto events = generatedTimeline(rng, 3000);
+                    obs::SpanTraceMeta meta;
+                    meta.clock_hz = clock;
+                    meta.ces_per_cluster = per_cluster;
+                    meta.timeseries = with_series ? &series : nullptr;
+                    std::ostringstream got, want;
+                    obs::writeSpanTrace(got, events, meta);
+                    PerFieldSpanTrace(want, events, meta);
+                    ASSERT_TRUE(got.str() == want.str())
+                        << firstDifference(got.str(), want.str())
+                        << "\nclock " << clock << ", ces_per_cluster "
+                        << per_cluster << ", series " << with_series
+                        << ", rep " << rep;
+                    ++checked;
+                }
+    EXPECT_EQ(checked, 24u);
+}
+
 
 } // namespace

@@ -45,37 +45,6 @@ escapeInto(std::string_view s, Put &&put)
     put("\"", 1);
 }
 
-/** Room for any number() text ("-1.2345678901234567e-308"). */
-constexpr std::size_t number_chars = 32;
-
-/** Write JsonWriter::number(v) into @p out; returns its length. */
-std::size_t
-formatNumber(double v, char *out)
-{
-    if (!std::isfinite(v)) {
-        std::memcpy(out, "null", 4); // JSON has no inf/nan
-        return 4;
-    }
-    char *const last = out + number_chars;
-    // No text with fewer significant digits than the shortest
-    // round-trip form parses back to v, so start at that count
-    // (digits before the exponent of the shortest scientific form).
-    auto r = std::to_chars(out, last, v, std::chars_format::scientific);
-    int prec = 0;
-    for (const char *p = out; p != r.ptr && *p != 'e'; ++p)
-        prec += *p >= '0' && *p <= '9';
-    // %.{prec}g can still miss (rounding to nearest need not land in
-    // an asymmetric round-trip interval): verify, step up on a miss.
-    for (;; ++prec) {
-        r = std::to_chars(out, last, v, std::chars_format::general, prec);
-        double back = 0;
-        std::from_chars(out, r.ptr, back);
-        if (back == v || prec >= 17)
-            break;
-    }
-    return static_cast<std::size_t>(r.ptr - out);
-}
-
 /** Indentation source: two spaces per nesting level. */
 constexpr std::string_view spaces =
     "                                                                "
@@ -111,7 +80,86 @@ std::string
 JsonWriter::number(double v)
 {
     char buf[number_chars];
-    return std::string(buf, formatNumber(v, buf));
+    return std::string(buf, number(v, buf));
+}
+
+/*
+ * For a finite v whose mantissa bits are not all zero, the round-trip
+ * interval around v is symmetric, so the correctly rounded decimal
+ * with the shortest round-trip digit count n is at least as close to
+ * v as those shortest digits are: it lies in the interval too, and it
+ * is the one to_chars picks (both break ties to even). %.{n}g then
+ * prints to_chars' shortest scientific digits, laid out in %g's
+ * notation. Zero and exact powers of two (an asymmetric interval)
+ * take the precision search.
+ */
+std::size_t
+JsonWriter::number(double v, char *out)
+{
+    if (!std::isfinite(v)) {
+        std::memcpy(out, "null", 4); // JSON has no inf/nan
+        return 4;
+    }
+    char *const last = out + number_chars;
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &v, sizeof(bits));
+    if ((bits & ((std::uint64_t(1) << 52) - 1)) == 0) {
+        // No text with fewer significant digits than the shortest
+        // round-trip form parses back to v, so start at that count;
+        // %.{prec}g can still miss here: verify, step up on a miss.
+        auto r = std::to_chars(out, last, v, std::chars_format::scientific);
+        int prec = 0;
+        for (const char *p = out; p != r.ptr && *p != 'e'; ++p)
+            prec += *p >= '0' && *p <= '9';
+        for (;; ++prec) {
+            r = std::to_chars(out, last, v, std::chars_format::general,
+                              prec);
+            double back = 0;
+            std::from_chars(out, r.ptr, back);
+            if (back == v || prec >= 17)
+                break;
+        }
+        return static_cast<std::size_t>(r.ptr - out);
+    }
+
+    // "[-]d[.ddd]e(+|-)XX": split it into sign, digits and exponent.
+    char sci[number_chars];
+    char *const end = std::to_chars(sci, sci + sizeof(sci), v,
+                                    std::chars_format::scientific)
+                          .ptr;
+    const char *const e = std::find(sci, end, 'e');
+    int exp = 0;
+    std::from_chars(e + (e[1] == '+' ? 2 : 1), end, exp);
+    const char *const lead = sci + (v < 0); // the first digit
+    const int n = static_cast<int>(e - lead) - (e - lead > 1);
+    // %g prints scientific outside -4 <= exp < precision.
+    if (exp < -4 || exp >= n) {
+        std::memcpy(out, sci, static_cast<std::size_t>(end - sci));
+        return static_cast<std::size_t>(end - sci);
+    }
+    char digits[17];
+    digits[0] = *lead;
+    if (n > 1)
+        std::memcpy(digits + 1, lead + 2, static_cast<std::size_t>(n - 1));
+    char *o = out;
+    if (v < 0)
+        *o++ = '-';
+    if (exp < 0) {
+        std::memcpy(o, "0.0000", static_cast<std::size_t>(1 - exp));
+        o += 1 - exp;
+        std::memcpy(o, digits, static_cast<std::size_t>(n));
+        o += n;
+    } else {
+        std::memcpy(o, digits, static_cast<std::size_t>(exp + 1));
+        o += exp + 1;
+        if (exp + 1 < n) {
+            *o++ = '.';
+            std::memcpy(o, digits + exp + 1,
+                        static_cast<std::size_t>(n - exp - 1));
+            o += n - exp - 1;
+        }
+    }
+    return static_cast<std::size_t>(o - out);
 }
 
 JsonWriter::~JsonWriter()
@@ -272,7 +320,7 @@ JsonWriter::value(double v)
 {
     separator();
     char buf[number_chars];
-    put(buf, formatNumber(v, buf));
+    put(buf, number(v, buf));
     closeValue();
     return *this;
 }
@@ -295,6 +343,16 @@ JsonWriter::value(std::int64_t v)
     char buf[24];
     put(buf, static_cast<std::size_t>(
                  std::to_chars(buf, buf + sizeof(buf), v).ptr - buf));
+    closeValue();
+    return *this;
+}
+
+JsonWriter &
+JsonWriter::rendered(std::initializer_list<std::string_view> parts)
+{
+    separator();
+    for (const std::string_view p : parts)
+        put(p);
     closeValue();
     return *this;
 }

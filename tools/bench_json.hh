@@ -21,7 +21,9 @@
 #define CEDAR_TOOLS_BENCH_JSON_HH
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
+#include <initializer_list>
 #include <limits>
 #include <optional>
 #include <ostream>
@@ -92,6 +94,22 @@ class JsonWriter
      * none does); "null" for inf/nan, which JSON cannot express.
      */
     static std::string number(double v);
+
+    /** Room for any number() text ("-1.2345678901234567e-308"). */
+    static constexpr std::size_t number_chars = 32;
+
+    /** number(v) written into @p out, which has number_chars bytes of
+     *  room, without allocating; returns its length. */
+    static std::size_t number(double v, char *out);
+
+    /**
+     * Emit @p parts, concatenated, as one value already rendered for
+     * this depth (a container indented as this writer indents it),
+     * with the separator this writer puts before it: none after a
+     * key, else a comma and newline. For exporters that render a
+     * record's constant text once and splice in only what varies.
+     */
+    JsonWriter &rendered(std::initializer_list<std::string_view> parts);
 
   private:
     enum class Ctx { array, object };

@@ -83,6 +83,7 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "apps/parser.hh"
@@ -242,12 +243,28 @@ struct Flags
     bool quiet = false;
 };
 
+/** The flags batch reads (its usage line); study adds its grid
+ *  flags and summarize has its own. */
+const std::vector<std::string_view> batch_flags = {
+    "--jobs",  "--out",             "--resume",   "--retries", "--shard",
+    "--cache", "--watchdog-events", "--progress", "--quiet"};
+const std::vector<std::string_view> summarize_flags = {
+    "--baseline", "--top", "--json", "--md", "--quiet"};
+
+/** Parse args[from..] into @p f. With @p allowed non-empty, a flag
+ *  outside it is refused (naming the subcommand) instead of parsed
+ *  and dropped. */
 bool
 parseFlags(const std::vector<std::string> &args, std::size_t from,
-           Flags &f)
+           Flags &f, const std::vector<std::string_view> &allowed = {})
 {
     for (std::size_t i = from; i < args.size(); ++i) {
         const auto &a = args[i];
+        if (!allowed.empty() &&
+            std::find(allowed.begin(), allowed.end(), a) == allowed.end()) {
+            std::cerr << args[1] << ": does not take " << a << "\n";
+            return false;
+        }
         auto value = [&]() -> const std::string & {
             if (i + 1 >= args.size())
                 throw std::invalid_argument(a + " needs a value");
@@ -932,7 +949,7 @@ cmdBatch(const std::vector<std::string> &args)
     if (args.size() < 3)
         return usage();
     Flags f;
-    if (!parseFlags(args, 3, f))
+    if (!parseFlags(args, 3, f, batch_flags))
         return usage();
     // Directory problems (missing, empty, duplicate names) are
     // study-level ConfigErrors; a single malformed .scn is not — it
@@ -946,8 +963,10 @@ cmdStudy(const std::vector<std::string> &args)
 {
     if (args.size() < 3 || args[2][0] == '-')
         return usage();
+    auto study_flags = batch_flags;
+    study_flags.insert(study_flags.end(), {"--axis", "--list"});
     Flags f;
-    if (!parseFlags(args, 3, f))
+    if (!parseFlags(args, 3, f, study_flags))
         return usage();
     const auto entries = core::expandScenarioGrid(args[2], f.axes);
 
@@ -990,7 +1009,7 @@ cmdSummarize(const std::vector<std::string> &args)
     if (sopts.dirs.empty())
         return usage();
     Flags f;
-    if (!parseFlags(args, i, f))
+    if (!parseFlags(args, i, f, summarize_flags))
         return usage();
     sopts.baselineDir = f.baselineDir;
     sopts.top = f.top;
