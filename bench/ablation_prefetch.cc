@@ -13,6 +13,7 @@
 
 #include <iostream>
 
+#include "core/scenario.hh"
 #include "harness.hh"
 
 using namespace cedar;
@@ -22,13 +23,11 @@ main()
 {
     std::cout << "Ablation A8: vector prefetch on FLO52\n\n";
 
-    auto base_app = apps::perfectAppByName("FLO52");
-    auto pf_app = base_app;
-    pf_app.name = "FLO52+prefetch";
-    for (auto &phase : pf_app.phases) {
-        if (auto *l = std::get_if<apps::LoopSpec>(&phase))
-            l->prefetch = true;
-    }
+    core::ScenarioSpec spec;
+    spec.workload = apps::perfectAppByName("FLO52");
+    const auto base_app = *spec.workload;
+    spec.prefetch = true;
+    const auto pf_app = spec.resolveApp();
 
     std::cerr << "running baseline sweep...\n";
     core::RunOptions o;

@@ -15,6 +15,7 @@
 
 #include "core/breakdown.hh"
 #include "core/experiment.hh"
+#include "core/study.hh"
 #include "core/table.hh"
 #include "hpm/trace.hh"
 
@@ -64,7 +65,9 @@ main()
 
         // Off-load and re-read, as the monitor does.
         const std::string path = "/tmp/cedar_example_trace.bin";
-        t.writeFile(path);
+        core::atomicWriteFile(path, [&](std::ostream &os) {
+            hpm::Trace::write(os, t.records());
+        });
         const auto back = hpm::Trace::readFile(path);
         std::cout << "\nOff-loaded and re-read " << back.size()
                   << " records from " << path << "\n";

@@ -129,6 +129,7 @@ runExperiment(const apps::AppModel &app, const hw::CedarConfig &cfg,
 
     if (opts.collectTrace)
         r.trace = m.trace().records();
+    r.traceDropped = m.trace().dropped();
     r.timeline = std::move(timeline);
     if (tsRec) {
         r.timeseries =

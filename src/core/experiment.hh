@@ -91,8 +91,10 @@ struct RunResult
     /** Distinct (shape, offset-vector) patterns learned. */
     std::uint64_t fastPathPatterns = 0;
 
-    /** The cedarhpm trace (empty when tracing disabled). */
+    /** The cedarhpm trace (empty when tracing disabled), and the
+     *  records its full buffer dropped (hpm::Trace::dropped). */
     std::vector<hpm::Record> trace;
+    std::uint64_t traceDropped = 0;
 
     /** The telemetry timeline: every span and GM-flow record, in
      *  the order the tracer emitted them (empty unless

@@ -103,6 +103,26 @@ const CostField cost_fields[] = {
     tickField("statfx_period", &hw::CostModel::statfx_period),
 };
 
+/** The spec's workload as its source describes it, knobs unapplied. */
+apps::AppModel
+loadWorkload(const ScenarioSpec &spec)
+{
+    if (spec.workload)
+        return *spec.workload;
+    if (!spec.workloadFile.empty())
+        return apps::parseWorkloadFile(spec.workloadFile);
+    if (spec.appName.empty())
+        throw sim::ConfigError("scenario '" + spec.name +
+                               "' has no workload");
+    try {
+        return apps::perfectAppByName(spec.appName);
+    } catch (const std::exception &) {
+        throw sim::ConfigError("scenario '" + spec.name +
+                               "': unknown application '" + spec.appName +
+                               "' (see cedar_cli apps)");
+    }
+}
+
 /** Parse state shared by the per-line handlers. */
 struct Parser
 {
@@ -260,8 +280,14 @@ Parser::workloadKey(const std::string &k, const std::string &v)
     } else if (k == "file") {
         spec.workloadFile =
             !dir.empty() && v.front() != '/' ? dir + "/" + v : v;
+    } else if (k == "prefetch") {
+        spec.prefetch = flag(k, v);
+    } else if (k == "pickup_block") {
+        spec.pickupBlock = small(k, v);
+    } else if (k == "fuse") {
+        spec.fuse = flag(k, v);
     } else {
-        fail("unknown key '" + k + "' in [workload] (app = or file =)");
+        fail("unknown key '" + k + "' in [workload]");
     }
 }
 
@@ -409,20 +435,18 @@ parseScenarioFile(const std::string &path)
 apps::AppModel
 ScenarioSpec::resolveApp() const
 {
-    if (workload)
-        return *workload;
-    if (!workloadFile.empty())
-        return apps::parseWorkloadFile(workloadFile);
-    if (appName.empty())
-        throw sim::ConfigError("scenario '" + name +
-                               "' has no workload");
-    try {
-        return apps::perfectAppByName(appName);
-    } catch (const std::exception &) {
-        throw sim::ConfigError("scenario '" + name +
-                               "': unknown application '" + appName +
-                               "' (see cedar_cli apps)");
+    apps::AppModel app = loadWorkload(*this);
+    if (fuse)
+        app = apps::withFusedLoops(app);
+    for (auto &phase : app.phases) {
+        if (auto *l = std::get_if<apps::LoopSpec>(&phase)) {
+            if (prefetch)
+                l->prefetch = *prefetch;
+            if (pickupBlock)
+                l->pickupBlock = *pickupBlock;
+        }
     }
+    return app;
 }
 
 void
@@ -498,13 +522,26 @@ formatScenario(const ScenarioSpec &spec)
             os << "inject = " << f.text << "\n";
     }
 
+    // The knobs are written only when set, so a spec without them
+    // keeps its canonical hash.
+    std::ostringstream knobs;
+    if (spec.prefetch)
+        knobs << "prefetch = " << (*spec.prefetch ? "true" : "false")
+              << "\n";
+    if (spec.pickupBlock)
+        knobs << "pickup_block = " << *spec.pickupBlock << "\n";
+    if (spec.fuse)
+        knobs << "fuse = true\n";
     if (!spec.appName.empty()) {
-        os << "\n[workload]\napp = " << spec.appName << "\n";
+        os << "\n[workload]\napp = " << spec.appName << "\n"
+           << knobs.str();
     } else {
-        // Inline or file-loaded: inline the resolved workload so the
+        // Inline or file-loaded: inline the workload so the
         // serialised scenario is self-contained.
+        if (!knobs.str().empty())
+            os << "\n[workload]\n" << knobs.str();
         os << "\n[workload.inline]\n"
-           << apps::formatWorkload(spec.resolveApp());
+           << apps::formatWorkload(loadWorkload(spec));
     }
     return os.str();
 }

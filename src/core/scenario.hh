@@ -26,7 +26,8 @@
  *                     gm_timeout = 30000
  *   [run]             scale, event_limit, collect_trace,
  *                     watchdog_events
- *   [workload]        app = <Perfect name> | file = <workload path>
+ *   [workload]        app = <Perfect name> | file = <workload path>,
+ *                     and the app knobs prefetch, pickup_block, fuse
  *   [workload.inline] raw workload text (apps/parser.hh directives)
  *                     until the next section header
  *   [faults]          inject = <fault spec> (repeatable, see
@@ -71,12 +72,23 @@ struct ScenarioSpec
     std::string workloadFile;
     std::optional<apps::AppModel> workload;
 
+    /**
+     * App knobs (`[workload] prefetch`, `pickup_block`, `fuse`): a
+     * given knob sets its LoopSpec field on every loop, an absent one
+     * leaves the workload's own value; fuse merges adjacent loops
+     * first (apps::withFusedLoops).
+     */
+    std::optional<bool> prefetch;
+    std::optional<unsigned> pickupBlock;
+    bool fuse = false;
+
     /** Run options; the seed and the fault plan live here too. */
     RunOptions options;
 
     /**
      * Materialise the application model: the named Perfect app, the
-     * loaded file, or the inline workload.
+     * loaded file, or the inline workload, with the app knobs
+     * applied.
      *
      * @throws sim::ConfigError when no workload was specified or the
      *         named app / file cannot be resolved.

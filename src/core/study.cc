@@ -55,8 +55,13 @@ void
 atomicWriteFile(const std::string &path,
                 const std::function<void(std::ostream &)> &writer)
 {
+    // A symlink, device or FIFO is written through: a rename would
+    // replace the link or the node itself, not what it names.
+    std::error_code ec;
+    const auto st = fs::symlink_status(path, ec);
+    const bool through = fs::exists(st) && !fs::is_regular_file(st);
     const std::string tmp =
-        path + ".tmp." + std::to_string(::getpid());
+        through ? path : path + ".tmp." + std::to_string(::getpid());
     {
         std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
         if (!os)
@@ -65,16 +70,20 @@ atomicWriteFile(const std::string &path,
             writer(os);
         } catch (...) {
             os.close();
-            fs::remove(tmp);
+            if (!through)
+                fs::remove(tmp);
             throw;
         }
         os.flush();
         if (!os) {
             os.close();
-            fs::remove(tmp);
+            if (!through)
+                fs::remove(tmp);
             throw SimError("atomic write: write failed: " + tmp);
         }
     }
+    if (through)
+        return;
     // The data must be durable before the rename publishes the name:
     // rename-then-crash must never expose an empty or partial file.
     const int fd = ::open(tmp.c_str(), O_RDONLY);
@@ -82,7 +91,6 @@ atomicWriteFile(const std::string &path,
         ::fsync(fd);
         ::close(fd);
     }
-    std::error_code ec;
     fs::rename(tmp, path, ec);
     if (ec) {
         fs::remove(tmp);

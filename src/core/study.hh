@@ -70,7 +70,9 @@ std::string hashHex(std::uint64_t h);
  * Write @p path atomically: stream into a temporary sibling file,
  * fsync it, and rename over the destination. On any failure
  * (including an exception from @p writer) the temporary is removed
- * and the previous contents of @p path are untouched.
+ * and the previous contents of @p path are untouched. An existing
+ * symlink, device or FIFO is not ours to replace: it is written
+ * through in place, which is not atomic.
  *
  * @throws sim::SimError when the file cannot be written or renamed.
  */

@@ -1,10 +1,11 @@
 #include "hpm/trace.hh"
 
+#include <algorithm>
 #include <cstring>
-#include <filesystem>
 #include <fstream>
 #include <ostream>
-#include <stdexcept>
+
+#include "sim/error.hh"
 
 namespace cedar::hpm
 {
@@ -48,39 +49,15 @@ constexpr char file_magic[8] = {'c', 'h', 'p', 'm', '0', '0', '0', '1'};
 } // namespace
 
 void
-Trace::write(std::ostream &os) const
+Trace::write(std::ostream &os, const std::vector<Record> &records)
 {
     os.write(file_magic, sizeof(file_magic));
-    const std::uint64_t n = buf_.size();
+    const std::uint64_t n = records.size();
     os.write(reinterpret_cast<const char *>(&n), sizeof(n));
-    os.write(reinterpret_cast<const char *>(buf_.data()),
+    os.write(reinterpret_cast<const char *>(records.data()),
              static_cast<std::streamsize>(n * sizeof(Record)));
     if (!os)
-        throw std::runtime_error("Trace::write: write failed");
-}
-
-void
-Trace::writeFile(const std::string &path) const
-{
-    std::ofstream f(path, std::ios::binary);
-    if (!f)
-        throw std::runtime_error("Trace::writeFile: cannot open " + path);
-    try {
-        write(f);
-        // close() flushes the final buffer: a write error in it shows
-        // only after that, and the destructor would drop it unchecked.
-        f.close();
-        if (!f)
-            throw std::runtime_error("Trace::writeFile: write failed: " +
-                                     path);
-    } catch (...) {
-        // Remove the partial file, but never a device named as the
-        // destination (/dev/null, /dev/full).
-        std::error_code ec;
-        if (std::filesystem::is_regular_file(path, ec))
-            std::filesystem::remove(path, ec);
-        throw;
-    }
+        throw sim::SimError("Trace::write: write failed");
 }
 
 std::vector<Record>
@@ -88,15 +65,15 @@ Trace::readFile(const std::string &path)
 {
     std::ifstream f(path, std::ios::binary);
     if (!f)
-        throw std::runtime_error("Trace::readFile: cannot open " + path);
+        throw sim::SimError("Trace::readFile: cannot open " + path);
     char magic[sizeof(file_magic)];
     f.read(magic, sizeof(magic));
     if (!f || std::memcmp(magic, file_magic, sizeof(magic)) != 0)
-        throw std::runtime_error("Trace::readFile: bad magic in " + path);
+        throw sim::SimError("Trace::readFile: bad magic in " + path);
     std::uint64_t n = 0;
     f.read(reinterpret_cast<char *>(&n), sizeof(n));
     if (!f)
-        throw std::runtime_error("Trace::readFile: truncated " + path);
+        throw sim::SimError("Trace::readFile: truncated " + path);
 
     // Validate the record count against the actual payload size
     // before allocating anything: a corrupt header must not turn
@@ -108,14 +85,14 @@ Trace::readFile(const std::string &path)
     const auto avail = static_cast<std::uint64_t>(
         payload_bytes < 0 ? 0 : payload_bytes);
     if (avail % sizeof(Record) != 0 || n != avail / sizeof(Record))
-        throw std::runtime_error(
+        throw sim::SimError(
             "Trace::readFile: corrupt record count in " + path);
 
     std::vector<Record> out(n);
     f.read(reinterpret_cast<char *>(out.data()),
            static_cast<std::streamsize>(n * sizeof(Record)));
     if (!f)
-        throw std::runtime_error("Trace::readFile: truncated " + path);
+        throw sim::SimError("Trace::readFile: truncated " + path);
     return out;
 }
 

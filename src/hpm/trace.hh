@@ -121,27 +121,17 @@ class Trace
     }
 
     void setEnabled(bool on) { enabled_ = on; }
-    bool enabled() const { return enabled_; }
 
     const std::vector<Record> &records() const { return buf_; }
     std::uint64_t dropped() const { return dropped_; }
 
-    void
-    clear()
-    {
-        buf_.clear();
-        dropped_ = 0;
-    }
+    /** Off-load @p records (binary, versioned header) to a binary
+     *  stream, such as core::atomicWriteFile's; throws
+     *  sim::SimError when the stream fails. */
+    static void write(std::ostream &os, const std::vector<Record> &records);
 
-    /** Off-load the buffer (binary, versioned header) to a stream
-     *  opened in binary mode — lets callers choose the file-write
-     *  discipline (e.g. core::atomicWriteFile). */
-    void write(std::ostream &os) const;
-
-    /** Off-load the buffer to a file (binary, versioned header). */
-    void writeFile(const std::string &path) const;
-
-    /** Read a previously off-loaded trace. */
+    /** Read a previously off-loaded trace; throws sim::SimError when
+     *  the file cannot be opened or is not a whole trace. */
     static std::vector<Record> readFile(const std::string &path);
 
     /** Human-readable dump of the first @p n records. */

@@ -7,11 +7,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <vector>
 
+#include "core/study.hh"
 #include "hpm/statfx.hh"
 #include "hpm/trace.hh"
 #include "sim/error.hh"
@@ -77,7 +77,9 @@ TEST(Trace, FileRoundTrip)
     for (int i = 0; i < 100; ++i)
         t.post(i * 10, i % 32, EventId::pickup_enter, i);
     const std::string path = "/tmp/cedar_trace_test.bin";
-    t.writeFile(path);
+    core::atomicWriteFile(path, [&](std::ostream &os) {
+        hpm::Trace::write(os, t.records());
+    });
     const auto back = hpm::Trace::readFile(path);
     ASSERT_EQ(back.size(), 100u);
     for (int i = 0; i < 100; ++i) {
@@ -87,16 +89,13 @@ TEST(Trace, FileRoundTrip)
     std::remove(path.c_str());
 }
 
-TEST(Trace, WriteFileReportsAFailedFinalFlush)
+TEST(Trace, WriteReportsAFailedStream)
 {
-    // One record fits in the file buffer, so the only failing write
-    // is the flush when the file closes.
-    if (!std::filesystem::exists("/dev/full"))
-        GTEST_SKIP() << "needs /dev/full";
     hpm::Trace t;
     t.post(100, 0, EventId::serial_enter, 1);
-    EXPECT_THROW(t.writeFile("/dev/full"), std::runtime_error);
-    EXPECT_TRUE(std::filesystem::exists("/dev/full")); // never removed
+    std::ostringstream os;
+    os.setstate(std::ios::badbit);
+    EXPECT_THROW(hpm::Trace::write(os, t.records()), sim::SimError);
 }
 
 TEST(Trace, ReadMissingFileThrows)
@@ -151,7 +150,9 @@ TEST(Trace, ReadRejectsTruncatedPayload)
         for (int i = 0; i < 8; ++i)
             t.post(i, 0, EventId::iter_start,
                    static_cast<std::uint32_t>(i));
-        t.writeFile(path);
+        core::atomicWriteFile(path, [&](std::ostream &os) {
+            hpm::Trace::write(os, t.records());
+        });
     }
     // Chop the last few bytes off a valid file.
     std::ifstream in(path, std::ios::binary);

@@ -19,36 +19,13 @@
 #include "core/concurrency.hh"
 #include "core/contention.hh"
 #include "core/experiment.hh"
+#include "harness.hh"
 
 namespace
 {
 
 using namespace cedar;
 using cedar::os::UserAct;
-
-const std::map<std::string, std::vector<double>> paper_speedup = {
-    {"FLO52", {1, 2.86, 4.23, 6.39, 8.40}},
-    {"ARC2D", {1, 3.61, 6.25, 10.54, 15.06}},
-    {"MDG", {1, 3.89, 7.44, 14.26, 24.43}},
-    {"OCEAN", {1, 3.83, 7.16, 11.85, 15.58}},
-    {"ADM", {1, 3.40, 5.84, 8.52, 8.84}},
-};
-
-const std::map<std::string, std::vector<double>> paper_concurrency = {
-    {"FLO52", {1, 3.49, 6.11, 9.66, 14.82}},
-    {"ARC2D", {1, 3.70, 6.82, 12.28, 20.56}},
-    {"MDG", {1, 3.92, 7.60, 15.14, 28.82}},
-    {"OCEAN", {1, 3.86, 7.53, 12.98, 17.27}},
-    {"ADM", {1, 3.46, 6.06, 9.42, 13.56}},
-};
-
-const std::map<std::string, std::vector<double>> paper_contention = {
-    {"FLO52", {0, 17, 27, 24, 21}},
-    {"ARC2D", {0, 3.4, 8.8, 10.3, 14.1}},
-    {"MDG", {0, 1.3, 4.1, 7.2, 13.4}},
-    {"OCEAN", {0, 3.5, 6.3, 8.0, 7.4}},
-    {"ADM", {0, 1.9, 4.1, 5.9, 12.5}},
-};
 
 class PaperBands : public ::testing::TestWithParam<const char *>
 {
@@ -71,7 +48,7 @@ class PaperBands : public ::testing::TestWithParam<const char *>
 TEST_P(PaperBands, SpeedupWithin30PercentOfPaperEverywhere)
 {
     const auto &s = sweep(GetParam());
-    const auto &paper = paper_speedup.at(GetParam());
+    const auto &paper = bench::paper_speedup.at(GetParam());
     for (std::size_t i = 1; i < s.size(); ++i) {
         const double sp = s[0].seconds() / s[i].seconds();
         EXPECT_NEAR(sp, paper[i], 0.30 * paper[i])
@@ -82,7 +59,7 @@ TEST_P(PaperBands, SpeedupWithin30PercentOfPaperEverywhere)
 TEST_P(PaperBands, ConcurrencyWithin30PercentOfPaperEverywhere)
 {
     const auto &s = sweep(GetParam());
-    const auto &paper = paper_concurrency.at(GetParam());
+    const auto &paper = bench::paper_concurrency.at(GetParam());
     for (std::size_t i = 1; i < s.size(); ++i) {
         EXPECT_NEAR(s[i].machineConcurrency, paper[i], 0.30 * paper[i])
             << GetParam() << " at " << s[i].nprocs << " proc";
@@ -92,7 +69,7 @@ TEST_P(PaperBands, ConcurrencyWithin30PercentOfPaperEverywhere)
 TEST_P(PaperBands, ContentionGrowsAndStaysInBand)
 {
     const auto &s = sweep(GetParam());
-    const auto &paper = paper_contention.at(GetParam());
+    const auto &paper = bench::paper_contention.at(GetParam());
     for (std::size_t i = 1; i < s.size(); ++i) {
         const auto e = core::estimateContention(s[i], s[0]);
         // Shape band: within 10 percentage points of the paper.

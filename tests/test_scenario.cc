@@ -50,6 +50,11 @@ scale = 0.25
 [faults]
 inject = module:3:degrade:2x
 
+[workload]
+prefetch = true
+pickup_block = 4
+fuse = true
+
 [workload.inline]
 app golden-app
 steps 2
@@ -97,6 +102,9 @@ TEST(ScenarioParse, ReadsEverySection)
     ASSERT_TRUE(spec.workload.has_value());
     EXPECT_EQ(spec.workload->name, "golden-app");
     EXPECT_EQ(spec.workload->steps, 2u);
+    EXPECT_EQ(spec.prefetch, true);
+    EXPECT_EQ(spec.pickupBlock, 4u);
+    EXPECT_TRUE(spec.fuse);
     EXPECT_NO_THROW(spec.validate());
 }
 
@@ -116,12 +124,58 @@ TEST(ScenarioParse, GoldenRoundTrip)
     EXPECT_EQ(a.config.costs.gm_timeout, b.config.costs.gm_timeout);
     ASSERT_EQ(b.options.faults.size(), 1u);
     EXPECT_EQ(a.options.faults[0].text, b.options.faults[0].text);
+    EXPECT_EQ(a.prefetch, b.prefetch);
+    EXPECT_EQ(a.pickupBlock, b.pickupBlock);
+    EXPECT_EQ(a.fuse, b.fuse);
     // The inline workload survives (formatScenario re-inlines it).
     EXPECT_EQ(core::formatScenario(a), core::formatScenario(b));
     const auto app_a = a.resolveApp();
     const auto app_b = b.resolveApp();
     EXPECT_EQ(app_a.name, app_b.name);
     EXPECT_EQ(app_a.phases.size(), app_b.phases.size());
+}
+
+/** The loops of @p app, in phase order. */
+std::vector<apps::LoopSpec>
+loopsOf(const apps::AppModel &app)
+{
+    std::vector<apps::LoopSpec> out;
+    for (const auto &phase : app.phases)
+        if (const auto *l = std::get_if<apps::LoopSpec>(&phase))
+            out.push_back(*l);
+    return out;
+}
+
+TEST(ScenarioParse, AppKnobsWriteOnlyTheirOwnField)
+{
+    const std::string head = "[machine]\nprocs = 8\n[workload]\n";
+    const std::string wl =
+        "[workload.inline]\napp k\nsteps 1\n"
+        "xdoall iters=8 compute=100 words=8 block=4\n"
+        "sdoall outer=2 inner=4 compute=100 words=8 prefetch\n";
+    auto loops = [&](const std::string &knobs) {
+        return loopsOf(
+            core::parseScenarioString(head + knobs + wl).resolveApp());
+    };
+    // An absent knob leaves each loop's own value.
+    auto l = loops("");
+    ASSERT_EQ(l.size(), 2u);
+    EXPECT_EQ(l[0].pickupBlock, 4u);
+    EXPECT_FALSE(l[0].prefetch);
+    EXPECT_EQ(l[1].pickupBlock, 1u);
+    EXPECT_TRUE(l[1].prefetch);
+    // A given knob sets its own field on every loop, and only that.
+    l = loops("prefetch = true\n");
+    EXPECT_TRUE(l[0].prefetch && l[1].prefetch);
+    EXPECT_EQ(l[0].pickupBlock, 4u);
+    EXPECT_EQ(l[1].pickupBlock, 1u);
+    l = loops("prefetch = false\n");
+    EXPECT_FALSE(l[0].prefetch || l[1].prefetch);
+    l = loops("pickup_block = 2\n");
+    EXPECT_EQ(l[0].pickupBlock, 2u);
+    EXPECT_EQ(l[1].pickupBlock, 2u);
+    EXPECT_FALSE(l[0].prefetch);
+    EXPECT_TRUE(l[1].prefetch);
 }
 
 TEST(ScenarioParse, ProcsShorthandExpandsPaperShape)

@@ -11,6 +11,8 @@
 
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <filesystem>
@@ -226,6 +228,38 @@ TEST(AtomicWrite, FailedWriterPreservesOriginal)
     for (const auto &e : fs::directory_iterator(dir.str()))
         (void)e, ++files;
     EXPECT_EQ(files, 1u);
+}
+
+// A symlink, device or FIFO is not the writer's to replace: the bytes
+// go through it, and the node itself stays.
+TEST(AtomicWrite, WritesThroughASymlink)
+{
+    TempDir dir;
+    const fs::path target = dir / "target.json";
+    const fs::path link = dir / "link.json";
+    core::atomicWriteFile(target.string(), std::string("old\n"));
+    fs::create_symlink(target, link);
+    core::atomicWriteFile(link.string(), std::string("new\n"));
+    EXPECT_TRUE(fs::is_symlink(link));
+    EXPECT_EQ(slurp(target), "new\n");
+}
+
+TEST(AtomicWrite, WritesIntoAFifo)
+{
+    TempDir dir;
+    const fs::path fifo = dir / "pipe";
+    ASSERT_EQ(::mkfifo(fifo.c_str(), 0600), 0);
+    // A reader opened first keeps the writer's open from blocking,
+    // and the payload fits in the pipe buffer.
+    const int rd = ::open(fifo.c_str(), O_RDONLY | O_NONBLOCK);
+    ASSERT_GE(rd, 0);
+    core::atomicWriteFile(fifo.string(), std::string("through\n"));
+    EXPECT_TRUE(fs::is_fifo(fifo));
+    char buf[32] = {};
+    const auto n = ::read(rd, buf, sizeof buf);
+    ::close(rd);
+    EXPECT_EQ(std::string(buf, n > 0 ? static_cast<std::size_t>(n) : 0),
+              "through\n");
 }
 
 // ------------------------------------------------------------------

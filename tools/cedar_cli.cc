@@ -43,13 +43,12 @@
  *              stdout; --json/--md write cedar-summary-v1 artifacts.
  *   apps     — list the built-in application models.
  *
- * run, sweep, metrics, report and trace all accept `--scenario FILE`
- * in place of the <app> <procs> positionals: the scenario file
- * (docs/SCENARIOS.md) declares the machine geometry — including
- * non-paper shapes like 2 clusters x 4 CEs — the workload, cost
- * overrides, fault plan and run options; any run flags given after
- * it override the scenario's settings (--ctx-coop and --gm-* its
- * [costs] knobs, the others its [machine] seed and [run] section).
+ * The run-side subcommands (run, run-file, sweep, faults, metrics,
+ * report, trace) fill one core::ScenarioSpec from the <app> <procs>
+ * positionals or `--scenario FILE` (docs/SCENARIOS.md: any machine
+ * geometry, the workload and its app knobs, costs, faults and run
+ * options), and the flags then override it. Each subcommand reads
+ * only the flags its row of `commands` names.
  *
  * Examples:
  *   cedar_cli run FLO52 32
@@ -74,13 +73,10 @@
  */
 
 #include <algorithm>
-#include <cstring>
-#include <filesystem>
-#include <fstream>
 #include <iostream>
 #include <limits>
+#include <map>
 #include <mutex>
-#include <optional>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -93,7 +89,6 @@
 #include "core/concurrency.hh"
 #include "core/contention.hh"
 #include "core/experiment.hh"
-#include "core/parallel.hh"
 #include "core/profile.hh"
 #include "core/report.hh"
 #include "core/scenario.hh"
@@ -111,57 +106,94 @@ using namespace cedar;
 namespace
 {
 
+using FlagList = std::vector<std::string_view>;
+
+FlagList
+operator+(FlagList a, const FlagList &b)
+{
+    a.insert(a.end(), b.begin(), b.end());
+    return a;
+}
+
+/** The run settings faults reads, each with the placeholder of its
+ *  value (none: a switch). */
+const FlagList matrix_flags = {
+    "--seed N", "--scale F", "--prefetch", "--pickup-block N", "--fuse",
+    "--ctx-coop", "--no-fast-path", "--gm-retries N", "--gm-backoff N",
+    "--watchdog-events N"};
+/** Every other run-side subcommand also reads the fault plan and the
+ *  dead-module timeout, which faults' matrix sets per row. */
+const FlagList run_flags =
+    matrix_flags + FlagList{"--inject SPEC", "--gm-timeout N"};
+const FlagList live_flags = {"--progress", "--quiet"};
+const FlagList study_engine_flags =
+    FlagList{"--jobs N", "--out DIR", "--resume", "--retries N",
+             "--shard i/N", "--cache DIR", "--watchdog-events N"} +
+    live_flags;
+
+/** A subcommand's operands and the flags it reads. */
+struct Command
+{
+    std::string_view operands;
+    FlagList flags;
+};
+
+/** Every subcommand by name. usage() prints this table, and
+ *  parseFlags refuses any flag a subcommand's row omits. */
+const std::map<std::string_view, Command> commands = {
+    {"run", {"<app> <procs>", run_flags + live_flags}},
+    {"run-file", {"<workload-file> <procs>", run_flags + live_flags}},
+    {"sweep", {"<app>", run_flags + FlagList{"--jobs N"} + live_flags}},
+    {"faults", {"<app> [procs]", matrix_flags}},
+    {"metrics",
+     {"<app> <procs>",
+      run_flags + FlagList{"--ts-window N", "--top K", "--json FILE"}}},
+    {"report",
+     {"<app> <procs>",
+      run_flags + FlagList{"--json FILE", "--md FILE", "--timeline"} +
+          live_flags}},
+    {"trace",
+     {"<app> <procs> <outfile>",
+      run_flags + FlagList{"--ts-window N", "--chrome", "--spans"}}},
+    {"batch", {"<scenario-dir>", study_engine_flags}},
+    {"study",
+     {"<base.scn>", study_engine_flags +
+                        FlagList{"--axis sec.key=v1,v2,...", "--list"}}},
+    {"summarize",
+     {"<study-dir>...", {"--baseline DIR", "--top K", "--json FILE",
+                         "--md FILE", "--quiet"}}},
+    {"profile", {"<app> <procs>", {}}},
+    {"apps", {"", {}}},
+};
+
 int
 usage()
 {
+    std::cerr << "usage:\n";
+    for (const auto &[name, c] : commands) {
+        std::string line = "  cedar_cli " + std::string(name) + " " +
+                           std::string(c.operands);
+        for (const auto flag : c.flags) {
+            if (line.size() + flag.size() > 72) {
+                std::cerr << line << "\n";
+                line = std::string(14, ' ');
+            }
+            line += " [" + std::string(flag) + "]";
+        }
+        std::cerr << line << "\n";
+    }
     std::cerr
-        << "usage:\n"
-           "  cedar_cli run      <app> <procs> [--seed N] [--scale F]\n"
-           "                     [--prefetch] [--pickup-block N]\n"
-           "                     [--ctx-coop] [--fuse] [--no-fast-path]\n"
-           "                     [--inject SPEC]... [--gm-timeout N]\n"
-           "                     [--gm-retries N] [--gm-backoff N]\n"
-           "                     [--watchdog-events N]\n"
-           "                     [--ts-window N] (time-series sampling\n"
-           "                     window in ticks, 0 = off; at most\n"
-           "                     65536 windows per run; results are\n"
-           "                     bit-identical either way)\n"
-           "  cedar_cli run-file <workload.txt> <procs> [run flags]\n"
-           "  cedar_cli run      --scenario <file.scn> [run flags]\n"
-           "  cedar_cli sweep    <app> [--seed N] [--scale F]\n"
-           "                     [--jobs N]  (0 = one per core)\n"
-           "  cedar_cli sweep    --scenario <file.scn> [--jobs N]\n"
-           "  cedar_cli faults   <app> [procs] [--seed N] [--scale F]\n"
-           "  cedar_cli metrics  <app> <procs> [--top K] [--json FILE]\n"
-           "                     [run flags]\n"
-           "  cedar_cli metrics  --scenario <file.scn> [--top K]\n"
-           "                     [--json FILE]\n"
-           "  cedar_cli report   <app> <procs> [--json FILE] [--md FILE]\n"
-           "                     [--timeline] [run flags]\n"
-           "  cedar_cli report   --scenario <file.scn> [--json FILE]\n"
-           "                     [--md FILE] [--timeline]\n"
-           "  cedar_cli trace    <app> <procs> <outfile> [--chrome]\n"
-           "                     [--spans] [run flags]\n"
-           "  cedar_cli trace    --scenario <file.scn> <outfile>\n"
-           "                     [--chrome] [--spans]\n"
-           "  cedar_cli trace    --chrome <in.chpm> <out.json>\n"
-           "  cedar_cli batch    <scenario-dir> [--jobs N] [--out DIR]\n"
-           "                     [--resume] [--retries N] [--shard i/N]\n"
-           "                     [--cache DIR] [--watchdog-events N]\n"
-           "  cedar_cli study    <base.scn> --axis sec.key=v1,v2,...\n"
-           "                     [--axis ...] [--list] [batch flags]\n"
-           "  cedar_cli summarize <study-dir>... [--baseline DIR]\n"
-           "                     [--top K] [--json FILE] [--md FILE]\n"
-           "                     [--quiet]\n"
-           "  cedar_cli profile  <app> <procs>\n"
-           "  cedar_cli apps\n"
-           "\nrun, sweep, report and batch accept --progress (live\n"
-           "heartbeat on stderr) and --quiet (suppress the heartbeat\n"
-           "and the human-readable report)\n"
-           "\napps: FLO52 ARC2D MDG OCEAN ADM\n"
-           "procs: 1, 4, 8, 16 or 32 (arbitrary geometries: --scenario,\n"
-           "see docs/SCENARIOS.md)\n"
-           "\nfault SPEC grammar (docs/FAULTS.md):\n"
+        << "\napps: FLO52 ARC2D MDG OCEAN ADM\n"
+           "procs: 1, 4, 8, 16 or 32; run, run-file, sweep, faults,\n"
+           "  metrics, report and trace take --scenario <file.scn> (any\n"
+           "  geometry, docs/SCENARIOS.md) in place of <app> and <procs>\n"
+           "trace --chrome <in.chpm> <out.json> converts a .chpm trace\n"
+           "--jobs N: worker threads, 0 = one per core\n"
+           "--ts-window N: time-series window in ticks (0 = off, at most\n"
+           "  65536 windows per run; results are bit-identical either way)\n"
+           "--progress: live heartbeat on stderr; --quiet: suppress the\n"
+           "  heartbeat and the human-readable report\n"
+           "\nfault SPEC grammar (docs/FAULTS.md; --inject may repeat):\n"
            "  module:<m>:degrade:<F>x[:@<t0>[-<t1>]]\n"
            "  module:<m>:stuck[:@<t0>[-<t1>]]\n"
            "  switch:stage1|stage2:<s>:stall:<ticks>[:@<t0>]\n"
@@ -202,15 +234,10 @@ parseCount(const std::string &what, const std::string &tok)
 
 struct Flags
 {
-    /** The run's settings: the machine (--ctx-coop and --gm-* set
-     *  its cost model) and the run options. */
-    hw::CedarConfig cfg;
-    core::RunOptions opts;
-    bool prefetch = false;
-    unsigned pickupBlock = 1;
-    bool fuse = false;
-    /** Sweep worker threads; 0 = one per hardware thread. */
-    unsigned jobs = 0;
+    /** A run-side subcommand's run: its machine (--ctx-coop and
+     *  --gm-* set the cost model), workload, app knobs and run
+     *  options. */
+    core::ScenarioSpec spec;
     /** metrics: hot spots to list / optional JSON output path. */
     unsigned top = 10;
     std::string jsonOut;
@@ -218,124 +245,118 @@ struct Flags
     std::string mdOut;
     /** report: collect the telemetry timeline (cross-check). */
     bool timeline = false;
-    /** batch: output directory for per-scenario JSON. */
-    std::string outDir = ".";
-    /** batch/study: result-cache directory (default <out>/cache). */
-    std::string cacheDir;
-    /** batch/study: extra attempts after a failed run. */
-    unsigned retries = 0;
-    /** batch/study: deterministic hash partition (--shard i/N). */
-    unsigned shardIndex = 0;
-    unsigned shardCount = 1;
-    /** batch/study: continue a prior manifest journal. */
-    bool resume = false;
+    /** trace: write Chrome trace JSON / the span trace, not .chpm. */
+    bool chrome = false;
+    bool spans = false;
+    /** batch/study: the study engine's settings (its watchdog
+     *  budget only when given); sweep reads its jobs too. */
+    core::StudyOptions study;
     /** study: print the expanded grid instead of running it. */
     bool listOnly = false;
     /** study: sweep axes (--axis section.key=v1,v2,...). */
     std::vector<core::GridAxis> axes;
     /** summarize: baseline study directory for regression deltas. */
     std::string baselineDir;
-    /** batch/study: study-wide watchdog budget (only when given). */
-    std::optional<std::uint64_t> watchdogOverride;
     /** Live progress heartbeat on stderr. */
     bool progress = false;
     /** Suppress the heartbeat and human-readable report output. */
     bool quiet = false;
 };
 
-/** The flags batch reads (its usage line); study adds its grid
- *  flags and summarize has its own. */
-const std::vector<std::string_view> batch_flags = {
-    "--jobs",  "--out",             "--resume",   "--retries", "--shard",
-    "--cache", "--watchdog-events", "--progress", "--quiet"};
-const std::vector<std::string_view> summarize_flags = {
-    "--baseline", "--top", "--json", "--md", "--quiet"};
-
-/** Parse args[from..] into @p f. With @p allowed non-empty, a flag
- *  outside it is refused (naming the subcommand) instead of parsed
- *  and dropped. */
+/** Parse args[from..] into @p f. A flag that the subcommand's row in
+ *  `commands` does not name is refused, naming the subcommand. */
 bool
 parseFlags(const std::vector<std::string> &args, std::size_t from,
-           Flags &f, const std::vector<std::string_view> &allowed = {})
+           Flags &f)
 {
+    const FlagList &known = commands.at(args[1]).flags;
+    auto &o = f.spec.options;
+    auto &costs = f.spec.config.costs;
     for (std::size_t i = from; i < args.size(); ++i) {
         const auto &a = args[i];
-        if (!allowed.empty() &&
-            std::find(allowed.begin(), allowed.end(), a) == allowed.end()) {
+        const auto it =
+            std::find_if(known.begin(), known.end(), [&](auto flag) {
+                return flag.substr(0, flag.find(' ')) == a;
+            });
+        if (it == known.end()) {
             std::cerr << args[1] << ": does not take " << a << "\n";
             return false;
         }
-        auto value = [&]() -> const std::string & {
+        std::string v;
+        if (it->find(' ') != std::string_view::npos) {
             if (i + 1 >= args.size())
                 throw std::invalid_argument(a + " needs a value");
-            return args[++i];
-        };
+            v = args[++i];
+        }
         if (a == "--seed") {
-            f.opts.seed = parseCount(a, value());
+            o.seed = parseCount(a, v);
         } else if (a == "--scale") {
-            f.opts.scale = parseNumber(a, value());
+            o.scale = parseNumber(a, v);
         } else if (a == "--pickup-block") {
-            f.pickupBlock = parseCount<unsigned>(a, value());
+            f.spec.pickupBlock = parseCount<unsigned>(a, v);
         } else if (a == "--inject") {
-            f.opts.faults.push_back(fault::parseFaultSpec(value()));
+            o.faults.push_back(fault::parseFaultSpec(v));
         } else if (a == "--watchdog-events") {
-            f.opts.watchdogEvents = parseCount(a, value());
-            f.watchdogOverride = f.opts.watchdogEvents;
+            o.watchdogEvents = parseCount(a, v);
+            f.study.watchdogEvents = o.watchdogEvents;
         } else if (a == "--gm-timeout") {
-            f.cfg.costs.gm_timeout = parseCount(a, value());
+            costs.gm_timeout = parseCount(a, v);
         } else if (a == "--gm-retries") {
-            f.cfg.costs.gm_max_retries = parseCount<unsigned>(a, value());
+            costs.gm_max_retries = parseCount<unsigned>(a, v);
         } else if (a == "--gm-backoff") {
-            f.cfg.costs.gm_retry_backoff = parseCount(a, value());
+            costs.gm_retry_backoff = parseCount(a, v);
         } else if (a == "--ts-window") {
-            f.opts.tsWindow = parseCount(a, value());
+            o.tsWindow = parseCount(a, v);
         } else if (a == "--baseline") {
-            f.baselineDir = value();
+            f.baselineDir = v;
         } else if (a == "--jobs") {
-            f.jobs = parseCount<unsigned>(a, value());
+            f.study.jobs = parseCount<unsigned>(a, v);
         } else if (a == "--top") {
-            f.top = parseCount<unsigned>(a, value());
+            f.top = parseCount<unsigned>(a, v);
         } else if (a == "--json") {
-            f.jsonOut = value();
+            f.jsonOut = v;
         } else if (a == "--md") {
-            f.mdOut = value();
+            f.mdOut = v;
         } else if (a == "--out") {
-            f.outDir = value();
+            f.study.outDir = v;
         } else if (a == "--cache") {
-            f.cacheDir = value();
+            f.study.cacheDir = v;
         } else if (a == "--retries") {
-            f.retries = parseCount<unsigned>(a, value());
+            f.study.retries = parseCount<unsigned>(a, v);
         } else if (a == "--shard") {
-            const std::string &v = value();
             const auto slash = v.find('/');
             if (slash == std::string::npos)
                 throw std::invalid_argument(
                     "--shard: expected i/N, got '" + v + "'");
-            f.shardIndex = parseCount<unsigned>(a, v.substr(0, slash));
-            f.shardCount = parseCount<unsigned>(a, v.substr(slash + 1));
+            f.study.shardIndex = parseCount<unsigned>(a, v.substr(0, slash));
+            f.study.shardCount = parseCount<unsigned>(a, v.substr(slash + 1));
         } else if (a == "--resume") {
-            f.resume = true;
+            f.study.resume = true;
         } else if (a == "--list") {
             f.listOnly = true;
         } else if (a == "--axis") {
-            f.axes.push_back(core::parseGridAxis(value()));
+            f.axes.push_back(core::parseGridAxis(v));
         } else if (a == "--timeline") {
             f.timeline = true;
+        } else if (a == "--chrome") {
+            f.chrome = true;
+        } else if (a == "--spans") {
+            f.spans = true;
         } else if (a == "--progress") {
             f.progress = true;
         } else if (a == "--quiet") {
             f.quiet = true;
         } else if (a == "--prefetch") {
-            f.prefetch = true;
+            f.spec.prefetch = true;
         } else if (a == "--ctx-coop") {
-            f.cfg.costs.ctx_rtl_coop = true;
+            costs.ctx_rtl_coop = true;
         } else if (a == "--no-fast-path") {
-            f.opts.fastPath = false;
+            o.fastPath = false;
         } else if (a == "--fuse") {
-            f.fuse = true;
+            f.spec.fuse = true;
         } else {
-            std::cerr << "unknown flag: " << a << "\n";
-            return false;
+            throw std::logic_error("flag table names " + a +
+                                   ", which parseFlags does not read");
         }
     }
     return true;
@@ -356,30 +377,6 @@ applyProgress(core::RunOptions &opts, const Flags &f,
     };
 }
 
-/** Apply the app-shaping flags (--fuse/--prefetch/--pickup-block). */
-void
-applyAppFlags(apps::AppModel &app, const Flags &f)
-{
-    if (f.fuse)
-        app = apps::withFusedLoops(app);
-    if (f.prefetch || f.pickupBlock > 1) {
-        for (auto &phase : app.phases) {
-            if (auto *l = std::get_if<apps::LoopSpec>(&phase)) {
-                l->prefetch = f.prefetch;
-                l->pickupBlock = f.pickupBlock;
-            }
-        }
-    }
-}
-
-apps::AppModel
-buildApp(const std::string &name, const Flags &f)
-{
-    apps::AppModel app = apps::perfectAppByName(name);
-    applyAppFlags(app, f);
-    return app;
-}
-
 /** @p cfg in the machine shape of the @p nprocs paper point, on its
  *  own memory system, clock and cost model. */
 hw::CedarConfig
@@ -392,40 +389,45 @@ withPaperShape(hw::CedarConfig cfg, unsigned nprocs)
 }
 
 /**
- * One subcommand invocation resolved to an application and its run
- * settings — either from `<app> <procs>` positionals (for run-file a
- * workload file in place of <app>) or from `--scenario FILE`, where
- * run flags after the file override the scenario's settings.
+ * Parse a run-side subcommand into @p f.spec: the run comes from
+ * `--scenario FILE` or from `<app> <procs>` positionals (run-file
+ * takes a workload file for <app>, sweep takes no procs and faults'
+ * default to 8), and then the flags override its settings. trace's
+ * last positional, its outfile, goes to @p out.
  */
-struct Invocation
-{
-    apps::AppModel app;
-    Flags flags;
-};
-
 bool
-parseInvocation(const std::vector<std::string> &args, std::size_t at,
-                std::size_t flags_from, Invocation &inv)
+parseRun(const std::vector<std::string> &args, Flags &f,
+         std::string *out = nullptr)
 {
-    if (args.size() < at + 2)
+    const std::string &cmd = args[1];
+    const bool scenario = args.size() > 3 && args[2] == "--scenario";
+    std::size_t i = scenario ? 4 : 2;
+    std::vector<std::string> pos;
+    for (; i < args.size() && args[i][0] != '-'; ++i)
+        pos.push_back(args[i]);
+    if (scenario)
+        f.spec = core::parseScenarioFile(args[3]);
+    if (!parseFlags(args, i, f))
         return false;
-    Flags &f = inv.flags;
-    if (args[at] == "--scenario") {
-        const auto spec = core::parseScenarioFile(args[at + 1]);
-        f.cfg = spec.config;
-        f.opts = spec.options;
-        if (!parseFlags(args, flags_from, f))
+    if (out) {
+        if (pos.empty())
             return false;
-        inv.app = spec.resolveApp();
-    } else {
-        if (!parseFlags(args, flags_from, f))
-            return false;
-        inv.app = args[1] == "run-file" ? apps::parseWorkloadFile(args[at])
-                                        : apps::perfectAppByName(args[at]);
-        f.cfg = withPaperShape(
-            f.cfg, parseCount<unsigned>("processor count", args[at + 1]));
+        *out = pos.back();
+        pos.pop_back();
     }
-    applyAppFlags(inv.app, f);
+    if (scenario)
+        return pos.empty();
+    const std::size_t most = cmd == "sweep" ? 1 : 2;
+    const std::size_t least = cmd == "sweep" || cmd == "faults" ? 1 : 2;
+    if (pos.size() < least || pos.size() > most)
+        return false;
+    f.spec.workload = cmd == "run-file" ? apps::parseWorkloadFile(pos[0])
+                                        : apps::perfectAppByName(pos[0]);
+    if (most == 2)
+        f.spec.config = withPaperShape(
+            f.spec.config,
+            pos.size() == 2 ? parseCount<unsigned>("processor count", pos[1])
+                            : 8);
     return true;
 }
 
@@ -542,23 +544,24 @@ runExitCode(const core::RunResult &r)
 int
 cmdRun(const std::vector<std::string> &args)
 {
-    Invocation inv;
-    if (!parseInvocation(args, 2, 4, inv))
+    Flags f;
+    if (!parseRun(args, f))
         return usage();
-    const Flags &f = inv.flags;
+    const auto app = f.spec.resolveApp();
+    const auto &cfg = f.spec.config;
     // The 1-processor comparison baseline (the paper's uniprocessor
     // run, on the same memory system, clock and cost model) always
     // runs undisturbed.
-    core::RunOptions uniOpts = f.opts;
+    core::RunOptions uniOpts = f.spec.options;
     uniOpts.faults.clear();
     applyProgress(uniOpts, f, args[1] + "(1p baseline)");
     const auto uni =
-        core::runExperiment(inv.app, withPaperShape(f.cfg, 1), uniOpts);
-    core::RunOptions opts = f.opts;
+        core::runExperiment(app, withPaperShape(cfg, 1), uniOpts);
+    core::RunOptions opts = f.spec.options;
     applyProgress(opts, f, args[1]);
-    const auto r = f.cfg.numCes() == 1 && f.opts.faults.empty()
+    const auto r = cfg.numCes() == 1 && opts.faults.empty()
                        ? uni
-                       : core::runExperiment(inv.app, f.cfg, opts);
+                       : core::runExperiment(app, cfg, opts);
     if (!f.quiet)
         printRun(r, &uni);
     else
@@ -568,38 +571,21 @@ cmdRun(const std::vector<std::string> &args)
     return runExitCode(r);
 }
 
-/** The paper's five-point processor ladder on @p base's memory
- *  system, clock and cost model. */
-std::vector<hw::CedarConfig>
-paperLadderOf(const hw::CedarConfig &base)
-{
-    std::vector<hw::CedarConfig> configs;
-    for (const unsigned p : hw::CedarConfig::paperProcCounts())
-        configs.push_back(withPaperShape(base, p));
-    return configs;
-}
-
 int
 cmdSweep(const std::vector<std::string> &args)
 {
-    if (args.size() < 3)
+    Flags f;
+    if (!parseRun(args, f))
         return usage();
-    Invocation inv;
-    if (args[2] == "--scenario") {
-        if (!parseInvocation(args, 2, 4, inv))
-            return usage();
-    } else {
-        if (!parseFlags(args, 3, inv.flags))
-            return usage();
-        inv.app = buildApp(args[2], inv.flags);
-    }
-    const apps::AppModel &app = inv.app;
-    const Flags &f = inv.flags;
+    const auto app = f.spec.resolveApp();
+    const auto &cfg = f.spec.config;
     // Sweep the processor ladder on the run's memory system; a
     // non-paper machine shape becomes an extra final point.
-    auto configs = paperLadderOf(f.cfg);
-    if (!f.cfg.isPaperPoint())
-        configs.push_back(f.cfg);
+    std::vector<hw::CedarConfig> configs;
+    for (const unsigned p : hw::CedarConfig::paperProcCounts())
+        configs.push_back(withPaperShape(cfg, p));
+    if (!cfg.isPaperPoint())
+        configs.push_back(cfg);
     // Per-config completion heartbeat: runs land on worker threads,
     // so the line is built under a mutex.
     core::SweepResultFn onResult;
@@ -613,7 +599,8 @@ cmdSweep(const std::vector<std::string> &args)
         };
     }
     const auto sweep =
-        core::runSweep(app, f.opts, configs, f.jobs, onResult);
+        core::runSweep(app, f.spec.options, configs, f.study.jobs,
+                       onResult);
 
     core::Table t({"config", "CT (s)", "speedup", "concurr", "OS %",
                    "main ovh %", "Ov_cont %"});
@@ -644,18 +631,15 @@ cmdSweep(const std::vector<std::string> &args)
 int
 cmdFaults(const std::vector<std::string> &args)
 {
-    if (args.size() < 3)
-        return usage();
-    unsigned procs = 8;
-    std::size_t flags_from = 3;
-    if (args.size() > 3 && args[3][0] != '-') {
-        procs = parseCount<unsigned>("processor count", args[3]);
-        flags_from = 4;
-    }
     Flags f;
-    if (!parseFlags(args, flags_from, f))
+    if (!parseRun(args, f))
         return usage();
-    const auto app = buildApp(args[2], f);
+    const auto app = f.spec.resolveApp();
+    const auto &o = f.spec.options;
+    if (!o.faults.empty() || f.spec.config.costs.gm_timeout != 0)
+        throw std::invalid_argument(
+            "faults: the matrix sets each row's fault plan and "
+            "gm_timeout; the scenario may not");
 
     struct Scenario
     {
@@ -676,21 +660,19 @@ cmdFaults(const std::vector<std::string> &args)
     };
 
     // The baseline runs no fault plan, so no retry knob reaches it.
-    core::RunOptions uniOpts = f.opts;
-    uniOpts.faults.clear();
     const auto uni =
-        core::runExperiment(app, withPaperShape(f.cfg, 1), uniOpts);
+        core::runExperiment(app, withPaperShape(f.spec.config, 1), o);
 
-    std::cout << app.name << " fault-degradation matrix on " << procs
-              << " processors (seed " << f.opts.seed << ")\n\n";
+    std::cout << app.name << " fault-degradation matrix on "
+              << f.spec.config.numCes() << " processors (seed " << o.seed
+              << ")\n\n";
     core::Table t({"scenario", "status", "CT (s)", "Ov_cont %", "gt %",
                    "injected", "degraded"});
     for (const auto &sc : matrix) {
-        core::RunOptions opts = f.opts;
-        opts.faults.clear();
+        core::RunOptions opts = o;
         for (const char *spec : sc.specs)
             opts.faults.push_back(fault::parseFaultSpec(spec));
-        hw::CedarConfig cfg = withPaperShape(f.cfg, procs);
+        hw::CedarConfig cfg = f.spec.config;
         cfg.costs.gm_timeout = sc.gmTimeout;
         const auto r = core::runExperiment(app, cfg, opts);
 
@@ -726,13 +708,13 @@ cmdFaults(const std::vector<std::string> &args)
 int
 cmdMetrics(const std::vector<std::string> &args)
 {
-    Invocation inv;
-    if (!parseInvocation(args, 2, 4, inv))
+    Flags f;
+    if (!parseRun(args, f))
         return usage();
-    const Flags &f = inv.flags;
-    const auto r = core::runExperiment(inv.app, f.cfg, f.opts);
+    const auto r = core::runExperiment(f.spec.resolveApp(), f.spec.config,
+                                       f.spec.options);
 
-    std::cout << r.app << " on " << f.cfg.label()
+    std::cout << r.app << " on " << f.spec.config.label()
               << " — contention metrics\n\n";
     if (r.status != sim::RunStatus::Completed)
         std::cout << "run status: " << sim::toString(r.status) << "\n";
@@ -776,14 +758,14 @@ cmdMetrics(const std::vector<std::string> &args)
 int
 cmdReport(const std::vector<std::string> &args)
 {
-    Invocation inv;
-    if (!parseInvocation(args, 2, 4, inv))
+    Flags f;
+    if (!parseRun(args, f))
         return usage();
-    const Flags &f = inv.flags;
-    core::RunOptions opts = f.opts;
+    core::RunOptions opts = f.spec.options;
     opts.collectTimeline = f.timeline;
     applyProgress(opts, f, "report");
-    const auto r = core::runExperiment(inv.app, f.cfg, opts);
+    const auto r =
+        core::runExperiment(f.spec.resolveApp(), f.spec.config, opts);
     const auto rep = core::buildReport(r);
 
     if (!f.quiet)
@@ -817,60 +799,53 @@ cmdTrace(const std::vector<std::string> &args)
         return 0;
     }
 
-    if (args.size() < 5)
+    Flags f;
+    std::string path;
+    if (!parseRun(args, f, &path))
         return usage();
-    std::vector<std::string> rest = args;
-    rest.erase(std::remove(rest.begin() + 5, rest.end(),
-                           std::string("--chrome")),
-               rest.end());
-    const bool chrome = rest.size() != args.size();
-    const std::size_t before_spans = rest.size();
-    rest.erase(std::remove(rest.begin() + 5, rest.end(),
-                           std::string("--spans")),
-               rest.end());
-    const bool spans = rest.size() != before_spans;
-    Invocation inv;
-    if (!parseInvocation(rest, 2, 5, inv))
-        return usage();
-    core::RunOptions opts = inv.flags.opts;
-    opts.collectTrace = !spans;
-    opts.collectTimeline = spans;
-    const auto r = core::runExperiment(inv.app, inv.flags.cfg, opts);
+    core::RunOptions opts = f.spec.options;
+    opts.collectTrace = !f.spans;
+    opts.collectTimeline = f.spans;
+    const auto r =
+        core::runExperiment(f.spec.resolveApp(), f.spec.config, opts);
 
-    if (spans) {
+    if (f.spans) {
         // The span-level (telemetry) trace: per-CE category slices
         // plus GM-request flow arrows, one track group per layer.
         obs::SpanTraceMeta meta;
         meta.clock_hz = r.clockHz;
         meta.ces_per_cluster = r.cesPerCluster;
         meta.timeseries = &r.timeseries; // counter tracks (--ts-window)
-        core::atomicWriteFile(args[4], [&](std::ostream &out) {
+        core::atomicWriteFile(path, [&](std::ostream &out) {
             obs::writeSpanTrace(out, r.timeline, meta);
         });
         std::cout << "wrote " << r.timeline.size()
                   << " telemetry events as Chrome span trace JSON to "
-                  << args[4] << "\n";
+                  << path << "\n";
         return 0;
     }
 
-    if (chrome) {
-        core::atomicWriteFile(args[4], [&](std::ostream &out) {
+    if (f.chrome) {
+        core::atomicWriteFile(path, [&](std::ostream &out) {
             obs::writeChromeTrace(out, r.trace, r.clockHz,
                                   r.cesPerCluster);
         });
         std::cout << "wrote " << r.trace.size()
-                  << " records as Chrome trace JSON to " << args[4]
+                  << " records as Chrome trace JSON to " << path << "\n";
+    } else {
+        core::atomicWriteFile(path, [&](std::ostream &out) {
+            hpm::Trace::write(out, r.trace);
+        });
+        std::cout << "wrote " << r.trace.size() << " records to " << path
                   << "\n";
-        return 0;
     }
-
-    hpm::Trace t;
-    for (const auto &rec : r.trace)
-        t.post(rec.when, rec.ce, rec.id(), rec.arg);
-    core::atomicWriteFile(args[4],
-                          [&](std::ostream &out) { t.write(out); });
-    std::cout << "wrote " << r.trace.size() << " records to " << args[4]
-              << "\n";
+    // A full cedarhpm buffer drops the rest of the run: the trace
+    // written is a truncated one.
+    if (r.traceDropped > 0) {
+        std::cerr << "trace: cedarhpm buffer full, " << r.traceDropped
+                  << " records dropped\n";
+        return 3;
+    }
     return 0;
 }
 
@@ -885,15 +860,7 @@ int
 runStudyCli(const char *label, const std::vector<core::StudyEntry> &entries,
             const std::string &from, const Flags &f)
 {
-    core::StudyOptions opts;
-    opts.outDir = f.outDir;
-    opts.cacheDir = f.cacheDir;
-    opts.jobs = f.jobs;
-    opts.retries = f.retries;
-    opts.shardIndex = f.shardIndex;
-    opts.shardCount = f.shardCount;
-    opts.resume = f.resume;
-    opts.watchdogEvents = f.watchdogOverride;
+    core::StudyOptions opts = f.study;
 
     std::mutex progressMx;
     if (f.progress && !f.quiet) {
@@ -932,10 +899,10 @@ runStudyCli(const char *label, const std::vector<core::StudyEntry> &entries,
                   << " run, " << rep.cached << " cached, "
                   << rep.resumed << " resumed, " << rep.failed
                   << " failed";
-        if (f.shardCount > 1)
+        if (opts.shardCount > 1)
             std::cout << ", " << rep.skipped << " other-shard (shard "
-                      << f.shardIndex << "/" << f.shardCount << ")";
-        std::cout << "; artifacts in " << f.outDir << "\n\n";
+                      << opts.shardIndex << "/" << opts.shardCount << ")";
+        std::cout << "; artifacts in " << opts.outDir << "\n\n";
         t.print(std::cout);
         if (rep.failed)
             std::cout << "\n" << rep.failed << " scenario(s) failed\n";
@@ -949,7 +916,7 @@ cmdBatch(const std::vector<std::string> &args)
     if (args.size() < 3)
         return usage();
     Flags f;
-    if (!parseFlags(args, 3, f, batch_flags))
+    if (!parseFlags(args, 3, f))
         return usage();
     // Directory problems (missing, empty, duplicate names) are
     // study-level ConfigErrors; a single malformed .scn is not — it
@@ -963,10 +930,8 @@ cmdStudy(const std::vector<std::string> &args)
 {
     if (args.size() < 3 || args[2][0] == '-')
         return usage();
-    auto study_flags = batch_flags;
-    study_flags.insert(study_flags.end(), {"--axis", "--list"});
     Flags f;
-    if (!parseFlags(args, 3, f, study_flags))
+    if (!parseFlags(args, 3, f))
         return usage();
     const auto entries = core::expandScenarioGrid(args[2], f.axes);
 
@@ -975,7 +940,7 @@ cmdStudy(const std::vector<std::string> &args)
         for (const auto &e : entries)
             t.addRow({e.name,
                       e.parseError.empty() ? e.hash : "(invalid)",
-                      std::to_string(e.hashValue % f.shardCount),
+                      std::to_string(e.hashValue % f.study.shardCount),
                       e.source});
         std::cout << entries.size() << " grid point(s) from " << args[2]
                   << "\n\n";
@@ -1009,7 +974,7 @@ cmdSummarize(const std::vector<std::string> &args)
     if (sopts.dirs.empty())
         return usage();
     Flags f;
-    if (!parseFlags(args, i, f, summarize_flags))
+    if (!parseFlags(args, i, f))
         return usage();
     sopts.baselineDir = f.baselineDir;
     sopts.top = f.top;
@@ -1035,8 +1000,8 @@ cmdSummarize(const std::vector<std::string> &args)
 int
 cmdProfile(const std::vector<std::string> &args)
 {
-    // profile reads no flags: refuse any rather than drop them.
-    if (args.size() != 4)
+    Flags f;
+    if (args.size() < 4 || !parseFlags(args, 4, f))
         return usage();
     const auto app = apps::perfectAppByName(args[2]);
     const unsigned procs = parseCount<unsigned>("processor count", args[3]);
@@ -1056,8 +1021,11 @@ cmdProfile(const std::vector<std::string> &args)
 }
 
 int
-cmdApps()
+cmdApps(const std::vector<std::string> &args)
 {
+    Flags f;
+    if (!parseFlags(args, 2, f))
+        return usage();
     for (const auto &app : apps::allPerfectApps()) {
         std::cout << app.name << ": " << app.steps << " steps, "
                   << app.phases.size() << " phases ("
@@ -1079,7 +1047,7 @@ int
 main(int argc, char **argv)
 {
     std::vector<std::string> args(argv, argv + argc);
-    if (args.size() < 2)
+    if (args.size() < 2 || !commands.count(args[1]))
         return usage();
     try {
         if (args[1] == "run" || args[1] == "run-file")
@@ -1103,7 +1071,7 @@ main(int argc, char **argv)
         if (args[1] == "profile")
             return cmdProfile(args);
         if (args[1] == "apps")
-            return cmdApps();
+            return cmdApps(args);
     } catch (const std::exception &e) {
         std::cerr << "error: " << e.what() << "\n";
         return 1;
