@@ -118,19 +118,13 @@ struct AppSweep
     std::vector<core::RunResult> runs; //!< indexed like configs
 };
 
-/**
- * Run (or reuse) the full sweep for @p name. Pass trace=true when
- * the bench needs the cedarhpm records.
- */
+/** Run the full-scale sweep for @p name. */
 inline AppSweep
-runApp(const std::string &name, bool trace = false, double scale = 1.0)
+runApp(const std::string &name)
 {
     AppSweep s;
     s.app = apps::perfectAppByName(name);
-    core::RunOptions o;
-    o.collectTrace = trace;
-    o.scale = scale;
-    s.runs = core::runSweep(s.app, o, core::paperConfigs());
+    s.runs = core::runSweep(s.app, {}, core::paperConfigs());
     return s;
 }
 

@@ -128,7 +128,7 @@ runExperiment(const apps::AppModel &app, const hw::CedarConfig &cfg,
     r.fastPathPatterns = m.net().fastPatterns();
 
     if (opts.collectTrace)
-        r.trace = m.trace().records();
+        r.trace = m.trace().takeRecords();
     r.traceDropped = m.trace().dropped();
     r.timeline = std::move(timeline);
     if (tsRec) {

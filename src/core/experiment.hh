@@ -138,6 +138,8 @@ struct RunOptions
 {
     /** Seed of every random stream in the run (hw::Machine). */
     std::uint64_t seed = 1;
+    /** Record the cedarhpm events into RunResult::trace. Like
+     *  tsWindow, an observation switch outside the scenario format. */
     bool collectTrace = false;
     /** Record the span/flow timeline into RunResult::timeline. */
     bool collectTimeline = false;

@@ -264,8 +264,6 @@ Parser::runKey(const std::string &k, const std::string &v)
         o.scale = real(k, v);
     else if (k == "event_limit")
         o.eventLimit = count(k, v);
-    else if (k == "collect_trace")
-        o.collectTrace = flag(k, v);
     else if (k == "watchdog_events")
         o.watchdogEvents = count(k, v);
     else
@@ -511,8 +509,6 @@ formatScenario(const ScenarioSpec &spec)
         os << "scale = " << o.scale << "\n";
     if (o.eventLimit != def_opts.eventLimit)
         os << "event_limit = " << o.eventLimit << "\n";
-    if (o.collectTrace)
-        os << "collect_trace = true\n";
     if (o.watchdogEvents != def_opts.watchdogEvents)
         os << "watchdog_events = " << o.watchdogEvents << "\n";
 

@@ -24,8 +24,7 @@
  *   [costs]           any CostModel field by its source name, e.g.
  *                     ctx_cost = 1500, ctx_rtl_coop = true,
  *                     gm_timeout = 30000
- *   [run]             scale, event_limit, collect_trace,
- *                     watchdog_events
+ *   [run]             scale, event_limit, watchdog_events
  *   [workload]        app = <Perfect name> | file = <workload path>,
  *                     and the app knobs prefetch, pickup_block, fuse
  *   [workload.inline] raw workload text (apps/parser.hh directives)

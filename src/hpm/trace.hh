@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/types.hh"
@@ -124,6 +125,10 @@ class Trace
 
     const std::vector<Record> &records() const { return buf_; }
     std::uint64_t dropped() const { return dropped_; }
+
+    /** Hand the records over without copying them, leaving the
+     *  buffer empty; dropped() keeps its count. */
+    std::vector<Record> takeRecords() { return std::exchange(buf_, {}); }
 
     /** Off-load @p records (binary, versioned header) to a binary
      *  stream, such as core::atomicWriteFile's; throws

@@ -71,6 +71,21 @@ TEST(Trace, FullBufferDropsAndCounts)
     EXPECT_EQ(t.dropped(), 6u);
 }
 
+TEST(Trace, TakeRecordsHandsOverInOrderAndKeepsDrops)
+{
+    hpm::Trace t(3);
+    for (int i = 0; i < 5; ++i)
+        t.post(i * 10, i, EventId::iter_start, i);
+    const auto taken = t.takeRecords();
+    ASSERT_EQ(taken.size(), 3u);
+    for (int i = 0; i < 3; ++i) {
+        EXPECT_EQ(taken[i].when, static_cast<sim::Tick>(i * 10));
+        EXPECT_EQ(taken[i].arg, static_cast<std::uint32_t>(i));
+    }
+    EXPECT_EQ(t.dropped(), 2u);
+    EXPECT_TRUE(t.records().empty());
+}
+
 TEST(Trace, FileRoundTrip)
 {
     hpm::Trace t;

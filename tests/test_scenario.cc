@@ -255,6 +255,10 @@ TEST(ScenarioDiagnostics, UnknownRunKey)
 {
     expectDiagnostic("[run]\nturbo = yes\n",
                      "unknown key 'turbo' in [run]");
+    // No scenario consumer reads the cedarhpm records: `trace` asks
+    // for them itself.
+    expectDiagnostic("[run]\ncollect_trace = true\n",
+                     "unknown key 'collect_trace' in [run]");
     // The policy knobs are CostModel fields, spelled in [costs] only.
     for (const std::string key : {"ctx_rtl_coop", "gm_timeout",
                                   "gm_retry_backoff", "gm_max_retries"})
@@ -275,8 +279,7 @@ TEST(ScenarioDiagnostics, FractionalCount)
 
 TEST(ScenarioDiagnostics, BadBoolean)
 {
-    expectDiagnostic("[run]\ncollect_trace = maybe\n",
-                     "not a boolean");
+    expectDiagnostic("[workload]\nfuse = maybe\n", "not a boolean");
 }
 
 TEST(ScenarioDiagnostics, NonPaperProcsShorthand)

@@ -11,8 +11,11 @@
  * prints, per app/procs configuration, the events/sec ratio of NEW
  * over OLD, for every fast-path leg in NEW the fast/slow wall split
  * plus the ratio against OLD's committed sweep throughput of the
- * same configuration, and the tracing leg's span-trace export time
- * against OLD's.
+ * same configuration, the tracing leg's span-trace export time
+ * against OLD's, and the armed time-series recorder's overhead
+ * against OLD's. It reads schemas v6 and v7 (v7 dropped the
+ * tracing and time-series legs' comparisons against the sweep's own
+ * run) and older documents that lack whole sections.
  *
  * The report is informational (exit 0 even when slower — the
  * committed file is typically measured at a different scale on a
@@ -236,30 +239,21 @@ main(int argc, char **argv)
         // pre-v4 baseline simply has no counterpart to compare, and
         // its absence in either document must not break the delta.
         if (newDoc.has("timeseries")) {
-            std::cout << "timeseries legs (recorder-off overhead):\n";
+            std::cout << "timeseries legs (recorder armed vs off):\n";
             for (const auto &leg : section(newDoc, "timeseries")) {
                 const std::string app = leg.at("app").asString();
                 const double procs = leg.at("procs").asNumber();
                 std::cout
-                    << "  " << app << " " << procs << "p: plain "
-                    << evs(leg.at("plain_events_per_sec").asNumber())
-                    << " ev/s, recorder-off "
-                    << evs(leg.at("recorder_off_events_per_sec")
-                               .asNumber())
-                    << " ev/s, overhead "
-                    << leg.at("overhead_pct").asNumber()
-                    << "% (design max "
-                    << leg.at("design_max_overhead_pct").asNumber()
-                    << "%, "
-                    << (leg.at("guard_enforced").asBool()
-                            ? "guarded"
-                            : "informational")
-                    << ")";
+                    << "  " << app << " " << procs << "p: recorder on "
+                    << evs(leg.at("recorder_on_events_per_sec").asNumber())
+                    << " ev/s, " << leg.at("on_overhead_pct").asNumber()
+                    << "% over recorder off, "
+                    << evs(leg.at("windows").asNumber()) << " windows";
                 for (const auto &old : section(oldDoc, "timeseries"))
                     if (old.at("app").asString() == app &&
                         old.at("procs").asNumber() == procs)
-                        std::cout << ", baseline overhead "
-                                  << old.at("overhead_pct").asNumber()
+                        std::cout << ", baseline "
+                                  << old.at("on_overhead_pct").asNumber()
                                   << "%";
                 std::cout << "\n";
             }
