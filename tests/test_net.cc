@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+
 #include "mem/global_memory.hh"
 #include "net/network.hh"
 
@@ -244,6 +247,141 @@ TEST(NetUnloaded, IdleAccessCompletesAtItsUnloadedLatency)
         }
     }
 }
+
+/** Every port of @p bank ("stage1", "returnA", ...) that served, as
+ *  "crossbar/port" -> serve count. */
+std::map<std::string, std::uint64_t>
+servedPorts(const net::Network &net, const std::string &bank)
+{
+    std::map<std::string, std::uint64_t> out;
+    net.visitPorts([&](const net::PortSite &at, const sim::FifoServer &s) {
+        if (at.bank == bank && s.stats().requests() != 0)
+            out[at.bankName + "/" + std::to_string(at.portIdx)] =
+                s.stats().requests();
+    });
+    return out;
+}
+
+/** Hand-computed completions of the reservation chain on an idle
+ *  32/4 memory behind a 4x8 network (hop 2, word service 4, RMW
+ *  service 8), with and without module faults, fast path on and off.
+ *  Unlike NetUnloaded, the expected ticks come from arithmetic, not
+ *  from the chain's own idle probe. */
+struct NetChainOracle : ::testing::TestWithParam<bool>
+{
+    mem::AddressMap map{32, 4};
+    mem::GlobalMemory gmem{map};
+    net::Network net{4, 8, gmem};
+
+    NetChainOracle() { net.setFastPath(GetParam()); }
+};
+
+TEST_P(NetChainOracle, CleanFourWordBurstCompletesAfter32)
+{
+    // stage1 102->106, stage2 108->112, modules 114->118, returnA
+    // 120->124, returnB 126->130, response at 132. Each repeat issues
+    // on an idle machine again; the third replays with the path on.
+    Tick t = 100;
+    for (int rep = 0; rep < 3; ++rep) {
+        const auto r = net.burst(t, 0, 0, 0, 4);
+        EXPECT_EQ(r.complete - t, 32u) << "repeat " << rep;
+        t = r.complete;
+    }
+    EXPECT_EQ(net.fastStats().hits(), GetParam() ? 1u : 0u);
+}
+
+TEST_P(NetChainOracle, DegradedModuleStretchesBurstAndRmw)
+{
+    gmem.injectModuleFault(1, mem::ModuleFault{0, sim::max_tick, 4});
+    // Module 1 serves its word in 16 ticks, 114->130: returnA
+    // 132->136, returnB 138->142, response at 144.
+    const auto b = net.burst(100, 0, 0, 0, 4);
+    EXPECT_EQ(b.complete - 100, 44u);
+    EXPECT_EQ(b.unloaded, 32u);
+    EXPECT_EQ(gmem.moduleServer(1).stats().busyTicks(), 16u);
+    EXPECT_EQ(gmem.moduleServer(0).stats().busyTicks(), 4u);
+    // An RMW there: stage1 1002->1003, stage2 1005->1006, module
+    // 1008->1040 (8 x 4), returnA 1042->1043, returnB 1045->1046.
+    const auto r =
+        net.rmw(1000, 0, 0, 1, [](std::uint64_t v) { return v + 1; });
+    EXPECT_EQ(r.complete - 1000, 48u);
+    EXPECT_EQ(r.unloaded, net::Network::rmw_unloaded);
+    EXPECT_EQ(gmem.peek(1), 1u);
+    EXPECT_EQ(net.fastStats().hits(), 0u);
+}
+
+TEST_P(NetChainOracle, StuckWindowHoldsModuleUntilItCloses)
+{
+    gmem.injectModuleFault(1, mem::ModuleFault{0, 200, 0});
+    // Module 1's word arrives at 114 and starts at 200: returnA
+    // 206->210, returnB 212->216, response at 218.
+    const auto b = net.burst(100, 0, 0, 0, 4);
+    EXPECT_EQ(b.complete - 100, 118u);
+    EXPECT_EQ(gmem.moduleServer(1).stats().waitTicks(), 86u);
+    EXPECT_EQ(gmem.moduleServer(0).stats().waitTicks(), 0u);
+    EXPECT_EQ(net.totalWaitTicks(), 86u);
+}
+
+TEST_P(NetChainOracle, DeadModuleSwallowsItsChunksReturn)
+{
+    gmem.injectModuleFault(1, mem::ModuleFault{});
+    // Chunk 0 (modules 0-3) loses module 1's word and sends nothing
+    // back; chunk 1 (module 4, group 1) returns normally.
+    const auto b = net.burst(100, 0, 0, 0, 5);
+    EXPECT_EQ(b.complete, sim::max_tick);
+    EXPECT_EQ(gmem.moduleServer(1).stats().requests(), 0u);
+    EXPECT_EQ(gmem.moduleServer(4).stats().requests(), 1u);
+    const std::map<std::string, std::uint64_t> ret_a{
+        {"returnA.group1/0", 1}};
+    const std::map<std::string, std::uint64_t> ret_b{
+        {"returnB.cluster0/0", 1}};
+    EXPECT_EQ(servedPorts(net, "returnA"), ret_a);
+    EXPECT_EQ(servedPorts(net, "returnB"), ret_b);
+}
+
+TEST_P(NetChainOracle, ModuloGeometryWrapsChunksAroundTheModules)
+{
+    // 12 modules in groups of 3, so AddressMap takes its modulo path.
+    // 7 words from module 10: chunks {10,11} (group 3), {0,1,2}
+    // (group 0), {3,4} (group 1), issued at +0, +2 and +5. The last
+    // chunk queues at returnB behind the second (free at +28) and
+    // answers at +32.
+    const mem::AddressMap map12{12, 3};
+    mem::GlobalMemory gm{map12};
+    net::Network n{2, 4, gm};
+    n.setFastPath(GetParam());
+    Tick t = 100;
+    for (int rep = 0; rep < 3; ++rep) {
+        const auto r = n.burst(t, 1, 2, 22, 7);
+        EXPECT_EQ(r.complete - t, 32u) << "repeat " << rep;
+        EXPECT_EQ(r.unloaded, 32u);
+        t = r.complete;
+    }
+    const std::map<std::string, std::uint64_t> stage1{
+        {"stage1.cluster1/0", 3}, {"stage1.cluster1/1", 3},
+        {"stage1.cluster1/3", 3}};
+    EXPECT_EQ(servedPorts(n, "stage1"), stage1);
+    for (unsigned m = 0; m < 12; ++m)
+        EXPECT_EQ(gm.moduleServer(m).stats().requests(),
+                  m >= 5 && m <= 9 ? 0u : 3u)
+            << "module " << m;
+    // Chunk lengths 2/3/2, summed over the three repeats.
+    sim::Tick busy[4] = {};
+    n.visitPorts([&](const net::PortSite &at, const sim::FifoServer &s) {
+        if (std::string(at.bank) == "stage1")
+            busy[at.portIdx] += s.stats().busyTicks();
+    });
+    EXPECT_EQ(busy[0], 9u);
+    EXPECT_EQ(busy[1], 6u);
+    EXPECT_EQ(busy[2], 0u);
+    EXPECT_EQ(busy[3], 6u);
+    EXPECT_EQ(n.fastStats().hits(), GetParam() ? 1u : 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Idle, NetChainOracle, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool> &i) {
+                             return i.param ? "fast" : "slow";
+                         });
 
 TEST(Crossbar, PortStatsIndependent)
 {
