@@ -5,12 +5,12 @@
  *
  * The paper's characterization is a grid of runs (five applications
  * x machine sizes x OS knobs), and production-size parameter studies
- * (ROADMAP item 3) push that to 10k-1M scenarios. At that scale the
- * naive "loop and run" batch is too fragile: one malformed file must
- * not abort its siblings, a killed process must not lose completed
- * work, a livelocked scenario must not hang the study, and a rerun
- * must not repeat finished runs. runStudy() provides exactly those
- * guarantees:
+ * over scenario files (DESIGN.md §9) push that to 10k-1M scenarios.
+ * At that scale the naive "loop and run" batch is too fragile: one
+ * malformed file must not abort its siblings, a killed process must
+ * not lose completed work, a livelocked scenario must not hang the
+ * study, and a rerun must not repeat finished runs. runStudy()
+ * provides exactly those guarantees:
  *
  *  - **Manifest journal** (`<out>/manifest.jsonl`, schema
  *    `cedar-manifest-v1`): an append-only JSONL log of every

@@ -64,7 +64,7 @@ class AddressMap
     /** Length of the first chunk of [addr, addr+len): the words up
      *  to the next group_size-aligned address, at most @p len. A
      *  pipelined stream splits into chunks at those boundaries, the
-     *  way it sweeps the interleaved modules (net::reserveAccess). */
+     *  way it sweeps the interleaved modules (net::reserveChain). */
     unsigned
     chunkLen(sim::Addr addr, unsigned len) const
     {

@@ -71,7 +71,8 @@ class GlobalMemory
      * Reserve one request of @p base service ticks arriving at
      * module @p m at @p arrival, under the module's fault plan: the
      * module leg of the network's reservation chain
-     * (net::reserveAccess), which reports the serve.
+     * (net::reserveChain) for a faulted module, which reports the
+     * serve. The chain serves an unfaulted module's server directly.
      */
     WordServe
     serveWord(unsigned m, sim::Tick arrival, sim::Tick base)
@@ -132,6 +133,14 @@ class GlobalMemory
      *  analytic fast path refuses to fire on a faulted memory — the
      *  slow path alone evaluates fault windows. */
     bool hasFaults() const { return !faults_.empty(); }
+
+    /** True when module @p m has an injected fault installed: only
+     *  its serves go through serveWord's fault windows. */
+    bool
+    faulted(unsigned m) const
+    {
+        return !faults_.empty() && !faults_[m].empty();
+    }
 
     /** Sum of queueing wait across all modules. */
     sim::Tick totalWaitTicks() const;

@@ -17,106 +17,102 @@ namespace
  *  block of its own. */
 constexpr std::size_t block_words = std::size_t(1) << 15;
 
-/** Scratch index space: [0,g) stage1, [g,2g) stage2, [2g,3g)
- *  returnA, [3g] returnB (one shared CE port), [3g+1, ...) modules
- *  (FastBank order). */
-std::size_t
-flatIndex(const ServerRef &r, unsigned groups)
-{
-    const auto b = static_cast<unsigned>(r.bank);
-    return b < 3 ? b * groups + r.idx
-                 : 3 * groups + (r.bank == FastBank::module ? 1 + r.idx : 0);
-}
-
-/**
- * reserveAccess policy for makeShape's idle probe: the shape's
- * reservation chain on scratch servers (an empty machine) at start
- * 0, noting per server its first request arrival, its serve count
- * and its service ticks.
- */
-struct IdleProbe
-{
-    explicit IdleProbe(const mem::AddressMap &map)
-        : groups(map.numGroups()), gmem(map), ports(3 * groups + 1),
-          refs(3 * groups + 1 + map.numModules()),
-          firstArrival(refs.size(), sim::max_tick),
-          requests(refs.size(), 0), busy(refs.size(), 0)
-    {
-    }
-
-    sim::FifoServer &
-    server(FastBank bank, unsigned idx)
-    {
-        return ports[flatIndex({bank, idx}, groups)];
-    }
-
-    mem::GlobalMemory &memory() { return gmem; }
-
-    void
-    served(FastBank bank, unsigned idx, sim::Tick arrival, sim::Tick start,
-           sim::Tick done)
-    {
-        const std::size_t i = flatIndex({bank, idx}, groups);
-        refs[i] = {bank, idx};
-        firstArrival[i] = std::min(firstArrival[i], arrival);
-        ++requests[i];
-        busy[i] += done - start;
-    }
-
-    unsigned groups;
-    mem::GlobalMemory gmem;             //!< scratch modules
-    std::vector<sim::FifoServer> ports; //!< scratch ports, flat index
-    std::vector<ServerRef> refs;        //!< per flat index
-    /** Per flat index; sim::max_tick: the shape never touches it. */
-    std::vector<sim::Tick> firstArrival;
-    std::vector<std::uint32_t> requests; //!< per flat index
-    std::vector<sim::Tick> busy;         //!< per flat index
-};
-
 } // namespace
 
 /**
- * Derive a shape from its idle probe. Which servers see traffic, how
- * often and for how long depends only on the addresses, so the
- * probe's touched set (in canonical flat-index order), serve counts
- * and service ticks hold for every offset vector; its first arrivals
- * are the canonicalization thresholds, and its completion is the
- * shape's zero-contention latency. A canonical address with the same
- * home module reproduces every address of the shape: chunk
- * boundaries depend on addr % group_size and routing on addr %
- * n_modules, and group_size divides n_modules.
+ * Compile a shape's chain, then run its idle probe. Which servers see
+ * traffic, how often and for how long depends only on the addresses,
+ * so the chunks, the touched set (in canonical order) and the probe's
+ * serve counts and service ticks hold for every offset vector; the
+ * probe's first arrivals are the canonicalization thresholds, and its
+ * completion is the shape's zero-contention latency. A canonical
+ * address with the same home module reproduces every address of the
+ * shape: chunk boundaries depend on addr % group_size and routing on
+ * addr % n_modules, and group_size divides n_modules.
  */
 ShapeInfo
 BurstPatternCache::makeShape(unsigned first_module, unsigned words) const
 {
-    IdleProbe probe(map_);
     ShapeInfo sh;
-    sh.unloaded = reserveAccess(probe, 0, first_module, words,
-                                mem::GlobalMemory::word_service)
-                      .complete;
     sh.words = words;
-    sh.groupRank.assign(map_.numGroups(), 0);
-    sh.moduleRank.assign(map_.numModules(), 0);
-    for (std::size_t i = 0; i < probe.firstArrival.size(); ++i) {
-        if (probe.firstArrival[i] == sim::max_tick)
-            continue;
-        const ServerRef ref = probe.refs[i];
-        // Banks are contiguous in flat-index order; the group/module
-        // ranks map a serve back to its position in that order.
-        const auto b = static_cast<unsigned>(ref.bank);
-        if (sh.servers.empty() || sh.servers.back().bank != ref.bank)
-            sh.bankBegin[b] = static_cast<std::uint32_t>(sh.servers.size());
-        const auto rank =
-            static_cast<std::uint32_t>(sh.servers.size() - sh.bankBegin[b]);
-        if (ref.bank == FastBank::stage1)
-            sh.groupRank[ref.idx] = rank;
-        else if (ref.bank == FastBank::module)
-            sh.moduleRank[ref.idx] = rank;
-        sh.servers.push_back(ref);
-        sh.firstArrival.push_back(probe.firstArrival[i]);
-        sh.requests.push_back(probe.requests[i]);
-        sh.busy.push_back(probe.busy[i]);
+    // The stream splits at module-group boundaries; mark what each
+    // chunk touches.
+    std::vector<std::uint32_t> groupPos(map_.numGroups(), 0);
+    std::vector<std::uint32_t> modulePos(map_.numModules(), 0);
+    for (unsigned issued = 0; issued < words;) {
+        const sim::Addr a = sim::Addr{first_module} + issued;
+        ChainStep c{};
+        c.issue = issued;
+        c.len = map_.chunkLen(a, words - issued);
+        c.group = map_.group(a);
+        c.module = map_.module(a);
+        groupPos[c.group] = 1;
+        std::fill_n(modulePos.begin() + c.module, c.len, 1);
+        sh.chain.push_back(c);
+        issued += c.len;
     }
+    // Rank the touched groups and modules by index: a group's three
+    // ports sit at its rank in the stage1, stage2 and returnA banks.
+    const auto rank = [](std::vector<std::uint32_t> &pos) {
+        std::vector<std::uint32_t> touched;
+        for (std::uint32_t i = 0; i < pos.size(); ++i) {
+            if (pos[i] != 0) {
+                pos[i] = static_cast<std::uint32_t>(touched.size());
+                touched.push_back(i);
+            }
+        }
+        return touched;
+    };
+    const std::vector<std::uint32_t> groups = rank(groupPos);
+    const std::vector<std::uint32_t> modules = rank(modulePos);
+    const auto ng = static_cast<std::uint32_t>(groups.size());
+    for (const FastBank b :
+         {FastBank::stage1, FastBank::stage2, FastBank::returnA})
+        for (const std::uint32_t g : groups)
+            sh.servers.push_back({b, g});
+    sh.servers.push_back({FastBank::returnB, 0});
+    for (const std::uint32_t m : modules)
+        sh.servers.push_back({FastBank::module, m});
+    for (ChainStep &c : sh.chain) {
+        c.stage1 = groupPos[c.group];
+        c.stage2 = ng + c.stage1;
+        c.returnA = 2 * ng + c.stage1;
+        c.returnB = 3 * ng;
+        c.modules = 3 * ng + 1 + modulePos[c.module];
+    }
+
+    // The idle probe: the chain on scratch servers at start 0.
+    const std::size_t n = sh.servers.size();
+    std::vector<sim::FifoServer> scratch(n);
+    std::vector<sim::FifoServer *> srv;
+    for (sim::FifoServer &s : scratch)
+        srv.push_back(&s);
+    sh.firstArrival.assign(n, sim::max_tick);
+    sh.unloaded =
+        reserveChain(sh, srv.data(), nullptr, 0,
+                     mem::GlobalMemory::word_service,
+                     [&sh](FastBank, std::uint32_t pos, unsigned,
+                           sim::Tick arrival, sim::Tick, sim::Tick) {
+                         sh.firstArrival[pos] =
+                             std::min(sh.firstArrival[pos], arrival);
+                     })
+            .complete;
+    for (const sim::FifoServer &s : scratch) {
+        sh.requests.push_back(
+            static_cast<std::uint32_t>(s.stats().requests()));
+        sh.busy.push_back(s.stats().busyTicks());
+    }
+    return sh;
+}
+
+ShapeInfo &
+BurstPatternCache::rmwShape(unsigned module)
+{
+    if (rmwShapes_.empty())
+        rmwShapes_.resize(map_.numModules());
+    ShapeInfo &sh = rmwShapes_[module];
+    if (sh.chain.empty())
+        sh = makeShape(module, 1);
     return sh;
 }
 
@@ -162,8 +158,8 @@ BurstPatternCache::grow()
 }
 
 const std::uint32_t *
-BurstPatternCache::lookup(ShapeInfo &sh, std::uint64_t hash,
-                          const std::uint32_t *key, ShapeInfo *&record)
+BurstPatternCache::lookup(const ShapeInfo &sh, std::uint64_t hash,
+                          const std::uint32_t *key, bool &record)
 {
     hash |= 1; // 0 marks an empty slot
     if (slots_.empty())
@@ -179,7 +175,7 @@ BurstPatternCache::lookup(ShapeInfo &sh, std::uint64_t hash,
                        ? p
                        : nullptr;
         if (bytes_ < max_pattern_bytes) {
-            record = &sh; // the second sighting
+            record = true; // the second sighting
             learnSlot_ = i;
         }
         return nullptr;

@@ -23,7 +23,7 @@
  * Contended phases queue into near-periodic steady states where the
  * same few offset vectors recur thousands of times. A pattern is
  * learned per (shape, offset vector), *recorded off the live
- * slow-path run* the missing access takes anyway (net::reserveAccess;
+ * slow-path run* the missing access takes anyway (net::reserveChain;
  * by the invariance above its sums are what a scratch replay at
  * start = 0 would produce). It stores only what differs between two
  * accesses of one shape: per touched server the wait sum and free
@@ -64,7 +64,7 @@ namespace cedar::net
 
 /** Structural bank of one pattern entry's server. Which concrete
  *  FifoServer it resolves to depends on the issuing cluster/CE
- *  (Network::fastServer) — the pattern itself is position free. */
+ *  (Network::server) — the pattern itself is position free. */
 enum class FastBank : std::uint8_t
 {
     stage1,  //!< stage-1 output port `idx` (a module group)
@@ -109,14 +109,34 @@ inline constexpr sim::Tick max_rec_tick = ~std::uint32_t(0);
  */
 inline constexpr std::size_t rec_key = 2 + fast_bank_count;
 
+/** One chunk of a shape's compiled reservation chain: the words that
+ *  route through one stage-2 switch, and where their servers sit in
+ *  ShapeInfo::servers. A chunk never spans two groups, so its modules
+ *  are consecutive, and so are their positions. */
+struct ChainStep
+{
+    std::uint32_t issue;  //!< words issued before it: its issue offset
+    std::uint32_t len;    //!< its words, at most the group size
+    std::uint32_t group;  //!< its module group (stage-2 switch)
+    std::uint32_t module; //!< its first word's module
+    std::uint32_t stage1, stage2, returnA, returnB; //!< port positions
+    std::uint32_t modules; //!< its first word's module's position
+};
+
 /** One access shape: its touched-server set (fixed canonical order,
- *  the order offsets are gathered and keyed in) and what every access
- *  of the shape serves there. */
+ *  the order offsets are gathered and keyed in), its compiled
+ *  reservation chain over that set, and what every access of the
+ *  shape serves there. */
 struct ShapeInfo
 {
     std::uint32_t id = 0; //!< creation order; seeds the key hash
     unsigned words = 0;
+    /** The touched servers: the touched groups' stage1, stage2 and
+     *  returnA ports, the issuing CE's returnB port, then the touched
+     *  modules (FastBank order, by index within a bank). */
     std::vector<ServerRef> servers;
+    /** The chain net::reserveChain walks, one step per chunk. */
+    std::vector<ChainStep> chain;
 
     /**
      * Per touched server (same order as @p servers): the tick of the
@@ -138,21 +158,12 @@ struct ShapeInfo
      *  (XferResult::unloaded). */
     sim::Tick unloaded = 0;
 
-    /** Where bank b's entries start in @p servers (banks are
-     *  contiguous: makeShape emits servers in flat-index order). */
-    std::array<std::uint32_t, fast_bank_count> bankBegin{};
-
-    /** Rank of a group / module among the shape's touched ones —
-     *  maps a recorded serve's (bank, group/module) coordinates to
-     *  the bank-relative position in @p servers. */
-    std::vector<std::uint32_t> groupRank;
-    std::vector<std::uint32_t> moduleRank;
-
     /** Per issuing CE, at its flat index (cluster * CEs per cluster
      *  + CE port): the concrete FifoServer of each @p servers entry,
-     *  resolved on that CE's first use so the gather and the replay
-     *  walk pointers (server storage never moves). */
-    std::vector<std::vector<sim::FifoServer *>> resolved;
+     *  resolved on that CE's first access of the shape, so the chain,
+     *  the gather and the replay walk pointers (server storage never
+     *  moves). */
+    std::vector<std::unique_ptr<sim::FifoServer *[]>> resolved;
 };
 
 /**
@@ -233,8 +244,8 @@ class BurstPatternCache
     explicit BurstPatternCache(const mem::AddressMap &map) : map_(map) {}
 
     /** The shape record for a burst of @p words whose first word
-     *  lives on @p first_module; its touched-server list is derived
-     *  on first use. */
+     *  lives on @p first_module; its chain is compiled on first
+     *  use. */
     ShapeInfo &
     shape(unsigned first_module, unsigned words)
     {
@@ -248,18 +259,24 @@ class BurstPatternCache
         return it->second;
     }
 
+    /** The one-word shape an RMW to @p module walks. It is kept
+     *  apart from the bursts' shapes and takes no id: an id seeds its
+     *  shape's key hash, so a burst shape created early by an RMW
+     *  would move the bursts' keys, their hash collisions and so the
+     *  fast-path counters. */
+    ShapeInfo &rmwShape(unsigned module);
+
     /**
      * The learned pattern of @p sh under @p key (its canonical
      * offsets, one per sh.servers element) hashed to @p hash, or
      * nullptr. A first sighting is noted; on the second, @p record is
-     * set to @p sh: the slow-path run this access is about to take
-     * should be recorded and filed by learn(). The first call
+     * set: the slow-path run this access is about to take should be
+     * recorded and filed by learn(). The first call
      * allocates the table, so a run that never takes the fast path
      * allocates nothing for it.
      */
-    const std::uint32_t *lookup(ShapeInfo &sh, std::uint64_t hash,
-                                const std::uint32_t *key,
-                                ShapeInfo *&record);
+    const std::uint32_t *lookup(const ShapeInfo &sh, std::uint64_t hash,
+                                const std::uint32_t *key, bool &record);
 
     /** File the run recorded for the last lookup() that asked for one
      *  as the pattern of @p sh under @p key — unless a value does not
@@ -273,8 +290,9 @@ class BurstPatternCache
     std::uint64_t patternsBuilt() const { return patternsBuilt_; }
 
   private:
-    /** A shape from its idle probe: the reservation chain replayed
-     *  once on an empty scratch machine (net::reserveAccess). */
+    /** A shape: its chain compiled from the address map, then
+     *  walked once on scratch servers, an empty machine (the idle
+     *  probe, net::reserveChain). */
     ShapeInfo makeShape(unsigned first_module, unsigned words) const;
 
     struct Slot
@@ -295,6 +313,7 @@ class BurstPatternCache
 
     mem::AddressMap map_;
     std::unordered_map<std::uint64_t, ShapeInfo> shapes_;
+    std::vector<ShapeInfo> rmwShapes_; //!< per module, once used
     std::vector<Slot> slots_;
     std::size_t usedSlots_ = 0;
     std::size_t learnSlot_ = 0; //!< where learn() files its pattern

@@ -1,6 +1,7 @@
 #include "net/network.hh"
 
 #include <algorithm>
+#include <memory>
 #include <string>
 #include <utility>
 
@@ -111,62 +112,6 @@ Network::flowResource(FastBank bank, unsigned idx, sim::ClusterId cluster,
     }
 }
 
-/**
- * The one reserveAccess policy over the live servers of the issuing
- * CE. Every serve hands its queueing wait to the tracer and, for a
- * watched access (flow != 0), its flow milestone. When a fast-path
- * miss earned a recording (@p rec), each serve also adds its wait to
- * its server's sum and its bank's tally, and moves the server's
- * horizon: serve counts and service ticks are the shape's
- * (ShapeInfo::requests, busy), so nothing else varies between two
- * runs of one shape.
- */
-struct Network::Live
-{
-    Network &net;
-    sim::ClusterId cluster;
-    int cePort;
-    sim::Tick start;
-    std::uint32_t flow = 0;
-    const ShapeInfo *rec = nullptr; //!< record the run for this shape
-
-    sim::FifoServer &
-    server(FastBank bank, unsigned idx)
-    {
-        return net.fastServer(bank, idx, cluster, cePort);
-    }
-
-    mem::GlobalMemory &memory() { return net.gmem_; }
-
-    void
-    served(FastBank bank, unsigned idx, sim::Tick arrival, sim::Tick s,
-           sim::Tick done)
-    {
-        const obs::ResourceClass cls = classOfBank(bank);
-        const sim::Tick wait = s - arrival;
-        if (obs::Tracer *t = net.tracer_) {
-            t->resourceWait(cls, wait);
-            if (flow != 0 && bank != FastBank::returnA)
-                t->flowStage(flow, flowStageOf(bank), done,
-                             net.flowResource(bank, idx, cluster, cePort),
-                             done - s);
-        }
-        if (rec == nullptr)
-            return;
-        net.waitCounts_[static_cast<unsigned>(bank)].add(wait);
-        const std::size_t j =
-            rec->bankBegin[static_cast<unsigned>(bank)] +
-            (bank == FastBank::module    ? rec->moduleRank[idx]
-             : bank == FastBank::returnB ? 0
-                                         : rec->groupRank[idx]);
-        PatternServer &e = net.recScratch_[j];
-        e.waitSum += wait;
-        // Every touched server serves at an arrival past start, so
-        // its horizon sits beyond it.
-        e.freeAt = done - start;
-    }
-};
-
 XferResult
 Network::burst(sim::Tick start, sim::ClusterId cluster, int ce_port,
                sim::Addr addr, unsigned words, std::uint32_t flow)
@@ -175,8 +120,7 @@ Network::burst(sim::Tick start, sim::ClusterId cluster, int ce_port,
     if (words == 0)
         throw sim::SimError("network: a burst needs at least one word");
     ShapeInfo &sh = cache_.shape(gmem_.map().module(addr), words);
-    const Reservation r =
-        reserveBurst(sh, start, cluster, ce_port, addr, flow);
+    const Reservation r = reserveBurst(sh, start, cluster, ce_port, flow);
     return XferResult{r.complete, sh.unloaded};
 }
 
@@ -185,9 +129,10 @@ Network::rmw(sim::Tick when, sim::ClusterId cluster, int ce_port,
              sim::Addr addr, const sim::RmwFn &f, std::uint32_t flow)
 {
     checkIssuer(cluster, ce_port, nClusters_, cesPerCluster_);
-    Live live{*this, cluster, ce_port, when, flow};
-    const Reservation r = reserveAccess(live, when, addr, 1,
-                                        mem::GlobalMemory::rmw_service);
+    ShapeInfo &sh = cache_.rmwShape(gmem_.map().module(addr));
+    const Reservation r =
+        reserveLive(sh, resolved(sh, cluster, ce_port), when,
+                    mem::GlobalMemory::rmw_service, cluster, ce_port, flow);
     // The value mutation the module serve stands for, in the same
     // (synchronous) serialisation order. A dead module never answers
     // and mutates nothing, so an abandoned RMW cannot double-apply.
@@ -196,43 +141,90 @@ Network::rmw(sim::Tick when, sim::ClusterId cluster, int ce_port,
 }
 
 Reservation
-Network::reserveBurst(ShapeInfo &sh, sim::Tick start, sim::ClusterId cluster,
-                      int ce_port, sim::Addr addr, std::uint32_t flow)
+Network::reserveLive(const ShapeInfo &sh, sim::FifoServer *const *srv,
+                     sim::Tick start, sim::Tick mem_service,
+                     sim::ClusterId cluster, int ce_port, std::uint32_t flow)
 {
-    Live live{*this, cluster, ce_port, start, flow};
+    mem::GlobalMemory *faults = gmem_.hasFaults() ? &gmem_ : nullptr;
+    obs::Tracer *const t = tracer_;
+    if (flow == 0)
+        return reserveChain(
+            sh, srv, faults, start, mem_service,
+            [t](FastBank bank, std::uint32_t, unsigned, sim::Tick arrival,
+                sim::Tick s, sim::Tick) {
+                if (t != nullptr)
+                    t->resourceWait(classOfBank(bank), s - arrival);
+            });
+    return reserveChain(
+        sh, srv, faults, start, mem_service,
+        [&](FastBank bank, std::uint32_t, unsigned idx, sim::Tick arrival,
+            sim::Tick s, sim::Tick done) {
+            if (t == nullptr)
+                return;
+            t->resourceWait(classOfBank(bank), s - arrival);
+            if (bank != FastBank::returnA)
+                t->flowStage(flow, flowStageOf(bank), done,
+                             flowResource(bank, idx, cluster, ce_port),
+                             done - s);
+        });
+}
+
+Reservation
+Network::reserveBurst(ShapeInfo &sh, sim::Tick start, sim::ClusterId cluster,
+                      int ce_port, std::uint32_t flow)
+{
+    sim::FifoServer *const *srv = resolved(sh, cluster, ce_port);
     Reservation r;
-    ShapeInfo *record = nullptr;
+    bool record = false;
     // The replay is only legal when the toggle is on, nobody watches
     // individual flow milestones (a flow id means the timeline expects
     // per-stage records), and no fault plan touches the memory (fault
     // windows break the translation invariance).
-    if (fastPath_ && flow == 0 && !gmem_.hasFaults()) {
-        if (fastReplay(sh, start, cluster, ce_port, r, record)) {
-            ++fastStats_.fastBursts;
-            return r;
-        }
-        if (record != nullptr) {
-            for (WaitCounts &c : waitCounts_)
-                c.clear();
-            recScratch_.assign(record->servers.size(), PatternServer{0, 0});
-            live.rec = record;
-        }
+    if (fastPath_ && flow == 0 && !gmem_.hasFaults() &&
+        fastReplay(sh, srv, start, r, record)) {
+        ++fastStats_.fastBursts;
+        return r;
     }
     ++fastStats_.slowBursts;
-    r = reserveAccess(live, start, addr, sh.words,
-                      mem::GlobalMemory::word_service);
+    if (!record)
+        return reserveLive(sh, srv, start, mem::GlobalMemory::word_service,
+                           cluster, ce_port, flow);
+
+    // The miss earned a recording: each serve also adds its wait to
+    // its server's sum and its bank's tally, and moves the server's
+    // horizon. Serve counts and service ticks are the shape's
+    // (ShapeInfo::requests, busy), so nothing else varies between two
+    // runs of one shape. The access is unwatched and unfaulted.
+    for (WaitCounts &c : waitCounts_)
+        c.clear();
+    recScratch_.assign(sh.servers.size(), PatternServer{0, 0});
+    obs::Tracer *const t = tracer_;
+    r = reserveChain(
+        sh, srv, nullptr, start, mem::GlobalMemory::word_service,
+        [&](FastBank bank, std::uint32_t pos, unsigned, sim::Tick arrival,
+            sim::Tick s, sim::Tick done) {
+            const sim::Tick wait = s - arrival;
+            if (t != nullptr)
+                t->resourceWait(classOfBank(bank), wait);
+            waitCounts_[static_cast<unsigned>(bank)].add(wait);
+            PatternServer &e = recScratch_[pos];
+            e.waitSum += wait;
+            // Every touched server serves at an arrival past start, so
+            // its horizon sits beyond it.
+            e.freeAt = done - start;
+        });
     // Second sighting: file the recorded run. Skip only the
     // degenerate saturated case, where "complete - start" is no
     // longer translation invariant.
-    if (record != nullptr && r.complete != sim::max_tick)
-        cache_.learn(*record, keyScratch_.data(), r.complete - start,
+    if (r.complete != sim::max_tick)
+        cache_.learn(sh, keyScratch_.data(), r.complete - start,
                      recScratch_, waitCounts_);
     return r;
 }
 
 sim::FifoServer &
-Network::fastServer(FastBank bank, std::uint32_t idx,
-                    sim::ClusterId cluster, int ce_port)
+Network::server(FastBank bank, std::uint32_t idx, sim::ClusterId cluster,
+                int ce_port)
 {
     switch (bank) {
     case FastBank::stage1:
@@ -249,22 +241,31 @@ Network::fastServer(FastBank bank, std::uint32_t idx,
     }
 }
 
-bool
-Network::fastReplay(ShapeInfo &sh, sim::Tick start, sim::ClusterId cluster,
-                    int ce_port, Reservation &r, ShapeInfo *&record)
+sim::FifoServer *const *
+Network::resolved(ShapeInfo &sh, sim::ClusterId cluster, int ce_port)
 {
-    // The shape's servers for this CE, resolved on its first use
-    // (checkIssuer() bounded both, so the index names one CE).
+    // checkIssuer() bounded both, so the index names one CE.
     if (sh.resolved.empty())
         sh.resolved.resize(static_cast<std::size_t>(nClusters_) *
                            cesPerCluster_);
-    auto &srvs = sh.resolved[static_cast<std::size_t>(cluster) *
-                                 cesPerCluster_ +
-                             static_cast<unsigned>(ce_port)];
-    if (srvs.empty())
-        for (const ServerRef &ref : sh.servers)
-            srvs.push_back(&fastServer(ref.bank, ref.idx, cluster, ce_port));
-    const std::size_t n = srvs.size();
+    auto &srv = sh.resolved[static_cast<std::size_t>(cluster) *
+                                cesPerCluster_ +
+                            static_cast<unsigned>(ce_port)];
+    if (srv == nullptr) {
+        srv = std::make_unique_for_overwrite<sim::FifoServer *[]>(
+            sh.servers.size());
+        for (std::size_t j = 0; j < sh.servers.size(); ++j)
+            srv[j] = &server(sh.servers[j].bank, sh.servers[j].idx, cluster,
+                             ce_port);
+    }
+    return srv.get();
+}
+
+bool
+Network::fastReplay(const ShapeInfo &sh, sim::FifoServer *const *srv,
+                    sim::Tick start, Reservation &r, bool &record)
+{
+    const std::size_t n = sh.servers.size();
 
     // The key: every touched server's free horizon relative to start,
     // an offset at or below the server's idle first arrival zeroed
@@ -277,7 +278,7 @@ Network::fastReplay(ShapeInfo &sh, sim::Tick start, sim::ClusterId cluster,
     keyScratch_.resize(n);
     std::uint64_t hash = 1469598103934665603ULL ^ sh.id;
     for (std::size_t j = 0; j < n; ++j) {
-        const sim::Tick f = srvs[j]->freeAt();
+        const sim::Tick f = srv[j]->freeAt();
         sim::Tick off = f > start ? f - start : 0;
         if (off <= sh.firstArrival[j])
             off = 0;
@@ -298,7 +299,7 @@ Network::fastReplay(ShapeInfo &sh, sim::Tick start, sim::ClusterId cluster,
 
     const std::uint32_t *e = p + rec_key + n;
     for (std::size_t j = 0; j < n; ++j, e += 2)
-        srvs[j]->applyBatch(sh.requests[j], e[0], sh.busy[j], start + e[1]);
+        srv[j]->applyBatch(sh.requests[j], e[0], sh.busy[j], start + e[1]);
     if (tracer_ != nullptr)
         for (unsigned b = 0; b < fast_bank_count; ++b)
             for (std::uint32_t k = 0; k < p[2 + b]; ++k, e += 2)

@@ -78,13 +78,13 @@ struct PortSite
 struct FastPathStats
 {
     std::uint64_t fastBursts = 0; //!< bursts replayed from a pattern
-    std::uint64_t slowBursts = 0; //!< bursts served by reserveAccess
+    std::uint64_t slowBursts = 0; //!< bursts served by reserveChain
 
     std::uint64_t hits() const { return fastBursts; }
     std::uint64_t misses() const { return slowBursts; }
 };
 
-/** What reserveAccess leaves behind. */
+/** What reserveChain leaves behind. */
 struct Reservation
 {
     /** When the response reaches the CE; sim::max_tick when a dead
@@ -141,7 +141,7 @@ class Network
      * (chunks issue at one word per cycle). This is the CE's burst
      * entry point; it dispatches to the analytic fast path when the
      * touched servers' queue state matches a learned pattern, and
-     * otherwise reserves chunk by chunk (reserveAccess). unloaded is
+     * otherwise reserves chunk by chunk (reserveChain). unloaded is
      * the shape's idle completion (ShapeInfo::unloaded).
      * complete == sim::max_tick when a dead module swallowed part of
      * the stream. A non-zero @p flow tags the burst's telemetry
@@ -157,8 +157,10 @@ class Network
     /**
      * Atomic read-modify-write of one global word (test&set,
      * fetch&add). Serialised at the memory module; always reserved
-     * through the reference chain (an RMW touches five servers, too
-     * few for a pattern lookup to beat serving them).
+     * through the reference chain of its word's one-word shape
+     * (BurstPatternCache::rmwShape), for the module's RMW service (an
+     * RMW touches five servers, too few for a pattern lookup to beat
+     * serving them).
      */
     XferResult rmw(sim::Tick when, sim::ClusterId cluster, int ce_port,
                    sim::Addr addr, const sim::RmwFn &f,
@@ -211,38 +213,47 @@ class Network
     /** Return path, stage B: per cluster, output ports per CE. */
     std::vector<Crossbar> returnB_;
 
-    /** Flow-milestone resource index of the server fastServer()
+    /** Flow-milestone resource index of the server server()
      *  resolves @p bank and @p idx (a group, or a module) to. */
     std::int32_t flowResource(FastBank bank, unsigned idx,
                               sim::ClusterId cluster, int ce_port) const;
 
-    /** The one reserveAccess policy over the live servers (see
-     *  network.cc). */
-    struct Live;
+    /** Resolve a position-free bank/index pair to the live server it
+     *  stands for, given the issuing cluster and CE port. */
+    sim::FifoServer &server(FastBank bank, std::uint32_t idx,
+                            sim::ClusterId cluster, int ce_port);
+
+    /** @p sh's servers for the issuing CE, in ShapeInfo::servers
+     *  order, resolved on the CE's first access of the shape. */
+    sim::FifoServer *const *resolved(ShapeInfo &sh, sim::ClusterId cluster,
+                                     int ce_port);
+
+    /** One unrecorded access of @p sh on the live servers @p srv:
+     *  every serve's wait goes to the tracer, and for a watched access
+     *  (@p flow != 0) every milestone to its flow. */
+    Reservation reserveLive(const ShapeInfo &sh, sim::FifoServer *const *srv,
+                            sim::Tick start, sim::Tick mem_service,
+                            sim::ClusterId cluster, int ce_port,
+                            std::uint32_t flow);
 
     /** One burst of shape @p sh: the fast-path replay when eligible
-     *  and a pattern matches, otherwise reserveAccess on the live
-     *  servers (recording the run when the miss earned it). */
+     *  and a pattern matches, otherwise the chain on the live servers
+     *  (recording the run when the miss earned it). */
     Reservation reserveBurst(ShapeInfo &sh, sim::Tick start,
                              sim::ClusterId cluster, int ce_port,
-                             sim::Addr addr, std::uint32_t flow);
+                             std::uint32_t flow);
 
     // ----- analytic fast path (see net/fastpath.hh) -----
 
-    /** Resolve a position-free bank/index pair to the live server it
-     *  stands for, given the issuing cluster and CE port. */
-    sim::FifoServer &fastServer(FastBank bank, std::uint32_t idx,
-                                sim::ClusterId cluster, int ce_port);
-
-    /** Gather the canonical offsets of @p sh's touched servers into
-     *  keyScratch_ and look up their pattern. On a match, apply it
+    /** Gather the canonical offsets of @p sh's touched servers @p srv
+     *  into keyScratch_ and look up their pattern. On a match, apply it
      *  (the shape's serve counts and service ticks, the pattern's wait
      *  sums, horizons and condensed waits) and its timing into @p r —
      *  bit-identical to the slow path. Returns false to take the slow
-     *  path; @p record is then the shape whose run should be recorded
-     *  (second sighting), or nullptr. */
-    bool fastReplay(ShapeInfo &sh, sim::Tick start, sim::ClusterId cluster,
-                    int ce_port, Reservation &r, ShapeInfo *&record);
+     *  path; @p record is then set when the slow-path run should be
+     *  recorded (second sighting). */
+    bool fastReplay(const ShapeInfo &sh, sim::FifoServer *const *srv,
+                    sim::Tick start, Reservation &r, bool &record);
 
     /** Reused canonical-offset key (single-threaded per Machine). */
     std::vector<std::uint32_t> keyScratch_;
@@ -253,74 +264,81 @@ class Network
 };
 
 /**
- * The reservation chain of one global access, written once. Every
+ * The reservation chain of one global access, walked from its shape's
+ * compiled steps (ShapeInfo::chain): the one place it is served. Every
  * chunk of a burst, or the one word of an RMW, reserves stage1 ->
- * stage2 -> each module word (served for @p mem_service) -> returnA
- * -> returnB, the CE issuing the stream pipelined at one word per
- * cycle from @p start. Latency compositions saturate; a saturated
- * arrival makes FifoServer::serve throw its overflow error. A dead
- * module swallows its word: its chunk has no return traffic and the
- * access never completes.
+ * stage2 -> each module word (served for @p mem_service) -> returnA ->
+ * returnB on @p srv, the shape's servers in ShapeInfo::servers order,
+ * the CE issuing the stream pipelined at one word per cycle from
+ * @p start. Latency compositions saturate; a saturated arrival makes
+ * FifoServer::serve throw its overflow error.
  *
- * The policy @p pol decides where the serves land and who sees them:
- * `server(bank, idx)` is the stage1/stage2/returnA port of group
- * idx or the issuing CE's returnB port (idx 0); `memory()` the
- * modules and their faults; `served(bank, idx, arrival, start,
- * done)` sees one reservation, in serve order (idx as above, or the
- * module). Two policies exist: the Network's live servers (telemetry
- * and fast-path recording) and BurstPatternCache::makeShape's idle
- * probe.
+ * A module with a fault plan in @p faults (nullptr: no plan anywhere)
+ * serves through GlobalMemory::serveWord, which applies its windows;
+ * every other module word is served directly. A dead module swallows
+ * its word: its chunk has no return traffic and the access never
+ * completes.
+ *
+ * @p seen(bank, pos, idx, arrival, start, done) sees each reservation,
+ * in serve order: pos is the server's position in @p srv, idx its
+ * group (stage1, stage2, returnA), its module, or 0 (returnB). The
+ * live variants are in network.cc (Network::reserveLive and the
+ * recording in Network::reserveBurst), the idle probe in fastpath.cc
+ * (BurstPatternCache::makeShape).
  */
-template <typename Policy>
+template <typename Seen>
 Reservation
-reserveAccess(Policy &pol, sim::Tick start, sim::Addr addr,
-              unsigned words, sim::Tick mem_service)
+reserveChain(const ShapeInfo &sh, sim::FifoServer *const *srv,
+             mem::GlobalMemory *faults, sim::Tick start,
+             sim::Tick mem_service, Seen &&seen)
 {
     constexpr sim::Tick hop = Network::hop_latency;
-    mem::GlobalMemory &gmem = pol.memory();
-    const mem::AddressMap &map = gmem.map();
-
-    const auto port = [&pol](FastBank bank, unsigned idx,
-                             sim::Tick arrival, unsigned len) {
-        const sim::Tick done = pol.server(bank, idx).serve(arrival, len);
-        pol.served(bank, idx, arrival, done - len, done);
+    const auto port = [srv, &seen](FastBank bank, std::uint32_t pos,
+                                   unsigned idx, sim::Tick arrival,
+                                   unsigned len) {
+        const sim::Tick done = srv[pos]->serve(arrival, len);
+        seen(bank, pos, idx, arrival, done - len, done);
         return done;
     };
 
     Reservation r;
     r.complete = start;
-    for (unsigned issued = 0; issued < words;) {
-        // The stream splits at module-group boundaries.
-        const mem::Chunk c{addr + issued,
-                           map.chunkLen(addr + issued, words - issued)};
-        const sim::Tick issue = sim::satAdd(start, issued);
-        issued += c.len;
-        const unsigned g = map.group(c.addr);
-        const sim::Tick t1 =
-            port(FastBank::stage1, g, sim::satAdd(issue, hop), c.len);
-        const sim::Tick t2 =
-            port(FastBank::stage2, g, sim::satAdd(t1, hop), c.len);
+    for (const ChainStep &c : sh.chain) {
+        const sim::Tick issue = sim::satAdd(start, c.issue);
+        const sim::Tick t1 = port(FastBank::stage1, c.stage1, c.group,
+                                  sim::satAdd(issue, hop), c.len);
+        const sim::Tick t2 = port(FastBank::stage2, c.stage2, c.group,
+                                  sim::satAdd(t1, hop), c.len);
         const sim::Tick arrival = sim::satAdd(t2, hop);
         sim::Tick memdone = 0;
         for (unsigned i = 0; i < c.len; ++i) {
-            const unsigned m = map.module(c.addr + i);
-            const auto w = gmem.serveWord(m, arrival, mem_service);
-            if (w.dead) {
-                r.dead = true;
-                memdone = sim::max_tick;
-                continue;
+            const unsigned m = c.module + i;
+            sim::Tick s;
+            sim::Tick done;
+            if (faults != nullptr && faults->faulted(m)) {
+                const auto w = faults->serveWord(m, arrival, mem_service);
+                if (w.dead) {
+                    r.dead = true;
+                    memdone = sim::max_tick;
+                    continue;
+                }
+                s = w.start;
+                done = w.done;
+            } else {
+                done = srv[c.modules + i]->serve(arrival, mem_service);
+                s = done - mem_service;
             }
-            pol.served(FastBank::module, m, arrival, w.start, w.done);
-            memdone = std::max(memdone, w.done);
+            seen(FastBank::module, c.modules + i, m, arrival, s, done);
+            memdone = std::max(memdone, done);
         }
         if (memdone == sim::max_tick) {
             r.complete = sim::max_tick; // no response, no return traffic
             continue;
         }
-        const sim::Tick t3 =
-            port(FastBank::returnA, g, sim::satAdd(memdone, hop), c.len);
-        const sim::Tick t4 =
-            port(FastBank::returnB, 0, sim::satAdd(t3, hop), c.len);
+        const sim::Tick t3 = port(FastBank::returnA, c.returnA, c.group,
+                                  sim::satAdd(memdone, hop), c.len);
+        const sim::Tick t4 = port(FastBank::returnB, c.returnB, 0,
+                                  sim::satAdd(t3, hop), c.len);
         r.complete = std::max(r.complete, sim::satAdd(t4, hop));
     }
     return r;

@@ -8,7 +8,7 @@
  * heap-allocates any capture list over two pointers — and a chain
  * closure capturing this + a loop handle + the next continuation is
  * always over that line, which put ~17 allocations behind every ADM
- * event (ROADMAP item 1b).
+ * event (DESIGN.md §11).
  *
  * `SmallFn` replaces it with two storage tiers:
  *

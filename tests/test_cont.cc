@@ -246,7 +246,7 @@ TEST(ContSteadyState, WarmAdmRunTakesNoFreshContinuationAllocs)
     // First run warms the arena's free lists up to the workload's
     // peak concurrent continuation population; repeat runs of the
     // same deterministic workload must then be served entirely from
-    // the pool. This is ROADMAP item 1b's closing assertion: the
+    // the pool. This is DESIGN.md §11's closing assertion: the
     // event-machinery-bound workload runs allocation-free per event.
     const auto app = cedar::apps::perfectAppByName("ADM");
     cedar::core::RunOptions o;

@@ -102,8 +102,9 @@ TEST(Metrics, ReportSatisfiesAccountingInvariants)
         EXPECT_GE(res.waitShare, 0.0);
         share += res.waitShare;
     }
-    if (m.totalWaitTicks > 0)
+    if (m.totalWaitTicks > 0) {
         EXPECT_NEAR(share, 1.0, 1e-9);
+    }
 
     // The run really went through the network.
     EXPECT_GT(m.totalRequests, 0u);

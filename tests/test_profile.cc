@@ -87,10 +87,12 @@ TEST(LoopProfile, CountsInvocationsAndBodies)
     const auto r = tracedRun(16);
     for (const auto &p : core::profileLoopPhases(r)) {
         EXPECT_EQ(p.invocations, 3u) << "phase " << p.phaseIdx;
-        if (p.phaseIdx == 1)
+        if (p.phaseIdx == 1) {
             EXPECT_EQ(p.bodies, 3u * 8u * 32u);
-        if (p.phaseIdx == 2)
+        }
+        if (p.phaseIdx == 2) {
             EXPECT_EQ(p.bodies, 3u * 16u);
+        }
     }
 }
 
