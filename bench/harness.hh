@@ -1,8 +1,8 @@
 /**
  * @file
- * Shared bench harness: runs the paper's configuration sweep over
- * the Perfect application models and carries the paper's published
- * numbers so every bench prints model-vs-paper side by side.
+ * The paper's configurations, applications and published numbers,
+ * one copy: the paper generator (bench/paper) prints them beside the
+ * model's, and the band tests, sweep_perf and cedarbench read them.
  */
 
 #ifndef CEDAR_BENCH_HARNESS_HH
@@ -12,12 +12,6 @@
 #include <string>
 #include <vector>
 
-#include "apps/perfect.hh"
-#include "core/breakdown.hh"
-#include "core/concurrency.hh"
-#include "core/contention.hh"
-#include "core/experiment.hh"
-#include "core/table.hh"
 #include "hw/config.hh"
 
 namespace cedar::bench
@@ -27,15 +21,6 @@ namespace cedar::bench
  *  (single-sourced from hw::CedarConfig). */
 inline const std::vector<unsigned> &configs =
     hw::CedarConfig::paperProcCounts();
-
-/** Paper Table 1: completion times (s). */
-inline const std::map<std::string, std::vector<double>> paper_ct = {
-    {"FLO52", {613, 214, 145, 96, 73}},
-    {"ARC2D", {2139, 593, 342, 203, 142}},
-    {"MDG", {4935, 1260, 663, 346, 202}},
-    {"OCEAN", {2726, 711, 381, 230, 175}},
-    {"ADM", {707, 208, 121, 83, 80}},
-};
 
 /** Paper Table 1: speedups (index 0 unused). */
 inline const std::map<std::string, std::vector<double>> paper_speedup = {
@@ -110,23 +95,6 @@ inline const std::map<std::string, std::map<std::string, double>>
           {"glbl syscall", 0.01},
           {"ast", 0.02}}},
 };
-
-/** Cache of one application's sweep over the five configurations. */
-struct AppSweep
-{
-    apps::AppModel app;
-    std::vector<core::RunResult> runs; //!< indexed like configs
-};
-
-/** Run the full-scale sweep for @p name. */
-inline AppSweep
-runApp(const std::string &name)
-{
-    AppSweep s;
-    s.app = apps::perfectAppByName(name);
-    s.runs = core::runSweep(s.app, {}, core::paperConfigs());
-    return s;
-}
 
 /** All five applications, paper order. */
 inline const std::vector<std::string> app_names = {"FLO52", "ARC2D",

@@ -58,7 +58,7 @@ double groundTruthContentionPct(const RunResult &run);
  * *do* measure exactly is the relative weight of each resource in
  * the total queueing. So the class figure is
  * groundTruthContentionPct() apportioned by the class's share of
- * all resource wait; the five classes sum to the CE-observed total.
+ * all resource wait; the classes sum to the CE-observed total.
  */
 double groundTruthClassPct(const RunResult &run, obs::ResourceClass cls);
 

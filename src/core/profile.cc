@@ -119,7 +119,9 @@ printLoopProfile(std::ostream &os, const RunResult &r,
     Table t({"phase", "construct", "invocations", "bodies", "wall %",
              "barrier %", "pickup CPU (s)"});
     for (const auto &p : profile) {
-        t.addRow({"#" + std::to_string(p.phaseIdx),
+        // Not "#" + to_string(...): GCC 12 at -O3 flags that with a
+        // false -Wrestrict.
+        t.addRow({std::string(1, '#').append(std::to_string(p.phaseIdx)),
                   p.isMainClusterOnly ? "mc cdoall"
                   : p.isFlat          ? "xdoall"
                                       : "sdoall/cdoall",

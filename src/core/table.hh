@@ -1,7 +1,8 @@
 /**
  * @file
- * Plain-text table formatting for the bench harnesses, so each
- * bench binary prints rows shaped like the paper's tables.
+ * Plain-text table formatting: the CLI's reports, and the paper
+ * generator (bench/paper), whose tables EXPERIMENTS.md carries as
+ * markdown.
  */
 
 #ifndef CEDAR_CORE_TABLE_HH

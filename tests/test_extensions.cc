@@ -27,7 +27,8 @@ AppModel
 xdoallApp(unsigned block, bool prefetch = false)
 {
     AppModel app;
-    app.name = "x";
+    // Not = "x": GCC 12 at -O3 flags that with a false -Wrestrict.
+    app.name = std::string(1, 'x');
     app.steps = 4;
     LoopSpec l;
     l.kind = LoopKind::xdoall;
