@@ -235,8 +235,11 @@ struct Episodes
  * directly. In the clustered scheme only one CE per cluster touches
  * the global barrier word (after the cluster's bus sync); in the flat
  * scheme all 32 do, turning the word's memory module into a hot spot.
- * With @p background, each episode first streams one 64-word burst
- * per CE through the shared network.
+ * With @p background, each episode first reserves one 64-word burst
+ * per CE through the shared network, as the CE's prefetch would,
+ * leaving the CE free, and the barrier starts at once, while the
+ * bursts are still in flight. The next episode starts once they have
+ * all answered.
  */
 Episodes
 barrierEpisodes(bool clustered, bool background, unsigned episodes)
@@ -246,35 +249,28 @@ barrierEpisodes(bool clustered, bool background, unsigned episodes)
     const auto region = m.allocGlobal(1 << 16);
 
     Tick barrier_total = 0;
-    Tick burst_total = 0;
+    double slowdown_total = 0;
     std::uint64_t bursts = 0;
-    Tick unloaded_burst = 0;
+    Tick drained = 0; // when every burst issued so far has answered
 
     for (unsigned e = 0; e < episodes; ++e) {
+        m.eq().runUntil(std::max(m.now(), drained));
+        const Tick bstart = m.now();
         if (background) {
             for (unsigned i = 0; i < 32; ++i) {
-                const Tick t0 = m.now();
-                m.ce(static_cast<sim::CeId>(i)).globalAccess(
-                    region + (e * 32 + i) * 64 % ((1 << 16) - 64), 64,
-                    UserAct::iter_exec, [&, t0] {
-                        burst_total += m.now() - t0;
-                        ++bursts;
-                    });
-            }
-            m.eq().run();
-            if (unloaded_burst == 0) {
-                // The same burst alone on an idle machine.
-                hw::Machine ref{hw::CedarConfig::withProcs(32)};
-                Tick done = 0;
-                ref.ce(0).globalAccess(0, 64, UserAct::iter_exec,
-                                       [&] { done = ref.now(); });
-                ref.eq().run();
-                unloaded_burst = done;
+                const hw::Ce &ce = m.ce(static_cast<sim::CeId>(i));
+                const auto r = m.net().burst(
+                    bstart, ce.cluster(), ce.localIndex(),
+                    region + (e * 32 + i) * 64 % ((1 << 16) - 64), 64);
+                slowdown_total += static_cast<double>(r.complete - bstart) /
+                                  static_cast<double>(r.unloaded);
+                ++bursts;
+                drained = std::max(drained, r.complete);
             }
         }
 
         const unsigned updaters = clustered ? 4 : 32;
-        const Tick bstart = m.now();
+        Tick bdone = bstart;
         for (unsigned u = 0; u < updaters; ++u) {
             const auto id = static_cast<sim::CeId>(clustered ? u * 8 : u);
             const Tick bus = clustered ? m.costs().cdoall_sync : 0;
@@ -282,19 +278,19 @@ barrierEpisodes(bool clustered, bool background, unsigned episodes)
                 m.ce(id).globalRmw(barrier_word,
                                    [](std::uint64_t v) { return v + 1; },
                                    UserAct::barrier_wait,
-                                   [](std::uint64_t) {});
+                                   [&](std::uint64_t) {
+                                       bdone = std::max(bdone, m.now());
+                                   });
             });
         }
         m.eq().run();
-        barrier_total += m.now() - bstart;
+        barrier_total += bdone - bstart;
     }
 
     Episodes res;
     res.barrierTicks = static_cast<double>(barrier_total) / episodes;
     res.trafficSlowdown =
-        bursts ? (static_cast<double>(burst_total) / bursts) /
-                     static_cast<double>(unloaded_burst)
-               : 0.0;
+        bursts ? slowdown_total / static_cast<double>(bursts) : 0.0;
     return res;
 }
 
@@ -389,7 +385,7 @@ table2(const RunSet &set)
     PaperTable t{{"Overhead Category"}, {}};
     std::vector<std::vector<core::OsActivityRow>> acts;
     for (const auto &a : apps) {
-        t.columns.push_back(a + " (s)");
+        t.columns.push_back(a + " (ms)");
         t.columns.push_back(a + " %");
         acts.push_back(core::osActivityTable(set.at(a, 32)));
     }
@@ -402,7 +398,7 @@ table2(const RunSet &set)
         for (std::size_t a = 0; a < apps.size(); ++a) {
             const auto &paper = bench::paper_os_detail.at(apps[a]);
             const auto it = paper.find(toString(act));
-            row.push_back({acts[a][i].seconds, 2});
+            row.push_back({1e3 * acts[a][i].seconds, 2});
             row.push_back({acts[a][i].pctOfCt, 2, "",
                            it == paper.end()
                                ? std::nullopt

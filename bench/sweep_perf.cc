@@ -32,12 +32,11 @@
  * FLO52 on 8 processors is one rotation of four variants:
  *  - plain: the default RunOptions;
  *  - timeline: RunOptions::collectTimeline, every span and flow
- *    record materialized. The analytic fast path disengages too
- *    (every access carries a flow id, and the replay skips flow
- *    milestones), so this overhead honestly includes losing that
- *    path. The last timeline is then exported as a span trace
- *    (obs::writeSpanTrace) into a sink that only counts bytes, so the
- *    export cost is recorded without the disk's;
+ *    record materialized, at most 10 flow records per access. The
+ *    analytic fast path stays on (a hit derives its flow from its
+ *    key and its pattern). The last timeline is then exported as a
+ *    span trace (obs::writeSpanTrace) into a sink that only counts
+ *    bytes, so the export cost is recorded without the disk's;
  *  - time series: the windowed recorder (obs/timeseries.hh) armed at
  *    ~100 windows of round 1's plain completion time;
  *  - fast path off (`--no-fast-path` in the CLI).

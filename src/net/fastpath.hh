@@ -109,6 +109,29 @@ inline constexpr sim::Tick max_rec_tick = ~std::uint32_t(0);
  */
 inline constexpr std::size_t rec_key = 2 + fast_bank_count;
 
+/** The pattern-key hash's prime: FNV-1a over 64-bit words. */
+inline constexpr std::uint64_t key_hash_prime = 1099511628211ULL;
+
+/**
+ * The hash a pattern key of shape @p id starts from: FNV-1a's offset
+ * basis with the id folded in by a multiply round of its own, before
+ * any offset (keyHashFold). Xoring the id and the first offset into
+ * one word would cancel them, so two shapes whose ids differ exactly
+ * as their first offsets do would collide.
+ */
+constexpr std::uint64_t
+keyHashBasis(std::uint32_t id)
+{
+    return (1469598103934665603ULL ^ id) * key_hash_prime;
+}
+
+/** Fold one canonical offset into a pattern key's hash. */
+constexpr std::uint64_t
+keyHashFold(std::uint64_t hash, std::uint64_t off)
+{
+    return (hash ^ off) * key_hash_prime;
+}
+
 /** One chunk of a shape's compiled reservation chain: the words that
  *  route through one stage-2 switch, and where their servers sit in
  *  ShapeInfo::servers. A chunk never spans two groups, so its modules

@@ -1,6 +1,7 @@
 #include "net/network.hh"
 
 #include <algorithm>
+#include <array>
 #include <memory>
 #include <string>
 #include <utility>
@@ -10,6 +11,78 @@
 
 namespace cedar::net
 {
+
+/**
+ * The serves one watched access's GM-request flow keeps: of each flow
+ * stage (stage1, stage2, module, and ret, the returnB serve), the
+ * first serve and the last. With the CE's issue and completion records
+ * a flow is at most 10 records, however many words it streams; a
+ * one-word access, such as every RMW, keeps all 6 of its own. The
+ * live walks hand every serve to serve(); the fast-path replay hands
+ * it only serves it can derive (replayFlow below), among them every
+ * one kept, in serve order. Either way forEach() sees the same
+ * serves.
+ */
+class FlowPoints
+{
+  public:
+    /** The next serve, in serve order: @p bank's server @p idx (as
+     *  reserveChain's seen names it) busy over [@p s, @p done). */
+    void
+    serve(FastBank bank, unsigned idx, sim::Tick s, sim::Tick done)
+    {
+        const auto b = static_cast<unsigned>(bank);
+        const Point p{s, done, idx, ++seq_};
+        if (first_[b].seq == 0)
+            first_[b] = p;
+        last_[b] = p;
+    }
+
+    /** @p f(bank, idx, s, done) for every kept serve, in serve order;
+     *  a stage's only serve once. returnA serves mark no milestone
+     *  (the return path clears at returnB). */
+    template <typename F>
+    void
+    forEach(F &&f) const
+    {
+        struct Kept
+        {
+            const Point *p;
+            FastBank bank;
+        };
+        std::array<Kept, 8> kept{};
+        std::size_t n = 0;
+        const auto keep = [&](const Point &p, FastBank b) {
+            std::size_t k = n++;
+            for (; k > 0 && kept[k - 1].p->seq > p.seq; --k)
+                kept[k] = kept[k - 1];
+            kept[k] = {&p, b};
+        };
+        for (const FastBank b : {FastBank::stage1, FastBank::stage2,
+                                 FastBank::module, FastBank::returnB}) {
+            const auto i = static_cast<unsigned>(b);
+            if (first_[i].seq == 0)
+                continue;
+            keep(first_[i], b);
+            if (last_[i].seq != first_[i].seq)
+                keep(last_[i], b);
+        }
+        for (std::size_t k = 0; k < n; ++k)
+            f(kept[k].bank, kept[k].p->idx, kept[k].p->s, kept[k].p->done);
+    }
+
+  private:
+    struct Point
+    {
+        sim::Tick s = 0;
+        sim::Tick done = 0;
+        unsigned idx = 0;
+        std::uint64_t seq = 0; //!< 0: the bank has not served yet
+    };
+    std::array<Point, fast_bank_count> first_{};
+    std::array<Point, fast_bank_count> last_{};
+    std::uint64_t seq_ = 0;
+};
 
 namespace
 {
@@ -50,7 +123,7 @@ classOfBank(FastBank bank)
 }
 
 /** The flow milestone a bank's serve stands for (returnA has none:
- *  the return path clears at returnB). */
+ *  the return path clears at returnB, FlowPoints::forEach). */
 obs::FlowStage
 flowStageOf(FastBank bank)
 {
@@ -64,6 +137,57 @@ flowStageOf(FastBank bank)
     default:
         return obs::FlowStage::ret;
     }
+}
+
+/**
+ * Feed @p fp the serves a replayed access of @p sh at @p start keeps,
+ * from its canonical offsets @p key and its pattern's per-server
+ * (wait sum, free horizon) pairs @p servers. The first chunk is the
+ * first access to touch each of its servers, and a canonical zero
+ * offset never delays a serve (ShapeInfo::firstArrival), so each of
+ * its serves starts at max(arrival, start + key). The last chunk is
+ * the last to serve at each of its servers, so each of its serves ends
+ * at the horizon the pattern stores. The first chunk goes in whole and
+ * the last chunk's kept serves after it, so @p fp keeps what the live
+ * walk's would.
+ */
+void
+replayFlow(FlowPoints &fp, const ShapeInfo &sh, const std::uint32_t *key,
+           const std::uint32_t *servers, sim::Tick start)
+{
+    constexpr sim::Tick hop = Network::hop_latency;
+    constexpr sim::Tick word = mem::GlobalMemory::word_service;
+    const auto first = [&](FastBank bank, std::uint32_t pos, unsigned idx,
+                           sim::Tick arrival, sim::Tick service) {
+        const sim::Tick s = std::max(arrival, start + key[pos]);
+        fp.serve(bank, idx, s, s + service);
+        return s + service;
+    };
+    const ChainStep &c = sh.chain.front(); // issued at start
+    const sim::Tick t1 =
+        first(FastBank::stage1, c.stage1, c.group, start + hop, c.len);
+    const sim::Tick t2 =
+        first(FastBank::stage2, c.stage2, c.group, t1 + hop, c.len);
+    sim::Tick memdone = 0;
+    for (unsigned i = 0; i < c.len; ++i)
+        memdone = std::max(memdone, first(FastBank::module, c.modules + i,
+                                          c.module + i, t2 + hop, word));
+    const sim::Tick t3 =
+        first(FastBank::returnA, c.returnA, c.group, memdone + hop, c.len);
+    first(FastBank::returnB, c.returnB, 0, t3 + hop, c.len);
+    if (sh.chain.size() == 1)
+        return;
+
+    const auto last = [&](FastBank bank, std::uint32_t pos, unsigned idx,
+                          sim::Tick service) {
+        const sim::Tick done = start + servers[2 * pos + 1];
+        fp.serve(bank, idx, done - service, done);
+    };
+    const ChainStep &l = sh.chain.back();
+    last(FastBank::stage1, l.stage1, l.group, l.len);
+    last(FastBank::stage2, l.stage2, l.group, l.len);
+    last(FastBank::module, l.modules + l.len - 1, l.module + l.len - 1, word);
+    last(FastBank::returnB, l.returnB, 0, l.len);
 }
 
 } // namespace
@@ -147,7 +271,7 @@ Network::reserveLive(const ShapeInfo &sh, sim::FifoServer *const *srv,
 {
     mem::GlobalMemory *faults = gmem_.hasFaults() ? &gmem_ : nullptr;
     obs::Tracer *const t = tracer_;
-    if (flow == 0)
+    if (flow == 0 || t == nullptr)
         return reserveChain(
             sh, srv, faults, start, mem_service,
             [t](FastBank bank, std::uint32_t, unsigned, sim::Tick arrival,
@@ -155,18 +279,16 @@ Network::reserveLive(const ShapeInfo &sh, sim::FifoServer *const *srv,
                 if (t != nullptr)
                     t->resourceWait(classOfBank(bank), s - arrival);
             });
-    return reserveChain(
+    FlowPoints fp;
+    const Reservation r = reserveChain(
         sh, srv, faults, start, mem_service,
         [&](FastBank bank, std::uint32_t, unsigned idx, sim::Tick arrival,
             sim::Tick s, sim::Tick done) {
-            if (t == nullptr)
-                return;
             t->resourceWait(classOfBank(bank), s - arrival);
-            if (bank != FastBank::returnA)
-                t->flowStage(flow, flowStageOf(bank), done,
-                             flowResource(bank, idx, cluster, ce_port),
-                             done - s);
+            fp.serve(bank, idx, s, done);
         });
+    emitFlow(fp, flow, cluster, ce_port);
+    return r;
 }
 
 Reservation
@@ -174,16 +296,25 @@ Network::reserveBurst(ShapeInfo &sh, sim::Tick start, sim::ClusterId cluster,
                       int ce_port, std::uint32_t flow)
 {
     sim::FifoServer *const *srv = resolved(sh, cluster, ce_port);
+    obs::Tracer *const t = tracer_;
+    const bool watched = flow != 0 && t != nullptr;
     Reservation r;
     bool record = false;
-    // The replay is only legal when the toggle is on, nobody watches
-    // individual flow milestones (a flow id means the timeline expects
-    // per-stage records), and no fault plan touches the memory (fault
-    // windows break the translation invariance).
-    if (fastPath_ && flow == 0 && !gmem_.hasFaults() &&
-        fastReplay(sh, srv, start, r, record)) {
-        ++fastStats_.fastBursts;
-        return r;
+    // The replay is only legal when the toggle is on and no fault plan
+    // touches the memory (fault windows break the translation
+    // invariance). A watched hit derives its flow from the key and the
+    // pattern (replayFlow).
+    if (fastPath_ && !gmem_.hasFaults()) {
+        if (const std::uint32_t *p = fastReplay(sh, srv, start, r, record)) {
+            ++fastStats_.fastBursts;
+            if (watched) {
+                FlowPoints fp;
+                replayFlow(fp, sh, keyScratch_.data(),
+                           p + rec_key + sh.servers.size(), start);
+                emitFlow(fp, flow, cluster, ce_port);
+            }
+            return r;
+        }
     }
     ++fastStats_.slowBursts;
     if (!record)
@@ -194,15 +325,16 @@ Network::reserveBurst(ShapeInfo &sh, sim::Tick start, sim::ClusterId cluster,
     // its server's sum and its bank's tally, and moves the server's
     // horizon. Serve counts and service ticks are the shape's
     // (ShapeInfo::requests, busy), so nothing else varies between two
-    // runs of one shape. The access is unwatched and unfaulted.
+    // runs of one shape. The access is unfaulted; a watched one also
+    // keeps its flow's serves, as the live walk does.
     for (WaitCounts &c : waitCounts_)
         c.clear();
     recScratch_.assign(sh.servers.size(), PatternServer{0, 0});
-    obs::Tracer *const t = tracer_;
+    FlowPoints fp;
     r = reserveChain(
         sh, srv, nullptr, start, mem::GlobalMemory::word_service,
-        [&](FastBank bank, std::uint32_t pos, unsigned, sim::Tick arrival,
-            sim::Tick s, sim::Tick done) {
+        [&](FastBank bank, std::uint32_t pos, unsigned idx,
+            sim::Tick arrival, sim::Tick s, sim::Tick done) {
             const sim::Tick wait = s - arrival;
             if (t != nullptr)
                 t->resourceWait(classOfBank(bank), wait);
@@ -212,7 +344,11 @@ Network::reserveBurst(ShapeInfo &sh, sim::Tick start, sim::ClusterId cluster,
             // Every touched server serves at an arrival past start, so
             // its horizon sits beyond it.
             e.freeAt = done - start;
+            if (watched)
+                fp.serve(bank, idx, s, done);
         });
+    if (watched)
+        emitFlow(fp, flow, cluster, ce_port);
     // Second sighting: file the recorded run. Skip only the
     // degenerate saturated case, where "complete - start" is no
     // longer translation invariant.
@@ -220,6 +356,18 @@ Network::reserveBurst(ShapeInfo &sh, sim::Tick start, sim::ClusterId cluster,
         cache_.learn(sh, keyScratch_.data(), r.complete - start,
                      recScratch_, waitCounts_);
     return r;
+}
+
+void
+Network::emitFlow(const FlowPoints &fp, std::uint32_t flow,
+                  sim::ClusterId cluster, int ce_port) const
+{
+    fp.forEach([&](FastBank bank, unsigned idx, sim::Tick s,
+                   sim::Tick done) {
+        tracer_->flowStage(flow, flowStageOf(bank), done,
+                           flowResource(bank, idx, cluster, ce_port),
+                           done - s);
+    });
 }
 
 sim::FifoServer &
@@ -261,7 +409,7 @@ Network::resolved(ShapeInfo &sh, sim::ClusterId cluster, int ce_port)
     return srv.get();
 }
 
-bool
+const std::uint32_t *
 Network::fastReplay(const ShapeInfo &sh, sim::FifoServer *const *srv,
                     sim::Tick start, Reservation &r, bool &record)
 {
@@ -273,29 +421,28 @@ Network::fastReplay(const ShapeInfo &sh, sim::FifoServer *const *srv,
     // firstArrival). An exact match means the pattern's run saw this
     // very queue state, so every serve is the recorded one shifted by
     // start. An offset past 32 bits is never stored: its burst takes
-    // the slow path unrecorded. The hash is FNV-1a over the key,
-    // seeded with the shape.
+    // the slow path unrecorded. The hash folds in during the gather.
     keyScratch_.resize(n);
-    std::uint64_t hash = 1469598103934665603ULL ^ sh.id;
+    std::uint64_t hash = keyHashBasis(sh.id);
     for (std::size_t j = 0; j < n; ++j) {
         const sim::Tick f = srv[j]->freeAt();
         sim::Tick off = f > start ? f - start : 0;
         if (off <= sh.firstArrival[j])
             off = 0;
         if (off > max_rec_tick)
-            return false;
+            return nullptr;
         keyScratch_[j] = static_cast<std::uint32_t>(off);
-        hash = (hash ^ off) * 1099511628211ULL;
+        hash = keyHashFold(hash, off);
     }
 
     const std::uint32_t *p =
         cache_.lookup(sh, hash, keyScratch_.data(), record);
     if (p == nullptr)
-        return false;
+        return nullptr;
     // Near the tick ceiling the slow path's overflow throw applies.
     // (The pattern exists, so no re-recording.)
     if (p[1] > sim::max_tick - start)
-        return false;
+        return nullptr;
 
     const std::uint32_t *e = p + rec_key + n;
     for (std::size_t j = 0; j < n; ++j, e += 2)
@@ -306,7 +453,7 @@ Network::fastReplay(const ShapeInfo &sh, sim::FifoServer *const *srv,
                 tracer_->resourceWait(classOfBank(FastBank(b)), e[0], e[1]);
 
     r.complete = start + p[1];
-    return true;
+    return p;
 }
 
 void

@@ -93,6 +93,9 @@ struct Reservation
     bool dead = false; //!< some module never served its word
 };
 
+/** The milestones a watched access's flow keeps (network.cc). */
+class FlowPoints;
+
 /**
  * The network plus the memory behind it; the single entry point the
  * CE's global interface uses for all global-memory traffic.
@@ -121,7 +124,8 @@ class Network
             mem::GlobalMemory &gmem);
 
     /** Attach the telemetry tracer: every serve's queueing wait, the
-     *  memory modules' included, and the flow milestones. */
+     *  memory modules' included, and each watched access's flow
+     *  milestones (FlowPoints). */
     void setTracer(obs::Tracer *t) { tracer_ = t; }
 
     /** Enable/disable the analytic fast path (RunOptions::fastPath,
@@ -144,8 +148,8 @@ class Network
      * otherwise reserves chunk by chunk (reserveChain). unloaded is
      * the shape's idle completion (ShapeInfo::unloaded).
      * complete == sim::max_tick when a dead module swallowed part of
-     * the stream. A non-zero @p flow tags the burst's telemetry
-     * milestones.
+     * the stream. A non-zero @p flow watches the burst: its flow
+     * milestones (FlowPoints) go to the tracer, on either path.
      *
      * @throws sim::SimError when @p cluster or @p ce_port is out of
      *         range or @p words is 0.
@@ -230,7 +234,7 @@ class Network
 
     /** One unrecorded access of @p sh on the live servers @p srv:
      *  every serve's wait goes to the tracer, and for a watched access
-     *  (@p flow != 0) every milestone to its flow. */
+     *  (@p flow != 0) its flow milestones. */
     Reservation reserveLive(const ShapeInfo &sh, sim::FifoServer *const *srv,
                             sim::Tick start, sim::Tick mem_service,
                             sim::ClusterId cluster, int ce_port,
@@ -238,10 +242,16 @@ class Network
 
     /** One burst of shape @p sh: the fast-path replay when eligible
      *  and a pattern matches, otherwise the chain on the live servers
-     *  (recording the run when the miss earned it). */
+     *  (recording the run when the miss earned it). A watched burst's
+     *  milestones come from whichever ran. */
     Reservation reserveBurst(ShapeInfo &sh, sim::Tick start,
                              sim::ClusterId cluster, int ce_port,
                              std::uint32_t flow);
+
+    /** Hand the serves @p fp kept to the tracer as @p flow's
+     *  milestones, each on its resource for the issuing CE. */
+    void emitFlow(const FlowPoints &fp, std::uint32_t flow,
+                  sim::ClusterId cluster, int ce_port) const;
 
     // ----- analytic fast path (see net/fastpath.hh) -----
 
@@ -249,11 +259,13 @@ class Network
      *  into keyScratch_ and look up their pattern. On a match, apply it
      *  (the shape's serve counts and service ticks, the pattern's wait
      *  sums, horizons and condensed waits) and its timing into @p r —
-     *  bit-identical to the slow path. Returns false to take the slow
-     *  path; @p record is then set when the slow-path run should be
-     *  recorded (second sighting). */
-    bool fastReplay(const ShapeInfo &sh, sim::FifoServer *const *srv,
-                    sim::Tick start, Reservation &r, bool &record);
+     *  bit-identical to the slow path — and return it. Returns nullptr
+     *  to take the slow path; @p record is then set when the slow-path
+     *  run should be recorded (second sighting). */
+    const std::uint32_t *fastReplay(const ShapeInfo &sh,
+                                    sim::FifoServer *const *srv,
+                                    sim::Tick start, Reservation &r,
+                                    bool &record);
 
     /** Reused canonical-offset key (single-threaded per Machine). */
     std::vector<std::uint32_t> keyScratch_;

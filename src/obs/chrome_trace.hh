@@ -62,12 +62,12 @@ struct SpanTraceMeta
  * User/Os activity, cat = the TimeCat), pid 1 a track per global
  * memory module, pids 2/3/4 a track per network stage-1 / stage-2 /
  * return-path port. GM-request flows render as arrows ('s'/'t'/'f'
- * events sharing the flow id) from the issuing CE through the ports
- * and module slice back to the CE. With meta.timeseries set, pid 5
- * carries one counter track per windowed series — per-class queue
- * depth and utilization, per-TimeCat CE occupancy, the fast-path
- * hit rate and the event rate — sampled once per window at its
- * opening edge.
+ * events sharing the flow id) from the issuing CE through the first
+ * and last slice of each stage back to the CE. With meta.timeseries
+ * set, pid 5 carries one counter track per windowed series —
+ * per-class queue depth and utilization, per-TimeCat CE occupancy,
+ * the fast-path hit rate and the event rate — sampled once per
+ * window at its opening edge.
  *
  * @throws sim::SimError when meta.clock_hz is not positive.
  */

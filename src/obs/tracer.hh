@@ -10,7 +10,8 @@
  *    owns (resourceWait);
  *  - when a timeline is attached (setTimeline), "this CE just charged
  *    40 ticks of user/global_access" becomes a span record and "this
- *    burst entered the network" a flow id with per-stage milestones;
+ *    burst entered the network" a flow id with, per network stage,
+ *    its first and last milestone (net::FlowPoints);
  *  - when a time-series recorder is attached (setTimeSeries), every
  *    span is also handed to it, after the timeline.
  *

@@ -16,6 +16,8 @@
 
 #include <algorithm>
 #include <array>
+#include <initializer_list>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -27,7 +29,9 @@
 #include "hw/config.hh"
 #include "mem/address_map.hh"
 #include "mem/global_memory.hh"
+#include "net/fastpath.hh"
 #include "net/network.hh"
+#include "obs/telemetry.hh"
 #include "obs/tracer.hh"
 #include "sim/error.hh"
 #include "sim/random.hh"
@@ -206,22 +210,81 @@ TEST(FastPathIdentity, NonPaperTwoByFourGeometry)
     expectBitIdentical(fast, slow);
 }
 
+/** Every GM-request flow of @p timeline has its issue, at least the
+ *  four milestones of a one-word access, and its completion, and at
+ *  most the 10 records of FlowPoints' bound. */
+void
+expectBoundedFlows(const std::vector<obs::TelemetryEvent> &timeline)
+{
+    std::vector<unsigned> records;
+    for (const auto &e : timeline) {
+        if (e.kind != obs::EventKind::flow)
+            continue;
+        if (e.id >= records.size())
+            records.resize(e.id + 1, 0);
+        ++records[e.id];
+    }
+    ASSERT_GT(records.size(), 1u);
+    const auto [lo, hi] = std::minmax_element(records.begin() + 1,
+                                              records.end());
+    EXPECT_GE(*lo, 6u);
+    EXPECT_LE(*hi, 10u);
+}
+
 TEST(FastPathIdentity, TimelineMatchesEventForEvent)
 {
-    // With the timeline on, every access carries a flow id, so the
-    // fast path must refuse to engage — the recorded stream has to
-    // match the slow path event for event.
-    const auto app = apps::perfectAppByName("FLO52");
+    // With the timeline on, every access carries a flow id and the
+    // fast path still engages: a hit derives its flow's milestones
+    // from its key and its pattern. The recorded stream has to match
+    // the slow path's event for event, at every app on one cluster
+    // and on four, and on the 2x4 geometry.
     core::RunOptions o;
     o.scale = 0.02;
     o.collectTimeline = true;
-    o.fastPath = true;
-    const auto fast = core::runExperiment(app, 8, o);
-    o.fastPath = false;
-    const auto slow = core::runExperiment(app, 8, o);
-    ASSERT_GT(fast.timeline.size(), 0u);
-    expectBitIdentical(fast, slow);
-    expectSameTimeline(fast, slow);
+    const auto check = [&](const apps::AppModel &app,
+                           const hw::CedarConfig &cfg) {
+        o.fastPath = true;
+        const auto fast = core::runExperiment(app, cfg, o);
+        o.fastPath = false;
+        const auto slow = core::runExperiment(app, cfg, o);
+        ASSERT_GT(fast.timeline.size(), 0u);
+        EXPECT_GT(fast.fastPathHits, 0u);
+        expectBitIdentical(fast, slow);
+        expectSameTimeline(fast, slow);
+        expectBoundedFlows(fast.timeline);
+    };
+    for (const char *name : {"FLO52", "ARC2D", "MDG", "OCEAN", "ADM"}) {
+        const auto app = apps::perfectAppByName(name);
+        for (const unsigned p : {1u, 8u, 32u}) {
+            SCOPED_TRACE(std::string(name) + " " + std::to_string(p) + "p");
+            check(app, hw::CedarConfig::withProcs(p));
+        }
+    }
+    hw::CedarConfig wide;
+    wide.nClusters = 2;
+    wide.cesPerCluster = 4;
+    SCOPED_TRACE("FLO52 2x4");
+    check(apps::perfectAppByName("FLO52"), wide);
+}
+
+TEST(FastPathKeyHash, ShapeIdsThatDifferAsFirstOffsetsDoNotCollide)
+{
+    // Every (id, first offset) pair below shares id ^ offset with 63
+    // others, and the later offsets are equal. A basis seeded with the
+    // bare id hashed each such group to one value.
+    const auto hash = [](std::uint32_t id,
+                         std::initializer_list<std::uint64_t> key) {
+        std::uint64_t h = net::keyHashBasis(id);
+        for (const std::uint64_t off : key)
+            h = net::keyHashFold(h, off);
+        return h;
+    };
+    std::set<std::uint64_t> seen;
+    for (std::uint32_t id = 0; id < 64; ++id)
+        for (std::uint64_t off = 0; off < 64; ++off)
+            seen.insert(hash(id, {off, 7, 0, 12}));
+    EXPECT_EQ(seen.size(), 64u * 64u);
+    EXPECT_NE(hash(1, {2, 5}), hash(2, {1, 5}));
 }
 
 TEST(FastPathIdentity, EngagesAndLearnsPatterns)

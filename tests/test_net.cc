@@ -6,11 +6,18 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <map>
+#include <ostream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "mem/global_memory.hh"
+#include "net/fastpath.hh"
 #include "net/network.hh"
+#include "obs/telemetry.hh"
+#include "obs/tracer.hh"
 
 namespace
 {
@@ -379,6 +386,218 @@ TEST_P(NetChainOracle, ModuloGeometryWrapsChunksAroundTheModules)
 }
 
 INSTANTIATE_TEST_SUITE_P(Idle, NetChainOracle, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool> &i) {
+                             return i.param ? "fast" : "slow";
+                         });
+
+/** One flow milestone: its stage, and when, for how long and where
+ *  it was served. */
+struct Milestone
+{
+    obs::FlowStage stage;
+    Tick when;
+    Tick dur;
+    std::int32_t res;
+
+    bool operator==(const Milestone &) const = default;
+};
+
+std::ostream &
+operator<<(std::ostream &os, const Milestone &m)
+{
+    return os << static_cast<int>(m.stage) << "@" << m.when << "+" << m.dur
+              << " res " << m.res;
+}
+
+/** One serve of a reserveChain walk. */
+struct Serve
+{
+    net::FastBank bank;
+    unsigned idx;
+    Tick s;
+    Tick done;
+};
+
+/** A watched access's flow on a 32/4 memory behind a 4x8 network,
+ *  fast path on and off, checked against a reserveChain walk over
+ *  copies of the live servers it is about to touch. */
+struct NetFlowOracle : ::testing::TestWithParam<bool>
+{
+    static constexpr unsigned clusters = 4;
+    static constexpr unsigned ces = 8;
+    static constexpr unsigned groups = 8; // 32 modules in groups of 4
+    mem::AddressMap map{32, 4};
+    mem::GlobalMemory gmem{map};
+    net::Network net{clusters, ces, gmem};
+    net::BurstPatternCache shapes{map};
+    obs::Tracer tracer;
+    std::vector<obs::TelemetryEvent> timeline;
+
+    NetFlowOracle()
+    {
+        net.setFastPath(GetParam());
+        tracer.setTimeline(&timeline);
+        net.setTracer(&tracer);
+    }
+
+    /** A copy of the live server @p ref stands for at (@p cluster,
+     *  @p ce). */
+    sim::FifoServer
+    live(const net::ServerRef &ref, int cluster, int ce) const
+    {
+        if (ref.bank == net::FastBank::module)
+            return gmem.moduleServer(ref.idx);
+        const std::string c = std::to_string(cluster);
+        const std::string g = std::to_string(ref.idx);
+        const auto [name, port] =
+            ref.bank == net::FastBank::stage1
+                ? std::pair{"stage1.cluster" + c, ref.idx}
+            : ref.bank == net::FastBank::stage2
+                ? std::pair{"stage2.group" + g, unsigned(cluster)}
+            : ref.bank == net::FastBank::returnA
+                ? std::pair{"returnA.group" + g, unsigned(cluster)}
+                : std::pair{"returnB.cluster" + c, unsigned(ce)};
+        sim::FifoServer out;
+        net.visitPorts([&](const net::PortSite &at, const sim::FifoServer &s) {
+            if (at.bankName == name && at.portIdx == port)
+                out = s;
+        });
+        return out;
+    }
+
+    /** Every serve, in serve order, of @p sh issued at @p start from
+     *  (@p cluster, @p ce), walked over copies of the live servers. */
+    std::vector<Serve>
+    walk(const net::ShapeInfo &sh, Tick start, int cluster, int ce,
+         Tick mem_service) const
+    {
+        std::vector<sim::FifoServer> copy;
+        for (const net::ServerRef &ref : sh.servers)
+            copy.push_back(live(ref, cluster, ce));
+        std::vector<sim::FifoServer *> srv;
+        for (sim::FifoServer &x : copy)
+            srv.push_back(&x);
+        std::vector<Serve> out;
+        net::reserveChain(sh, srv.data(), nullptr, start, mem_service,
+                          [&](net::FastBank bank, std::uint32_t, unsigned idx,
+                              Tick, Tick s, Tick done) {
+                              out.push_back({bank, idx, s, done});
+                          });
+        return out;
+    }
+
+    /** @p v as the milestone a serve from (@p cluster, @p ce) marks. */
+    static Milestone
+    milestone(const Serve &v, int cluster, int ce)
+    {
+        const auto c = static_cast<std::int32_t>(cluster);
+        const auto i = static_cast<std::int32_t>(v.idx);
+        switch (v.bank) {
+        case net::FastBank::stage1:
+            return {obs::FlowStage::stage1, v.done, v.done - v.s,
+                    c * static_cast<std::int32_t>(groups) + i};
+        case net::FastBank::stage2:
+            return {obs::FlowStage::stage2, v.done, v.done - v.s,
+                    i * static_cast<std::int32_t>(clusters) + c};
+        case net::FastBank::module:
+            return {obs::FlowStage::module, v.done, v.done - v.s, i};
+        default:
+            return {obs::FlowStage::ret, v.done, v.done - v.s,
+                    c * static_cast<std::int32_t>(ces) + ce};
+        }
+    }
+
+    /** The serves at @p picks of @p serves as milestones. */
+    static std::vector<Milestone>
+    pick(const std::vector<Serve> &serves, std::vector<std::size_t> picks,
+         int cluster, int ce)
+    {
+        std::vector<Milestone> out;
+        for (const std::size_t i : picks)
+            out.push_back(milestone(serves.at(i), cluster, ce));
+        return out;
+    }
+
+    /** The milestones @p flow recorded, in record order. */
+    std::vector<Milestone>
+    recorded(std::uint32_t flow) const
+    {
+        std::vector<Milestone> out;
+        for (const auto &e : timeline) {
+            if (e.kind == obs::EventKind::flow && e.id == flow &&
+                e.stage() != obs::FlowStage::issue &&
+                e.stage() != obs::FlowStage::complete)
+                out.push_back({e.stage(), e.when, e.dur, e.res});
+        }
+        return out;
+    }
+};
+
+TEST_P(NetFlowOracle, MultiChunkBurstKeepsItsFirstAndLastChunk)
+{
+    // Nine words from module 6 from cluster 0 / CE 0: chunks {6,7}
+    // (group 1), {8..11} (group 2) and {12,13,14} (group 3), behind
+    // two unwatched bursts that leave horizons on its stage1 ports and
+    // its modules. Each repeat starts on an idle machine, so with the
+    // path on the third replays the watched burst from a pattern.
+    const net::ShapeInfo &sh = shapes.shape(6, 9);
+    ASSERT_EQ(sh.chain.size(), 3u);
+    for (int rep = 0; rep < 3; ++rep) {
+        SCOPED_TRACE(rep);
+        const Tick t0 = 100000 * static_cast<Tick>(rep);
+        net.burst(t0, 0, 1, 4, 64);
+        net.burst(t0 + 3, 1, 0, 38, 16);
+        const Tick start = t0 + 10;
+        const std::vector<Serve> v =
+            walk(sh, start, 0, 0, mem::GlobalMemory::word_service);
+        // Chunk 0: stage1, stage2, 2 modules, returnA, returnB (0-5);
+        // chunk 2: stage1 at 14, 3 modules ending at 18, returnB at 20.
+        ASSERT_EQ(v.size(), 21u);
+        const auto want = pick(v, {0, 1, 2, 5, 14, 15, 18, 20}, 0, 0);
+        const std::uint64_t hits = net.fastStats().hits();
+        const std::uint32_t flow = tracer.flowBegin(0, start);
+        const auto r = net.burst(start, 0, 0, 6, 9, flow);
+        EXPECT_EQ(recorded(flow), want);
+        EXPECT_EQ(r.complete, v.back().done + net::Network::hop_latency);
+        EXPECT_GT(r.queueing(start), 0u);
+        EXPECT_EQ(net.fastStats().hits() - hits,
+                  GetParam() && rep == 2 ? 1u : 0u);
+    }
+}
+
+TEST_P(NetFlowOracle, OneChunkBurstAndRmwKeepEveryStage)
+{
+    for (int rep = 0; rep < 3; ++rep) {
+        SCOPED_TRACE(rep);
+        const Tick t0 = 100000 * static_cast<Tick>(rep);
+        net.burst(t0, 2, 3, 8, 8);
+        // Four words from module 8, one chunk: stage1, stage2, its
+        // first and last module, returnB (5 milestones).
+        const Tick start = t0 + 4;
+        const auto v =
+            walk(shapes.shape(8, 4), start, 2, 5,
+                 mem::GlobalMemory::word_service);
+        ASSERT_EQ(v.size(), 8u);
+        std::uint32_t flow = tracer.flowBegin(21, start);
+        net.burst(start, 2, 5, 8, 4, flow);
+        EXPECT_EQ(recorded(flow), pick(v, {0, 1, 2, 5, 7}, 2, 5));
+
+        // An RMW of word 9 from cluster 1 / CE 7: stage1, stage2, the
+        // module for its RMW service, returnB (4 milestones).
+        const Tick at = t0 + 6;
+        const auto w = walk(shapes.shape(9, 1), at, 1, 7,
+                            mem::GlobalMemory::rmw_service);
+        ASSERT_EQ(w.size(), 5u);
+        flow = tracer.flowBegin(15, at);
+        net.rmw(at, 1, 7, 9, [](std::uint64_t x) { return x + 1; }, flow);
+        const auto got = recorded(flow);
+        EXPECT_EQ(got, pick(w, {0, 1, 2, 4}, 1, 7));
+        EXPECT_EQ(got.at(2).dur, mem::GlobalMemory::rmw_service);
+    }
+    EXPECT_EQ(net.fastStats().hits(), GetParam() ? 2u : 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Watched, NetFlowOracle, ::testing::Bool(),
                          [](const ::testing::TestParamInfo<bool> &i) {
                              return i.param ? "fast" : "slow";
                          });

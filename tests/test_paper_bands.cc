@@ -222,6 +222,20 @@ TEST(PaperAblations, FlatBarrierCostsOverTwiceClustered)
     EXPECT_GT(flat, 2.0 * clustered);
 }
 
+TEST(PaperAblations, TrafficInFlightRaisesBothBarriers)
+{
+    const auto barrier = [](const char *scheme) {
+        return cell("a1", {scheme}, "barrier (cycles)");
+    };
+    const double clustered = barrier("4 clusters (bus + 4 updates)");
+    const double flat = barrier("32 flat tasks (32 updates)");
+    const double clustered_bg = barrier("4 clusters + traffic");
+    const double flat_bg = barrier("32 flat tasks + traffic");
+    EXPECT_GT(clustered_bg, clustered);
+    EXPECT_GT(flat_bg, flat);
+    EXPECT_GT(flat_bg, clustered_bg);
+}
+
 TEST(PaperAblations, SdoallPickupStaysLowWhileXdoallGrows)
 {
     for (std::size_t i = 0; i < bench::configs.size(); ++i) {

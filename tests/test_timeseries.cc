@@ -137,8 +137,8 @@ metricsJson(const core::RunResult &r)
  * Every published field must be identical with the recorder on and
  * off, at every paper machine point: the boundary hook only reads
  * counters, and handing spans to the recorder cannot perturb the
- * model (the analytic fast path's gate reads only the toggle, the
- * flow id and the fault plan).
+ * model (the analytic fast path's gate reads only the toggle and the
+ * fault plan).
  */
 TEST(TimeSeriesRecorder, RecorderOffRunsBitIdenticalAtPaperPoints)
 {
