@@ -52,7 +52,8 @@ BurstPatternCache::makeShape(unsigned first_module, unsigned words) const
         issued += c.len;
     }
     // Rank the touched groups and modules by index: a group's three
-    // ports sit at its rank in the stage1, stage2 and returnA banks.
+    // ports sit at its rank among the stage1, stage2 and returnA
+    // ports.
     const auto rank = [](std::vector<std::uint32_t> &pos) {
         std::vector<std::uint32_t> touched;
         for (std::uint32_t i = 0; i < pos.size(); ++i) {
@@ -66,13 +67,13 @@ BurstPatternCache::makeShape(unsigned first_module, unsigned words) const
     const std::vector<std::uint32_t> groups = rank(groupPos);
     const std::vector<std::uint32_t> modules = rank(modulePos);
     const auto ng = static_cast<std::uint32_t>(groups.size());
-    for (const FastBank b :
-         {FastBank::stage1, FastBank::stage2, FastBank::returnA})
+    using C = obs::ResourceClass;
+    for (const C cls : {C::stage1_port, C::stage2_port, C::return_a_port})
         for (const std::uint32_t g : groups)
-            sh.servers.push_back({b, g});
-    sh.servers.push_back({FastBank::returnB, 0});
+            sh.servers.push_back({cls, g});
+    sh.servers.push_back({C::return_b_port, 0});
     for (const std::uint32_t m : modules)
-        sh.servers.push_back({FastBank::module, m});
+        sh.servers.push_back({C::memory_module, m});
     for (ChainStep &c : sh.chain) {
         c.stage1 = groupPos[c.group];
         c.stage2 = ng + c.stage1;
@@ -91,7 +92,7 @@ BurstPatternCache::makeShape(unsigned first_module, unsigned words) const
     sh.unloaded =
         reserveChain(sh, srv.data(), nullptr, 0,
                      mem::GlobalMemory::word_service,
-                     [&sh](FastBank, std::uint32_t pos, unsigned,
+                     [&sh](C, std::uint32_t pos, unsigned,
                            sim::Tick arrival, sim::Tick, sim::Tick) {
                          sh.firstArrival[pos] =
                              std::min(sh.firstArrival[pos], arrival);
@@ -102,17 +103,6 @@ BurstPatternCache::makeShape(unsigned first_module, unsigned words) const
             static_cast<std::uint32_t>(s.stats().requests()));
         sh.busy.push_back(s.stats().busyTicks());
     }
-    return sh;
-}
-
-ShapeInfo &
-BurstPatternCache::rmwShape(unsigned module)
-{
-    if (rmwShapes_.empty())
-        rmwShapes_.resize(map_.numModules());
-    ShapeInfo &sh = rmwShapes_[module];
-    if (sh.chain.empty())
-        sh = makeShape(module, 1);
     return sh;
 }
 
@@ -196,7 +186,7 @@ void
 BurstPatternCache::learn(const ShapeInfo &sh, const std::uint32_t *key,
                          sim::Tick rel_complete,
                          const std::vector<PatternServer> &servers,
-                         const BankWaits &waits)
+                         const ClassWaits &waits)
 {
     const std::size_t n = servers.size();
     std::size_t words = rec_key + 3 * n;
@@ -229,11 +219,11 @@ BurstPatternCache::learn(const ShapeInfo &sh, const std::uint32_t *key,
         *e++ = static_cast<std::uint32_t>(s.waitSum);
         *e++ = static_cast<std::uint32_t>(s.freeAt);
     }
-    for (unsigned b = 0; b < fast_bank_count; ++b) {
-        p[2 + b] = static_cast<std::uint32_t>(waits[b].used.size());
-        for (const std::uint32_t u : waits[b].used) {
-            *e++ = waits[b].slots[u].wait;
-            *e++ = waits[b].slots[u].count;
+    for (unsigned c = 0; c < access_class_count; ++c) {
+        p[2 + c] = static_cast<std::uint32_t>(waits[c].used.size());
+        for (const std::uint32_t u : waits[c].used) {
+            *e++ = waits[c].slots[u].wait;
+            *e++ = waits[c].slots[u].count;
         }
     }
     slots_[learnSlot_].pattern = p;

@@ -39,7 +39,8 @@
  *
  * Only bursts take this path. An RMW touches five servers, too few
  * for gathering and probing their offsets to beat serving them, so
- * Network::rmw always reserves through the reference chain.
+ * Network::rmw always walks its word's one-word shape through the
+ * reference chain.
  */
 
 #ifndef CEDAR_NET_FASTPATH_HH
@@ -52,6 +53,7 @@
 #include <vector>
 
 #include "mem/address_map.hh"
+#include "obs/resource.hh"
 #include "sim/types.hh"
 
 namespace cedar::sim
@@ -62,23 +64,16 @@ class FifoServer;
 namespace cedar::net
 {
 
-/** Structural bank of one pattern entry's server. Which concrete
- *  FifoServer it resolves to depends on the issuing cluster/CE
- *  (Network::server) — the pattern itself is position free. */
-enum class FastBank : std::uint8_t
-{
-    stage1,  //!< stage-1 output port `idx` (a module group)
-    stage2,  //!< stage-2 input port of group `idx` (cluster column)
-    returnA, //!< return stage A port of group `idx`
-    returnB, //!< return stage B port (the issuing CE's own port)
-    module,  //!< memory module `idx`
-};
-
-/** Position-free identity of one server an access shape touches. */
+/** Position-free identity of one server an access shape touches.
+ *  Which concrete FifoServer it resolves to depends on the issuing
+ *  cluster/CE (Network::server) — the pattern itself is position
+ *  free. */
 struct ServerRef
 {
-    FastBank bank;
-    std::uint32_t idx; //!< group or module index (bank-relative)
+    obs::ResourceClass cls;
+    /** Its module group (stage1, stage2 and returnA ports), its
+     *  module, or 0 (the issuing CE's own returnB port). */
+    std::uint32_t idx;
 };
 
 /** What one touched server's reservation outcome adds to the shape's
@@ -90,8 +85,12 @@ struct PatternServer
     sim::Tick freeAt;  //!< server's free horizon afterwards
 };
 
-/** Number of FastBank values; per-bank arrays index by them. */
-inline constexpr unsigned fast_bank_count = 5;
+/** The resource classes a global access serves at: the first five of
+ *  obs::ResourceClass, memory_module to return_b_port. Per-class
+ *  arrays index by them. */
+inline constexpr unsigned access_class_count = 5;
+static_assert(static_cast<unsigned>(obs::ResourceClass::return_b_port) ==
+              access_class_count - 1);
 
 /** The widest value a pattern record holds. */
 inline constexpr sim::Tick max_rec_tick = ~std::uint32_t(0);
@@ -102,12 +101,12 @@ inline constexpr sim::Tick max_rec_tick = ~std::uint32_t(0);
  *
  *   [0]                   shape id (ShapeInfo::id)
  *   [1]                   completion tick relative to start
- *   [2, rec_key)          condensed waits per bank, FastBank order
+ *   [2, rec_key)          condensed waits per class, class order
  *   [rec_key, +n)         key: the canonical offsets
  *   [rec_key + n, +2n)    per server: wait sum, free horizon
- *   then each bank's condensed waits as (wait, count) pairs.
+ *   then each class's condensed waits as (wait, count) pairs.
  */
-inline constexpr std::size_t rec_key = 2 + fast_bank_count;
+inline constexpr std::size_t rec_key = 2 + access_class_count;
 
 /** The pattern-key hash's prime: FNV-1a over 64-bit words. */
 inline constexpr std::uint64_t key_hash_prime = 1099511628211ULL;
@@ -156,7 +155,7 @@ struct ShapeInfo
     unsigned words = 0;
     /** The touched servers: the touched groups' stage1, stage2 and
      *  returnA ports, the issuing CE's returnB port, then the touched
-     *  modules (FastBank order, by index within a bank). */
+     *  modules (by index within a class). */
     std::vector<ServerRef> servers;
     /** The chain net::reserveChain walks, one step per chunk. */
     std::vector<ChainStep> chain;
@@ -190,10 +189,10 @@ struct ShapeInfo
 };
 
 /**
- * The wait -> count tally of one bank's serves in one recording, open
+ * The wait -> count tally of one class's serves in one recording, open
  * addressed and cleared when a recording starts (~490 serves of a
- * 235-word burst condense to ~20 entries across the banks). A burst
- * serves a bank at most `words` < 2^32 times, so a count fits 32
+ * 235-word burst condense to ~20 entries across the classes). A burst
+ * serves a class at most `words` < 2^32 times, so a count fits 32
  * bits; a wait that does not spoils the recording (tooWide).
  */
 struct WaitCounts
@@ -235,8 +234,8 @@ struct WaitCounts
     void grow();
 };
 
-/** A recording's tallies, one per bank in FastBank order. */
-using BankWaits = std::array<WaitCounts, fast_bank_count>;
+/** A recording's tallies, one per class in class order. */
+using ClassWaits = std::array<WaitCounts, access_class_count>;
 
 /**
  * Memoized pattern store, one per Network (and therefore per
@@ -266,9 +265,9 @@ class BurstPatternCache
 
     explicit BurstPatternCache(const mem::AddressMap &map) : map_(map) {}
 
-    /** The shape record for a burst of @p words whose first word
-     *  lives on @p first_module; its chain is compiled on first
-     *  use. */
+    /** The shape record for an access of @p words whose first word
+     *  lives on @p first_module (an RMW's is its word's one-word
+     *  shape); its chain is compiled on first use. */
     ShapeInfo &
     shape(unsigned first_module, unsigned words)
     {
@@ -281,13 +280,6 @@ class BurstPatternCache
         }
         return it->second;
     }
-
-    /** The one-word shape an RMW to @p module walks. It is kept
-     *  apart from the bursts' shapes and takes no id: an id seeds its
-     *  shape's key hash, so a burst shape created early by an RMW
-     *  would move the bursts' keys, their hash collisions and so the
-     *  fast-path counters. */
-    ShapeInfo &rmwShape(unsigned module);
 
     /**
      * The learned pattern of @p sh under @p key (its canonical
@@ -307,7 +299,7 @@ class BurstPatternCache
     void learn(const ShapeInfo &sh, const std::uint32_t *key,
                sim::Tick rel_complete,
                const std::vector<PatternServer> &servers,
-               const BankWaits &waits);
+               const ClassWaits &waits);
 
     /** Distinct (shape, offsets) patterns learned so far. */
     std::uint64_t patternsBuilt() const { return patternsBuilt_; }
@@ -336,7 +328,6 @@ class BurstPatternCache
 
     mem::AddressMap map_;
     std::unordered_map<std::uint64_t, ShapeInfo> shapes_;
-    std::vector<ShapeInfo> rmwShapes_; //!< per module, once used
     std::vector<Slot> slots_;
     std::size_t usedSlots_ = 0;
     std::size_t learnSlot_ = 0; //!< where learn() files its pattern

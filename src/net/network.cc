@@ -26,49 +26,51 @@ namespace cedar::net
 class FlowPoints
 {
   public:
-    /** The next serve, in serve order: @p bank's server @p idx (as
+    /** The next serve, in serve order: @p cls's server @p idx (as
      *  reserveChain's seen names it) busy over [@p s, @p done). */
     void
-    serve(FastBank bank, unsigned idx, sim::Tick s, sim::Tick done)
+    serve(obs::ResourceClass cls, unsigned idx, sim::Tick s,
+          sim::Tick done)
     {
-        const auto b = static_cast<unsigned>(bank);
+        const auto c = static_cast<unsigned>(cls);
         const Point p{s, done, idx, ++seq_};
-        if (first_[b].seq == 0)
-            first_[b] = p;
-        last_[b] = p;
+        if (first_[c].seq == 0)
+            first_[c] = p;
+        last_[c] = p;
     }
 
-    /** @p f(bank, idx, s, done) for every kept serve, in serve order;
+    /** @p f(cls, idx, s, done) for every kept serve, in serve order;
      *  a stage's only serve once. returnA serves mark no milestone
      *  (the return path clears at returnB). */
     template <typename F>
     void
     forEach(F &&f) const
     {
+        using C = obs::ResourceClass;
         struct Kept
         {
             const Point *p;
-            FastBank bank;
+            C cls;
         };
         std::array<Kept, 8> kept{};
         std::size_t n = 0;
-        const auto keep = [&](const Point &p, FastBank b) {
+        const auto keep = [&](const Point &p, C cls) {
             std::size_t k = n++;
             for (; k > 0 && kept[k - 1].p->seq > p.seq; --k)
                 kept[k] = kept[k - 1];
-            kept[k] = {&p, b};
+            kept[k] = {&p, cls};
         };
-        for (const FastBank b : {FastBank::stage1, FastBank::stage2,
-                                 FastBank::module, FastBank::returnB}) {
-            const auto i = static_cast<unsigned>(b);
+        for (const C cls : {C::stage1_port, C::stage2_port,
+                            C::memory_module, C::return_b_port}) {
+            const auto i = static_cast<unsigned>(cls);
             if (first_[i].seq == 0)
                 continue;
-            keep(first_[i], b);
+            keep(first_[i], cls);
             if (last_[i].seq != first_[i].seq)
-                keep(last_[i], b);
+                keep(last_[i], cls);
         }
         for (std::size_t k = 0; k < n; ++k)
-            f(kept[k].bank, kept[k].p->idx, kept[k].p->s, kept[k].p->done);
+            f(kept[k].cls, kept[k].p->idx, kept[k].p->s, kept[k].p->done);
     }
 
   private:
@@ -77,15 +79,23 @@ class FlowPoints
         sim::Tick s = 0;
         sim::Tick done = 0;
         unsigned idx = 0;
-        std::uint64_t seq = 0; //!< 0: the bank has not served yet
+        std::uint64_t seq = 0; //!< 0: the class has not served yet
     };
-    std::array<Point, fast_bank_count> first_{};
-    std::array<Point, fast_bank_count> last_{};
+    std::array<Point, access_class_count> first_{};
+    std::array<Point, access_class_count> last_{};
     std::uint64_t seq_ = 0;
 };
 
 namespace
 {
+
+/** @p cls's row in the port table (Network::table_). */
+unsigned
+portRow(obs::ResourceClass cls)
+{
+    return static_cast<unsigned>(cls) -
+           static_cast<unsigned>(obs::ResourceClass::stage1_port);
+}
 
 /** Reject an issuing cluster or CE port the network does not have,
  *  before either indexes a server or the fast path's per-CE cache. */
@@ -104,35 +114,17 @@ checkIssuer(sim::ClusterId cluster, int ce_port, unsigned n_clusters,
                             std::to_string(ces_per_cluster) + ")");
 }
 
-obs::ResourceClass
-classOfBank(FastBank bank)
-{
-    switch (bank) {
-    case FastBank::stage1:
-        return obs::ResourceClass::stage1_port;
-    case FastBank::stage2:
-        return obs::ResourceClass::stage2_port;
-    case FastBank::returnA:
-        return obs::ResourceClass::return_a_port;
-    case FastBank::returnB:
-        return obs::ResourceClass::return_b_port;
-    case FastBank::module:
-    default:
-        return obs::ResourceClass::memory_module;
-    }
-}
-
-/** The flow milestone a bank's serve stands for (returnA has none:
+/** The flow milestone a serve of @p cls stands for (returnA has none:
  *  the return path clears at returnB, FlowPoints::forEach). */
 obs::FlowStage
-flowStageOf(FastBank bank)
+flowStageOf(obs::ResourceClass cls)
 {
-    switch (bank) {
-    case FastBank::stage1:
+    switch (cls) {
+    case obs::ResourceClass::stage1_port:
         return obs::FlowStage::stage1;
-    case FastBank::stage2:
+    case obs::ResourceClass::stage2_port:
         return obs::FlowStage::stage2;
-    case FastBank::module:
+    case obs::ResourceClass::memory_module:
         return obs::FlowStage::module;
     default:
         return obs::FlowStage::ret;
@@ -155,42 +147,53 @@ void
 replayFlow(FlowPoints &fp, const ShapeInfo &sh, const std::uint32_t *key,
            const std::uint32_t *servers, sim::Tick start)
 {
+    using C = obs::ResourceClass;
     constexpr sim::Tick hop = Network::hop_latency;
     constexpr sim::Tick word = mem::GlobalMemory::word_service;
-    const auto first = [&](FastBank bank, std::uint32_t pos, unsigned idx,
+    const auto first = [&](C cls, std::uint32_t pos, unsigned idx,
                            sim::Tick arrival, sim::Tick service) {
         const sim::Tick s = std::max(arrival, start + key[pos]);
-        fp.serve(bank, idx, s, s + service);
+        fp.serve(cls, idx, s, s + service);
         return s + service;
     };
     const ChainStep &c = sh.chain.front(); // issued at start
     const sim::Tick t1 =
-        first(FastBank::stage1, c.stage1, c.group, start + hop, c.len);
+        first(C::stage1_port, c.stage1, c.group, start + hop, c.len);
     const sim::Tick t2 =
-        first(FastBank::stage2, c.stage2, c.group, t1 + hop, c.len);
+        first(C::stage2_port, c.stage2, c.group, t1 + hop, c.len);
     sim::Tick memdone = 0;
     for (unsigned i = 0; i < c.len; ++i)
-        memdone = std::max(memdone, first(FastBank::module, c.modules + i,
+        memdone = std::max(memdone, first(C::memory_module, c.modules + i,
                                           c.module + i, t2 + hop, word));
     const sim::Tick t3 =
-        first(FastBank::returnA, c.returnA, c.group, memdone + hop, c.len);
-    first(FastBank::returnB, c.returnB, 0, t3 + hop, c.len);
+        first(C::return_a_port, c.returnA, c.group, memdone + hop, c.len);
+    first(C::return_b_port, c.returnB, 0, t3 + hop, c.len);
     if (sh.chain.size() == 1)
         return;
 
-    const auto last = [&](FastBank bank, std::uint32_t pos, unsigned idx,
+    const auto last = [&](C cls, std::uint32_t pos, unsigned idx,
                           sim::Tick service) {
         const sim::Tick done = start + servers[2 * pos + 1];
-        fp.serve(bank, idx, done - service, done);
+        fp.serve(cls, idx, done - service, done);
     };
     const ChainStep &l = sh.chain.back();
-    last(FastBank::stage1, l.stage1, l.group, l.len);
-    last(FastBank::stage2, l.stage2, l.group, l.len);
-    last(FastBank::module, l.modules + l.len - 1, l.module + l.len - 1, word);
-    last(FastBank::returnB, l.returnB, 0, l.len);
+    last(C::stage1_port, l.stage1, l.group, l.len);
+    last(C::stage2_port, l.stage2, l.group, l.len);
+    last(C::memory_module, l.modules + l.len - 1, l.module + l.len - 1,
+         word);
+    last(C::return_b_port, l.returnB, 0, l.len);
 }
 
 } // namespace
+
+std::string
+PortSite::name() const
+{
+    static constexpr const char *switches[] = {
+        "stage1.cluster", "stage2.group", "returnA.group", "returnB.cluster"};
+    return std::string(switches[portRow(cls)]) + std::to_string(owner) +
+           ".port" + std::to_string(port);
+}
 
 Network::Network(unsigned n_clusters, unsigned ces_per_cluster,
                  mem::GlobalMemory &gmem)
@@ -202,38 +205,40 @@ Network::Network(unsigned n_clusters, unsigned ces_per_cluster,
             "network: needs at least one cluster and one CE per "
             "cluster");
     const unsigned groups = gmem.map().numGroups();
-    for (unsigned c = 0; c < n_clusters; ++c) {
-        stage1_.emplace_back("stage1.cluster" + std::to_string(c), groups);
-        returnB_.emplace_back("returnB.cluster" + std::to_string(c),
-                              ces_per_cluster);
+    table_ = {{{n_clusters, groups, 0},
+               {groups, n_clusters, 0},
+               {groups, n_clusters, 0},
+               {n_clusters, ces_per_cluster, 0}}};
+    std::size_t n = 0;
+    for (PortClass &pc : table_) {
+        pc.base = n;
+        n += std::size_t{pc.switches} * pc.ports;
     }
-    for (unsigned g = 0; g < groups; ++g) {
-        stage2In_.emplace_back("stage2.group" + std::to_string(g),
-                               n_clusters);
-        returnA_.emplace_back("returnA.group" + std::to_string(g),
-                              n_clusters);
-    }
+    ports_.resize(n);
 }
 
-std::int32_t
-Network::flowResource(FastBank bank, unsigned idx, sim::ClusterId cluster,
-                      int ce_port) const
+unsigned
+Network::position(obs::ResourceClass cls, unsigned idx,
+                  sim::ClusterId cluster, int ce_port) const
 {
     const auto c = static_cast<unsigned>(cluster);
-    switch (bank) {
-    case FastBank::stage1:
-        return static_cast<std::int32_t>(
-            c * static_cast<unsigned>(stage2In_.size()) + idx);
-    case FastBank::stage2:
-    case FastBank::returnA:
-        return static_cast<std::int32_t>(idx * nClusters_ + c);
-    case FastBank::returnB:
-        return static_cast<std::int32_t>(
-            c * cesPerCluster_ + static_cast<unsigned>(ce_port));
-    case FastBank::module:
+    unsigned owner = c;
+    unsigned port = idx;
+    switch (cls) {
+    case obs::ResourceClass::memory_module:
+        return idx;
+    case obs::ResourceClass::stage2_port:
+    case obs::ResourceClass::return_a_port:
+        owner = idx;
+        port = c;
+        break;
+    case obs::ResourceClass::return_b_port:
+        port = static_cast<unsigned>(ce_port);
+        break;
     default:
-        return static_cast<std::int32_t>(idx);
+        break;
     }
+    return owner * table_[portRow(cls)].ports + port;
 }
 
 XferResult
@@ -253,7 +258,7 @@ Network::rmw(sim::Tick when, sim::ClusterId cluster, int ce_port,
              sim::Addr addr, const sim::RmwFn &f, std::uint32_t flow)
 {
     checkIssuer(cluster, ce_port, nClusters_, cesPerCluster_);
-    ShapeInfo &sh = cache_.rmwShape(gmem_.map().module(addr));
+    ShapeInfo &sh = cache_.shape(gmem_.map().module(addr), 1);
     const Reservation r =
         reserveLive(sh, resolved(sh, cluster, ce_port), when,
                     mem::GlobalMemory::rmw_service, cluster, ce_port, flow);
@@ -274,18 +279,18 @@ Network::reserveLive(const ShapeInfo &sh, sim::FifoServer *const *srv,
     if (flow == 0 || t == nullptr)
         return reserveChain(
             sh, srv, faults, start, mem_service,
-            [t](FastBank bank, std::uint32_t, unsigned, sim::Tick arrival,
-                sim::Tick s, sim::Tick) {
+            [t](obs::ResourceClass cls, std::uint32_t, unsigned,
+                sim::Tick arrival, sim::Tick s, sim::Tick) {
                 if (t != nullptr)
-                    t->resourceWait(classOfBank(bank), s - arrival);
+                    t->resourceWait(cls, s - arrival);
             });
     FlowPoints fp;
     const Reservation r = reserveChain(
         sh, srv, faults, start, mem_service,
-        [&](FastBank bank, std::uint32_t, unsigned idx, sim::Tick arrival,
-            sim::Tick s, sim::Tick done) {
-            t->resourceWait(classOfBank(bank), s - arrival);
-            fp.serve(bank, idx, s, done);
+        [&](obs::ResourceClass cls, std::uint32_t, unsigned idx,
+            sim::Tick arrival, sim::Tick s, sim::Tick done) {
+            t->resourceWait(cls, s - arrival);
+            fp.serve(cls, idx, s, done);
         });
     emitFlow(fp, flow, cluster, ce_port);
     return r;
@@ -322,7 +327,7 @@ Network::reserveBurst(ShapeInfo &sh, sim::Tick start, sim::ClusterId cluster,
                            cluster, ce_port, flow);
 
     // The miss earned a recording: each serve also adds its wait to
-    // its server's sum and its bank's tally, and moves the server's
+    // its server's sum and its class's tally, and moves the server's
     // horizon. Serve counts and service ticks are the shape's
     // (ShapeInfo::requests, busy), so nothing else varies between two
     // runs of one shape. The access is unfaulted; a watched one also
@@ -333,19 +338,19 @@ Network::reserveBurst(ShapeInfo &sh, sim::Tick start, sim::ClusterId cluster,
     FlowPoints fp;
     r = reserveChain(
         sh, srv, nullptr, start, mem::GlobalMemory::word_service,
-        [&](FastBank bank, std::uint32_t pos, unsigned idx,
+        [&](obs::ResourceClass cls, std::uint32_t pos, unsigned idx,
             sim::Tick arrival, sim::Tick s, sim::Tick done) {
             const sim::Tick wait = s - arrival;
             if (t != nullptr)
-                t->resourceWait(classOfBank(bank), wait);
-            waitCounts_[static_cast<unsigned>(bank)].add(wait);
+                t->resourceWait(cls, wait);
+            waitCounts_[static_cast<unsigned>(cls)].add(wait);
             PatternServer &e = recScratch_[pos];
             e.waitSum += wait;
             // Every touched server serves at an arrival past start, so
             // its horizon sits beyond it.
             e.freeAt = done - start;
             if (watched)
-                fp.serve(bank, idx, s, done);
+                fp.serve(cls, idx, s, done);
         });
     if (watched)
         emitFlow(fp, flow, cluster, ce_port);
@@ -362,31 +367,23 @@ void
 Network::emitFlow(const FlowPoints &fp, std::uint32_t flow,
                   sim::ClusterId cluster, int ce_port) const
 {
-    fp.forEach([&](FastBank bank, unsigned idx, sim::Tick s,
+    fp.forEach([&](obs::ResourceClass cls, unsigned idx, sim::Tick s,
                    sim::Tick done) {
-        tracer_->flowStage(flow, flowStageOf(bank), done,
-                           flowResource(bank, idx, cluster, ce_port),
+        tracer_->flowStage(flow, flowStageOf(cls), done,
+                           static_cast<std::int32_t>(
+                               position(cls, idx, cluster, ce_port)),
                            done - s);
     });
 }
 
 sim::FifoServer &
-Network::server(FastBank bank, std::uint32_t idx, sim::ClusterId cluster,
-                int ce_port)
+Network::server(obs::ResourceClass cls, std::uint32_t idx,
+                sim::ClusterId cluster, int ce_port)
 {
-    switch (bank) {
-    case FastBank::stage1:
-        return stage1_[cluster].port(idx);
-    case FastBank::stage2:
-        return stage2In_[idx].port(cluster);
-    case FastBank::returnA:
-        return returnA_[idx].port(cluster);
-    case FastBank::returnB:
-        return returnB_[cluster].port(ce_port);
-    case FastBank::module:
-    default:
-        return gmem_.moduleServerMut(idx);
-    }
+    const unsigned pos = position(cls, idx, cluster, ce_port);
+    if (cls == obs::ResourceClass::memory_module)
+        return gmem_.moduleServerMut(pos);
+    return ports_[table_[portRow(cls)].base + pos];
 }
 
 sim::FifoServer *const *
@@ -403,7 +400,7 @@ Network::resolved(ShapeInfo &sh, sim::ClusterId cluster, int ce_port)
         srv = std::make_unique_for_overwrite<sim::FifoServer *[]>(
             sh.servers.size());
         for (std::size_t j = 0; j < sh.servers.size(); ++j)
-            srv[j] = &server(sh.servers[j].bank, sh.servers[j].idx, cluster,
+            srv[j] = &server(sh.servers[j].cls, sh.servers[j].idx, cluster,
                              ce_port);
     }
     return srv.get();
@@ -448,9 +445,9 @@ Network::fastReplay(const ShapeInfo &sh, sim::FifoServer *const *srv,
     for (std::size_t j = 0; j < n; ++j, e += 2)
         srv[j]->applyBatch(sh.requests[j], e[0], sh.busy[j], start + e[1]);
     if (tracer_ != nullptr)
-        for (unsigned b = 0; b < fast_bank_count; ++b)
-            for (std::uint32_t k = 0; k < p[2 + b]; ++k, e += 2)
-                tracer_->resourceWait(classOfBank(FastBank(b)), e[0], e[1]);
+        for (unsigned c = 0; c < access_class_count; ++c)
+            for (std::uint32_t k = 0; k < p[2 + c]; ++k, e += 2)
+                tracer_->resourceWait(obs::ResourceClass(c), e[0], e[1]);
 
     r.complete = start + p[1];
     return p;
@@ -460,22 +457,23 @@ void
 Network::stallSwitch(sim::Tick when, unsigned stage, unsigned idx,
                      sim::Tick duration)
 {
-    const bool s1 = stage == 1 && idx < stage1_.size();
-    if (!s1 && !(stage == 2 && idx < stage2In_.size()))
+    // A stage-1 switch is its cluster's stage1 and returnB ports, a
+    // stage-2 one its group's stage2 and returnA ports.
+    using C = obs::ResourceClass;
+    const std::array<C, 2> sides =
+        stage == 1 ? std::array{C::stage1_port, C::return_b_port}
+                   : std::array{C::stage2_port, C::return_a_port};
+    if ((stage != 1 && stage != 2) ||
+        idx >= table_[portRow(sides[0])].switches)
         throw sim::SimError("network: no stage" + std::to_string(stage) +
                             " switch " + std::to_string(idx));
-    using Side = std::pair<Crossbar *, obs::ResourceClass>;
-    const Side sides[] = {
-        s1 ? Side{&stage1_[idx], obs::ResourceClass::stage1_port}
-           : Side{&stage2In_[idx], obs::ResourceClass::stage2_port},
-        s1 ? Side{&returnB_[idx], obs::ResourceClass::return_b_port}
-           : Side{&returnA_[idx], obs::ResourceClass::return_a_port}};
     // The stall reservations go through serve() and therefore count
     // as requests in ServerStats; observe matching (zero or pile-up)
     // waits so per-class request counts stay consistent.
-    for (const auto &[xb, cls] : sides) {
-        for (unsigned p = 0; p < xb->numPorts(); ++p) {
-            sim::FifoServer &port = xb->port(p);
+    for (const C cls : sides) {
+        const PortClass &pc = table_[portRow(cls)];
+        for (unsigned p = 0; p < pc.ports; ++p) {
+            sim::FifoServer &port = ports_[pc.base + idx * pc.ports + p];
             const sim::Tick free = port.freeAt();
             if (tracer_)
                 tracer_->resourceWait(cls, free > when ? free - when : 0);
@@ -489,33 +487,30 @@ Network::visitPorts(
     const std::function<void(const PortSite &, const sim::FifoServer &)>
         &f) const
 {
-    const std::pair<const char *, const std::vector<Crossbar> *> banks[] = {
-        {"stage1", &stage1_},
-        {"stage2", &stage2In_},
-        {"returnA", &returnA_},
-        {"returnB", &returnB_}};
-    for (const auto &[tag, xbs] : banks)
-        for (const Crossbar &xb : *xbs)
-            for (unsigned p = 0; p < xb.numPorts(); ++p)
-                f(PortSite{tag, xb.name(), p}, xb.port(p));
+    for (unsigned r = 0; r < table_.size(); ++r) {
+        const PortClass &pc = table_[r];
+        const auto cls = obs::ResourceClass(
+            static_cast<unsigned>(obs::ResourceClass::stage1_port) + r);
+        for (unsigned s = 0; s < pc.switches; ++s)
+            for (unsigned p = 0; p < pc.ports; ++p)
+                f(PortSite{cls, s, p}, ports_[pc.base + s * pc.ports + p]);
+    }
 }
 
 sim::Tick
 Network::totalWaitTicks() const
 {
     sim::Tick t = gmem_.totalWaitTicks();
-    for (const auto *bank : {&stage1_, &stage2In_, &returnA_, &returnB_})
-        for (const Crossbar &x : *bank)
-            t += x.totalWaitTicks();
+    for (const sim::FifoServer &p : ports_)
+        t += p.stats().waitTicks();
     return t;
 }
 
 void
 Network::reset()
 {
-    for (auto *bank : {&stage1_, &stage2In_, &returnA_, &returnB_})
-        for (Crossbar &x : *bank)
-            x.reset();
+    for (sim::FifoServer &p : ports_)
+        p.reset();
 }
 
 } // namespace cedar::net

@@ -22,14 +22,16 @@
 #define CEDAR_NET_NETWORK_HH
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <functional>
+#include <string>
 #include <vector>
 
 #include "mem/global_memory.hh"
-#include "net/crossbar.hh"
 #include "net/fastpath.hh"
 #include "obs/resource.hh"
+#include "sim/fifo_server.hh"
 #include "sim/types.hh"
 
 namespace cedar::obs
@@ -60,16 +62,21 @@ struct XferResult
 };
 
 /**
- * Identity of one crossbar port, as handed to Network::visitPorts:
- * the bank tag names the structural role (the observability layer
- * maps it to a resource class), bankName is the owning crossbar's
- * display name.
+ * Identity of one network port, as Network::visitPorts hands it out:
+ * its class, the switch that owns it (a cluster for stage1 and
+ * returnB ports, a module group for stage2 and returnA ones) and its
+ * index on that switch. Its position among its class's ports is
+ * owner * (ports per switch) + port.
  */
 struct PortSite
 {
-    const char *bank; //!< "stage1" | "stage2" | "returnA" | "returnB"
-    const std::string &bankName;
-    unsigned portIdx;
+    obs::ResourceClass cls; //!< stage1_port .. return_b_port
+    unsigned owner;
+    unsigned port;
+
+    /** Its report name: "stage1.cluster1.port3", "stage2.group3.port1",
+     *  "returnA.group3.port1" or "returnB.cluster1.port7". */
+    std::string name() const;
 };
 
 /** How often the analytic fast path replayed a burst vs fell back;
@@ -161,10 +168,9 @@ class Network
     /**
      * Atomic read-modify-write of one global word (test&set,
      * fetch&add). Serialised at the memory module; always reserved
-     * through the reference chain of its word's one-word shape
-     * (BurstPatternCache::rmwShape), for the module's RMW service (an
-     * RMW touches five servers, too few for a pattern lookup to beat
-     * serving them).
+     * through the reference chain of its word's one-word shape, for
+     * the module's RMW service (an RMW touches five servers, too few
+     * for a pattern lookup to beat serving them).
      */
     XferResult rmw(sim::Tick when, sim::ClusterId cluster, int ce_port,
                    sim::Addr addr, const sim::RmwFn &f,
@@ -192,7 +198,8 @@ class Network
     /** Queueing wait accumulated in switches and memory modules. */
     sim::Tick totalWaitTicks() const;
 
-    /** Visit every port server in the network (snapshotting). */
+    /** Visit every port in the network, class by class (stage1,
+     *  stage2, returnA, returnB) and switch by switch. */
     void visitPorts(
         const std::function<void(const PortSite &,
                                  const sim::FifoServer &)> &f) const;
@@ -208,23 +215,32 @@ class Network
     BurstPatternCache cache_;
     FastPathStats fastStats_;
 
-    /** Per cluster: output ports, one per stage-2 switch. */
-    std::vector<Crossbar> stage1_;
-    /** Per module group: input ports, one per cluster. */
-    std::vector<Crossbar> stage2In_;
-    /** Return path, stage A: per group, output ports per cluster. */
-    std::vector<Crossbar> returnA_;
-    /** Return path, stage B: per cluster, output ports per CE. */
-    std::vector<Crossbar> returnB_;
+    /** One class of ports: its switches, their ports, and where the
+     *  class starts in ports_. */
+    struct PortClass
+    {
+        unsigned switches; //!< one per cluster, or per module group
+        unsigned ports;    //!< per switch
+        std::size_t base;  //!< its first port's index in ports_
+    };
 
-    /** Flow-milestone resource index of the server server()
-     *  resolves @p bank and @p idx (a group, or a module) to. */
-    std::int32_t flowResource(FastBank bank, unsigned idx,
-                              sim::ClusterId cluster, int ce_port) const;
+    /** Every port, in visitPorts order. A stage-1 switch has a port
+     *  per module group, a stage-2 and a return-A one a port per
+     *  cluster, a return-B one a port per CE. Ports never move. */
+    std::vector<sim::FifoServer> ports_;
+    /** The port classes, in ResourceClass order: stage1 to returnB. */
+    std::array<PortClass, 4> table_{};
 
-    /** Resolve a position-free bank/index pair to the live server it
-     *  stands for, given the issuing cluster and CE port. */
-    sim::FifoServer &server(FastBank bank, std::uint32_t idx,
+    /** The position, among its class's ports, of the server a serve
+     *  of @p cls at @p idx (a ServerRef's) stands for when the
+     *  issuing CE is (@p cluster, @p ce_port); a module's is its
+     *  index. A flow milestone names its resource by it. */
+    unsigned position(obs::ResourceClass cls, unsigned idx,
+                      sim::ClusterId cluster, int ce_port) const;
+
+    /** The live server a ServerRef's @p cls and @p idx stand for when
+     *  the issuing CE is (@p cluster, @p ce_port). */
+    sim::FifoServer &server(obs::ResourceClass cls, std::uint32_t idx,
                             sim::ClusterId cluster, int ce_port);
 
     /** @p sh's servers for the issuing CE, in ShapeInfo::servers
@@ -269,9 +285,9 @@ class Network
 
     /** Reused canonical-offset key (single-threaded per Machine). */
     std::vector<std::uint32_t> keyScratch_;
-    /** Reused per-bank wait tallies and per-server sums for pattern
+    /** Reused per-class wait tallies and per-server sums for pattern
      *  recording, the sums in the shape's canonical server order. */
-    BankWaits waitCounts_;
+    ClassWaits waitCounts_;
     std::vector<PatternServer> recScratch_;
 };
 
@@ -291,9 +307,9 @@ class Network
  * its word: its chunk has no return traffic and the access never
  * completes.
  *
- * @p seen(bank, pos, idx, arrival, start, done) sees each reservation,
- * in serve order: pos is the server's position in @p srv, idx its
- * group (stage1, stage2, returnA), its module, or 0 (returnB). The
+ * @p seen(cls, pos, idx, arrival, start, done) sees each reservation,
+ * in serve order: cls is the server's class, pos its position in
+ * @p srv, idx its ServerRef::idx (a group, a module, or 0). The
  * live variants are in network.cc (Network::reserveLive and the
  * recording in Network::reserveBurst), the idle probe in fastpath.cc
  * (BurstPatternCache::makeShape).
@@ -304,12 +320,12 @@ reserveChain(const ShapeInfo &sh, sim::FifoServer *const *srv,
              mem::GlobalMemory *faults, sim::Tick start,
              sim::Tick mem_service, Seen &&seen)
 {
+    using C = obs::ResourceClass;
     constexpr sim::Tick hop = Network::hop_latency;
-    const auto port = [srv, &seen](FastBank bank, std::uint32_t pos,
-                                   unsigned idx, sim::Tick arrival,
-                                   unsigned len) {
+    const auto port = [srv, &seen](C cls, std::uint32_t pos, unsigned idx,
+                                   sim::Tick arrival, unsigned len) {
         const sim::Tick done = srv[pos]->serve(arrival, len);
-        seen(bank, pos, idx, arrival, done - len, done);
+        seen(cls, pos, idx, arrival, done - len, done);
         return done;
     };
 
@@ -317,9 +333,9 @@ reserveChain(const ShapeInfo &sh, sim::FifoServer *const *srv,
     r.complete = start;
     for (const ChainStep &c : sh.chain) {
         const sim::Tick issue = sim::satAdd(start, c.issue);
-        const sim::Tick t1 = port(FastBank::stage1, c.stage1, c.group,
+        const sim::Tick t1 = port(C::stage1_port, c.stage1, c.group,
                                   sim::satAdd(issue, hop), c.len);
-        const sim::Tick t2 = port(FastBank::stage2, c.stage2, c.group,
+        const sim::Tick t2 = port(C::stage2_port, c.stage2, c.group,
                                   sim::satAdd(t1, hop), c.len);
         const sim::Tick arrival = sim::satAdd(t2, hop);
         sim::Tick memdone = 0;
@@ -340,16 +356,16 @@ reserveChain(const ShapeInfo &sh, sim::FifoServer *const *srv,
                 done = srv[c.modules + i]->serve(arrival, mem_service);
                 s = done - mem_service;
             }
-            seen(FastBank::module, c.modules + i, m, arrival, s, done);
+            seen(C::memory_module, c.modules + i, m, arrival, s, done);
             memdone = std::max(memdone, done);
         }
         if (memdone == sim::max_tick) {
             r.complete = sim::max_tick; // no response, no return traffic
             continue;
         }
-        const sim::Tick t3 = port(FastBank::returnA, c.returnA, c.group,
+        const sim::Tick t3 = port(C::return_a_port, c.returnA, c.group,
                                   sim::satAdd(memdone, hop), c.len);
-        const sim::Tick t4 = port(FastBank::returnB, c.returnB, 0,
+        const sim::Tick t4 = port(C::return_b_port, c.returnB, 0,
                                   sim::satAdd(t3, hop), c.len);
         r.complete = std::max(r.complete, sim::satAdd(t4, hop));
     }

@@ -88,9 +88,7 @@ visitServers(const hw::Machine &m, Fn &&f)
           [i] { return "module." + std::to_string(i); });
     m.net().visitPorts(
         [&f](const net::PortSite &s, const sim::FifoServer &srv) {
-            f(classFromBank(s.bank), srv.stats(), [&s] {
-                return s.bankName + ".port" + std::to_string(s.portIdx);
-            });
+            f(s.cls, srv.stats(), [&s] { return s.name(); });
         });
     for (unsigned c = 0; c < m.numClusters(); ++c)
         f(ResourceClass::concurrency_bus,

@@ -1,9 +1,5 @@
 #include "obs/resource.hh"
 
-#include <cstring>
-
-#include "sim/error.hh"
-
 namespace cedar::obs
 {
 
@@ -20,21 +16,6 @@ toString(ResourceClass cls)
       case ResourceClass::kernel_lock: return "kernel_lock";
       default: return "?";
     }
-}
-
-ResourceClass
-classFromBank(const char *bank)
-{
-    if (std::strcmp(bank, "stage1") == 0)
-        return ResourceClass::stage1_port;
-    if (std::strcmp(bank, "stage2") == 0)
-        return ResourceClass::stage2_port;
-    if (std::strcmp(bank, "returnA") == 0)
-        return ResourceClass::return_a_port;
-    if (std::strcmp(bank, "returnB") == 0)
-        return ResourceClass::return_b_port;
-    throw sim::SimError(std::string("obs: unknown port bank '") + bank +
-                        "'");
 }
 
 } // namespace cedar::obs

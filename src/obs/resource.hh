@@ -56,10 +56,6 @@ isQueueingClass(ResourceClass cls)
 
 const char *toString(ResourceClass cls);
 
-/** Map a port-bank tag ("stage1", "stage2", "returnA", "returnB")
- *  to its resource class; memory modules are tagged directly. */
-ResourceClass classFromBank(const char *bank);
-
 /**
  * One wait-latency histogram per resource class, fed with every
  * queueing wait by obs::Tracer::resourceWait. The tracer is owned by

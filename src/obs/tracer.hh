@@ -129,8 +129,8 @@ class Tracer
     }
 
     /** A flow milestone: the request cleared @p stage at @p when on
-     *  resource @p res (module index, or port index within its bank);
-     *  @p dur carries the service time for module stages. */
+     *  resource @p res (a module's index, or a port's position among
+     *  its class's ports); @p dur carries the serve's service time. */
     void
     flowStage(std::uint32_t flow, FlowStage stage, sim::Tick when,
               std::int32_t res = -1, sim::Tick dur = 0)

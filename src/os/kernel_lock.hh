@@ -16,8 +16,6 @@
 #ifndef CEDAR_OS_KERNEL_LOCK_HH
 #define CEDAR_OS_KERNEL_LOCK_HH
 
-#include <string>
-
 #include "obs/tracer.hh"
 #include "sim/fifo_server.hh"
 #include "sim/types.hh"
@@ -36,8 +34,6 @@ struct SectionTiming
 class KernelLock
 {
   public:
-    explicit KernelLock(std::string name) : name_(std::move(name)) {}
-
     /** Attach the telemetry tracer (queueing waits). */
     void setTracer(obs::Tracer *t) { tracer_ = t; }
 
@@ -54,11 +50,9 @@ class KernelLock
         return SectionTiming{exit - hold - now, exit};
     }
 
-    const std::string &name() const { return name_; }
     const sim::ServerStats &stats() const { return server_.stats(); }
 
   private:
-    std::string name_;
     sim::FifoServer server_;
     obs::Tracer *tracer_ = nullptr;
 };

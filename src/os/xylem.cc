@@ -9,14 +9,12 @@ namespace cedar::os
 {
 
 Xylem::Xylem(hw::Machine &m)
-    : m_(m), globalLock_("global"),
+    : m_(m), clusterLocks_(m.numClusters()),
       rng_(m.seed() ^ 0xbadc0ffee0ddf00dULL)
 {
     globalLock_.setTracer(&m.tracer());
-    for (unsigned c = 0; c < m.numClusters(); ++c) {
-        clusterLocks_.emplace_back("cluster" + std::to_string(c));
-        clusterLocks_.back().setTracer(&m.tracer());
-    }
+    for (KernelLock &l : clusterLocks_)
+        l.setTracer(&m.tracer());
 }
 
 void

@@ -755,7 +755,7 @@ TEST(FastPathDifferential, PaperGeometryConvoysMatchSlowPath)
     // FLO52-shaped traffic on the paper geometry (4 clusters of 8 CEs,
     // 32 modules in groups of 4): every CE streams 235-word bursts in
     // convoys. Each recording condenses ~470 serves with many
-    // distinct waits, so the per-bank wait tallies grow past their
+    // distinct waits, so the per-class wait tallies grow past their
     // first size.
     const mem::AddressMap map(32, 4);
     const Traffic t{{235, 235}, false, 2, false};

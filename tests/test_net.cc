@@ -6,16 +6,19 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
 #include <map>
 #include <ostream>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
 #include "mem/global_memory.hh"
 #include "net/fastpath.hh"
 #include "net/network.hh"
+#include "obs/resource.hh"
 #include "obs/telemetry.hh"
 #include "obs/tracer.hh"
 
@@ -255,16 +258,14 @@ TEST(NetUnloaded, IdleAccessCompletesAtItsUnloadedLatency)
     }
 }
 
-/** Every port of @p bank ("stage1", "returnA", ...) that served, as
- *  "crossbar/port" -> serve count. */
+/** Every port of class @p cls that served, as name -> serve count. */
 std::map<std::string, std::uint64_t>
-servedPorts(const net::Network &net, const std::string &bank)
+servedPorts(const net::Network &net, obs::ResourceClass cls)
 {
     std::map<std::string, std::uint64_t> out;
     net.visitPorts([&](const net::PortSite &at, const sim::FifoServer &s) {
-        if (at.bank == bank && s.stats().requests() != 0)
-            out[at.bankName + "/" + std::to_string(at.portIdx)] =
-                s.stats().requests();
+        if (at.cls == cls && s.stats().requests() != 0)
+            out[at.name()] = s.stats().requests();
     });
     return out;
 }
@@ -339,11 +340,11 @@ TEST_P(NetChainOracle, DeadModuleSwallowsItsChunksReturn)
     EXPECT_EQ(gmem.moduleServer(1).stats().requests(), 0u);
     EXPECT_EQ(gmem.moduleServer(4).stats().requests(), 1u);
     const std::map<std::string, std::uint64_t> ret_a{
-        {"returnA.group1/0", 1}};
+        {"returnA.group1.port0", 1}};
     const std::map<std::string, std::uint64_t> ret_b{
-        {"returnB.cluster0/0", 1}};
-    EXPECT_EQ(servedPorts(net, "returnA"), ret_a);
-    EXPECT_EQ(servedPorts(net, "returnB"), ret_b);
+        {"returnB.cluster0.port0", 1}};
+    EXPECT_EQ(servedPorts(net, obs::ResourceClass::return_a_port), ret_a);
+    EXPECT_EQ(servedPorts(net, obs::ResourceClass::return_b_port), ret_b);
 }
 
 TEST_P(NetChainOracle, ModuloGeometryWrapsChunksAroundTheModules)
@@ -365,9 +366,9 @@ TEST_P(NetChainOracle, ModuloGeometryWrapsChunksAroundTheModules)
         t = r.complete;
     }
     const std::map<std::string, std::uint64_t> stage1{
-        {"stage1.cluster1/0", 3}, {"stage1.cluster1/1", 3},
-        {"stage1.cluster1/3", 3}};
-    EXPECT_EQ(servedPorts(n, "stage1"), stage1);
+        {"stage1.cluster1.port0", 3}, {"stage1.cluster1.port1", 3},
+        {"stage1.cluster1.port3", 3}};
+    EXPECT_EQ(servedPorts(n, obs::ResourceClass::stage1_port), stage1);
     for (unsigned m = 0; m < 12; ++m)
         EXPECT_EQ(gm.moduleServer(m).stats().requests(),
                   m >= 5 && m <= 9 ? 0u : 3u)
@@ -375,8 +376,8 @@ TEST_P(NetChainOracle, ModuloGeometryWrapsChunksAroundTheModules)
     // Chunk lengths 2/3/2, summed over the three repeats.
     sim::Tick busy[4] = {};
     n.visitPorts([&](const net::PortSite &at, const sim::FifoServer &s) {
-        if (std::string(at.bank) == "stage1")
-            busy[at.portIdx] += s.stats().busyTicks();
+        if (at.cls == obs::ResourceClass::stage1_port)
+            busy[at.port] += s.stats().busyTicks();
     });
     EXPECT_EQ(busy[0], 9u);
     EXPECT_EQ(busy[1], 6u);
@@ -412,7 +413,7 @@ operator<<(std::ostream &os, const Milestone &m)
 /** One serve of a reserveChain walk. */
 struct Serve
 {
-    net::FastBank bank;
+    obs::ResourceClass cls;
     unsigned idx;
     Tick s;
     Tick done;
@@ -445,21 +446,17 @@ struct NetFlowOracle : ::testing::TestWithParam<bool>
     sim::FifoServer
     live(const net::ServerRef &ref, int cluster, int ce) const
     {
-        if (ref.bank == net::FastBank::module)
+        using C = obs::ResourceClass;
+        if (ref.cls == C::memory_module)
             return gmem.moduleServer(ref.idx);
-        const std::string c = std::to_string(cluster);
-        const std::string g = std::to_string(ref.idx);
-        const auto [name, port] =
-            ref.bank == net::FastBank::stage1
-                ? std::pair{"stage1.cluster" + c, ref.idx}
-            : ref.bank == net::FastBank::stage2
-                ? std::pair{"stage2.group" + g, unsigned(cluster)}
-            : ref.bank == net::FastBank::returnA
-                ? std::pair{"returnA.group" + g, unsigned(cluster)}
-                : std::pair{"returnB.cluster" + c, unsigned(ce)};
+        const auto c = static_cast<unsigned>(cluster);
+        const auto [owner, port] =
+            ref.cls == C::stage1_port     ? std::pair{c, ref.idx}
+            : ref.cls == C::return_b_port ? std::pair{c, unsigned(ce)}
+                                          : std::pair{ref.idx, c};
         sim::FifoServer out;
         net.visitPorts([&](const net::PortSite &at, const sim::FifoServer &s) {
-            if (at.bankName == name && at.portIdx == port)
+            if (at.cls == ref.cls && at.owner == owner && at.port == port)
                 out = s;
         });
         return out;
@@ -479,9 +476,9 @@ struct NetFlowOracle : ::testing::TestWithParam<bool>
             srv.push_back(&x);
         std::vector<Serve> out;
         net::reserveChain(sh, srv.data(), nullptr, start, mem_service,
-                          [&](net::FastBank bank, std::uint32_t, unsigned idx,
-                              Tick, Tick s, Tick done) {
-                              out.push_back({bank, idx, s, done});
+                          [&](obs::ResourceClass cls, std::uint32_t,
+                              unsigned idx, Tick, Tick s, Tick done) {
+                              out.push_back({cls, idx, s, done});
                           });
         return out;
     }
@@ -492,14 +489,14 @@ struct NetFlowOracle : ::testing::TestWithParam<bool>
     {
         const auto c = static_cast<std::int32_t>(cluster);
         const auto i = static_cast<std::int32_t>(v.idx);
-        switch (v.bank) {
-        case net::FastBank::stage1:
+        switch (v.cls) {
+        case obs::ResourceClass::stage1_port:
             return {obs::FlowStage::stage1, v.done, v.done - v.s,
                     c * static_cast<std::int32_t>(groups) + i};
-        case net::FastBank::stage2:
+        case obs::ResourceClass::stage2_port:
             return {obs::FlowStage::stage2, v.done, v.done - v.s,
                     i * static_cast<std::int32_t>(clusters) + c};
-        case net::FastBank::module:
+        case obs::ResourceClass::memory_module:
             return {obs::FlowStage::module, v.done, v.done - v.s, i};
         default:
             return {obs::FlowStage::ret, v.done, v.done - v.s,
@@ -602,15 +599,156 @@ INSTANTIATE_TEST_SUITE_P(Watched, NetFlowOracle, ::testing::Bool(),
                              return i.param ? "fast" : "slow";
                          });
 
-TEST(Crossbar, PortStatsIndependent)
+/** A network geometry: clusters of CEs in front of modules in
+ *  groups. */
+struct Geometry
 {
-    net::Crossbar xb("x", 4);
-    xb.port(0).serve(0, 10);
-    xb.port(1).serve(0, 5);
-    EXPECT_EQ(xb.totalBusyTicks(), 15u);
-    EXPECT_EQ(xb.totalWaitTicks(), 0u);
-    xb.reset();
-    EXPECT_EQ(xb.totalBusyTicks(), 0u);
+    const char *name;
+    unsigned clusters;
+    unsigned ces;
+    unsigned modules;
+    unsigned group;
+};
+
+/** Every port's one identity: its class, switch and port on that
+ *  switch, its name, and its position among its class's ports. Both
+ *  geometries have more module groups than clusters, so a port whose
+ *  switch and index were swapped would show. */
+struct NetPortIdentity : ::testing::TestWithParam<Geometry>
+{
+    using C = obs::ResourceClass;
+    const Geometry g = GetParam();
+    const unsigned groups = g.modules / g.group;
+    mem::AddressMap map{g.modules, g.group};
+    mem::GlobalMemory gmem{map};
+    net::Network net{g.clusters, g.ces, gmem};
+
+    /** @p cls's index among the port classes, stage1 to returnB. */
+    static unsigned
+    row(C cls)
+    {
+        return static_cast<unsigned>(cls) -
+               static_cast<unsigned>(C::stage1_port);
+    }
+
+    /** Per port class, each port's identity and serve count, in
+     *  visit order. */
+    std::array<std::vector<std::pair<net::PortSite, std::uint64_t>>, 4>
+    ports() const
+    {
+        std::array<std::vector<std::pair<net::PortSite, std::uint64_t>>, 4>
+            out;
+        net.visitPorts([&](const net::PortSite &at, const sim::FifoServer &s) {
+            out[row(at.cls)].emplace_back(at, s.stats().requests());
+        });
+        return out;
+    }
+};
+
+TEST_P(NetPortIdentity, EachClassIsVisitedSwitchBySwitch)
+{
+    using Site = std::tuple<C, unsigned, unsigned>;
+    const Site shape[] = {{C::stage1_port, g.clusters, groups},
+                          {C::stage2_port, groups, g.clusters},
+                          {C::return_a_port, groups, g.clusters},
+                          {C::return_b_port, g.clusters, g.ces}};
+    std::vector<Site> want;
+    for (const auto &[cls, owners, ports] : shape)
+        for (unsigned o = 0; o < owners; ++o)
+            for (unsigned p = 0; p < ports; ++p)
+                want.emplace_back(cls, o, p);
+    std::vector<Site> got;
+    net.visitPorts([&](const net::PortSite &at, const sim::FifoServer &) {
+        got.emplace_back(at.cls, at.owner, at.port);
+    });
+    EXPECT_EQ(got, want);
 }
+
+TEST_P(NetPortIdentity, NamesSaySwitchAndPort)
+{
+    const auto n = [](const char *sw, unsigned o, unsigned p) {
+        return std::string(sw) + std::to_string(o) + ".port" +
+               std::to_string(p);
+    };
+    std::vector<std::string> want;
+    for (unsigned c = 0; c < g.clusters; ++c)
+        for (unsigned x = 0; x < groups; ++x)
+            want.push_back(n("stage1.cluster", c, x));
+    for (const char *sw : {"stage2.group", "returnA.group"})
+        for (unsigned x = 0; x < groups; ++x)
+            for (unsigned c = 0; c < g.clusters; ++c)
+                want.push_back(n(sw, x, c));
+    for (unsigned c = 0; c < g.clusters; ++c)
+        for (unsigned ce = 0; ce < g.ces; ++ce)
+            want.push_back(n("returnB.cluster", c, ce));
+    std::vector<std::string> got;
+    net.visitPorts([&](const net::PortSite &at, const sim::FifoServer &) {
+        got.push_back(at.name());
+    });
+    EXPECT_EQ(got, want);
+}
+
+TEST_P(NetPortIdentity, MilestonesNameAPortThatServed)
+{
+    // 2 * group + 1 words from module group + 2 stream through three
+    // groups: 2, 4 and 3 words on 32/4, 1, 3 and 3 on 12/3. The last
+    // cluster's last CE issues them, three times on an idle machine;
+    // the third replays with the fast path.
+    obs::Tracer tracer;
+    std::vector<obs::TelemetryEvent> timeline;
+    tracer.setTimeline(&timeline);
+    net.setTracer(&tracer);
+    const unsigned cluster = g.clusters - 1;
+    const unsigned ce = g.ces - 1;
+    for (int rep = 0; rep < 3; ++rep) {
+        SCOPED_TRACE(rep);
+        const Tick start = 100000 * static_cast<Tick>(rep);
+        const auto before = ports();
+        const std::uint32_t flow = tracer.flowBegin(0, start);
+        net.burst(start, static_cast<sim::ClusterId>(cluster),
+                  static_cast<int>(ce), g.group + 2, 2 * g.group + 1, flow);
+        const auto after = ports();
+        unsigned named = 0;
+        for (const auto &e : timeline) {
+            if (e.kind != obs::EventKind::flow || e.id != flow)
+                continue;
+            const C cls = e.stage() == obs::FlowStage::stage1
+                              ? C::stage1_port
+                          : e.stage() == obs::FlowStage::stage2
+                              ? C::stage2_port
+                          : e.stage() == obs::FlowStage::ret
+                              ? C::return_b_port
+                              : C::NUM;
+            if (cls == C::NUM)
+                continue;
+            const auto &a = after[row(cls)];
+            ASSERT_GE(e.res, 0);
+            ASSERT_LT(static_cast<std::size_t>(e.res), a.size());
+            const auto &[site, served] = a[e.res];
+            EXPECT_GT(served, before[row(cls)][e.res].second)
+                << site.name() << " did not serve";
+            // The issuing CE's own port: on its cluster's stage-1
+            // switch, its cluster's input on a stage-2 switch, its own
+            // returnB port.
+            EXPECT_EQ(cls == C::stage2_port ? site.port : site.owner, cluster)
+                << site.name();
+            if (cls == C::return_b_port) {
+                EXPECT_EQ(site.port, ce) << site.name();
+            }
+            ++named;
+        }
+        // stage1, stage2 and ret of the first chunk and of the last.
+        EXPECT_EQ(named, 6u);
+    }
+    EXPECT_EQ(net.fastStats().hits(), 1u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Geometries, NetPortIdentity,
+    ::testing::Values(Geometry{"c4x8", 4, 8, 32, 4},
+                      Geometry{"c2x4", 2, 4, 12, 3}),
+    [](const ::testing::TestParamInfo<Geometry> &i) {
+        return std::string(i.param.name);
+    });
 
 } // namespace

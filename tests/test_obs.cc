@@ -46,19 +46,6 @@ TEST(Resource, EveryClassHasAName)
                      "?");
 }
 
-TEST(Resource, BankTagsMapToClasses)
-{
-    EXPECT_EQ(obs::classFromBank("stage1"),
-              obs::ResourceClass::stage1_port);
-    EXPECT_EQ(obs::classFromBank("stage2"),
-              obs::ResourceClass::stage2_port);
-    EXPECT_EQ(obs::classFromBank("returnA"),
-              obs::ResourceClass::return_a_port);
-    EXPECT_EQ(obs::classFromBank("returnB"),
-              obs::ResourceClass::return_b_port);
-    EXPECT_THROW(obs::classFromBank("bogus"), sim::SimError);
-}
-
 // ----- metrics collection -----
 
 /** Every queueing wait of the run reached the tracer's histograms

@@ -149,7 +149,7 @@ TEST(PageTable, ResetClears)
 
 TEST(KernelLock, UncontendedHasNoSpin)
 {
-    os::KernelLock lock("l");
+    os::KernelLock lock;
     const auto t = lock.reserve(100, 50);
     EXPECT_EQ(t.spin, 0u);
     EXPECT_EQ(t.exit, 150u);
@@ -157,7 +157,7 @@ TEST(KernelLock, UncontendedHasNoSpin)
 
 TEST(KernelLock, ContendedSpins)
 {
-    os::KernelLock lock("l");
+    os::KernelLock lock;
     lock.reserve(0, 100);
     const auto t = lock.reserve(40, 100);
     EXPECT_EQ(t.spin, 60u);
